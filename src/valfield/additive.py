@@ -29,26 +29,12 @@ coefficient; a p-polynomial adds a constant.  The central operations:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (
-    BudgetExceededError,
-    IndeterminateValuationError,
-    PrecisionError,
-    ValfieldError,
-)
-from .extremality import (
-    Ball,
-    SearchResult,
-    ball_count,
-    ball_representatives,
-    check_budget,
-    extremal_search,
-    search_max,
-    DEFAULT_BUDGET,
-)
+from .errors import PrecisionError, ValfieldError
+from .extremality import Ball, check_budget, extremal_search, DEFAULT_BUDGET
 from .laurent import LaurentField, LaurentSeries, ValuationResult
 from .polynomials import MultiPoly
 from .value_group import Value
@@ -188,11 +174,6 @@ def ppolynomial_text(f: AdditivePolynomial, constant: Optional[LaurentSeries]) -
     if constant is not None and not constant.is_zero_to_prec():
         parts.append(f"({constant.to_text()})")
     return " + ".join(parts) if parts else "0"
-
-
-def evaluate(h: PPolynomial, args: Sequence[LaurentSeries]) -> LaurentSeries:
-    """Spec surface: evaluate a p-polynomial at a tuple of field elements."""
-    return h.evaluate(args)
 
 
 # -- conversion from generic polynomials -----------------------------------
@@ -699,35 +680,6 @@ def _fp_echelon(rows: List[List[int]], p: int) -> Tuple[Tuple[int, ...], ...]:
         pivots.append(col)
         r += 1
     return tuple(tuple(row) for row in mat[:r])
-
-
-def span_equal(
-    gens_a: Sequence[LaurentSeries],
-    gens_b: Sequence[LaurentSeries],
-    field: LaurentField,
-    out_prec: int,
-) -> bool:
-    """Whether two truncated images (as F_p-spans of generators) coincide."""
-    desc = field.base
-    lows = [s.valuation_floor() for s in gens_a] + [
-        s.valuation_floor() for s in gens_b
-    ]
-    lo = min(lows + [out_prec])
-    for s in list(gens_a) + list(gens_b):
-        if s.prec < out_prec:
-            raise PrecisionError(
-                "generator known to lower order than the image truncation"
-            )
-
-    def vec(s: LaurentSeries) -> List[int]:
-        out = []
-        for e in range(lo, out_prec):
-            out.extend(s.coeff_at(e).coeffs)
-        return out
-
-    a = _fp_echelon([vec(s) for s in gens_a], desc.p) if gens_a else ()
-    b = _fp_echelon([vec(s) for s in gens_b], desc.p) if gens_b else ()
-    return a == b
 
 
 def windowed_image_span(

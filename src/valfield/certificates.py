@@ -24,12 +24,17 @@ output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import CertificationError, PrecisionError, ValfieldError
-from .finite_field import artin_schreier_irreducible, prime_field
+from .finite_field import (
+    _pmod_irreducible,
+    artin_schreier_irreducible,
+    is_prime,
+    prime_field,
+)
 from .laurent import LaurentField, LaurentSeries
 from .padic import (
     FundamentalEqualityData,
@@ -39,6 +44,7 @@ from .padic import (
     with_precision_retry,
 )
 from .polygon import newton_polygon_from_valuations
+from .polynomials import dense_mul, dense_sub
 
 PASS = "pass"
 FAIL = "fail"
@@ -154,28 +160,13 @@ def binomial_valuation(n: int, k: int, p: int) -> int:
 
 def _counterexample_coeffs(p: int) -> List[Fraction]:
     """p*(X^p - X)^2 - 1 as a dense coefficient list."""
-    coeffs = [Fraction(0)] * (2 * p + 1)
-    coeffs[2 * p] += p
-    coeffs[p + 1] += -2 * p
-    coeffs[2] += p
-    coeffs[0] += -1
-    return coeffs
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    s = [Fraction(0), Fraction(-1)] + [Fraction(0)] * (p - 2) + [Fraction(1)]
+    return dense_sub(dense_mul([Fraction(p)], dense_mul(s, s)), [Fraction(1)])
 
 
 def verify_tmcne(p: int, prec: Optional[int] = None) -> TmcneCertificate:
     """Run all five steps of the non-equivalence check for an odd prime p."""
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise CertificationError(
             f"p must be an odd prime (the sign trick a -> -a needs p odd); got {p}"
         )
@@ -381,8 +372,6 @@ def fundeq_laurent(
             raise CertificationError(
                 "residue irreducibility route needs a prime base field"
             )
-        from .finite_field import _pmod_irreducible
-
         res = tuple(
             (c.residue().coeffs[0] if c is not None else 0) for c in coeffs
         )

@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
-from . import additive as additive_mod
 from .additive import (
     additive_from_multipoly,
     alpha_bound,
@@ -26,7 +24,6 @@ from .additive import (
     oap_solve,
 )
 from .certificates import (
-    FAIL,
     INCONCLUSIVE,
     PASS,
     fundeq_laurent,
@@ -316,12 +313,11 @@ def cmd_selftest(args) -> int:
 # -- argument plumbing -----------------------------------------------------
 
 
-def _add_common(sub, field=True, prec_default=8):
-    if field:
-        sub.add_argument("--field", required=True, help="field descriptor, e.g. \"F(3)((t))\"")
+def _add_common(sub, prec_default=8, budget=True):
+    sub.add_argument("--field", required=True, help="field descriptor, e.g. \"F(3)((t))\"")
     sub.add_argument("--prec", type=int, default=prec_default, help="working error order")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    if budget:
+        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget")
     sub.add_argument("--json", metavar="PATH", help="write a JSON report ('-' for stdout)")
 
 
@@ -340,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=cmd_oap)
 
     s = subs.add_parser("decompose", help="single-variable decomposition of an additive polynomial")
-    _add_common(s, prec_default=4)
+    _add_common(s, prec_default=4, budget=False)
     s.add_argument("--poly", required=True)
     s.add_argument("--oracle", action="store_true", help="compare truncated image sets")
     s.set_defaults(handler=cmd_decompose)
 
     s = subs.add_parser("alpha", help="alpha bound of a p-polynomial")
-    _add_common(s)
+    _add_common(s, budget=False)
     s.add_argument("--poly", required=True, help="additive part plus optional constant")
     s.set_defaults(handler=cmd_alpha)
 
@@ -370,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=cmd_transfer)
 
     s = subs.add_parser("compose", help="rank-2 composite search vs residue-level search")
-    _add_common(s, field=True, prec_default=4)
+    _add_common(s, prec_default=4)
     s.add_argument("--poly", required=True, help="polynomial with coefficients in F_q((u))")
     s.add_argument("--prec-t", type=int, default=2)
     s.add_argument("--prec-u", type=int, default=2)

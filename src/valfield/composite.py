@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .errors import (
-    DescriptorMismatchError,
-    IndeterminateValuationError,
-    ValfieldError,
-)
+from .errors import DescriptorMismatchError, IndeterminateValuationError
 from .finite_field import FiniteFieldDescriptor
 from .laurent import LaurentField, LaurentSeries, ValuationResult
 from .value_group import Value

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 from .composite import CompositeElement, CompositeField
 from .errors import BudgetExceededError, ValfieldError
@@ -250,12 +249,6 @@ def valuation_multiset(
 
 
 # -- coarsening and the composite desk check -------------------------------
-
-
-def coarsen(x: CompositeElement) -> Tuple[Fraction, LaurentSeries]:
-    """(w(x), residue at the coarsening), per the rank-2 decomposition."""
-    w, res = x.coarsen()
-    return Fraction(w), res
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DescriptorMismatchError, ParseError, ValfieldError
+from .polynomials import dense_eval, dense_trim
 
 MAX_SCAN_SIZE = 10**6
 
@@ -56,6 +57,17 @@ def _pmod_rem(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
     return _ptrim(a)
 
 
+def _monic_polys(p: int, d: int) -> Iterator[List[int]]:
+    """All monic degree-d polynomials over F_p, lexicographic in (c0,...,c_{d-1})."""
+    for code in range(p**d):
+        g = []
+        for _ in range(d):
+            g.append(code % p)
+            code //= p
+        g.append(1)
+        yield g
+
+
 def _pmod_irreducible(f: Sequence[int], p: int) -> bool:
     """Trial-division irreducibility test for a monic poly over F_p."""
     f = _ptrim(f)
@@ -65,14 +77,7 @@ def _pmod_irreducible(f: Sequence[int], p: int) -> bool:
     if deg == 1:
         return True
     for d in range(1, deg // 2 + 1):
-        # all monic divisors of degree d, lexicographic in (c0,...,c_{d-1})
-        for code in range(p**d):
-            g = []
-            c = code
-            for _ in range(d):
-                g.append(c % p)
-                c //= p
-            g.append(1)
+        for g in _monic_polys(p, d):
             if not _pmod_rem(f, g, p):
                 return False
     return True
@@ -102,13 +107,7 @@ class FiniteFieldDescriptor:
 
     @staticmethod
     def _find_modulus(p: int, k: int) -> Tuple[int, ...]:
-        for code in range(p**k):
-            g = []
-            c = code
-            for _ in range(k):
-                g.append(c % p)
-                c //= p
-            g.append(1)
+        for g in _monic_polys(p, k):
             if _pmod_irreducible(g, p):
                 return tuple(g)
         raise ValfieldError("no irreducible modulus found")  # unreachable
@@ -272,45 +271,17 @@ class FFElement:
         return f"FF({self.to_text()} in {self.desc.to_text()})"
 
 
-def ff_arith(a: FFElement, b: FFElement, op: str) -> FFElement:
-    """Field arithmetic dispatch; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValfieldError(f"unknown operation {op!r}")
-
-
-def poly_eval(coeffs: Sequence[FFElement], x: FFElement) -> FFElement:
-    """Evaluate a dense polynomial (index = degree) by Horner's rule."""
-    acc = x.desc.zero()
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
-
-
 def has_root(coeffs: Sequence[FFElement], desc: FiniteFieldDescriptor) -> Optional[FFElement]:
     """Some root of the polynomial in the field, by exhaustive scan."""
     cs = list(coeffs)
-    if len(_ff_trim(cs)) <= 1:
+    if len(dense_trim(cs)) <= 1:
         raise ValfieldError("root scan needs degree >= 1")
     if desc.q > MAX_SCAN_SIZE:
         raise ValfieldError("field too large for exhaustive root scan")
     for x in desc.elements():
-        if poly_eval(cs, x).is_zero():
+        if dense_eval(cs, x).is_zero():
             return x
     return None
-
-
-def _ff_trim(coeffs: Sequence[FFElement]) -> List[FFElement]:
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
 
 
 def artin_schreier_irreducible(c: FFElement) -> bool:

@@ -30,6 +30,7 @@ from .errors import (
     ValfieldError,
 )
 from .finite_field import FFElement, FiniteFieldDescriptor
+from .polynomials import dense_eval
 from .value_group import Value
 
 
@@ -333,31 +334,7 @@ class LaurentSeries:
         return self.to_text()
 
 
-def series_arith(a: LaurentSeries, b: LaurentSeries, op: str) -> LaurentSeries:
-    """Arithmetic dispatch; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValfieldError(f"unknown operation {op!r}")
-
-
-def valuation(a: LaurentSeries) -> ValuationResult:
-    return a.valuation()
-
-
 # -- univariate polynomials over series ------------------------------------
-
-
-def poly_eval(coeffs: Sequence[LaurentSeries], x: LaurentSeries) -> LaurentSeries:
-    acc = x.field.zero(prec=10**9)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
 
 
 def poly_derivative(coeffs: Sequence[LaurentSeries]) -> List[LaurentSeries]:
@@ -381,10 +358,10 @@ def hensel_lift(
     """
     coeffs = list(coeffs)
     deriv = poly_derivative(coeffs)
-    fx = poly_eval(coeffs, x0)
-    dfx = poly_eval(deriv, x0)
+    fx = dense_eval(coeffs, x0)
     if fx.is_zero_to_prec() and fx.prec >= target_prec:
         return x0
+    dfx = dense_eval(deriv, x0)
     vfx = fx.valuation().require_exact().first
     vdfx = dfx.valuation().require_exact().first
     if not vfx > 2 * vdfx:
@@ -393,14 +370,14 @@ def hensel_lift(
         )
     x = x0
     for _ in range(max_iter):
-        fx = poly_eval(coeffs, x)
+        fx = dense_eval(coeffs, x)
         if fx.is_zero_to_prec():
             if fx.prec >= target_prec:
                 return x
             raise PrecisionError("input precision insufficient for the requested lift")
         if fx.low >= target_prec:
             return x
-        dfx = poly_eval(deriv, x)
+        dfx = dense_eval(deriv, x)
         x = x - fx / dfx
     raise PrecisionError("Newton iteration did not reach the target precision")
 
@@ -458,9 +435,6 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
 
 
 # -- parsing ---------------------------------------------------------------
-
-_TERM_RE = re.compile(r"\s*([+-])?\s*")
-
 
 def parse_series(
     field: LaurentField, text: str, default_prec: Optional[int] = None

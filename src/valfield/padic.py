@@ -15,6 +15,12 @@ irreducibility assertion, which is recorded downstream in certificates.
 
 When a resultant valuation comes out indeterminate the ring rebuilds
 itself at doubled precision and retries, at most three times.
+
+Polynomial arithmetic on representatives (product, reduction modulo f,
+the extended-gcd inverse) runs on the dense helpers of
+:mod:`valfield.polynomials`, which need no zero element: every
+coefficient, including one that is zero to its precision, carries the
+error order its own inputs give it.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ from .errors import (
     PrecisionError,
     ValfieldError,
 )
-from .finite_field import prime_field
+from .finite_field import _pmod_irreducible, prime_field
 from .laurent import ValuationResult
 from .polygon import NewtonPolygon, newton_polygon_from_valuations
-from .value_group import Value
+from .polynomials import dense_divmod, dense_mul, dense_sub, dense_trim
+from .value_group import INFINITY, Value
 
 
 def vp_int(n: int, p: int) -> Optional[int]:
@@ -62,7 +69,9 @@ class PAdicNumber:
     def __init__(self, p: int, val: Optional[int], unit: int, prec: int):
         self.p = p
         self.prec = prec
-        if val is None or val >= prec:
+        # unit == 0 is tested before p**(prec - val) is built: zero
+        # coefficients are multiplied and added like any other
+        if val is None or val >= prec or unit == 0:
             self.val, self.unit = None, 0
             return
         rel = prec - val
@@ -241,8 +250,13 @@ class PAdicExtRing:
         self._polygon: Optional[NewtonPolygon] = None
 
     def polygon(self) -> NewtonPolygon:
+        """Polygon of the exact modulus; a zero coefficient is passed as None."""
         if self._polygon is None:
-            self._polygon = newton_polygon(self.modulus)
+            self._polygon = newton_polygon_from_valuations([
+                None if c == 0
+                else ValuationResult.exactly(Value.rank1(vp_fraction(c, self.p)))
+                for c in self.modulus_fractions
+            ])
         return self._polygon
 
     def irreducibility_certified(self) -> bool:
@@ -282,16 +296,8 @@ class PAdicExtRing:
         return self.element([0, 1])
 
     def _reduce(self, coeffs: List[PAdicNumber]) -> Tuple[PAdicNumber, ...]:
-        cs = list(coeffs)
-        n = self.degree
-        while len(cs) > n:
-            lead = cs.pop()
-            if lead.is_zero_to_prec():
-                continue
-            shift = len(cs) - n
-            for i in range(n):
-                cs[shift + i] = cs[shift + i] - lead * self.modulus[i]
-        cs += [PAdicNumber(self.p, None, 0, self.prec)] * (n - len(cs))
+        _, cs = dense_divmod(coeffs, self.modulus)
+        cs += [PAdicNumber(self.p, None, 0, self.prec)] * (self.degree - len(cs))
         return tuple(cs)
 
     def at_precision(self, prec: int) -> "PAdicExtRing":
@@ -334,15 +340,7 @@ class PAdicExtElement:
 
     def __mul__(self, other: "PAdicExtElement") -> "PAdicExtElement":
         self._check(other)
-        n = self.ring.degree
-        zero = PAdicNumber(self.ring.p, None, 0, self.ring.prec + 10 * n)
-        prod = [zero] * (2 * n - 1) if n > 1 else [zero]
-        for i, a in enumerate(self.rep):
-            if a.is_zero_to_prec():
-                continue
-            for j, b in enumerate(other.rep):
-                if not b.is_zero_to_prec():
-                    prod[i + j] = prod[i + j] + a * b
+        prod = dense_mul(self.rep, other.rep)
         return PAdicExtElement(self.ring, self.ring._reduce(prod))
 
     def __pow__(self, e: int) -> "PAdicExtElement":
@@ -359,17 +357,12 @@ class PAdicExtElement:
 
     def inverse(self) -> "PAdicExtElement":
         """Extended-gcd inverse against the modulus."""
-        f = list(self.ring.modulus)
-        g = list(self.rep)
-        p = self.ring.p
-        prec = self.ring.prec
-        zero = PAdicNumber(p, None, 0, prec)
-        one = PAdicNumber.from_fraction(p, 1, prec)
-        # (r0, s0) and (r1, s1) with ri = si * g (mod f)
-        r0, s0 = f, [zero]
-        r1, s1 = g, [one]
+        one = PAdicNumber.from_fraction(self.ring.p, 1, self.ring.prec)
+        # (r0, s0) and (r1, s1) with ri = si * g (mod f); s0 = [] is zero
+        r0, s0 = list(self.ring.modulus), []
+        r1, s1 = list(self.rep), [one]
         while True:
-            r1 = _trim(r1)
+            r1 = dense_trim(r1)
             if len(r1) == 0:
                 raise IndeterminateValuationError(
                     "element is zero (or not invertible) at current precision"
@@ -377,9 +370,9 @@ class PAdicExtElement:
             if len(r1) == 1:
                 inv = r1[0].inverse()
                 return self.ring.element([c * inv for c in s1])
-            q, r = _poly_divmod(r0, r1)
+            q, r = dense_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            s0, s1 = s1, dense_sub(s0, dense_mul(q, s1))
 
     def is_zero_to_prec(self) -> bool:
         return all(c.is_zero_to_prec() for c in self.rep)
@@ -395,82 +388,17 @@ class PAdicExtElement:
         return self.to_text()
 
 
-def _trim(cs: List[PAdicNumber]) -> List[PAdicNumber]:
-    cs = list(cs)
-    while cs and cs[-1].is_zero_to_prec():
-        cs.pop()
-    return cs
-
-
-def _poly_divmod(a: List[PAdicNumber], b: List[PAdicNumber]):
-    a = list(a)
-    b = _trim(b)
-    inv_lead = b[-1].inverse()
-    q = [None] * max(0, len(a) - len(b) + 1)
-    zero = None
-    while True:
-        a = _trim(a)
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv_lead
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = a[shift + i] - c * bi
-        a.pop()
-    p = b[0].p
-    prec = b[0].prec
-    filler = PAdicNumber(p, None, 0, prec)
-    q = [filler if x is None else x for x in q]
-    return q, a
-
-
-def _poly_mul(a: List[PAdicNumber], b: List[PAdicNumber]) -> List[PAdicNumber]:
-    if not a or not b:
-        return []
-    p = (a + b)[0].p
-    prec = max(x.prec for x in a + b)
-    out = [PAdicNumber(p, None, 0, prec + 10**6)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _poly_sub(a: List[PAdicNumber], b: List[PAdicNumber]) -> List[PAdicNumber]:
-    n = max(len(a), len(b))
-    if n == 0:
-        return []
-    p = (a + b)[0].p
-    prec = max(x.prec for x in a + b)
-    zero = PAdicNumber(p, None, 0, prec + 10**6)
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x - y)
-    return out
-
-
-def ext_arith(a: PAdicExtElement, b: PAdicExtElement, op: str) -> PAdicExtElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a * b.inverse()
-    raise ValfieldError(f"unknown operation {op!r}")
-
-
 # -- resultant-based valuation ---------------------------------------------
 
 
 def _sylvester_det_valuation(
     f: List[PAdicNumber], g: List[PAdicNumber]
 ) -> ValuationResult:
-    """Valuation of det(Sylvester(f, g)) by elimination with valuation pivoting."""
+    """Valuation of det(Sylvester(f, g)) by elimination with valuation pivoting.
+
+    Rows are sparse maps column -> entry.  A structural zero of the matrix
+    is an absent entry: it is exact and lends no precision to anything.
+    """
     m, n = len(f) - 1, len(g) - 1
     if n < 0:
         raise ValfieldError("resultant with the zero polynomial")
@@ -481,45 +409,31 @@ def _sylvester_det_valuation(
             return acc
         return ValuationResult.exactly(acc.value.scale(m))
     size = m + n
-    p = f[0].p
-    prec = max(c.prec for c in f + g)
-    zero = PAdicNumber(p, None, 0, prec + 10**6)
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
+    rows = [{i + j: c for j, c in enumerate(reversed(f))} for i in range(n)]
+    rows += [{i + j: c for j, c in enumerate(reversed(g))} for i in range(m)]
     total = Fraction(0)
     for col in range(size):
-        pivot_row = None
-        pivot_val = None
-        for r in range(col, size):
-            entry = rows[r][col]
-            if entry.is_zero_to_prec():
-                continue
-            if pivot_val is None or entry.val < pivot_val:
-                pivot_val = entry.val
-                pivot_row = r
-        if pivot_row is None:
-            bound = min(rows[r][col].prec for r in range(col, size))
+        present = [r for r in range(col, size) if col in rows[r]]
+        if not present:
+            # a structurally empty column: the determinant is exactly zero
+            return ValuationResult.exactly(INFINITY)
+        nonzero = [r for r in present if not rows[r][col].is_zero_to_prec()]
+        if not nonzero:
+            bound = min(rows[r][col].prec for r in present)
             return ValuationResult.at_least(Value.rank1(bound))
+        pivot_row = min(nonzero, key=lambda r: rows[r][col].val)
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        total += pivot_val
-        pv = rows[col][col]
+        pivot = rows[col]
+        pv = pivot[col]
+        total += pv.val
         for r in range(col + 1, size):
-            entry = rows[r][col]
-            if entry.is_zero_to_prec():
+            row = rows[r]
+            entry = row.get(col)
+            if entry is None or entry.is_zero_to_prec():
                 continue
             factor = entry / pv
-            rows[r] = [
-                x - factor * y for x, y in zip(rows[r], rows[col])
-            ]
+            for c, y in pivot.items():
+                row[c] = row[c] - factor * y if c in row else -(factor * y)
     return ValuationResult.exactly(Value.rank1(total))
 
 
@@ -534,7 +448,7 @@ def ext_valuation(a: PAdicExtElement) -> Value:
     ring._check_irreducible()
     if a.is_zero_to_prec():
         raise IndeterminateValuationError("valuation of a zero-to-precision element")
-    g = _trim(list(a.rep))
+    g = dense_trim(a.rep)
     res = _sylvester_det_valuation(list(ring.modulus), g)
     if not res.exact:
         raise PrecisionError("resultant valuation indeterminate at working precision")
@@ -577,7 +491,8 @@ def fundamental_equality_data(ring: PAdicExtRing) -> FundamentalEqualityData:
 
     Certification routes: slope denominator equal to the degree (totally
     ramified), unit polynomial with irreducible residue (unramified), or an
-    external irreducibility assertion combined with the slope data.
+    external irreducibility assertion combined with the slope data; a
+    degree-one modulus needs none of them.
     """
     n = ring.degree
     polygon = ring.polygon()
@@ -587,6 +502,9 @@ def fundamental_equality_data(ring: PAdicExtRing) -> FundamentalEqualityData:
     if slope is not None and slope == 0 and polygon.start == 0:
         if _residue_irreducible(ring):
             return FundamentalEqualityData(n, 1, n, "residue-irreducible", True)
+    if n == 1:
+        # Q_p[X]/(X - a) is Q_p itself, whatever the polygon looks like
+        return FundamentalEqualityData(1, 1, 1, "degree-one", True)
     if ring.irreducible_asserted:
         e = lcm(*[s.denominator for s, _ in polygon.segments])
         if n % e == 0:
@@ -598,8 +516,6 @@ def fundamental_equality_data(ring: PAdicExtRing) -> FundamentalEqualityData:
 
 
 def _residue_irreducible(ring: PAdicExtRing) -> bool:
-    from .finite_field import _pmod_irreducible
-
     p = ring.p
     res = []
     for c in ring.modulus:

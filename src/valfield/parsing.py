@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .composite import CompositeElement, CompositeField
+from .composite import CompositeField
 from .errors import ParseError
 from .extremality import Ball
-from .finite_field import FiniteFieldDescriptor, parse_field
-from .laurent import LaurentField, LaurentSeries, parse_series
-from .polynomials import MultiPoly
+from .finite_field import FiniteFieldDescriptor, is_prime, parse_field
+from .laurent import LaurentField, parse_series
+from .polynomials import MultiPoly, dense_add, dense_mul, dense_sub
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,10 @@ def parse_any_field(
     s = text.strip()
     m = re.fullmatch(r"Q_(\d+)", s)
     if m:
-        return PAdicFieldRef(int(m.group(1)))
+        p = int(m.group(1))
+        if not is_prime(p):
+            raise ParseError(f"{p} is not prime in {text!r}", 0)
+        return PAdicFieldRef(p)
     vars_: List[str] = []
     while True:
         m = re.fullmatch(r"(.*)\(\((\w+)\)\)", s)
@@ -68,9 +71,6 @@ def parse_any_field(
 
 
 # -- polynomial expressions ------------------------------------------------
-
-
-_TOKEN = re.compile(r"\s*([A-Za-z]\w*|\d+|\^|-|\+|\*|\(|\))")
 
 
 @dataclass
@@ -262,21 +262,6 @@ def parse_int_poly(text: str) -> List[Fraction]:
         state["i"] += 1
         return tok
 
-    def poly_add(a: List[Fraction], b: List[Fraction], sign: int) -> List[Fraction]:
-        out = [Fraction(0)] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] += c
-        for i, c in enumerate(b):
-            out[i] += sign * c
-        return out
-
-    def poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return out
-
     def atom() -> List[Fraction]:
         tok = take()
         if tok == "(":
@@ -300,7 +285,7 @@ def parse_int_poly(text: str) -> List[Fraction]:
                 raise ParseError(f"bad exponent {exp_tok!r}", 0)
             result = [Fraction(1)]
             for _ in range(int(exp_tok)):
-                result = poly_mul(result, base)
+                result = dense_mul(result, base)
             return result
         return base
 
@@ -309,17 +294,15 @@ def parse_int_poly(text: str) -> List[Fraction]:
         while peek() == "*" or (peek() is not None and peek() not in ")+-^*"):
             if peek() == "*":
                 take()
-            out = poly_mul(out, factor())
+            out = dense_mul(out, factor())
         return out
 
     def expr() -> List[Fraction]:
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-        out = poly_mul([Fraction(sign)], term())
+        negate = peek() in ("+", "-") and take() == "-"
+        out = dense_sub([], term()) if negate else term()
         while peek() in ("+", "-"):
-            s = -1 if take() == "-" else 1
-            out = poly_add(out, term(), s)
+            op = dense_sub if take() == "-" else dense_add
+            out = op(out, term())
         return out
 
     if not tokens:

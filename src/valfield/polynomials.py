@@ -1,9 +1,14 @@
-"""Sparse multivariate polynomials over an arbitrary coefficient ring.
+"""Sparse multivariate and dense univariate polynomials over any coefficient ring.
 
 Coefficients only need +, -, * and equality-with-zero via ``is_zero`` /
 ``is_zero_to_prec`` when available.  This is deliberately generic: the same
-type carries polynomials over truncated Laurent series, over composite
-(rank-2) elements, and over finite fields.
+code carries polynomials over truncated Laurent series, over composite
+(rank-2) elements, over finite fields, over Q_p and over the rationals.
+
+``MultiPoly`` is the sparse multivariate type.  The ``dense_*`` helpers work
+on plain coefficient lists indexed by degree; none of them needs a zero
+element of the ring, so a coefficient that is zero only to some precision
+keeps its own error order instead of borrowing one from a made-up zero.
 """
 
 from __future__ import annotations
@@ -170,6 +175,75 @@ def _ring_pow(x, e: int):
     return result
 
 
-def univariate(coeffs: Sequence, ring_zero_test=_coeff_is_zero) -> MultiPoly:
-    """Dense univariate coefficient list (index = degree) as a MultiPoly."""
-    return MultiPoly(1, {(i,): c for i, c in enumerate(coeffs) if not ring_zero_test(c)})
+# -- dense univariate polynomials (index = degree) ---------------------------
+
+
+def _coeff_inverse(c):
+    return c.inverse() if hasattr(c, "inverse") else 1 / c
+
+
+def dense_trim(a: Sequence) -> List:
+    """The coefficient list without its trailing zeros."""
+    out = list(a)
+    while out and _coeff_is_zero(out[-1]):
+        out.pop()
+    return out
+
+
+def dense_add(a: Sequence, b: Sequence) -> List:
+    """a + b; the longer operand's tail is copied."""
+    n = min(len(a), len(b))
+    return [x + y for x, y in zip(a, b)] + list(a[n:]) + list(b[n:])
+
+
+def dense_sub(a: Sequence, b: Sequence) -> List:
+    """a - b; a's tail is copied and b's tail negated."""
+    n = min(len(a), len(b))
+    return [x - y for x, y in zip(a, b)] + list(a[n:]) + [-y for y in b[n:]]
+
+
+def dense_mul(a: Sequence, b: Sequence) -> List:
+    """a * b; each coefficient is a sum that starts at its first product."""
+    if not a or not b:
+        return []
+    la, lb = len(a), len(b)
+    out = []
+    for k in range(la + lb - 1):
+        lo, hi = max(0, k - lb + 1), min(k, la - 1)
+        acc = a[lo] * b[k - lo]
+        for i in range(lo + 1, hi + 1):
+            acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def dense_divmod(a: Sequence, b: Sequence) -> Tuple[List, List]:
+    """(q, r) with a = q*b + r and len(r) < len(dense_trim(b)).
+
+    Coefficients must come from a field.  The remainder is not trimmed:
+    it has min(len(a), deg b) entries, each carrying its own precision.
+    """
+    b = dense_trim(b)
+    if not b:
+        raise ValfieldError("division by the zero polynomial")
+    inv_lead = _coeff_inverse(b[-1])
+    db = len(b) - 1
+    r = list(a)
+    q = []
+    for shift in range(len(r) - 1 - db, -1, -1):
+        c = r[shift + db] * inv_lead
+        q.append(c)
+        for i in range(db):
+            r[shift + i] = r[shift + i] - c * b[i]
+    q.reverse()
+    return q, r[:db]
+
+
+def dense_eval(a: Sequence, x):
+    """a(x) by Horner's rule, starting at the leading coefficient."""
+    if not a:
+        raise ValfieldError("cannot evaluate an empty coefficient list")
+    acc = a[-1]
+    for i in range(len(a) - 2, -1, -1):
+        acc = acc * x + a[i]
+    return acc

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional
+from typing import Optional
 
 from .additive import AdditivePolynomial
 from .composite import CompositeElement, CompositeField

@@ -148,8 +148,6 @@ class Value:
 
 INFINITY = Value(_INF)
 
-ZERO_R1 = Value.rank1(0)
-ZERO_R2 = Value.rank2(0, 0)
 
 
 def value_add(a: Value, b: Value) -> Value:

@@ -1,0 +1,79 @@
+"""The dense-polynomial helpers of valfield.polynomials over the rationals.
+
+add, sub, mul and eval are checked against a direct sum of c_i * x^i at
+integer points, so the oracle shares no code with the helpers; divmod is
+checked through a = q*b + r with deg r < deg b.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from valfield.errors import ValfieldError
+from valfield.polynomials import (
+    dense_add,
+    dense_divmod,
+    dense_eval,
+    dense_mul,
+    dense_sub,
+    dense_trim,
+)
+
+coeff = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+poly = st.lists(coeff, max_size=6)
+nonempty_poly = st.lists(coeff, min_size=1, max_size=6)
+point = st.integers(-4, 4)
+
+
+def direct(a, x):
+    total = Fraction(0)
+    for i, c in enumerate(a):
+        total += c * Fraction(x) ** i
+    return total
+
+
+@given(poly, poly, point)
+@settings(max_examples=200)
+def test_add_and_sub_agree_with_direct_evaluation(a, b, x):
+    assert direct(dense_add(a, b), x) == direct(a, x) + direct(b, x)
+    assert direct(dense_sub(a, b), x) == direct(a, x) - direct(b, x)
+    assert len(dense_add(a, b)) == max(len(a), len(b))
+
+
+@given(poly, poly, point)
+@settings(max_examples=200)
+def test_mul_agrees_with_direct_evaluation(a, b, x):
+    prod = dense_mul(a, b)
+    assert direct(prod, x) == direct(a, x) * direct(b, x)
+    assert len(prod) == (len(a) + len(b) - 1 if a and b else 0)
+
+
+@given(nonempty_poly, point)
+@settings(max_examples=200)
+def test_horner_agrees_with_direct_evaluation(a, x):
+    assert dense_eval(a, Fraction(x)) == direct(a, x)
+
+
+@given(poly, nonempty_poly)
+@settings(max_examples=300)
+def test_divmod_is_division_with_remainder(a, b):
+    if not dense_trim(b):
+        with pytest.raises(ValfieldError):
+            dense_divmod(a, b)
+        return
+    q, r = dense_divmod(a, b)
+    assert dense_trim(dense_sub(a, dense_add(dense_mul(q, b), r))) == []
+    assert len(dense_trim(r)) < len(dense_trim(b))
+
+
+def test_trim_drops_only_trailing_zeros():
+    z, one = Fraction(0), Fraction(1)
+    assert dense_trim([z, one, z, z]) == [z, one]
+    assert dense_trim([z, z]) == []
+
+
+def test_empty_list_has_no_value():
+    with pytest.raises(ValfieldError):
+        dense_eval([], Fraction(2))

@@ -13,8 +13,8 @@ from valfield.laurent import (
     hensel_lift,
     parse_series,
     poly_derivative,
-    poly_eval,
 )
+from valfield.polynomials import dense_eval
 from valfield.value_group import INFINITY, Value
 
 F2 = prime_field(2)
@@ -151,7 +151,7 @@ class TestHensel:
         f = [K2.t_power(1, 10), one, one]
         x0 = K2.zero(10)
         root = hensel_lift(f, x0, 8)
-        residual = poly_eval(f, root)
+        residual = dense_eval(f, root)
         assert residual.is_zero_to_prec() or residual.valuation_floor() >= 8
         expected = K2.from_int_terms({1: 1, 2: 1, 4: 1}, 8)
         assert (root - expected).valuation().value >= Value.rank1(8)
@@ -174,7 +174,7 @@ class TestHensel:
         one = K3.one(10)
         f = [-(one + a), K3.zero(10), one]
         root = hensel_lift(f, one, 8)
-        residual = poly_eval(f, root)
+        residual = dense_eval(f, root)
         assert residual.is_zero_to_prec() or residual.valuation_floor() >= 8
 
 
@@ -222,4 +222,9 @@ def test_poly_derivative():
     f = [K2.t_power(1, 8), one, one]  # t + X + X^2
     d = poly_derivative(f)
     # derivative 1 + 2X = 1 over F_2
-    assert (poly_eval(d, K2.t_power(1, 8)) - one).is_zero_to_prec()
+    assert (dense_eval(d, K2.t_power(1, 8)) - one).is_zero_to_prec()
+
+
+def test_hensel_lift_of_an_empty_coefficient_list_is_an_error():
+    with pytest.raises(ValfieldError):
+        hensel_lift([], K2.zero(8), 4)

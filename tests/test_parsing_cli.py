@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,11 @@ class TestFieldParsing:
         with pytest.raises(ParseError):
             parse_any_field("R((t))")
 
+    @pytest.mark.parametrize("text", ["Q_0", "Q_1", "Q_4", "Q_9"])
+    def test_padic_ref_needs_a_prime(self, text):
+        with pytest.raises(ParseError):
+            parse_any_field(text)
+
 
 class TestPolyParsing:
     def test_basic_poly(self):
@@ -79,6 +88,19 @@ class TestPolyParsing:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_process(*argv, timeout=60):
+    """The CLI in a child process, killed if it outlives ``timeout`` seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "valfield", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 class TestCliExitCodes:
@@ -203,6 +225,21 @@ class TestCliExitCodes:
         )
         assert code == 0
         assert "6" in capsys.readouterr().out
+
+    def test_fundeq_degree_one(self, capsys, tmp_path):
+        out = tmp_path / "fundeq.json"
+        code = run_cli("fundeq", "--field", "Q_3", "--poly", "X", "--json", str(out))
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert (data["n"], data["e"], data["fRes"]) == (1, 1, 1)
+        assert data["equalityHolds"] is True
+
+    @pytest.mark.parametrize("field", ["Q_1", "Q_4"])
+    def test_fundeq_non_prime_base_is_a_parse_error(self, field):
+        # Q_1 used to hang in the valuation loop; the child is killed on timeout
+        proc = run_cli_process("fundeq", "--field", field, "--poly", "X^2 - 3")
+        assert proc.returncode == 1
+        assert "not prime" in proc.stderr
 
     def test_fundeq_uncertifiable(self, capsys):
         code = run_cli("fundeq", "--field", "Q_3", "--poly", "X^2 - 1")
