@@ -20,10 +20,13 @@ coefficient; a p-polynomial adds a constant.  The central operations:
   lowered by one grain of the value group to make the inequality strict.
 
 * ``oap_solve`` finds a best approximation of a target z by the image of
-  f: it restricts the search to the alpha ball, enumerates digit vectors
-  up to the horizon where further digits provably cannot change the
-  residual below the working precision, and cross-checks against
-  ``brute_force_max`` on demand.
+  f.  Additive polynomials are F_p-linear, so inside the alpha ball the
+  image modulo the working precision is the F_p-span of single-digit
+  generators g_i(lambda * t^j); the solver reduces z against an echelon
+  basis of that span, once per generator precision, and pulls the winning
+  combination back through the sections.  Exhaustive enumeration stays in
+  the oracles (``brute_force_max``, ``truncated_image``,
+  ``decomposition_image``) that tests and ``--oracle`` compare against.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PrecisionError, ValfieldError
 from .extremality import Ball, check_budget, extremal_search, DEFAULT_BUDGET
+from .finite_field import FFElement
 from .laurent import LaurentField, LaurentSeries, ValuationResult
 from .polynomials import MultiPoly
 from .value_group import Value
@@ -121,7 +125,6 @@ class AdditivePolynomial:
         """self(inner(X)) for one-variable additive polynomials."""
         self._require_single()
         inner._require_single()
-        p = self.field.base.p
         out: Dict[Tuple[int, int], LaurentSeries] = {}
         for (_, k), c in self.terms.items():
             for (_, l), d in inner.terms.items():
@@ -164,7 +167,6 @@ class PPolynomial:
 
 def ppolynomial_text(f: AdditivePolynomial, constant: Optional[LaurentSeries]) -> str:
     p = f.field.base.p
-    var = f.field.var
     parts = []
     for (i, k) in sorted(f.terms, key=lambda ik: (ik[0], -ik[1])):
         c = f.terms[(i, k)]
@@ -234,6 +236,14 @@ class Decomposition:
                 acc = acc + self.sections[j][i].evaluate([y])
             args.append(acc)
         return tuple(args)
+
+    def summed(self, field: LaurentField) -> AdditivePolynomial:
+        """g_1(Y_1) + ... + g_m(Y_m) as one m-variable additive polynomial."""
+        return AdditivePolynomial(
+            field,
+            len(self.polys),
+            {(j, k): c for j, g in enumerate(self.polys) for (_, k), c in g.terms.items()},
+        )
 
     def sum_evaluate(self, ys: Sequence[LaurentSeries], field: LaurentField) -> LaurentSeries:
         acc = field.zero(min([y.prec for y in ys], default=field.default_prec))
@@ -446,66 +456,77 @@ def _digit_horizon(g: AdditivePolynomial, out_prec: int) -> int:
     return h
 
 
-def oap_solve(
-    f: AdditivePolynomial,
-    z: LaurentSeries,
-    prec: int,
-    budget: int = DEFAULT_BUDGET,
-) -> OapResult:
+def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
     """Maximize v(z - f(a)) over all field inputs.
 
-    The image of f equals the image of its decomposition, so the search
-    runs over the decomposition variables restricted to the alpha ball and
-    maps the winner back through the sections.
+    The image of f equals the image of its decomposition, and on the alpha
+    ball that image is the F_p-span of the single-digit generators
+    g_i(lambda * t^j).  A combination is known only to the lowest
+    precision among the generators it uses, so the span is reduced once
+    per bound B = min(generator precision, z.prec, prec), with just the
+    generators known to at least B and z read below B.  The best pass wins
+    (an exact answer beats ">= B" on a tie) and its combination, read as
+    digits, is mapped back through the sections.
     """
     field = f.field
     dec = decompose(f)
-    m = len(dec.polys)
-    if m == 0:
+    if not dec.polys:
         val = z.truncate(min(z.prec, prec)).valuation()
         zeros = tuple(field.zero(prec) for _ in range(f.nvars))
         return OapResult(zeros, (), val, None)
-    h = PPolynomial(f, -z)
-    alpha_v = alpha_bound(h, dec)
+    alpha_v = alpha_bound(PPolynomial(f, -z), dec)
     alpha = int(alpha_v.first)
-    ranges = []
-    total = 1
-    for g in dec.polys:
-        hi = max(_digit_horizon(g, prec), alpha + 1)
-        ranges.append(list(range(alpha, hi)))
-        total *= field.base.q ** len(ranges[-1])
-    check_budget(total, budget)
-    elems = list(field.base.elements())
-    best_val: Optional[ValuationResult] = None
-    best_key: Optional[Value] = None
-    best_exact = False
-    best_ys: Optional[Tuple[LaurentSeries, ...]] = None
-    cap = Value.rank1(prec)
     work_prec = prec + max(0, -alpha) * (field.base.p ** dec.nu) + 4
-    z_w = z if z.prec <= work_prec else z.truncate(work_prec)
-    for digit_combo in itertools.product(
-        *[itertools.product(elems, repeat=len(r)) for r in ranges]
-    ):
-        ys = tuple(
-            field.from_terms(
-                {e: d for e, d in zip(r, digits) if not d.is_zero()}, work_prec
-            )
-            for r, digits in zip(ranges, digit_combo)
-        )
-        residual = z_w - dec.sum_evaluate(ys, field)
-        vr = residual.valuation()
-        exact = vr.exact and vr.value < cap
-        key = vr.value if (exact or vr.value < cap) else cap
-        if best_key is None or key > best_key or (key == best_key and exact and not best_exact):
-            best_key = key
-            best_exact = exact
-            best_ys = ys
-    if best_exact:
-        value = ValuationResult.exactly(best_key)
-    else:
-        value = ValuationResult.at_least(best_key)
-    best_input = dec.pullback(best_ys, field)
-    return OapResult(best_input, best_ys, value, alpha_v)
+    summed = dec.summed(field)
+    gens = _digit_generators(summed, prec, alpha, work_prec, min_width=1)
+    # the zero combination is known to the order of z and of every g_i(0)
+    top = min(z.prec, prec, summed.evaluate([field.zero(work_prec)] * summed.nvars).prec)
+    low = min([top, z.valuation_floor()] + [g.valuation_floor() for *_, g in gens])
+    best = None
+    for bound in sorted({min(g.prec, top) for *_, g in gens} | {top}, reverse=True):
+        used = [gen for gen in gens if gen[3].prec >= bound]
+        key, exact, combo = _reduce_in_span(z, [g for *_, g in used], low, bound)
+        if best is None or (key, exact) > best[:2]:
+            best = (key, exact, zip(used, combo))
+    key, exact, combo = best
+    ys = [field.zero(work_prec) for _ in dec.polys]
+    for (i, j, lam, _), a in combo:
+        ys[i] = ys[i] + field.from_terms({j: lam * field.base.element(a)}, work_prec)
+    value = ValuationResult(exact, Value.rank1(key))
+    return OapResult(dec.pullback(ys, field), tuple(ys), value, alpha_v)
+
+
+def _reduce_in_span(
+    z: LaurentSeries, gens: Sequence[LaurentSeries], low: int, high: int
+) -> Tuple[int, bool, List[int]]:
+    """Best approximation of z by the F_p-span of gens on t^low .. t^(high-1).
+
+    Returns (valuation, exact, combination): the leading exponent of z
+    fully reduced against the echelon basis, exact, or (high, False) when
+    nothing below t^high survives; the combination gives each generator's
+    F_p coefficient in the element subtracted from z.  An identity block
+    appended to each row carries the combination through the echelon.
+    """
+    desc = z.field.base
+    p, n = desc.p, len(gens)
+    width = (high - low) * desc.k
+    rows = [
+        _fp_coordinates(g, low, high) + [int(r == c) for c in range(n)]
+        for r, g in enumerate(gens)
+    ]
+    vec = _fp_coordinates(z, low, high) + [0] * n
+    for row in _fp_echelon(rows, p):
+        pivot = next(i for i, x in enumerate(row) if x)
+        if pivot >= width:
+            break
+        c = vec[pivot]
+        if c:
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+    combo = [(-x) % p for x in vec[width:]]
+    lead = next((i for i in range(width) if vec[i]), None)
+    if lead is None:
+        return high, False, combo
+    return low + lead // desc.k, True, combo
 
 
 def brute_force_max(
@@ -613,20 +634,20 @@ def decomposition_image(
     return frozenset(current.keys())
 
 
-def image_generators(
-    f: AdditivePolynomial, out_prec: int, in_low: int = 0
-) -> List[LaurentSeries]:
-    """Single-digit generators of the truncated image of f.
+def _digit_generators(
+    f: AdditivePolynomial, out_prec: int, in_low: int, work_prec: int, min_width: int = 0
+) -> List[Tuple[int, int, FFElement, LaurentSeries]]:
+    """Single-digit generators (i, j, lambda, f(lambda * t^j * e_i)).
 
     By additivity, f(sum of digit monomials) = sum of f(digit monomials)
     and scalars from the prime field pass through f, so the image of the
     shifted valuation ring modulo t^out_prec is exactly the F_p-span of
-    f(lambda * t^j * e_i) over variables i, levels j below the horizon,
-    and lambda in an F_p-basis of the coefficient field.
+    these over variables i, levels j in [in_low, max(horizon_i, in_low +
+    min_width)) and lambda in an F_p-basis of the coefficient field.  The
+    digit monomials are built at work_prec.
     """
     field = f.field
     desc = field.base
-    work_prec = out_prec + 8
     basis = [
         desc.element([1 if r == s else 0 for s in range(desc.k)])
         for r in range(desc.k)
@@ -636,31 +657,46 @@ def image_generators(
         g = f.restrict(i)
         if g.is_zero():
             continue
-        hi = max(_digit_horizon(g, out_prec), in_low)
+        hi = max(_digit_horizon(g, out_prec), in_low + min_width)
         for j in range(in_low, hi):
             for lam in basis:
                 mono = field.from_terms({j: lam}, work_prec)
-                gens.append(g.evaluate([mono]))
+                gens.append((i, j, lam, g.evaluate([mono])))
     return gens
+
+
+def image_generators(
+    f: AdditivePolynomial, out_prec: int, in_low: int = 0
+) -> List[LaurentSeries]:
+    """The single-digit generators of the truncated image of f, unlabelled."""
+    return [g for *_, g in _digit_generators(f, out_prec, in_low, out_prec + 8)]
 
 
 def decomposition_generators(
     dec: Decomposition, field: LaurentField, out_prec: int, in_low: int = 0
 ) -> List[LaurentSeries]:
     """The same single-digit generators for sum g_1(K) + ... + g_m(K)."""
-    phantom = AdditivePolynomial(
-        field,
-        len(dec.polys),
-        {(j, k): c for j, g in enumerate(dec.polys) for (_, k), c in g.terms.items()},
-    )
-    return image_generators(phantom, out_prec, in_low)
+    return image_generators(dec.summed(field), out_prec, in_low)
+
+
+def _fp_coordinates(s: LaurentSeries, low: int, high: int) -> List[int]:
+    """F_p-coordinates of the coefficients of t^low .. t^(high - 1) of s,
+    ordered by (exponent, coordinate); terms below t^low are not read."""
+    if s.prec < high:
+        raise PrecisionError(f"series known to O(t^{s.prec}) read up to t^{high}")
+    k = s.field.base.k
+    out = [0] * (max(0, high - low) * k)
+    for i, c in enumerate(s.coeffs):
+        pos = (s.low + i - low) * k
+        if 0 <= pos < len(out):
+            out[pos:pos + k] = c.coeffs
+    return out
 
 
 def _fp_echelon(rows: List[List[int]], p: int) -> Tuple[Tuple[int, ...], ...]:
     """Canonical reduced row-echelon form over F_p (rows as int lists)."""
     mat = [list(r) for r in rows]
     ncols = len(mat[0]) if mat else 0
-    pivots = []
     r = 0
     for col in range(ncols):
         sel = None
@@ -677,7 +713,6 @@ def _fp_echelon(rows: List[List[int]], p: int) -> Tuple[Tuple[int, ...], ...]:
             if i != r and mat[i][col] % p != 0:
                 factor = mat[i][col]
                 mat[i] = [(x - factor * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
         r += 1
     return tuple(tuple(row) for row in mat[:r])
 
@@ -697,30 +732,13 @@ def windowed_image_span(
     exactly those rows span the subgroup of image elements with valuation
     at least out_low."""
     desc = field.base
-    for s in gens:
-        if s.prec < out_prec:
-            raise PrecisionError(
-                "generator known to lower order than the image truncation"
-            )
     floor = min(
         [s.valuation_floor() for s in gens if not s.is_zero_to_prec()]
         + [out_low]
     )
-
-    def vec(s: LaurentSeries) -> List[int]:
-        out = []
-        for e in range(floor, out_prec):
-            out.extend(s.coeff_at(e).coeffs)
-        return out
-
-    rows = _fp_echelon([vec(s) for s in gens], desc.p) if gens else ()
+    rows = _fp_echelon([_fp_coordinates(s, floor, out_prec) for s in gens], desc.p)
     cut = (out_low - floor) * desc.k
-    kept = []
-    for row in rows:
-        pivot = next(i for i, x in enumerate(row) if x % desc.p != 0)
-        if pivot >= cut:
-            kept.append(row[cut:])
-    return tuple(kept)
+    return tuple(row[cut:] for row in rows if not any(row[:cut]))
 
 
 def decomposition_image_agrees(

@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 from .additive import (
+    PPolynomial,
     additive_from_multipoly,
     alpha_bound,
     brute_force_max,
@@ -35,6 +36,7 @@ from .errors import (
     BudgetExceededError,
     CertificationError,
     ParseError,
+    PrecisionError,
     ValfieldError,
 )
 from .extremality import (
@@ -82,17 +84,25 @@ def _laurent_field(args) -> LaurentField:
     return field
 
 
+def _additive_poly(text: str, field: LaurentField) -> Tuple[MultiPoly, PPolynomial]:
+    """--poly as a p-polynomial; a monomial that is not additive is a parse error."""
+    mp = parse_poly(text, field)
+    try:
+        return mp, additive_from_multipoly(mp, field)
+    except ValfieldError as exc:
+        raise ParseError(str(exc)) from None
+
+
 # -- subcommand handlers ---------------------------------------------------
 
 
 def cmd_oap(args) -> int:
     field = _laurent_field(args)
-    mp = parse_poly(args.poly, field)
-    pp = additive_from_multipoly(mp, field)
+    mp, pp = _additive_poly(args.poly, field)
     if pp.constant is not None:
         raise ParseError("oap takes the additive part in --poly and the target in --target")
     z = parse_series(field, args.target, args.prec)
-    result = oap_solve(pp.additive, z, args.prec, args.budget)
+    result = oap_solve(pp.additive, z, args.prec)
     print(f"field: {field.to_text()}")
     print(f"additive polynomial: {pp.additive.to_text()}")
     print(f"target: {z.to_text()}")
@@ -121,8 +131,7 @@ def cmd_oap(args) -> int:
 
 def cmd_decompose(args) -> int:
     field = _laurent_field(args)
-    mp = parse_poly(args.poly, field)
-    pp = additive_from_multipoly(mp, field)
+    _, pp = _additive_poly(args.poly, field)
     dec = decompose(pp.additive)
     print(f"field: {field.to_text()}")
     print(f"additive polynomial: {pp.additive.to_text()}")
@@ -142,7 +151,7 @@ def cmd_decompose(args) -> int:
         # the saturating image comparison may lower the input window, so
         # the polynomial is re-read with generous coefficient precision
         field_hi = parse_any_field(args.field, prec=args.prec + 64)
-        pp_hi = additive_from_multipoly(parse_poly(args.poly, field_hi), field_hi)
+        _, pp_hi = _additive_poly(args.poly, field_hi)
         dec_hi = decompose(pp_hi.additive)
         same = decomposition_image_agrees(pp_hi.additive, dec_hi, field_hi, args.prec)
         print(
@@ -158,8 +167,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_alpha(args) -> int:
     field = _laurent_field(args)
-    mp = parse_poly(args.poly, field)
-    pp = additive_from_multipoly(mp, field)
+    _, pp = _additive_poly(args.poly, field)
     dec = decompose(pp.additive)
     alpha = alpha_bound(pp, dec)
     print(f"field: {field.to_text()}")
@@ -271,17 +279,18 @@ def cmd_fundeq(args) -> int:
     field = parse_any_field(args.field, prec=args.prec or 8)
     if isinstance(field, PAdicFieldRef):
         coeffs = parse_int_poly(args.poly)
-        cert = fundeq_padic(
-            field.p, coeffs, prec=args.prec,
-            irreducible_asserted=args.asserted,
-        )
     elif isinstance(field, LaurentField):
         mp = parse_poly(args.poly, field, nvars=1)
-        deg = max(e for (e,) in mp.terms)
+        deg = max((e for (e,) in mp.terms), default=0)
         coeffs = [mp.terms.get((i,)) for i in range(deg + 1)]
-        cert = fundeq_laurent(field, coeffs)
     else:
         raise ParseError(f"fundeq needs Q_p or a Laurent field, got {args.field!r}")
+    if len(coeffs) < 2:
+        raise ParseError(f"fundeq needs a polynomial of degree >= 1, got {args.poly!r}")
+    if isinstance(field, PAdicFieldRef):
+        cert = fundeq_padic(field.p, coeffs, prec=args.prec, irreducible_asserted=args.asserted)
+    else:
+        cert = fundeq_laurent(field, coeffs)
     print(f"polynomial: {cert.polynomial}")
     print(f"n = {cert.n}, e = {cert.e}, fRes = {cert.f_res}")
     print(f"certified by: {cert.certified_by}")
@@ -412,6 +421,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except CertificationError as exc:
         print(f"cannot certify: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except PrecisionError as exc:
+        print(f"inconclusive at this precision: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except ValfieldError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,9 +77,6 @@ class CompositeField:
     def t_power(self, e: int) -> "CompositeElement":
         return self.make({e: self.inner.one(self.prec_u)})
 
-    def u_power(self, e: int) -> "CompositeElement":
-        return self.make({0: self.inner.t_power(e, self.prec_u)})
-
     def from_inner(self, s: LaurentSeries) -> "CompositeElement":
         """Embed a series in u as a w-unit (coefficient of t^0)."""
         return self.make({0: s})

@@ -454,33 +454,43 @@ def parse_series(
         prec = field.default_prec if default_prec is None else default_prec
     terms: Dict[int, FFElement] = {}
     if s:
-        for sign, chunk in _split_terms(s, text):
+        for sign, chunk in split_terms(s):
             e, c = _parse_term(field, chunk, text)
-            c = -c if sign == "-" else c
+            c = -c if sign < 0 else c
             terms[e] = terms.get(e, field.base.zero()) + c
     return field.from_terms(terms, prec)
 
 
-def _split_terms(s: str, original: str):
+def split_terms(text: str) -> List[Tuple[int, str]]:
+    """Split a sum at its top-level + and - into (sign, term) pairs.
+
+    ( and [ nest; a sign right after ^ or * belongs to an exponent or a
+    factor, and a sign with no term before it (leading, or after another
+    sign) multiplies into the sign of the next term.
+    """
     out = []
-    sign = "+"
+    sign = 1
     depth = 0
-    buf = []
-    for ch in s:
+    buf = ""
+    for ch in text:
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if ch in "+-" and depth == 0 and buf and buf[-1] not in "^*":
-            out.append((sign, "".join(buf).strip()))
-            sign = ch
-            buf = []
+        term = buf.strip()
+        if ch in "+-" and depth == 0 and not term.endswith(("^", "*")):
+            if term:
+                out.append((sign, term))
+                sign = 1
+            sign, buf = (-sign if ch == "-" else sign), ""
         else:
-            buf.append(ch)
-    if "".join(buf).strip():
-        out.append((sign, "".join(buf).strip()))
+            buf += ch
+    if buf.strip():
+        out.append((sign, buf.strip()))
+    elif text.strip():
+        raise ParseError(f"sum ends in a sign: {text!r}")
     if not out:
-        raise ParseError(f"cannot parse series {original!r}")
+        raise ParseError(f"no terms in {text!r}")
     return out
 
 
@@ -516,12 +526,9 @@ def _parse_term(field: LaurentField, chunk: str, original: str) -> Tuple[int, FF
 
 
 def _parse_ff(base: FiniteFieldDescriptor, s: str, original: str) -> FFElement:
-    if s.startswith("[") and s.endswith("]"):
-        try:
-            return base.element([int(x) for x in s[1:-1].split(",")])
-        except ValueError:
-            raise ParseError(f"bad coefficient {s!r} in {original!r}") from None
     try:
+        if s.startswith("[") and s.endswith("]"):
+            return base.element([int(x) for x in s[1:-1].split(",")])
         return base.element(int(s))
-    except ValueError:
-        raise ParseError(f"bad coefficient {s!r} in {original!r}") from None
+    except (ValueError, ValfieldError) as exc:
+        raise ParseError(f"bad coefficient {s!r} in {original!r}: {exc}") from None

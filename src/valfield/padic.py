@@ -8,10 +8,11 @@ valuations come from the valuation of a resultant:
     v(g(gen)) = v(Res(f, g)) / deg f
 
 which is the norm route and needs no uniformizer towers.  Irreducibility
-over Q_p is certified through the Newton polygon only: a single segment
-whose slope denominator equals the degree, or a unit polynomial whose
-residue is irreducible over F_p.  Anything else must carry an external
-irreducibility assertion, which is recorded downstream in certificates.
+over Q_p is certified by degree one or through the Newton polygon: a
+single segment whose slope denominator equals the degree, or a unit
+polynomial whose residue is irreducible over F_p.  Anything else must
+carry an external irreducibility assertion, which is recorded downstream
+in certificates.
 
 When a resultant valuation comes out indeterminate the ring rebuilds
 itself at doubled precision and retries, at most three times.
@@ -37,7 +38,7 @@ from .errors import (
     PrecisionError,
     ValfieldError,
 )
-from .finite_field import _pmod_irreducible, prime_field
+from .finite_field import _pmod_irreducible, is_prime, prime_field
 from .laurent import ValuationResult
 from .polygon import NewtonPolygon, newton_polygon_from_valuations
 from .polynomials import dense_divmod, dense_mul, dense_sub, dense_trim
@@ -118,12 +119,6 @@ class PAdicNumber:
     def _check(self, other: "PAdicNumber") -> None:
         if self.p != other.p:
             raise DescriptorMismatchError("numbers over different primes")
-
-    def _as_int(self) -> int:
-        """The value as an integer multiple of p^min(0, val), mod p^prec."""
-        if self.val is None:
-            return 0
-        return self.unit * self.p ** max(self.val, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -236,6 +231,8 @@ class PAdicExtRing:
         denominator_bound: Optional[int] = None,
         irreducible_asserted: bool = False,
     ):
+        if not is_prime(p):
+            raise ValfieldError(f"Q_p needs a prime p, got {p}")
         self.p = p
         mod = monicize([Fraction(c) for c in modulus])
         self.modulus_fractions = mod
@@ -260,7 +257,9 @@ class PAdicExtRing:
         return self._polygon
 
     def irreducibility_certified(self) -> bool:
-        """Slope-denominator criterion (totally ramified case)."""
+        """Degree one, or the slope-denominator criterion (totally ramified case)."""
+        if self.degree == 1:
+            return True
         slope = self.polygon().single_slope()
         if slope is None or self.polygon().start != 0:
             return False

@@ -23,7 +23,7 @@ from .composite import CompositeField
 from .errors import ParseError
 from .extremality import Ball
 from .finite_field import FiniteFieldDescriptor, is_prime, parse_field
-from .laurent import LaurentField, parse_series
+from .laurent import LaurentField, parse_series, split_terms
 from .polynomials import MultiPoly, dense_add, dense_mul, dense_sub
 
 
@@ -81,38 +81,6 @@ class _Term:
     vars: Dict[int, int]  # variable index (0-based) -> exponent
 
 
-def _split_top_terms(text: str) -> List[Tuple[int, str]]:
-    """Split on top-level + and - into (sign, chunk)."""
-    out = []
-    depth = 0
-    sign = 1
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in "+-" and i > start:
-            prev = text[start:i].rstrip()
-            if prev and prev[-1] not in "^*+-":
-                out.append((sign, prev))
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-        elif depth == 0 and ch in "+-" and i == start:
-            if ch == "-":
-                sign = -sign
-            start = i + 1
-        i += 1
-    tail = text[start:].strip()
-    if tail:
-        out.append((sign, tail))
-    if not out:
-        raise ParseError(f"empty polynomial expression: {text!r}", 0)
-    return out
-
-
 _VAR = re.compile(r"([A-Za-z]+)(\d*)$")
 
 
@@ -157,7 +125,7 @@ def _parse_factor(chunk: str, term: _Term, unif_names: Tuple[str, ...]) -> None:
 
 def _parse_terms(text: str, unif_names: Tuple[str, ...]) -> List[_Term]:
     terms = []
-    for sign, chunk in _split_top_terms(text):
+    for sign, chunk in split_terms(text):
         term = _Term(sign, 1, {}, {})
         depth = 0
         start = 0

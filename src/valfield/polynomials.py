@@ -52,11 +52,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
     def _check(self, other: "MultiPoly") -> None:
         if self.nvars != other.nvars:
             raise ValfieldError("polynomials in different numbers of variables")

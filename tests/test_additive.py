@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from valfield.additive import (
 )
 from valfield.errors import ValfieldError
 from valfield.extremality import Ball
+from valfield.finite_field import FiniteFieldDescriptor, prime_field
+from valfield.laurent import LaurentField, parse_series
 from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
 from valfield.value_group import Value
@@ -91,6 +94,18 @@ class TestDecompose:
                 lhs = f.evaluate(dec.pullback(ys, K))
                 rhs = dec.sum_evaluate(ys, K)
                 assert (lhs - rhs).is_zero_to_prec()
+
+    @pytest.mark.xfail(
+        raises=ValfieldError,
+        strict=True,
+        reason="merge loop cycles: t*X^4 + t*X^2 and t*X^4 + t*X share a "
+        "leader class, and their difference re-raises to the first again",
+    )
+    def test_same_class_leaders_with_lower_terms_stabilize(self, K2):
+        t = K2.t_power(1, 16)
+        f = AdditivePolynomial(K2, 2, {(0, 2): t, (0, 0): t, (1, 2): t, (1, 1): t})
+        dec = decompose(f, max_steps=100)
+        assert dec.polys
 
     def test_leader_classes_distinct(self, K2, K3):
         s = Sampler(4)
@@ -267,3 +282,91 @@ class TestOapSolve:
                 residual, K2, Ball(K2.zero(20), alpha), prec=5
             )
             assert oracle.to_text() == res.value.to_text()
+
+    def test_generator_precision_thresholds(self, K3):
+        # g(lambda t^j) for f = t^-1*X^9 is known to 16 + 9j, so a
+        # combination through a low level is known to less than one through
+        # high levels only; a single echelon at the lowest precision would
+        # answer >=-2 here
+        f = AdditivePolynomial(K3, 1, {(0, 2): K3.t_power(-1, 16)})
+        z = parse_series(
+            K3,
+            "2*t^-2 + 2*t^-1 + 2 + 2*t^4 + t^5 + 2*t^6 + t^8 + 2*t^9"
+            " + 2*t^10 + t^12 + t^13 + t^14 + O(t^16)",
+        )
+        assert oap_solve(f, z, prec=4).value.to_text() == "-2"
+
+    def test_no_enumeration_budget(self):
+        import inspect
+
+        assert "budget" not in inspect.signature(oap_solve).parameters
+
+
+def _clamped(vr, cap: int) -> str:
+    """Acceptance 5's convention: everything at or past cap is '>=cap'."""
+    if vr.exact and vr.value < Value.rank1(cap):
+        return vr.to_text()
+    return f">={cap}"
+
+
+# (field, solver precision, largest oracle enumeration, instances)
+_TWO_VARIABLE_PLAN = [
+    (LaurentField(prime_field(2), "t", 16), 3, 1024, 12),
+    (LaurentField(prime_field(3), "t", 16), 1, 729, 12),
+    (LaurentField(FiniteFieldDescriptor(2, 2, (1, 1, 1)), "t", 16), 1, 4096, 6),
+]
+
+
+def _two_variable_instance(rng, K):
+    """f = a*X1^(p^h1) + b*t*X2^(p^h2) + lower terms, h_i <= 2, and a target
+    of valuation >= -1.  The leaders t^0 and t^1 stay in distinct classes
+    after raising both variables to one height, so the decomposition
+    expands but never merges."""
+    nonzero = [c for c in K.base.elements() if not c.is_zero()]
+    terms = {}
+    for i in range(2):
+        h = rng.randint(1, 2)
+        terms[(i, h)] = K.t_power(i, 16).scale(rng.choice(nonzero))
+        for k in range(h):
+            if rng.random() < 0.5:
+                terms[(i, k)] = K.t_power(rng.randint(i, i + 1), 16).scale(rng.choice(nonzero))
+    z = K.from_terms(
+        {e: rng.choice(nonzero) for e in range(-1, 16) if rng.random() < 0.6}, 16
+    )
+    return AdditivePolynomial(K, 2, terms), z
+
+
+def test_two_variable_oap_matches_brute_force():
+    """oap_solve against the exhaustive oracle on two-variable, height <= 2
+    instances over F_2, F_3 and F_4.  Instances whose alpha ball holds more
+    oracle candidates than the field's cap are skipped before the oracle
+    runs.  Where the oracle is inconclusive (some candidate known to too
+    little precision) it only bounds the maximum from below."""
+    rng = random.Random(2026)
+    conclusive = 0
+    for K, prec, cap, want in _TWO_VARIABLE_PLAN:
+        kept = 0
+        for _ in range(200):
+            if kept == want:
+                break
+            f, z = _two_variable_instance(rng, K)
+            res = oap_solve(f, z, prec=prec)
+            alpha = int(res.alpha.first)
+            if K.base.q ** (2 * (prec - alpha)) > cap:
+                continue
+            kept += 1
+            dec = decompose(f)
+            reached = (z - dec.sum_evaluate(res.best_decomposed, K)).valuation()
+            assert _clamped(reached, prec) == _clamped(res.value, prec)
+            pulled = (z - f.evaluate(res.best_input)).valuation()
+            assert _clamped(pulled, prec) == _clamped(res.value, prec)
+            residual = MultiPoly.constant(2, z) - f.to_multipoly()
+            _, oracle = brute_force_max(residual, K, Ball(K.zero(16), alpha), prec=prec)
+            if oracle.exact:
+                conclusive += 1
+                assert _clamped(oracle, prec) == _clamped(res.value, prec)
+            else:
+                assert res.value.value >= oracle.value
+        assert kept == want
+    # at least the F_2 instances with an exact maximum are decided
+    assert conclusive >= 5

@@ -13,6 +13,7 @@ from valfield.laurent import (
     hensel_lift,
     parse_series,
     poly_derivative,
+    split_terms,
 )
 from valfield.polynomials import dense_eval
 from valfield.value_group import INFINITY, Value
@@ -142,6 +143,32 @@ class TestTextRoundTrip:
             parse_series(K2, "t^^2")
         with pytest.raises(ParseError):
             parse_series(K2, "")
+
+    def test_leading_sign(self):
+        assert parse_series(K3, "-t^2").to_text() == "2*t^2 + O(t^10)"
+        assert parse_series(K3, "- t^-1 + t").to_text() == "2*t^-1 + t^1 + O(t^10)"
+
+    def test_dangling_sign_rejected(self):
+        with pytest.raises(ParseError):
+            parse_series(K2, "t^2 +")
+        with pytest.raises(ParseError):
+            parse_series(K2, "-")
+
+    def test_coefficient_vector_too_long_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_series(K4, "[1,1,1]*t^-1")
+
+
+class TestSplitTerms:
+    def test_signs_brackets_and_exponents(self):
+        assert split_terms("-t^-2*X + [1,-1]*t - -X2") == [
+            (-1, "t^-2*X"),
+            (1, "[1,-1]*t"),
+            (1, "X2"),
+        ]
+
+    def test_sign_after_star_stays_in_the_term(self):
+        assert split_terms("2*-X + (t - 1)") == [(1, "2*-X"), (1, "(t - 1)")]
 
 
 class TestHensel:

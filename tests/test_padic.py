@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from valfield.errors import (
     CertificationError,
     IndeterminateValuationError,
     PrecisionError,
+    ValfieldError,
 )
 from valfield.padic import (
     PAdicExtRing,
@@ -191,3 +196,34 @@ class TestPrecisionRetry:
 
         with pytest.raises(PrecisionError):
             with_precision_retry(compute, 4, attempts=2)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestRingGuards:
+    def test_non_prime_p_rejected(self):
+        with pytest.raises(ValfieldError):
+            PAdicExtRing(4, [0, 1])
+
+    def test_fundeq_with_p_one_terminates(self):
+        # p = 1 used to loop forever in vp_int; the child is killed on timeout
+        code = (
+            "from valfield.certificates import fundeq_padic\n"
+            "from valfield.errors import ValfieldError\n"
+            "try:\n"
+            "    fundeq_padic(1, [0, 1])\n"
+            "except ValfieldError:\n"
+            "    print('rejected')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.stdout.strip() == "rejected", proc.stderr
+
+    def test_degree_one_modulus_is_irreducible(self):
+        ring = PAdicExtRing(3, [0, 1])
+        assert ring.irreducibility_certified()
+        assert ext_valuation(ring.element([3])) == Value.rank1(1)

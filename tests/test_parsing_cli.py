@@ -10,7 +10,7 @@ import pytest
 from valfield.cli import main
 from valfield.composite import CompositeField
 from valfield.errors import ParseError
-from valfield.laurent import LaurentField
+from valfield.laurent import LaurentField, parse_series
 from valfield.parsing import (
     PAdicFieldRef,
     parse_any_field,
@@ -61,6 +61,11 @@ class TestPolyParsing:
         K = parse_any_field("F(2)((t))", prec=8)
         mp = parse_poly("X1^2 + t*X2", K)
         assert mp.nvars == 2
+
+    def test_leading_minus_matches_series(self):
+        K = parse_any_field("F(3)((t))", prec=8)
+        mp = parse_poly("-t^2*X", K)
+        assert mp.terms[(1,)] == parse_series(K, "-t^2")
 
     def test_int_poly(self):
         assert parse_int_poly("X^2 - 3*X + 2") == [
@@ -240,6 +245,40 @@ class TestCliExitCodes:
         proc = run_cli_process("fundeq", "--field", field, "--poly", "X^2 - 3")
         assert proc.returncode == 1
         assert "not prime" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["oap", "alpha", "decompose"])
+    def test_non_additive_exponent_is_a_parse_error(self, capsys, command):
+        argv = [command, "--field", "F(2)((t))", "--poly", "X^3"]
+        if command == "oap":
+            argv += ["--target", "t"]
+        assert run_cli(*argv) == 1
+        assert "power of p" in capsys.readouterr().err
+
+    def test_long_coefficient_vector_is_a_parse_error(self, capsys):
+        code = run_cli(
+            "oap", "--field", "F(4)((t))", "--poly", "X^2", "--target", "[1,1,1]*t^-1"
+        )
+        assert code == 1
+
+    @pytest.mark.parametrize("field, poly", [("F(2)((t))", "t"), ("Q_3", "3")])
+    def test_fundeq_degree_zero_is_a_parse_error(self, capsys, field, poly):
+        assert run_cli("fundeq", "--field", field, "--poly", poly) == 1
+
+    def test_precision_error_is_inconclusive(self, capsys):
+        code = run_cli(
+            "decompose", "--field", "F(2)((t))", "--poly", "t^-30*X^2 + X",
+            "--prec", "4", "--oracle",
+        )
+        assert code == 3
+
+    def test_oap_beyond_the_old_enumeration_budget(self):
+        # 1.3e8 digit vectors in the alpha ball: the span solver needs none
+        proc = run_cli_process(
+            "oap", "--field", "F(2)((t))", "--poly", "X1^4 + t*X2^2 + X1",
+            "--target", "t^-3 + t", "--prec", "4",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "max v(target - f(a)): " in proc.stdout
 
     def test_fundeq_uncertifiable(self, capsys):
         code = run_cli("fundeq", "--field", "Q_3", "--poly", "X^2 - 1")
