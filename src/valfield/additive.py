@@ -6,11 +6,13 @@ coefficient; a p-polynomial adds a constant.  The central operations:
 * ``decompose`` rewrites f(X_1..X_n) as a sum of single-variable additive
   polynomials g_1..g_m of one common degree p^nu whose leading
   coefficients are valuation independent over the subfield of p^nu-th
-  powers.  The construction expands each variable over the basis
-  1, t, ..., t^(p^delta - 1) of K over K^(p^delta) and then merges any two
-  polynomials whose leading coefficients lie in the same valuation class
-  modulo p^nu; each merge strictly raises a leading valuation, so at a
-  fixed error order the loop terminates.  Alongside each g_j the
+  powers.  One rule does the work: a summand whose leading valuation
+  agrees, modulo p^h, with that of a summand of height h <= its own loses
+  its leading term to a monomial substitution into the other (Ore's right
+  division on leading terms).  Each step raises a leading valuation or
+  lowers a height, so at a fixed error order the loop ends; the summands
+  are then expanded once over the basis 1, t, ..., t^(p^delta - 1) of K
+  over K^(p^delta) to the common height.  Alongside each g_j the
   decomposition carries a section: single-variable additive maps back into
   the original variables with f(section_j(y)) = g_j(y), so any point of
   the decomposed image pulls back to an explicit input of f.
@@ -99,11 +101,7 @@ class AdditivePolynomial:
             {(0, k): c for (i, k), c in self.terms.items() if i == var},
         )
 
-    # -- one-variable algebra (used by the merging procedure) --------------
-
-    def _require_single(self) -> None:
-        if self.nvars != 1:
-            raise ValfieldError("operation needs a one-variable polynomial")
+    # -- one-variable algebra (used by the decomposition) ------------------
 
     def __add__(self, other: "AdditivePolynomial") -> "AdditivePolynomial":
         if self.nvars != other.nvars or self.field != other.field:
@@ -121,17 +119,21 @@ class AdditivePolynomial:
     def __sub__(self, other: "AdditivePolynomial") -> "AdditivePolynomial":
         return self + (-other)
 
-    def compose_single(self, inner: "AdditivePolynomial") -> "AdditivePolynomial":
-        """self(inner(X)) for one-variable additive polynomials."""
-        self._require_single()
-        inner._require_single()
-        out: Dict[Tuple[int, int], LaurentSeries] = {}
-        for (_, k), c in self.terms.items():
-            for (_, l), d in inner.terms.items():
-                key = (0, k + l)
-                term = c * d.frobenius(k)
-                out[key] = out[key] + term if key in out else term
-        return AdditivePolynomial(self.field, 1, out)
+    def compose_monomial(self, mu: FFElement, shift: int, delta: int) -> "AdditivePolynomial":
+        """self(mu * t^shift * X^(p^delta)) for a one-variable polynomial.
+        The monomial is exact, so each coefficient is only rescaled and
+        shifted: c * (mu * t^shift)^(p^k) = mu^(p^k) * t^(shift * p^k) * c."""
+        if self.nvars != 1:
+            raise ValfieldError("composition needs a one-variable polynomial")
+        p = self.field.base.p
+        return AdditivePolynomial(
+            self.field,
+            1,
+            {
+                (0, k + delta): c.scale(mu.frobenius(k)).shift(shift * p**k)
+                for (_, k), c in self.terms.items()
+            },
+        )
 
     def to_multipoly(self) -> MultiPoly:
         p = self.field.base.p
@@ -253,39 +255,34 @@ class Decomposition:
 
 
 def _expand_to_height(
-    field: LaurentField,
-    poly: AdditivePolynomial,
-    section: List[AdditivePolynomial],
-    nu: int,
+    poly: AdditivePolynomial, section: List[AdditivePolynomial], nu: int
 ) -> List[Tuple[AdditivePolynomial, List[AdditivePolynomial]]]:
     """Raise a one-variable polynomial to degree p^nu over the basis
     1, t, ..., t^(p^delta - 1) of K over its p^delta-th powers."""
-    h = poly.height()
-    delta = nu - h
+    delta = nu - poly.height()
     if delta == 0:
         return [(poly, section)]
-    p = field.base.p
-    out = []
-    for j in range(p**delta):
-        sub = AdditivePolynomial(
-            field, 1, {(0, delta): field.t_power(j, _section_prec(field, section))}
+    one = poly.field.base.one()
+    return [
+        (
+            poly.compose_monomial(one, j, delta),
+            [a.compose_monomial(one, j, delta) for a in section],
         )
-        out.append(
-            (
-                poly.compose_single(sub),
-                [a.compose_single(sub) for a in section],
-            )
-        )
-    return out
+        for j in range(poly.field.base.p**delta)
+    ]
 
 
-def _section_prec(field: LaurentField, section: List[AdditivePolynomial]) -> int:
-    precs = [c.prec for a in section for c in a.terms.values()]
-    return max(precs, default=field.default_prec)
+def decompose(f: AdditivePolynomial) -> Decomposition:
+    """Single-variable decomposition with valuation-independent leaders.
 
-
-def decompose(f: AdditivePolynomial, max_steps: int = 10000) -> Decomposition:
-    """Single-variable decomposition with valuation-independent leaders."""
+    Summand i starts as f(0, .., X_i, .., 0) with section X_i.  A summand a
+    clashes with a summand b of height h_b <= h_a when v(lead a) = v(lead b)
+    mod p^h_b; then a <- a - b(d * X^(p^(h_a - h_b))), and the same for
+    a's section, with the monomial d that cancels a's leading term, and a
+    summand that becomes zero is dropped.  With no clash left, every
+    summand is expanded once to the largest height nu, which puts the
+    leaders in pairwise distinct classes mod p^nu.
+    """
     field = f.field
     p = field.base.p
     work: List[Tuple[AdditivePolynomial, List[AdditivePolynomial]]] = []
@@ -301,93 +298,56 @@ def decompose(f: AdditivePolynomial, max_steps: int = 10000) -> Decomposition:
         work.append((g, section))
     if not work:
         return Decomposition(0, [], [], f.nvars)
-    nu = max(g.height() for g, _ in work)
-    # all results are claimed modulo the input's own error order; capping
-    # intermediate coefficients here is what makes the merge loop terminate
+    # all results are claimed modulo the input's own error order; the cap
+    # bounds how far a leading valuation can rise, which ends the loop
     work_prec = max(_poly_prec(field, g) for g, _ in work)
 
-    expanded: List[Tuple[AdditivePolynomial, List[AdditivePolynomial]]] = []
-    for g, section in work:
-        expanded.extend(
-            (_truncate_poly(gg, work_prec), _truncate_section(ss, work_prec))
-            for gg, ss in _expand_to_height(field, g, section, nu)
-        )
-    work = expanded
-
-    for _ in range(max_steps):
-        # normalize: drop dead polynomials, re-raise degree-dropped ones
-        changed = False
-        normalized = []
-        for g, section in work:
-            if g.is_zero():
-                changed = True
-                continue
-            if g.height() < nu:
-                normalized.extend(
-                    (_truncate_poly(gg, work_prec), _truncate_section(ss, work_prec))
-                    for gg, ss in _expand_to_height(field, g, section, nu)
-                )
-                changed = True
-            else:
-                normalized.append((g, section))
-        work = normalized
-        if changed:
-            continue
-        # group by valuation class of the leading coefficient mod p^nu
-        classes: Dict[int, List[int]] = {}
-        for idx, (g, _) in enumerate(work):
-            v = g.leading_coefficient().low
-            classes.setdefault(v % (p**nu), []).append(idx)
-        clash = None
-        for cls in sorted(classes):
-            members = classes[cls]
-            if len(members) > 1:
-                members.sort(key=lambda idx: (work[idx][0].leading_coefficient().low, idx))
-                clash = (members[0], members[1])
-                break
-        if clash is None:
-            work.sort(key=lambda gs: gs[0].leading_coefficient().low)
-            return Decomposition(
-                nu,
-                [g for g, _ in work],
-                [s for _, s in work],
-                f.nvars,
-            )
-        i, j = clash
-        # Eliminate the leading term of the denser summand against the
-        # sparser one: reducing against a monomial cannot introduce new
-        # lower-degree terms, which is what keeps the loop from cycling
-        # between a dropped-height remainder and its re-raised branches.
-        if len(work[i][0].terms) > len(work[j][0].terms):
-            target, other = i, j
+    while (clash := _find_clash(work, p)) is not None:
+        a, b = clash
+        (ga, sa), (gb, sb) = work[a], work[b]
+        la, lb = ga.leading_coefficient(), gb.leading_coefficient()
+        hb = gb.height()
+        mu = (la.coeffs[0] * lb.coeffs[0].inverse()).frobenius_root(hb)
+        shift = (la.low - lb.low) // (p**hb)
+        g, *section = [
+            _truncate_poly(x - y.compose_monomial(mu, shift, ga.height() - hb), work_prec)
+            for x, y in zip([ga, *sa], [gb, *sb])
+        ]
+        if g.is_zero():
+            del work[a]
         else:
-            target, other = j, i
-        gt, st = work[target]
-        go, so = work[other]
-        bt = gt.leading_coefficient()
-        bo = go.leading_coefficient()
-        lam = bt.coeffs[0] * bo.coeffs[0].inverse()
-        mu = lam.frobenius_root(nu)
-        shift = (bt.low - bo.low) // (p**nu)
-        d = field.make(shift, [mu], _poly_prec(field, gt))
-        sub = AdditivePolynomial(field, 1, {(0, 0): d})
-        new_g = _truncate_poly(gt - go.compose_single(sub), work_prec)
-        new_s = _truncate_section(
-            [a - b.compose_single(sub) for a, b in zip(st, so)], work_prec
-        )
-        work[target] = (new_g, new_s)
-    raise ValfieldError("decomposition did not stabilize within the step budget")
+            work[a] = (g, section)
+
+    nu = max(g.height() for g, _ in work)
+    expanded = [
+        (_truncate_poly(gg, work_prec), [_truncate_poly(a, work_prec) for a in ss])
+        for g, section in work
+        for gg, ss in _expand_to_height(g, section, nu)
+    ]
+    expanded.sort(key=lambda gs: gs[0].leading_coefficient().low)
+    return Decomposition(
+        nu, [g for g, _ in expanded], [s for _, s in expanded], f.nvars
+    )
+
+
+def _find_clash(
+    work: List[Tuple[AdditivePolynomial, List[AdditivePolynomial]]], p: int
+) -> Optional[Tuple[int, int]]:
+    """Indices (a, b) with v(lead a) = v(lead b) mod p^h_b, where b comes
+    before a in the order (height, leading valuation, index): so h_b <= h_a,
+    and at equal heights the larger leading valuation is the one reduced,
+    by a monomial d of nonnegative valuation."""
+    keys = [(g.height(), g.leading_coefficient().low, i) for i, (g, _) in enumerate(work)]
+    for ka in keys:
+        for kb in keys:
+            if kb < ka and (ka[1] - kb[1]) % (p ** kb[0]) == 0:
+                return ka[2], kb[2]
+    return None
 
 
 def _poly_prec(field: LaurentField, g: AdditivePolynomial) -> int:
     precs = [c.prec for c in g.terms.values()]
     return max(precs, default=field.default_prec)
-
-
-def _truncate_section(
-    section: List[AdditivePolynomial], prec: int
-) -> List[AdditivePolynomial]:
-    return [_truncate_poly(a, prec) for a in section]
 
 
 def _truncate_poly(g: AdditivePolynomial, prec: int) -> AdditivePolynomial:
@@ -752,10 +712,12 @@ def decomposition_image_agrees(
     """Whether f and its decomposition have the same image in the output
     window [out_low, out_prec).
 
-    Both images are spans of single-digit generators; the input window is
-    lowered until both windowed spans stabilize for one more level, which
-    saturates the window (inputs below it can no longer contribute
-    elements of valuation >= out_low modulo t^out_prec)."""
+    Both images are spans of single-digit generators, and the input window
+    is lowered one level at a time.  Once neither span changes for a level,
+    equal spans answer True and an f-span outside the decomposed span
+    answers False; an f-span strictly inside it may still grow, so the
+    descent goes on, and a window that does not settle above min_in_low
+    raises PrecisionError."""
     level = min(0, out_low)
     span_f = span_d = None
     while level >= min_in_low:
@@ -769,7 +731,10 @@ def decomposition_image_agrees(
             out_low,
         )
         if (nf, nd) == (span_f, span_d):
-            return span_f == span_d
+            if nf == nd:
+                return True
+            if _fp_echelon(list(nf + nd), field.base.p) != nd:
+                return False
         span_f, span_d = nf, nd
         level -= 1
     raise PrecisionError(

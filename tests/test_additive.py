@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from valfield.additive import (
     additive_from_multipoly,
     alpha_bound,
     brute_force_max,
+    Decomposition,
     decompose,
     decomposition_generators,
     decomposition_image,
@@ -19,7 +21,7 @@ from valfield.additive import (
     valuation_independent,
     windowed_image_span,
 )
-from valfield.errors import ValfieldError
+from valfield.errors import PrecisionError, ValfieldError
 from valfield.extremality import Ball
 from valfield.finite_field import FiniteFieldDescriptor, prime_field
 from valfield.laurent import LaurentField, parse_series
@@ -95,17 +97,28 @@ class TestDecompose:
                 rhs = dec.sum_evaluate(ys, K)
                 assert (lhs - rhs).is_zero_to_prec()
 
-    @pytest.mark.xfail(
-        raises=ValfieldError,
-        strict=True,
-        reason="merge loop cycles: t*X^4 + t*X^2 and t*X^4 + t*X share a "
-        "leader class, and their difference re-raises to the first again",
-    )
     def test_same_class_leaders_with_lower_terms_stabilize(self, K2):
+        # t*X^4 + t*X and t*X^4 + t*X^2 share a leader class; their
+        # difference t*X^2 + t*X has height 1 and absorbs the other summand
         t = K2.t_power(1, 16)
         f = AdditivePolynomial(K2, 2, {(0, 2): t, (0, 0): t, (1, 2): t, (1, 1): t})
-        dec = decompose(f, max_steps=100)
-        assert dec.polys
+        dec = decompose(f)
+        assert dec.nu == 1
+        assert [g.to_text() for g in dec.polys] == ["(t^1 + O(t^16))*X^2 + (t^1 + O(t^16))*X^1"]
+
+    def test_linear_summand_absorbs_same_class_leaders(self, K3):
+        # the old merge loop ran out of its 10000 steps here (65 s); the
+        # linear summand 2*X is onto K, so every other summand reduces to 0
+        t = K3.t_power(1, 16)
+        f = AdditivePolynomial(
+            K3, 2, {(0, 2): t, (0, 0): K3.constant(2, 16), (1, 1): t, (1, 0): t}
+        )
+        dec = decompose(f)
+        assert dec.nu == 0
+        assert [g.to_text() for g in dec.polys] == ["(2*t^0 + O(t^16))*X^1"]
+
+    def test_no_step_budget(self):
+        assert list(inspect.signature(decompose).parameters) == ["f"]
 
     def test_leader_classes_distinct(self, K2, K3):
         s = Sampler(4)
@@ -190,6 +203,34 @@ class TestImages:
         dec = decompose(f)
         assert decomposition_image_agrees(f, dec, K3, 4)
         assert decomposition_image_agrees(f, dec, K3, 4, out_low=-2)
+
+    def test_agreement_waits_for_the_slower_image(self, K2):
+        # f = t^-1*X1^4 + t*X2^2 + t^2*X2 is onto K (f(t^-2, t^-5 + t^-2) = 1);
+        # its windowed span grows until input level -5, while the single
+        # linear summand's is full from level -1
+        f = AdditivePolynomial(
+            K2,
+            2,
+            {(0, 2): K2.t_power(-1, 68), (1, 1): K2.t_power(1, 68), (1, 0): K2.t_power(2, 68)},
+        )
+        dec = decompose(f)
+        assert [g.to_text() for g in dec.polys] == ["(t^2 + O(t^68))*X^1"]
+        assert decomposition_image_agrees(f, dec, K2, 4)
+
+    def test_disagreement_when_a_summand_is_dropped(self, K2):
+        f = AdditivePolynomial(
+            K2, 2, {(0, 1): K2.one(16), (1, 2): K2.t_power(1, 16)}
+        )
+        dec = decompose(f)
+        assert decomposition_image_agrees(f, dec, K2, 4)
+        for j in range(len(dec.polys)):
+            partial = Decomposition(
+                dec.nu,
+                dec.polys[:j] + dec.polys[j + 1:],
+                dec.sections[:j] + dec.sections[j + 1:],
+                dec.nvars,
+            )
+            assert not decomposition_image_agrees(f, partial, K2, 4)
 
     def test_image_of_frobenius_is_squares(self, K2):
         f = AdditivePolynomial(K2, 1, {(0, 1): K2.one(16)})
@@ -309,6 +350,15 @@ def _clamped(vr, cap: int) -> str:
     return f">={cap}"
 
 
+def _shows(residual, claimed, cap: int) -> bool:
+    """Whether a witness residual shows the claimed value: the same under
+    clamping, and, when the residual is known only to some order, that
+    order reaches the claimed bound (O(t^-12) does not show '>=3')."""
+    if _clamped(residual, cap) != _clamped(claimed, cap):
+        return False
+    return residual.exact or residual.value >= min(claimed.value, Value.rank1(cap))
+
+
 # (field, solver precision, largest oracle enumeration, instances)
 _TWO_VARIABLE_PLAN = [
     (LaurentField(prime_field(2), "t", 16), 3, 1024, 12),
@@ -319,9 +369,8 @@ _TWO_VARIABLE_PLAN = [
 
 def _two_variable_instance(rng, K):
     """f = a*X1^(p^h1) + b*t*X2^(p^h2) + lower terms, h_i <= 2, and a target
-    of valuation >= -1.  The leaders t^0 and t^1 stay in distinct classes
-    after raising both variables to one height, so the decomposition
-    expands but never merges."""
+    of valuation >= -1.  The leaders t^0 and t^1 differ mod p, so they
+    never clash and the decomposition only expands."""
     nonzero = [c for c in K.base.elements() if not c.is_zero()]
     terms = {}
     for i in range(2):
@@ -357,9 +406,9 @@ def test_two_variable_oap_matches_brute_force():
             kept += 1
             dec = decompose(f)
             reached = (z - dec.sum_evaluate(res.best_decomposed, K)).valuation()
-            assert _clamped(reached, prec) == _clamped(res.value, prec)
+            assert _shows(reached, res.value, prec)
             pulled = (z - f.evaluate(res.best_input)).valuation()
-            assert _clamped(pulled, prec) == _clamped(res.value, prec)
+            assert _shows(pulled, res.value, prec)
             residual = MultiPoly.constant(2, z) - f.to_multipoly()
             _, oracle = brute_force_max(residual, K, Ball(K.zero(16), alpha), prec=prec)
             if oracle.exact:
@@ -370,3 +419,32 @@ def test_two_variable_oap_matches_brute_force():
         assert kept == want
     # at least the F_2 instances with an exact maximum are decided
     assert conclusive >= 5
+
+
+_SWEEP_FIELDS = [plan[0] for plan in _TWO_VARIABLE_PLAN]
+
+
+def test_decompose_sweep():
+    """Seeded 1-3 variable inputs of height <= 2 over F_2, F_3 and F_4:
+    decompose ends, its leaders fall in distinct classes mod p^nu, its
+    sections reproduce f, and the image oracle never answers False.  The
+    oracle may raise PrecisionError where the window needs inputs below
+    what the coefficients' error order O(t^16) supports."""
+    s = Sampler(2027)
+    agreed = 0
+    for n in range(450):
+        K = _SWEEP_FIELDS[n % 3]
+        f = s.additive(K, 1 + (n // 3) % 3, max_k=2, prec=16)
+        if f.is_zero():
+            continue
+        dec = decompose(f)
+        classes = [g.leading_coefficient().low % K.base.p**dec.nu for g in dec.polys]
+        assert len(set(classes)) == len(classes)
+        ys = [s.series(K, -2, 16) for _ in dec.polys]
+        assert (f.evaluate(dec.pullback(ys, K)) - dec.sum_evaluate(ys, K)).is_zero_to_prec()
+        try:
+            assert decomposition_image_agrees(f, dec, K, 4)
+            agreed += 1
+        except PrecisionError:
+            pass
+    assert agreed >= 400  # of 428 nonzero inputs

@@ -280,6 +280,34 @@ class TestCliExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert "max v(target - f(a)): " in proc.stdout
 
+    def test_alpha_on_same_class_leaders_terminates(self):
+        # the old merge loop re-created the same summand after each height
+        # drop and was still running after 300 s
+        proc = run_cli_process(
+            "alpha", "--field", "F(2)((t))",
+            "--poly", "t*X1^4 + t*X1 + t*X2^4 + t*X2^2",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "nu: 1   summands: 1" in proc.stdout
+
+    def test_decompose_oracle_on_a_linear_summand(self, capsys):
+        code = run_cli(
+            "decompose", "--field", "F(3)((t))",
+            "--poly", "t*X1^9 + 2*X1 + t*X2^3 + t*X2", "--oracle",
+        )
+        assert code == 0
+        assert "identical" in capsys.readouterr().out
+
+    def test_decompose_oracle_waits_for_the_slower_image(self, capsys):
+        # f is onto K (f(t^-2, t^-5 + t^-2) = 1), but its windowed span
+        # grows until input level -5 while the decomposition's is full at -1
+        code = run_cli(
+            "decompose", "--field", "F(2)((t))",
+            "--poly", "t^-1*X1^4 + t*X2^2 + t^2*X2", "--prec", "4", "--oracle",
+        )
+        assert code == 0
+        assert "identical" in capsys.readouterr().out
+
     def test_fundeq_uncertifiable(self, capsys):
         code = run_cli("fundeq", "--field", "Q_3", "--poly", "X^2 - 1")
         assert code == 3
