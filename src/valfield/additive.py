@@ -12,10 +12,13 @@ coefficient; a p-polynomial adds a constant.  The central operations:
   division on leading terms).  Each step raises a leading valuation or
   lowers a height, so at a fixed error order the loop ends; the summands
   are then expanded once over the basis 1, t, ..., t^(p^delta - 1) of K
-  over K^(p^delta) to the common height.  Alongside each g_j the
-  decomposition carries a section: single-variable additive maps back into
-  the original variables with f(section_j(y)) = g_j(y), so any point of
-  the decomposed image pulls back to an explicit input of f.
+  over K^(p^delta) to the common height.  The summands are capped at f's
+  largest finite coefficient error order (the field's default order when
+  every coefficient is exact).  Alongside each g_j the decomposition
+  carries a section: single-variable additive maps back into the original
+  variables with f(section_j(y)) = g_j(y), so any point of the decomposed
+  image pulls back to an explicit input of f.  Sections are built from the
+  exact identity by exact monomial substitutions, so they are exact.
 
 * ``alpha_bound`` computes the ball radius below which inputs can only
   make things worse: the minimum of 0 and all coefficient-gap valuations,
@@ -23,17 +26,24 @@ coefficient; a p-polynomial adds a constant.  The central operations:
 
 * ``oap_solve`` finds a best approximation of a target z by the image of
   f.  Additive polynomials are F_p-linear, so inside the alpha ball the
-  image modulo the working precision is the F_p-span of single-digit
+  image modulo the requested precision is the F_p-span of single-digit
   generators g_i(lambda * t^j); the solver reduces z against an echelon
   basis of that span, once per generator precision, and pulls the winning
   combination back through the sections.  Exhaustive enumeration stays in
   the oracles (``brute_force_max``, ``truncated_image``,
   ``decomposition_image``) that tests and ``--oracle`` compare against.
+
+Everything this module builds from integers is exact (error order
+``math.inf``): the digit monomials lambda * t^j, the zero accumulators, the
+identity section and the sections derived from it, and the value of the
+zero polynomial.  Precision is lost only through f's and z's own
+coefficients, so a witness built from exact digits is itself exact.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -88,10 +98,7 @@ class AdditivePolynomial:
         for (i, k), c in self.terms.items():
             term = c * args[i].frobenius(k)
             acc = term if acc is None else acc + term
-        if acc is None:
-            prec = min([a.prec for a in args], default=self.field.default_prec)
-            return self.field.zero(prec)
-        return acc
+        return self.field.zero(math.inf) if acc is None else acc
 
     def restrict(self, var: int) -> "AdditivePolynomial":
         """The single-variable polynomial f(0, ..., X_var, ..., 0)."""
@@ -230,14 +237,14 @@ class Decomposition:
         return [g.leading_coefficient() for g in self.polys]
 
     def pullback(self, ys: Sequence[LaurentSeries], field: LaurentField) -> Tuple[LaurentSeries, ...]:
-        """The f-input realizing sum g_j(ys[j])."""
-        args = []
-        for i in range(self.nvars):
-            acc = field.zero(min([y.prec for y in ys], default=field.default_prec))
-            for j, y in enumerate(ys):
-                acc = acc + self.sections[j][i].evaluate([y])
-            args.append(acc)
-        return tuple(args)
+        """The f-input realizing sum g_j(ys[j]); exact for exact ys."""
+        return tuple(
+            sum(
+                (s[i].evaluate([y]) for s, y in zip(self.sections, ys)),
+                field.zero(math.inf),
+            )
+            for i in range(self.nvars)
+        )
 
     def summed(self, field: LaurentField) -> AdditivePolynomial:
         """g_1(Y_1) + ... + g_m(Y_m) as one m-variable additive polynomial."""
@@ -248,10 +255,7 @@ class Decomposition:
         )
 
     def sum_evaluate(self, ys: Sequence[LaurentSeries], field: LaurentField) -> LaurentSeries:
-        acc = field.zero(min([y.prec for y in ys], default=field.default_prec))
-        for g, y in zip(self.polys, ys):
-            acc = acc + g.evaluate([y])
-        return acc
+        return sum((g.evaluate([y]) for g, y in zip(self.polys, ys)), field.zero(math.inf))
 
 
 def _expand_to_height(
@@ -290,17 +294,19 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
         g = f.restrict(i)
         if g.is_zero():
             continue
-        ident = AdditivePolynomial(
-            field, 1, {(0, 0): field.one(_poly_prec(field, g))}
-        )
+        ident = AdditivePolynomial(field, 1, {(0, 0): field.one(math.inf)})
         zero = AdditivePolynomial(field, 1, {})
         section = [ident if j == i else zero for j in range(f.nvars)]
         work.append((g, section))
     if not work:
         return Decomposition(0, [], [], f.nvars)
-    # all results are claimed modulo the input's own error order; the cap
-    # bounds how far a leading valuation can rise, which ends the loop
-    work_prec = max(_poly_prec(field, g) for g, _ in work)
+    # the summands are claimed modulo the input's own error order; the cap
+    # bounds how far a leading valuation can rise, which ends the loop, so
+    # an input with only exact coefficients is capped at the default order
+    work_prec = max(
+        [c.prec for g, _ in work for c in g.terms.values() if c.prec != math.inf],
+        default=field.default_prec,
+    )
 
     while (clash := _find_clash(work, p)) is not None:
         a, b = clash
@@ -309,10 +315,9 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
         hb = gb.height()
         mu = (la.coeffs[0] * lb.coeffs[0].inverse()).frobenius_root(hb)
         shift = (la.low - lb.low) // (p**hb)
-        g, *section = [
-            _truncate_poly(x - y.compose_monomial(mu, shift, ga.height() - hb), work_prec)
-            for x, y in zip([ga, *sa], [gb, *sb])
-        ]
+        delta = ga.height() - hb
+        g = _truncate_poly(ga - gb.compose_monomial(mu, shift, delta), work_prec)
+        section = [x - y.compose_monomial(mu, shift, delta) for x, y in zip(sa, sb)]
         if g.is_zero():
             del work[a]
         else:
@@ -320,7 +325,7 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
 
     nu = max(g.height() for g, _ in work)
     expanded = [
-        (_truncate_poly(gg, work_prec), [_truncate_poly(a, work_prec) for a in ss])
+        (_truncate_poly(gg, work_prec), ss)
         for g, section in work
         for gg, ss in _expand_to_height(g, section, nu)
     ]
@@ -343,11 +348,6 @@ def _find_clash(
             if kb < ka and (ka[1] - kb[1]) % (p ** kb[0]) == 0:
                 return ka[2], kb[2]
     return None
-
-
-def _poly_prec(field: LaurentField, g: AdditivePolynomial) -> int:
-    precs = [c.prec for c in g.terms.values()]
-    return max(precs, default=field.default_prec)
 
 
 def _truncate_poly(g: AdditivePolynomial, prec: int) -> AdditivePolynomial:
@@ -432,15 +432,12 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
     dec = decompose(f)
     if not dec.polys:
         val = z.truncate(min(z.prec, prec)).valuation()
-        zeros = tuple(field.zero(prec) for _ in range(f.nvars))
+        zeros = tuple(field.zero(math.inf) for _ in range(f.nvars))
         return OapResult(zeros, (), val, None)
     alpha_v = alpha_bound(PPolynomial(f, -z), dec)
     alpha = int(alpha_v.first)
-    work_prec = prec + max(0, -alpha) * (field.base.p ** dec.nu) + 4
-    summed = dec.summed(field)
-    gens = _digit_generators(summed, prec, alpha, work_prec, min_width=1)
-    # the zero combination is known to the order of z and of every g_i(0)
-    top = min(z.prec, prec, summed.evaluate([field.zero(work_prec)] * summed.nvars).prec)
+    gens = _digit_generators(dec.summed(field), prec, alpha, min_width=1)
+    top = min(z.prec, prec)
     low = min([top, z.valuation_floor()] + [g.valuation_floor() for *_, g in gens])
     best = None
     for bound in sorted({min(g.prec, top) for *_, g in gens} | {top}, reverse=True):
@@ -449,9 +446,9 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
         if best is None or (key, exact) > best[:2]:
             best = (key, exact, zip(used, combo))
     key, exact, combo = best
-    ys = [field.zero(work_prec) for _ in dec.polys]
+    ys = [field.zero(math.inf) for _ in dec.polys]
     for (i, j, lam, _), a in combo:
-        ys[i] = ys[i] + field.from_terms({j: lam * field.base.element(a)}, work_prec)
+        ys[i] = ys[i] + field.from_terms({j: lam * field.base.element(a)}, math.inf)
     value = ValuationResult(exact, Value.rank1(key))
     return OapResult(dec.pullback(ys, field), tuple(ys), value, alpha_v)
 
@@ -526,7 +523,6 @@ def truncated_image(
     """
     field = f.field
     elems = list(field.base.elements())
-    work_prec = out_prec + 8
     ranges = []
     total = 1
     for i in range(f.nvars):
@@ -541,7 +537,7 @@ def truncated_image(
     ):
         args = [
             field.from_terms(
-                {e: d for e, d in zip(r, digits) if not d.is_zero()}, work_prec
+                {e: d for e, d in zip(r, digits) if not d.is_zero()}, math.inf
             )
             for r, digits in zip(ranges, combo)
         ]
@@ -565,8 +561,7 @@ def decomposition_image(
     summing per-variable image sets.  out_low filters as in
     truncated_image."""
     elems = list(field.base.elements())
-    work_prec = out_prec + 8
-    current: Dict[object, LaurentSeries] = {"0": field.zero(work_prec)}
+    current: Dict[object, LaurentSeries] = {"0": field.zero(math.inf)}
     for g in dec.polys:
         hi = max(_digit_horizon(g, out_prec), in_low)
         levels = list(range(in_low, hi))
@@ -575,7 +570,7 @@ def decomposition_image(
         for digits in itertools.product(elems, repeat=len(levels)):
             y = field.from_terms(
                 {e: d for e, d in zip(levels, digits) if not d.is_zero()},
-                work_prec,
+                math.inf,
             )
             values.append(g.evaluate([y]))
         nxt: Dict[object, LaurentSeries] = {}
@@ -595,7 +590,7 @@ def decomposition_image(
 
 
 def _digit_generators(
-    f: AdditivePolynomial, out_prec: int, in_low: int, work_prec: int, min_width: int = 0
+    f: AdditivePolynomial, out_prec: int, in_low: int, min_width: int = 0
 ) -> List[Tuple[int, int, FFElement, LaurentSeries]]:
     """Single-digit generators (i, j, lambda, f(lambda * t^j * e_i)).
 
@@ -604,7 +599,7 @@ def _digit_generators(
     shifted valuation ring modulo t^out_prec is exactly the F_p-span of
     these over variables i, levels j in [in_low, max(horizon_i, in_low +
     min_width)) and lambda in an F_p-basis of the coefficient field.  The
-    digit monomials are built at work_prec.
+    digit monomials are exact.
     """
     field = f.field
     desc = field.base
@@ -620,7 +615,7 @@ def _digit_generators(
         hi = max(_digit_horizon(g, out_prec), in_low + min_width)
         for j in range(in_low, hi):
             for lam in basis:
-                mono = field.from_terms({j: lam}, work_prec)
+                mono = field.from_terms({j: lam}, math.inf)
                 gens.append((i, j, lam, g.evaluate([mono])))
     return gens
 
@@ -629,7 +624,7 @@ def image_generators(
     f: AdditivePolynomial, out_prec: int, in_low: int = 0
 ) -> List[LaurentSeries]:
     """The single-digit generators of the truncated image of f, unlabelled."""
-    return [g for *_, g in _digit_generators(f, out_prec, in_low, out_prec + 8)]
+    return [g for *_, g in _digit_generators(f, out_prec, in_low)]
 
 
 def decomposition_generators(

@@ -37,13 +37,16 @@ from .finite_field import (
 )
 from .laurent import LaurentField, LaurentSeries
 from .padic import (
-    FundamentalEqualityData,
     PAdicExtRing,
     ext_valuation,
     fundamental_equality_data,
     with_precision_retry,
 )
-from .polygon import newton_polygon_from_valuations
+from .polygon import (
+    FundamentalEqualityData,
+    certify_extension,
+    newton_polygon_from_valuations,
+)
 from .polynomials import dense_mul, dense_sub
 
 PASS = "pass"
@@ -105,13 +108,10 @@ class TmcneCertificate:
 
 
 @dataclass(frozen=True)
-class FundEqCertificate:
+class FundEqCertificate(FundamentalEqualityData):
+    """The extension data together with the polynomial it was read from."""
+
     polynomial: str
-    n: int
-    e: int
-    f_res: Optional[int]
-    certified_by: str
-    equality_holds: Optional[bool]
 
     @property
     def verdict(self) -> str:
@@ -122,11 +122,7 @@ class FundEqCertificate:
     def to_dict(self) -> dict:
         return {
             "polynomial": self.polynomial,
-            "n": self.n,
-            "e": self.e,
-            "fRes": self.f_res,
-            "certifiedBy": self.certified_by,
-            "equalityHolds": self.equality_holds,
+            **super().to_dict(),
             "verdict": self.verdict,
         }
 
@@ -335,49 +331,35 @@ def fundeq_padic(
     initial = prec if prec is not None else 4 * deg * deg
     data = with_precision_retry(run, max(initial, 8))
     text = poly_text_from_coeffs(coeffs)
-    return FundEqCertificate(
-        f"{text} over Q_{p}",
-        data.n,
-        data.e,
-        data.f_res,
-        data.certified_by,
-        data.equality_holds,
-    )
+    return FundEqCertificate(**vars(data), polynomial=f"{text} over Q_{p}")
 
 
 def fundeq_laurent(
-    field: LaurentField, coeffs: Sequence[Optional[LaurentSeries]]
+    field: LaurentField,
+    coeffs: Sequence[Optional[LaurentSeries]],
+    irreducible_asserted: bool = False,
 ) -> FundEqCertificate:
-    """Extension of F_q((t)) presented by a defining polynomial.
-
-    Certification routes mirror the p-adic side: slope denominator equal
-    to the degree (totally ramified, Eisenstein-like), or slope zero with
-    an irreducible residue polynomial (unramified); the residue route
-    needs a prime base field.
-    """
-    vals = [None if c is None else c.valuation() for c in coeffs]
-    polygon = newton_polygon_from_valuations(vals)
-    n = len(coeffs) - 1
+    """Extension of F_q((t)) presented by a defining polynomial (None for
+    an absent coefficient), by the routes of ``certify_extension``; the
+    residue route needs a prime base field."""
+    polygon = newton_polygon_from_valuations(
+        [None if c is None else c.valuation() for c in coeffs]
+    )
+    data = certify_extension(
+        len(coeffs) - 1,
+        polygon,
+        lambda: field.base.k == 1 and _pmod_irreducible(
+            tuple(0 if c is None else c.residue().coeffs[0] for c in coeffs),
+            field.base.p,
+        ),
+        irreducible_asserted,
+    )
     text = " + ".join(
         f"({c.to_text()})*X^{i}"
         for i, c in enumerate(coeffs)
         if c is not None and not c.is_zero_to_prec()
     )
-    text = f"{text} over {field.to_text()}"
-    slope = polygon.single_slope()
-    if slope is not None and polygon.start == 0 and slope.denominator == n:
-        return FundEqCertificate(text, n, n, 1, "slope-denominator", True)
-    if slope is not None and slope == 0 and polygon.start == 0:
-        if field.base.k != 1:
-            raise CertificationError(
-                "residue irreducibility route needs a prime base field"
-            )
-        res = tuple(
-            (c.residue().coeffs[0] if c is not None else 0) for c in coeffs
-        )
-        if _pmod_irreducible(res, field.base.p):
-            return FundEqCertificate(text, n, 1, n, "residue-irreducible", True)
-    raise CertificationError("cannot certify the extension data")
+    return FundEqCertificate(**vars(data), polynomial=f"{text} over {field.to_text()}")
 
 
 def verify_fundamental_equality(
@@ -390,7 +372,7 @@ def verify_fundamental_equality(
     if isinstance(field, int):
         return fundeq_padic(field, coeffs, prec, irreducible_asserted)
     if isinstance(field, LaurentField):
-        return fundeq_laurent(field, coeffs)
+        return fundeq_laurent(field, coeffs, irreducible_asserted)
     raise ValfieldError("unsupported base for the fundamental equality check")
 
 

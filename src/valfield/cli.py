@@ -290,7 +290,7 @@ def cmd_fundeq(args) -> int:
     if isinstance(field, PAdicFieldRef):
         cert = fundeq_padic(field.p, coeffs, prec=args.prec, irreducible_asserted=args.asserted)
     else:
-        cert = fundeq_laurent(field, coeffs)
+        cert = fundeq_laurent(field, coeffs, irreducible_asserted=args.asserted)
     print(f"polynomial: {cert.polynomial}")
     print(f"n = {cert.n}, e = {cert.e}, fRes = {cert.f_res}")
     print(f"certified by: {cert.certified_by}")

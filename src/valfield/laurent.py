@@ -1,26 +1,34 @@
-"""Truncated Laurent series over a finite field, with explicit error orders.
+"""Laurent series over a finite field, with explicit error orders.
 
 A series is stored as a window of coefficients starting at its lowest
 exponent together with an error order N: the element is known modulo t^N.
-Every arithmetic operation propagates error orders, so a valuation is
-either exact (first nonzero stored coefficient) or only a lower bound
-"at least N" when every stored coefficient vanishes.  Consumers must
+The error order is an integer or ``math.inf``; ``inf`` means the series is
+exact, a finite sum of its stored terms, as for values built from integers
+(digit monomials, sections, zeros).  Every arithmetic operation propagates
+error orders, so precision is lost only through operands that were truly
+truncated.  A valuation is either exact (first nonzero stored coefficient,
+or infinity for the exact zero) or only a lower bound "at least N" when
+every stored coefficient of a truncated series vanishes.  Consumers must
 branch on the two outcomes explicitly; an indeterminate valuation is never
 silently promoted to infinity.
 
-The text format round-trips bit-exactly:
+A truncated series prints with its error term and round-trips bit-exactly:
 
     t^-2 + 3*t^0 + t^5 + O(t^8)
 
 with coefficients in finite-field element syntax (plain integers for prime
-fields, bracketed coefficient lists for extensions).
+fields, bracketed coefficient lists for extensions).  An exact series
+prints as the plain sum of its terms, and the exact zero as ``0``; typed
+text without an O-term is read as known to the default error order, so
+that round trip covers truncated series only.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DescriptorMismatchError,
@@ -31,7 +39,9 @@ from .errors import (
 )
 from .finite_field import FFElement, FiniteFieldDescriptor
 from .polynomials import dense_eval
-from .value_group import Value
+from .value_group import INFINITY, Value
+
+ErrorOrder = Union[int, float]  # an integer N, or math.inf for an exact series
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ class LaurentField:
 
     # -- constructors ------------------------------------------------------
 
-    def make(self, low: int, coeffs: Sequence[FFElement], prec: int) -> "LaurentSeries":
+    def make(self, low: int, coeffs: Sequence[FFElement], prec: ErrorOrder) -> "LaurentSeries":
         """Normalized series: leading/trailing zeros trimmed, clamped to prec."""
         cs = list(coeffs)
         while cs and cs[0].is_zero():
@@ -105,22 +115,22 @@ class LaurentField:
             return LaurentSeries(self, prec, (), prec)
         return LaurentSeries(self, low, tuple(cs), prec)
 
-    def zero(self, prec: Optional[int] = None) -> "LaurentSeries":
+    def zero(self, prec: Optional[ErrorOrder] = None) -> "LaurentSeries":
         n = self.default_prec if prec is None else prec
         return LaurentSeries(self, n, (), n)
 
-    def one(self, prec: Optional[int] = None) -> "LaurentSeries":
+    def one(self, prec: Optional[ErrorOrder] = None) -> "LaurentSeries":
         return self.t_power(0, prec)
 
-    def t_power(self, e: int, prec: Optional[int] = None) -> "LaurentSeries":
+    def t_power(self, e: int, prec: Optional[ErrorOrder] = None) -> "LaurentSeries":
         n = self.default_prec if prec is None else prec
         return self.make(e, [self.base.one()], n)
 
-    def constant(self, c, prec: Optional[int] = None) -> "LaurentSeries":
+    def constant(self, c, prec: Optional[ErrorOrder] = None) -> "LaurentSeries":
         n = self.default_prec if prec is None else prec
         return self.make(0, [self.base.element(c)], n)
 
-    def from_terms(self, terms: Dict[int, FFElement], prec: int) -> "LaurentSeries":
+    def from_terms(self, terms: Dict[int, FFElement], prec: ErrorOrder) -> "LaurentSeries":
         if not terms:
             return self.zero(prec)
         low = min(terms)
@@ -128,7 +138,7 @@ class LaurentField:
         cs = [terms.get(e, self.base.zero()) for e in range(low, hi + 1)]
         return self.make(low, cs, prec)
 
-    def from_int_terms(self, terms: Dict[int, int], prec: int) -> "LaurentSeries":
+    def from_int_terms(self, terms: Dict[int, int], prec: ErrorOrder) -> "LaurentSeries":
         return self.from_terms(
             {e: self.base.element(c) for e, c in terms.items()}, prec
         )
@@ -140,11 +150,11 @@ class LaurentField:
 
 
 class LaurentSeries:
-    """An element of F_q((t)) known modulo t^prec."""
+    """An element of F_q((t)) known modulo t^prec; prec = inf is exact."""
 
     __slots__ = ("field", "low", "coeffs", "prec")
 
-    def __init__(self, field: LaurentField, low: int, coeffs: Tuple[FFElement, ...], prec: int):
+    def __init__(self, field: LaurentField, low: int, coeffs: Tuple[FFElement, ...], prec: ErrorOrder):
         self.field = field
         self.low = low
         self.coeffs = coeffs
@@ -162,6 +172,8 @@ class LaurentSeries:
     def valuation(self) -> ValuationResult:
         if self.coeffs:
             return ValuationResult.exactly(Value.rank1(self.low))
+        if self.prec == math.inf:
+            return ValuationResult.exactly(INFINITY)
         return ValuationResult.at_least(Value.rank1(self.prec))
 
     def coeff_at(self, e: int) -> FFElement:
@@ -248,18 +260,16 @@ class LaurentSeries:
     def __pow__(self, e: int) -> "LaurentSeries":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one(self.prec + max(0, (e - 1)) * max(0, self.valuation_floor()))
+        if e == 0:
+            return self.field.one(self.prec)
+        result = None
         base = self
-        first = True
         while e:
             if e & 1:
-                result = base if first else result * base
-                first = False
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        if first:
-            return self.field.one(self.prec)
         return result
 
     def frobenius(self, times: int = 1) -> "LaurentSeries":
@@ -277,6 +287,10 @@ class LaurentSeries:
         if not self.coeffs:
             raise IndeterminateValuationError("division by a series of indeterminate valuation")
         v = self.low
+        if self.prec == math.inf:
+            if len(self.coeffs) > 1:
+                raise PrecisionError("an exact non-monomial has no finite inverse")
+            return self.field.make(-v, [self.coeffs[0].inverse()], math.inf)
         rel = self.prec - v  # digits of the unit part we know
         unit = self.coeffs
         inv = [self.coeffs[0].inverse()]
@@ -294,7 +308,7 @@ class LaurentSeries:
         self._check(other)
         return self * other.inverse()
 
-    def truncate(self, prec: int) -> "LaurentSeries":
+    def truncate(self, prec: ErrorOrder) -> "LaurentSeries":
         if prec > self.prec:
             raise PrecisionError("cannot raise the error order of a series")
         return self.field.make(self.low, self.coeffs, prec)
@@ -327,8 +341,9 @@ class LaurentSeries:
             for i, c in enumerate(self.coeffs)
             if not c.is_zero()
         ]
-        parts.append(f"O({var}^{self.prec})")
-        return " + ".join(parts)
+        if self.prec != math.inf:
+            parts.append(f"O({var}^{self.prec})")
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return self.to_text()

@@ -26,9 +26,7 @@ error order its own inputs give it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -40,7 +38,12 @@ from .errors import (
 )
 from .finite_field import _pmod_irreducible, is_prime, prime_field
 from .laurent import ValuationResult
-from .polygon import NewtonPolygon, newton_polygon_from_valuations
+from .polygon import (
+    FundamentalEqualityData,
+    NewtonPolygon,
+    certify_extension,
+    newton_polygon_from_valuations,
+)
 from .polynomials import dense_divmod, dense_mul, dense_sub, dense_trim
 from .value_group import INFINITY, Value
 
@@ -467,56 +470,14 @@ def with_precision_retry(compute, initial_prec: int, attempts: int = 3):
     raise PrecisionError(f"still indeterminate after {attempts} precision raises") from last
 
 
-@dataclass(frozen=True)
-class FundamentalEqualityData:
-    n: int
-    e: int
-    f_res: Optional[int]
-    certified_by: str
-    equality_holds: Optional[bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "e": self.e,
-            "fRes": self.f_res,
-            "certifiedBy": self.certified_by,
-            "equalityHolds": self.equality_holds,
-        }
-
-
 def fundamental_equality_data(ring: PAdicExtRing) -> FundamentalEqualityData:
-    """Degree, ramification index and residue degree of Q_p[X]/(f).
-
-    Certification routes: slope denominator equal to the degree (totally
-    ramified), unit polynomial with irreducible residue (unramified), or an
-    external irreducibility assertion combined with the slope data; a
-    degree-one modulus needs none of them.
-    """
-    n = ring.degree
-    polygon = ring.polygon()
-    slope = polygon.single_slope()
-    if slope is not None and polygon.start == 0 and slope.denominator == n:
-        return FundamentalEqualityData(n, n, 1, "slope-denominator", True)
-    if slope is not None and slope == 0 and polygon.start == 0:
-        if _residue_irreducible(ring):
-            return FundamentalEqualityData(n, 1, n, "residue-irreducible", True)
-    if n == 1:
-        # Q_p[X]/(X - a) is Q_p itself, whatever the polygon looks like
-        return FundamentalEqualityData(1, 1, 1, "degree-one", True)
-    if ring.irreducible_asserted:
-        e = lcm(*[s.denominator for s, _ in polygon.segments])
-        if n % e == 0:
-            return FundamentalEqualityData(n, e, n // e, "asserted", True)
-        return FundamentalEqualityData(n, e, None, "asserted", None)
-    raise CertificationError(
-        "cannot certify the extension data at this precision"
+    """Degree, ramification index and residue degree of Q_p[X]/(f), by the
+    routes of :func:`certify_extension`."""
+    return certify_extension(
+        ring.degree,
+        ring.polygon(),
+        lambda: _pmod_irreducible(
+            tuple(c.residue().coeffs[0] for c in ring.modulus), ring.p
+        ),
+        ring.irreducible_asserted,
     )
-
-
-def _residue_irreducible(ring: PAdicExtRing) -> bool:
-    p = ring.p
-    res = []
-    for c in ring.modulus:
-        res.append(c.residue().coeffs[0])
-    return _pmod_irreducible(tuple(res), p)

@@ -8,16 +8,19 @@ certifies irreducibility over a henselian base.
 
 This module is generic over the coefficient ring: it consumes a list of
 valuation results (or None for an exactly-zero coefficient), so both the
-p-adic and the Laurent-series front ends share it.
+p-adic and the Laurent-series front ends share it, and so does
+``certify_extension``, the one set of certification routes for the
+fundamental equality n = e * fRes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import IndeterminateValuationError, ValfieldError
+from .errors import CertificationError, IndeterminateValuationError, ValfieldError
 from .laurent import ValuationResult
 
 
@@ -125,3 +128,54 @@ def _hull_height(hull: List[Tuple[int, Fraction]], i: int) -> Fraction:
         if i0 <= i <= i1:
             return v0 + Fraction(v1 - v0, i1 - i0) * (i - i0)
     return hull[-1][1]
+
+
+# -- the fundamental equality ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class FundamentalEqualityData:
+    n: int
+    e: int
+    f_res: Optional[int]
+    certified_by: str
+    equality_holds: Optional[bool]
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "e": self.e,
+            "fRes": self.f_res,
+            "certifiedBy": self.certified_by,
+            "equalityHolds": self.equality_holds,
+        }
+
+
+def certify_extension(
+    n: int,
+    polygon: NewtonPolygon,
+    residue_irreducible: Callable[[], bool],
+    irreducible_asserted: bool = False,
+) -> FundamentalEqualityData:
+    """Degree, ramification index and residue degree of K[X]/(f), deg f = n.
+
+    Certification routes: slope denominator equal to the degree (totally
+    ramified), slope zero with an irreducible residue polynomial
+    (unramified; ``residue_irreducible`` is only called there), or an
+    external irreducibility assertion combined with the slope data; a
+    degree-one modulus needs none of them.
+    """
+    slope = polygon.single_slope()
+    if slope is not None and polygon.start == 0 and slope.denominator == n:
+        return FundamentalEqualityData(n, n, 1, "slope-denominator", True)
+    if slope == 0 and polygon.start == 0 and residue_irreducible():
+        return FundamentalEqualityData(n, 1, n, "residue-irreducible", True)
+    if n == 1:
+        # K[X]/(X - a) is K itself, whatever the polygon looks like
+        return FundamentalEqualityData(1, 1, 1, "degree-one", True)
+    if irreducible_asserted:
+        e = lcm(*[s.denominator for s, _ in polygon.segments])
+        if n % e == 0:
+            return FundamentalEqualityData(n, e, n // e, "asserted", True)
+        return FundamentalEqualityData(n, e, None, "asserted", None)
+    raise CertificationError("cannot certify the extension data at this precision")

@@ -44,11 +44,6 @@ class MultiPoly:
     def constant(nvars: int, c) -> "MultiPoly":
         return MultiPoly(nvars, {(0,) * nvars: c})
 
-    @staticmethod
-    def variable(nvars: int, i: int, one) -> "MultiPoly":
-        m = tuple(1 if j == i else 0 for j in range(nvars))
-        return MultiPoly(nvars, {m: one})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -43,10 +43,6 @@ class Value:
     def rank2(a: Rational, b: Rational) -> "Value":
         return Value(_RANK2, Fraction(a), Fraction(b))
 
-    @staticmethod
-    def infinity() -> "Value":
-        return INFINITY
-
     # -- predicates --------------------------------------------------------
 
     @property
@@ -147,12 +143,6 @@ class Value:
 
 
 INFINITY = Value(_INF)
-
-
-
-def value_add(a: Value, b: Value) -> Value:
-    """Group sum with ``inf`` absorbing; cross-rank input is an error."""
-    return a + b
 
 
 def value_min(values: Iterable[Value]) -> Value:

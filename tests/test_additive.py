@@ -1,6 +1,11 @@
 import inspect
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -448,3 +453,57 @@ def test_decompose_sweep():
         except PrecisionError:
             pass
     assert agreed >= 400  # of 428 nonzero inputs
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_decompose_of_exact_coefficients_terminates():
+    """(1 + t)*X1 + (1 + t^2)*X2 over F_3 with exact coefficients: the
+    reduction of one linear summand by the other never reaches an exact
+    zero, so the summands are capped at the default error order.  Run in a
+    child process, which is killed if it outlives the timeout."""
+    code = (
+        "import math\n"
+        "from valfield.additive import AdditivePolynomial, decompose\n"
+        "from valfield.finite_field import prime_field\n"
+        "from valfield.laurent import LaurentField\n"
+        "K = LaurentField(prime_field(3), 't', 16)\n"
+        "f = AdditivePolynomial(K, 2, {\n"
+        "    (0, 0): K.from_int_terms({0: 1, 1: 1}, math.inf),\n"
+        "    (1, 0): K.from_int_terms({0: 1, 2: 1}, math.inf),\n"
+        "})\n"
+        "dec = decompose(f)\n"
+        "print(dec.nu, [g.to_text() for g in dec.polys])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 ['(t^0 + t^1 + O(t^16))*X^1']"
+
+
+def test_exact_two_variable_witnesses_show_the_value():
+    """Sampler(7) two-variable, height <= 2 inputs with exact coefficients
+    over F_2, F_3 and F_4, targets from valuation -2, -1 and -3: the
+    pulled-back witness is exact, so z - f(best_input) is known to z's own
+    error order and shows the value under clamping.  With coefficients at
+    O(t^16) the same family fails on 2, 4 and 7 instances."""
+    checked = 0
+    for lo in (-2, -1, -3):
+        s = Sampler(7)
+        for K in _SWEEP_FIELDS:
+            for _ in range(50):
+                f = s.additive(K, 2, max_k=2, prec=math.inf)
+                z = s.series(K, lo, 16)
+                if f.is_zero():
+                    continue
+                res = oap_solve(f, z, prec=4)
+                assert all(a.prec == math.inf for a in res.best_input)
+                residual = z - f.evaluate(res.best_input)
+                assert residual.prec == z.prec
+                assert _clamped(residual.valuation(), 4) == _clamped(res.value, 4)
+                checked += 1
+    assert checked == 435

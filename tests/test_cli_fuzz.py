@@ -1,0 +1,91 @@
+"""Derandomized fuzz of the CLI argument strings.
+
+Each case runs `valfield oap|decompose|alpha|fundeq` in a child process
+with a hard timeout, on well-formed fields, polynomials, targets and
+precisions mixed with junk, and requires a documented exit code (0 ok,
+1 usage/parse, 2 check failed, 3 inconclusive, 4 budget) and no traceback.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+junk = st.text(alphabet="Xt^*+-()[]0123456789,;_O ", max_size=12)
+
+# field -> exponents that are powers of its characteristic
+LAURENT = {
+    "F(2)((t))": ["", "^2", "^4"],
+    "F(3)((t))": ["", "^3", "^9"],
+    "F(4)((t))": ["", "^2", "^4"],
+    "F(2^2; modulus=[1,1,1])((t))": ["", "^2"],
+}
+PADIC = ["Q_3", "Q_5"]
+
+
+@st.composite
+def poly(draw, field):
+    exps = LAURENT.get(field, ["", "^2", "^3", "^4"])
+    if field in LAURENT:
+        coeffs = ["", "t*", "t^-1*", "t^-2*", "2*", "t^2*", "[1,1]*t*"]
+    else:
+        coeffs = ["", "2*", "3*", "9*"]
+    terms = draw(st.lists(
+        st.tuples(
+            st.sampled_from([" + ", " - "]),
+            st.sampled_from(coeffs),
+            st.sampled_from(["X", "X1", "X2"] if field in LAURENT else ["X"]),
+            st.sampled_from(exps),
+        ),
+        min_size=1, max_size=4,
+    ))
+    text = "".join("".join(t) for t in terms)[3:]
+    if draw(st.booleans()):
+        text += draw(st.sampled_from([" + t^-3", " + 1", " + 3"]))
+    return text
+
+
+targets = st.lists(
+    st.sampled_from(["t^-3", "t^-1", "1", "2*t", "t^2", "[0,1]*t^-2"]), min_size=1, max_size=3
+).map(" + ".join) | st.sampled_from(["t^-1 + O(t^5)", "O(t^2)", "0"])
+
+
+@st.composite
+def argv(draw, command):
+    fields = list(LAURENT) + (PADIC if command == "fundeq" else [])
+    field = draw(st.sampled_from(fields))
+    args = {"--field": field, "--poly": draw(poly(field))}
+    if command == "oap":
+        args["--target"] = draw(targets)
+    if draw(st.booleans()):
+        args["--prec"] = draw(st.sampled_from(["-1", "0", "1", "3", "4", "6"]))
+    # about one case in four replaces one argument by junk
+    if draw(st.integers(0, 3)) == 0:
+        args[draw(st.sampled_from(sorted(args)))] = draw(junk)
+    flags = [x for kv in args.items() for x in kv]
+    if command == "decompose" and draw(st.booleans()):
+        flags.append("--oracle")
+    if command == "fundeq" and draw(st.booleans()):
+        flags.append("--asserted")
+    return [command, *flags]
+
+
+@pytest.mark.parametrize("command", ["oap", "decompose", "alpha", "fundeq"])
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_cli_exits_with_a_documented_code(command, data):
+    args = data.draw(argv(command))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "valfield", *args],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode in range(5), (args, proc.returncode, proc.stderr)
+    assert "Traceback" not in proc.stderr, (args, proc.stderr)

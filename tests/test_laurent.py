@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,21 +27,25 @@ K4 = LaurentField(FiniteFieldDescriptor(2, 2), "t", default_prec=8)
 
 
 @st.composite
-def series(draw, field=None, lo=-3):
+def series(draw, field=None, lo=-3, exact=False):
+    """A series with digits on [lo, N): truncated at O(t^N), or, when
+    exact is true, the exact finite sum; exact=None draws either kind."""
     K = field if field is not None else draw(st.sampled_from([K2, K3]))
+    if exact is None:
+        exact = draw(st.booleans())
     prec = draw(st.integers(lo + 1, K.default_prec))
     terms = {}
     for e in range(lo, prec):
         c = draw(st.integers(0, K.base.p - 1))
         if c:
             terms[e] = K.base.element([c])
-    return K.from_terms(terms, prec)
+    return K.from_terms(terms, math.inf if exact else prec)
 
 
 @st.composite
 def series_pair(draw, lo=-3):
     K = draw(st.sampled_from([K2, K3]))
-    return draw(series(field=K, lo=lo)), draw(series(field=K, lo=lo))
+    return draw(series(field=K, lo=lo, exact=None)), draw(series(field=K, lo=lo, exact=None))
 
 
 class TestArithmetic:
@@ -68,6 +73,54 @@ class TestArithmetic:
             assert vs.value >= low
         if va.exact and vb.exact and va.value != vb.value and vs.exact:
             assert vs.value == low
+
+
+class TestExactState:
+    @given(series_pair())
+    def test_error_orders(self, pair):
+        a, b = pair
+        assert (a + b).prec == min(a.prec, b.prec)
+        exact_product = (a.prec == b.prec == math.inf) or any(
+            x.prec == math.inf and x.is_zero_to_prec() for x in pair
+        )
+        assert ((a * b).prec == math.inf) == exact_product
+
+    @given(series_pair(), st.integers(-3, 10))
+    def test_truncating_an_operand_agrees_with_the_exact_result(self, pair, n):
+        a, b = pair
+        if n > a.prec:
+            return
+        cut = a.truncate(n)
+        assert ((cut + b) - (a + b)).is_zero_to_prec()
+        assert ((cut * b) - (a * b)).is_zero_to_prec()
+
+    def test_exact_zero_has_infinite_valuation(self):
+        a = K3.from_int_terms({-1: 1, 2: 2}, math.inf)
+        for zero in (K3.zero(math.inf), a - a, a * K3.zero(math.inf)):
+            assert zero.prec == math.inf
+            assert zero.valuation() == ValuationResult.exactly(INFINITY)
+        # an exact zero times a truncated zero is still exactly zero
+        assert (K3.zero(math.inf) * K3.zero(4)).valuation().value == INFINITY
+
+    def test_inverse_of_an_exact_monomial_is_exact(self):
+        a = K3.make(-2, [F3.element([2])], math.inf)
+        inv = a.inverse()
+        assert inv == K3.make(2, [F3.element([2])], math.inf)
+        assert a * inv == K3.one(math.inf)
+
+    def test_inverse_of_an_exact_non_monomial_raises(self):
+        with pytest.raises(PrecisionError):
+            K3.from_int_terms({0: 1, 1: 1}, math.inf).inverse()
+
+    def test_exact_text_has_no_error_term(self):
+        assert K3.from_int_terms({-2: 1, 1: 2}, math.inf).to_text() == "t^-2 + 2*t^1"
+        assert K3.zero(math.inf).to_text() == "0"
+        assert K3.zero(5).to_text() == "O(t^5)"
+
+    def test_exact_powers_and_frobenius(self):
+        a = K2.from_int_terms({-1: 1, 0: 1}, math.inf)
+        assert a**4 == a.frobenius(2) == K2.from_int_terms({-4: 1, 0: 1}, math.inf)
+        assert a**0 == K2.one(math.inf)
 
 
 class TestPrecisionRules:

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from valfield import cli
 from valfield.cli import main
 from valfield.composite import CompositeField
-from valfield.errors import ParseError
+from valfield.errors import ParseError, PrecisionError
 from valfield.laurent import LaurentField, parse_series
 from valfield.parsing import (
     PAdicFieldRef,
@@ -264,12 +265,53 @@ class TestCliExitCodes:
     def test_fundeq_degree_zero_is_a_parse_error(self, capsys, field, poly):
         assert run_cli("fundeq", "--field", field, "--poly", poly) == 1
 
-    def test_precision_error_is_inconclusive(self, capsys):
+    def test_decompose_oracle_on_a_far_negative_leader(self, capsys):
+        # with exact digit monomials the image window settles; the made-up
+        # working precision used to raise PrecisionError here (exit 3)
         code = run_cli(
             "decompose", "--field", "F(2)((t))", "--poly", "t^-30*X^2 + X",
             "--prec", "4", "--oracle",
         )
+        assert code == 0
+        assert "identical" in capsys.readouterr().out
+
+    def test_precision_error_is_inconclusive(self, capsys, monkeypatch):
+        def stub(args):
+            raise PrecisionError("window did not settle")
+
+        monkeypatch.setattr(cli, "cmd_decompose", stub)
+        code = run_cli("decompose", "--field", "F(2)((t))", "--poly", "X")
         assert code == 3
+        assert "inconclusive at this precision" in capsys.readouterr().err
+
+    def test_oap_witness_is_exact(self, capsys):
+        code = run_cli(
+            "oap", "--field", "F(2)((t))", "--poly", "X1^4 + t*X2^2 + X1",
+            "--target", "t^-3 + t", "--prec", "4",
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "max v(target - f(a)): >=0\n" in out
+        assert "best input a_1: 0\nbest input a_2: t^-2\n" in out
+
+    def test_fundeq_laurent_degree_one(self, capsys):
+        # the p-adic and Laurent sides share one set of routes
+        code = run_cli("fundeq", "--field", "F(2)((t))", "--poly", "X")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "n = 1, e = 1, fRes = 1" in out
+        assert "certified by: degree-one" in out
+
+    @pytest.mark.parametrize(
+        "field, poly", [("F(3)((t))", "X^4 + t^2"), ("Q_3", "X^4 + 9")]
+    )
+    def test_fundeq_asserted(self, capsys, field, poly):
+        assert run_cli("fundeq", "--field", field, "--poly", poly) == 3
+        capsys.readouterr()
+        assert run_cli("fundeq", "--field", field, "--poly", poly, "--asserted") == 0
+        out = capsys.readouterr().out
+        assert "n = 4, e = 2, fRes = 2" in out
+        assert "certified by: asserted" in out
 
     def test_oap_beyond_the_old_enumeration_budget(self):
         # 1.3e8 digit vectors in the alpha ball: the span solver needs none
