@@ -313,7 +313,7 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
         (ga, sa), (gb, sb) = work[a], work[b]
         la, lb = ga.leading_coefficient(), gb.leading_coefficient()
         hb = gb.height()
-        mu = (la.coeffs[0] * lb.coeffs[0].inverse()).frobenius_root(hb)
+        mu = (la.coeff_at(la.low) / lb.coeff_at(lb.low)).frobenius_root(hb)
         shift = (la.low - lb.low) // (p**hb)
         delta = ga.height() - hb
         g = _truncate_poly(ga - gb.compose_monomial(mu, shift, delta), work_prec)
@@ -641,10 +641,9 @@ def _fp_coordinates(s: LaurentSeries, low: int, high: int) -> List[int]:
         raise PrecisionError(f"series known to O(t^{s.prec}) read up to t^{high}")
     k = s.field.base.k
     out = [0] * (max(0, high - low) * k)
-    for i, c in enumerate(s.coeffs):
-        pos = (s.low + i - low) * k
-        if 0 <= pos < len(out):
-            out[pos:pos + k] = c.coeffs
+    for e in range(max(low, s.low), min(high, s.low + len(s.coeffs))):
+        pos = (e - low) * k
+        out[pos:pos + k] = s.coeff_at(e).coeffs
     return out
 
 

@@ -276,7 +276,7 @@ def cmd_tmcne(args) -> int:
 
 
 def cmd_fundeq(args) -> int:
-    field = parse_any_field(args.field, prec=args.prec or 8)
+    field = parse_any_field(args.field, prec=8 if args.prec is None else args.prec)
     if isinstance(field, PAdicFieldRef):
         coeffs = parse_int_poly(args.poly)
     elif isinstance(field, LaurentField):
@@ -322,9 +322,17 @@ def cmd_selftest(args) -> int:
 # -- argument plumbing -----------------------------------------------------
 
 
+def _error_order(text: str) -> int:
+    """A --prec value: an integer error order of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"error order must be >= 1, got {n}")
+    return n
+
+
 def _add_common(sub, prec_default=8, budget=True):
     sub.add_argument("--field", required=True, help="field descriptor, e.g. \"F(3)((t))\"")
-    sub.add_argument("--prec", type=int, default=prec_default, help="working error order")
+    sub.add_argument("--prec", type=_error_order, default=prec_default, help="working error order")
     if budget:
         sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget")
     sub.add_argument("--json", metavar="PATH", help="write a JSON report ('-' for stdout)")
@@ -384,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("tmcne", help="non-equivalence certificate for an odd prime")
     s.add_argument("-p", type=int, required=True)
-    s.add_argument("--prec", type=int, default=None)
+    s.add_argument("--prec", type=_error_order, default=None)
     s.add_argument("--json", metavar="PATH")
     s.set_defaults(handler=cmd_tmcne)
 
     s = subs.add_parser("fundeq", help="fundamental equality n = e*fRes for an extension")
     s.add_argument("--poly", required=True)
     s.add_argument("--field", required=True, help="Q_p or F(q)((t))")
-    s.add_argument("--prec", type=int, default=None)
+    s.add_argument("--prec", type=_error_order, default=None)
     s.add_argument("--asserted", action="store_true", help="assert irreducibility externally")
     s.add_argument("--json", metavar="PATH")
     s.set_defaults(handler=cmd_fundeq)

@@ -5,12 +5,18 @@ When no modulus is supplied, one is found by trial search over monic
 polynomials in lexicographic coefficient order, so the choice is
 deterministic.  Root-finding is an exhaustive scan over the field; there is
 no factorization machinery beyond trial division at desk scale.
+
+``FFElement`` is the public scalar type, a reduced coefficient vector.  A
+descriptor also works on int codes, sum c_j p^j over that vector (the
+residue itself for k = 1): ``encode``/``decode`` convert at the boundary,
+and the ``*_code(s)`` methods and ``fold`` are the scalar arithmetic that
+the Laurent-series kernels run on, so those never build an ``FFElement``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DescriptorMismatchError, ParseError, ValfieldError
 from .polynomials import dense_eval, dense_trim
@@ -104,6 +110,14 @@ class FiniteFieldDescriptor:
         if k > 1 and not _pmod_irreducible(modulus, p):
             raise ValfieldError("modulus is reducible")
         self.modulus = modulus
+        # x^j mod the modulus for j = k .. 2k-2, as coefficient vectors
+        self._fold_rows: List[List[int]] = []
+        row = [(-c) % p for c in modulus[:k]]
+        for _ in range(k - 1):
+            self._fold_rows.append(row)
+            top = row[-1]
+            row = [(r - top * m) % p for r, m in zip([0] + row[:-1], modulus)]
+        self._frobenius: Dict[int, int] = {}  # code -> code of its p-th power, filled on use
 
     @staticmethod
     def _find_modulus(p: int, k: int) -> Tuple[int, ...]:
@@ -140,11 +154,95 @@ class FiniteFieldDescriptor:
 
     def elements(self) -> Iterator["FFElement"]:
         for code in range(self.q):
-            c, digits = code, []
-            for _ in range(self.k):
-                digits.append(c % self.p)
-                c //= self.p
-            yield FFElement(self, tuple(digits))
+            yield self.decode(code)
+
+    # -- int codes ---------------------------------------------------------
+    # The code of an element is sum c_j p^j over its coefficient vector, so
+    # for k = 1 it is the residue itself, 0 is zero and 1 is one, and
+    # elements() runs through the codes 0 .. q-1 in order.
+
+    def encode(self, x: "FFElement") -> int:
+        if x.desc is not self and x.desc != self:
+            raise DescriptorMismatchError("element from a different field")
+        code = 0
+        for c in reversed(x.coeffs):
+            code = code * self.p + c
+        return code
+
+    def decode(self, code: int) -> "FFElement":
+        return FFElement(self, tuple(self.digits(code)))
+
+    def digits(self, code: int) -> List[int]:
+        """The k coefficients of a code, lowest first."""
+        out = []
+        for _ in range(self.k):
+            code, c = divmod(code, self.p)
+            out.append(c)
+        return out
+
+    def fold(self, vec: Sequence[int]) -> int:
+        """The code of sum vec[j] x^j for any ints vec[j] and j <= 2k - 2,
+        reduced mod p and mod the modulus."""
+        p, k = self.p, self.k
+        out = list(vec[:k])
+        for c, row in zip(vec[k:], self._fold_rows):
+            if c:
+                for i in range(k):
+                    out[i] += c * row[i]
+        code = 0
+        for c in reversed(out):
+            code = code * p + c % p
+        return code
+
+    def add_codes(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        return self.fold([x + y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg_code(self, a: int) -> int:
+        if self.k == 1:
+            return -a % self.p
+        if self.p == 2:
+            return a
+        return self.fold([-x for x in self.digits(a)])
+
+    def mul_codes(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return a * b % self.p
+        prod = [0] * (2 * self.k - 1)
+        db = self.digits(b)
+        for i, x in enumerate(self.digits(a)):
+            if x:
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
+        return self.fold(prod)
+
+    def pow_code(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul_codes(result, a)
+            a = self.mul_codes(a, a)
+            e >>= 1
+        return result
+
+    def inverse_code(self, a: int) -> int:
+        if a == 0:
+            raise ValfieldError("inverse of zero in finite field")
+        return self.pow_code(a, self.q - 2)
+
+    def frobenius_code(self, a: int, times: int = 1) -> int:
+        """The p^times-th power of a code; a negative times gives the root.
+        p-th powers are remembered per descriptor as they are met."""
+        table = self._frobenius
+        for _ in range(times % self.k):
+            b = table.get(a)
+            if b is None:
+                b = table[a] = self.pow_code(a, self.p)
+            a = b
+        return a
 
     # -- identity ----------------------------------------------------------
 

@@ -12,6 +12,15 @@ every stored coefficient of a truncated series vanishes.  Consumers must
 branch on the two outcomes explicitly; an indeterminate valuation is never
 silently promoted to infinity.
 
+Coefficients are stored as int codes (``FiniteFieldDescriptor.encode``;
+over F_p a code is the residue itself), and the arithmetic works on the
+codes alone: a product packs both operands into one Python int each and
+multiplies once (Kronecker substitution), an inverse runs Newton's
+iteration with doubling precision on those products, and Frobenius
+re-spaces the exponents and maps each code through the descriptor's
+Frobenius table.  ``FFElement`` appears only at the boundary: ``coeff_at``,
+``residue``, ``scale``, ``from_terms``, parsing and ``to_text``.
+
 A truncated series prints with its error term and round-trips bit-exactly:
 
     t^-2 + 3*t^0 + t^5 + O(t^8)
@@ -100,20 +109,19 @@ class LaurentField:
 
     # -- constructors ------------------------------------------------------
 
-    def make(self, low: int, coeffs: Sequence[FFElement], prec: ErrorOrder) -> "LaurentSeries":
-        """Normalized series: leading/trailing zeros trimmed, clamped to prec."""
-        cs = list(coeffs)
-        while cs and cs[0].is_zero():
-            cs.pop(0)
-            low += 1
-        # clamp to the error order
-        if low + len(cs) > prec:
-            cs = cs[: max(0, prec - low)]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        if not cs:
+    def make(self, low: int, codes: Sequence[int], prec: ErrorOrder) -> "LaurentSeries":
+        """Normalized series from int codes: leading/trailing zeros trimmed,
+        clamped to prec."""
+        start = next((i for i, c in enumerate(codes) if c), len(codes))
+        low += start
+        stop = len(codes)
+        if low + stop - start > prec:
+            stop = start + max(0, prec - low)
+        while stop > start and not codes[stop - 1]:
+            stop -= 1
+        if stop == start:
             return LaurentSeries(self, prec, (), prec)
-        return LaurentSeries(self, low, tuple(cs), prec)
+        return LaurentSeries(self, low, tuple(codes[start:stop]), prec)
 
     def zero(self, prec: Optional[ErrorOrder] = None) -> "LaurentSeries":
         n = self.default_prec if prec is None else prec
@@ -124,19 +132,20 @@ class LaurentField:
 
     def t_power(self, e: int, prec: Optional[ErrorOrder] = None) -> "LaurentSeries":
         n = self.default_prec if prec is None else prec
-        return self.make(e, [self.base.one()], n)
+        return self.make(e, [1], n)
 
     def constant(self, c, prec: Optional[ErrorOrder] = None) -> "LaurentSeries":
         n = self.default_prec if prec is None else prec
-        return self.make(0, [self.base.element(c)], n)
+        return self.make(0, [self.base.encode(self.base.element(c))], n)
 
     def from_terms(self, terms: Dict[int, FFElement], prec: ErrorOrder) -> "LaurentSeries":
         if not terms:
             return self.zero(prec)
         low = min(terms)
-        hi = max(terms)
-        cs = [terms.get(e, self.base.zero()) for e in range(low, hi + 1)]
-        return self.make(low, cs, prec)
+        codes = [0] * (max(terms) - low + 1)
+        for e, c in terms.items():
+            codes[e - low] = self.base.encode(c)
+        return self.make(low, codes, prec)
 
     def from_int_terms(self, terms: Dict[int, int], prec: ErrorOrder) -> "LaurentSeries":
         return self.from_terms(
@@ -150,11 +159,15 @@ class LaurentField:
 
 
 class LaurentSeries:
-    """An element of F_q((t)) known modulo t^prec; prec = inf is exact."""
+    """An element of F_q((t)) known modulo t^prec; prec = inf is exact.
+
+    ``coeffs`` holds the int codes of the coefficients of t^low, t^(low+1),
+    ...; the first and last are nonzero.
+    """
 
     __slots__ = ("field", "low", "coeffs", "prec")
 
-    def __init__(self, field: LaurentField, low: int, coeffs: Tuple[FFElement, ...], prec: ErrorOrder):
+    def __init__(self, field: LaurentField, low: int, coeffs: Tuple[int, ...], prec: ErrorOrder):
         self.field = field
         self.low = low
         self.coeffs = coeffs
@@ -181,7 +194,7 @@ class LaurentSeries:
             raise PrecisionError(f"coefficient at t^{e} is beyond error order {self.prec}")
         i = e - self.low
         if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+            return self.field.base.decode(self.coeffs[i])
         return self.field.base.zero()
 
     def residue(self) -> FFElement:
@@ -193,7 +206,7 @@ class LaurentSeries:
         return self.coeff_at(0)
 
     def _check(self, other: "LaurentSeries") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DescriptorMismatchError("series over different fields")
 
     # -- arithmetic --------------------------------------------------------
@@ -207,18 +220,18 @@ class LaurentSeries:
             return self.truncate(prec)
         low = min(self.low, other.low)
         hi = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        zero = self.field.base.zero()
-        cs = [zero] * (hi - low)
-        for i, c in enumerate(self.coeffs):
-            cs[self.low - low + i] = c
-        for i, c in enumerate(other.coeffs):
-            j = other.low - low + i
-            cs[j] = cs[j] + c
-        return self.field.make(low, cs, prec)
+        codes = [0] * (hi - low)
+        i = self.low - low
+        codes[i:i + len(self.coeffs)] = self.coeffs
+        add = self.field.base.add_codes
+        for j, c in enumerate(other.coeffs, other.low - low):
+            codes[j] = add(codes[j], c)
+        return self.field.make(low, codes, prec)
 
     def __neg__(self) -> "LaurentSeries":
+        neg = self.field.base.neg_code
         return LaurentSeries(
-            self.field, self.low, tuple(-c for c in self.coeffs), self.prec
+            self.field, self.low, tuple(neg(c) for c in self.coeffs), self.prec
         )
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -233,24 +246,16 @@ class LaurentSeries:
         if not self.coeffs or not other.coeffs:
             return self.field.zero(prec)
         low = self.low + other.low
-        zero = self.field.base.zero()
-        out_len = min(len(self.coeffs) + len(other.coeffs) - 1, max(0, prec - low))
-        cs = [zero] * out_len
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            jmax = min(len(other.coeffs), out_len - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    cs[i + j] = cs[i + j] + a * b
-        return self.field.make(low, cs, prec)
+        n = min(len(self.coeffs) + len(other.coeffs) - 1, max(0, prec - low))
+        return self.field.make(low, _mul_codes(self.field.base, self.coeffs, other.coeffs, n), prec)
 
     def scale(self, c: FFElement) -> "LaurentSeries":
-        if c.is_zero():
+        base = self.field.base
+        code = base.encode(c)
+        if not code:
             return self.field.zero(self.prec)
         return LaurentSeries(
-            self.field, self.low, tuple(x * c for x in self.coeffs), self.prec
+            self.field, self.low, tuple(base.mul_codes(x, code) for x in self.coeffs), self.prec
         )
 
     def shift(self, e: int) -> "LaurentSeries":
@@ -258,10 +263,16 @@ class LaurentSeries:
         return LaurentSeries(self.field, self.low + e, self.coeffs, self.prec + e)
 
     def __pow__(self, e: int) -> "LaurentSeries":
+        """Powers; the p-power part of e is taken by Frobenius, which loses
+        no relative precision, and only the rest by multiplication."""
         if e < 0:
             return self.inverse() ** (-e)
         if e == 0:
             return self.field.one(self.prec)
+        p, a = self.field.base.p, 0
+        while e % p == 0:
+            e //= p
+            a += 1
         result = None
         base = self
         while e:
@@ -270,38 +281,38 @@ class LaurentSeries:
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return result.frobenius(a) if a else result
 
     def frobenius(self, times: int = 1) -> "LaurentSeries":
-        """p^times-th power; in characteristic p this acts coefficientwise."""
+        """p^times-th power; in characteristic p this acts coefficientwise,
+        spreading the exponents by p^times."""
         q = self.field.base.p**times
         if not self.coeffs:
             return self.field.zero(self.prec * q)
-        terms = {
-            (self.low + i) * q: c.frobenius(times)
-            for i, c in enumerate(self.coeffs)
-        }
-        return self.field.from_terms(terms, self.prec * q)
+        frob = self.field.base.frobenius_code
+        codes = [0] * ((len(self.coeffs) - 1) * q + 1)
+        codes[::q] = [frob(c, times) for c in self.coeffs]
+        return LaurentSeries(self.field, self.low * q, tuple(codes), self.prec * q)
 
     def inverse(self) -> "LaurentSeries":
         if not self.coeffs:
             raise IndeterminateValuationError("division by a series of indeterminate valuation")
+        base = self.field.base
         v = self.low
         if self.prec == math.inf:
             if len(self.coeffs) > 1:
                 raise PrecisionError("an exact non-monomial has no finite inverse")
-            return self.field.make(-v, [self.coeffs[0].inverse()], math.inf)
+            return self.field.make(-v, [base.inverse_code(self.coeffs[0])], math.inf)
         rel = self.prec - v  # digits of the unit part we know
+        # Newton: inv <- inv * (2 - unit * inv) doubles the known digits
         unit = self.coeffs
-        inv = [self.coeffs[0].inverse()]
-        zero = self.field.base.zero()
-        for m in range(1, rel):
-            s = zero
-            for j in range(1, m + 1):
-                uj = unit[j] if j < len(unit) else zero
-                if not uj.is_zero():
-                    s = s + uj * inv[m - j]
-            inv.append(-(s * inv[0]))
+        inv = [base.inverse_code(unit[0])]
+        neg = base.neg_code
+        while len(inv) < rel:
+            m = len(inv)
+            n = min(2 * m, rel)
+            err = _mul_codes(base, unit[:n], inv, n)[m:]  # unit * inv = 1 + t^m * err
+            inv += _mul_codes(base, inv, [neg(c) for c in err], n - m)
         return self.field.make(-v, inv, self.prec - 2 * v)
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -331,15 +342,15 @@ class LaurentSeries:
 
     def to_text(self) -> str:
         var = self.field.var
-        one = self.field.base.one()
+        decode = self.field.base.decode
         parts = [
             (
                 f"{var}^{self.low + i}"
-                if c == one
-                else f"{c.to_text()}*{var}^{self.low + i}"
+                if c == 1
+                else f"{decode(c).to_text()}*{var}^{self.low + i}"
             )
             for i, c in enumerate(self.coeffs)
-            if not c.is_zero()
+            if c
         ]
         if self.prec != math.inf:
             parts.append(f"O({var}^{self.prec})")
@@ -347,6 +358,44 @@ class LaurentSeries:
 
     def __repr__(self) -> str:
         return self.to_text()
+
+
+def _mul_codes(base: FiniteFieldDescriptor, a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
+    """The first n coefficient codes of a(t) * b(t), by Kronecker substitution.
+
+    Coefficient i becomes the 2k - 1 slots i*(2k-1) .. i*(2k-1) + 2k-2 of one
+    Python int, holding its k coordinates and k - 1 zeros; a slot is wide
+    enough for any coordinate sum of the product, so one int product gives
+    every product coefficient as 2k - 1 unreduced coordinates, which fold
+    reduces mod p and mod the modulus.
+    """
+    a, b = a[:n], b[:n]
+    if not a or not b:
+        return [0] * n
+    k, p = base.k, base.p
+    width = 2 * k - 1
+    size = (min(len(a), len(b)) * k * (p - 1) ** 2).bit_length() + 7 >> 3
+    if k == 1:
+        slots_a, slots_b = a, b
+    else:
+        pad = [0] * (k - 1)
+        slots_a = [x for c in a for x in base.digits(c) + pad]
+        slots_b = [x for c in b for x in base.digits(c) + pad]
+    data = (_pack(slots_a, size) * _pack(slots_b, size)).to_bytes(
+        (len(a) + len(b) - 1) * width * size, "little"
+    )
+    m = min(n, len(a) + len(b) - 1)
+    slots = [int.from_bytes(data[i:i + size], "little") for i in range(0, m * width * size, size)]
+    if k == 1:
+        out = [s % p for s in slots]
+    else:
+        out = [base.fold(slots[i:i + width]) for i in range(0, m * width, width)]
+    return out + [0] * (n - m)
+
+
+def _pack(slots: Sequence[int], size: int) -> int:
+    """One int with slots[i] at byte offset i * size."""
+    return int.from_bytes(b"".join([s.to_bytes(size, "little") for s in slots]), "little")
 
 
 # -- univariate polynomials over series ------------------------------------
@@ -412,6 +461,7 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
     if not a.valuation().exact:
         raise IndeterminateValuationError("cannot solve at indeterminate valuation")
 
+    base = field.base
     parts: List[LaurentSeries] = []
     current = a
     # peel leading terms of negative valuation
@@ -419,17 +469,17 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
         v = current.low
         if v % p != 0:
             return None
-        lead = current.coeffs[0]
-        m = field.make(v // p, [lead.frobenius_root()], current.prec)
+        root = base.frobenius_code(current.coeffs[0], -1)
+        m = field.make(v // p, [root], current.prec)
         parts.append(m)
         current = current - (m.frobenius() - m)
     if current.coeffs and current.low == 0:
-        r = current.residue()
-        y = None
-        for cand in field.base.elements():
-            if (cand.frobenius() - cand) == r:
-                y = cand
-                break
+        r = current.coeffs[0]
+        y = next(
+            (c for c in range(base.q)
+             if base.add_codes(base.frobenius_code(c), base.neg_code(c)) == r),
+            None,
+        )
         if y is None:
             return None
         m = field.make(0, [y], current.prec)

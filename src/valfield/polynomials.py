@@ -154,6 +154,10 @@ def _coeff_text(c) -> str:
 
 
 def _ring_pow(x, e: int):
+    """x^e for e >= 1.  A ring with a Frobenius powers itself, so that the
+    p-power part of e goes through Frobenius exactly; other rings multiply."""
+    if hasattr(x, "frobenius"):
+        return x**e
     result = None
     base = x
     while e:

@@ -1,12 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valfield.errors import ParseError, PrecisionError, ValfieldError
-from valfield.finite_field import FiniteFieldDescriptor, prime_field
+from valfield.errors import (
+    IndeterminateValuationError,
+    ParseError,
+    PrecisionError,
+    ValfieldError,
+)
+from valfield.finite_field import FFElement, FiniteFieldDescriptor, prime_field
 from valfield.laurent import (
     LaurentField,
     ValuationResult,
@@ -16,7 +22,7 @@ from valfield.laurent import (
     poly_derivative,
     split_terms,
 )
-from valfield.polynomials import dense_eval
+from valfield.polynomials import MultiPoly, dense_eval
 from valfield.value_group import INFINITY, Value
 
 F2 = prime_field(2)
@@ -103,9 +109,9 @@ class TestExactState:
         assert (K3.zero(math.inf) * K3.zero(4)).valuation().value == INFINITY
 
     def test_inverse_of_an_exact_monomial_is_exact(self):
-        a = K3.make(-2, [F3.element([2])], math.inf)
+        a = K3.from_terms({-2: F3.element([2])}, math.inf)
         inv = a.inverse()
-        assert inv == K3.make(2, [F3.element([2])], math.inf)
+        assert inv == K3.from_terms({2: F3.element([2])}, math.inf)
         assert a * inv == K3.one(math.inf)
 
     def test_inverse_of_an_exact_non_monomial_raises(self):
@@ -188,7 +194,7 @@ class TestTextRoundTrip:
         assert parse_series(a.field, a.to_text()) == a
 
     def test_extension_coefficients(self):
-        x = K4.make(-1, [K4.base.element([1, 1]), K4.base.element([0, 1])], 5)
+        x = K4.from_terms({-1: K4.base.element([1, 1]), 0: K4.base.element([0, 1])}, 5)
         assert parse_series(K4, x.to_text()) == x
 
     def test_parse_errors_reported(self):
@@ -308,3 +314,217 @@ def test_poly_derivative():
 def test_hensel_lift_of_an_empty_coefficient_list_is_an_error():
     with pytest.raises(ValfieldError):
         hensel_lift([], K2.zero(8), 4)
+
+
+# -- packed kernels against a schoolbook FFElement reference ----------------
+#
+# A reference series is (low, [FFElement, ...], prec), normalized as
+# LaurentField.make normalizes; the reference arithmetic below is the plain
+# per-coefficient algorithm, and results are compared as full
+# (low, codes, prec) triples.
+
+KERNEL_FIELDS = [
+    prime_field(2), prime_field(3), prime_field(5),
+    FiniteFieldDescriptor(2, 2), FiniteFieldDescriptor(3, 2), FiniteFieldDescriptor(2, 4),
+]
+
+
+def _code(x):
+    return sum(c * x.desc.p**j for j, c in enumerate(x.coeffs))
+
+
+def _ref_norm(low, cs, prec):
+    cs = list(cs)
+    while cs and cs[0].is_zero():
+        cs.pop(0)
+        low += 1
+    if low + len(cs) > prec:
+        cs = cs[: max(0, prec - low)]
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return (low, cs, prec) if cs else (prec, [], prec)
+
+
+def _ref_codes(r):
+    low, cs, prec = r
+    return (low, tuple(_code(c) for c in cs), prec)
+
+
+def _triple(s):
+    return (s.low, s.coeffs, s.prec)
+
+
+def _ref_floor(r):
+    return r[0] if r[1] else r[2]
+
+
+def _ref_mul(base, a, b):
+    prec = min(a[2] + _ref_floor(b), b[2] + _ref_floor(a))
+    if not a[1] or not b[1]:
+        return _ref_norm(prec, [], prec)
+    low = a[0] + b[0]
+    n = min(len(a[1]) + len(b[1]) - 1, max(0, prec - low))
+    cs = [base.zero()] * n
+    for i, x in enumerate(a[1]):
+        for j, y in enumerate(b[1][: max(0, n - i)]):
+            cs[i + j] = cs[i + j] + x * y
+    return _ref_norm(low, cs, prec)
+
+
+def _ref_inverse(base, a):
+    low, cs, prec = a
+    if not cs:
+        raise IndeterminateValuationError("zero")
+    if prec == math.inf:
+        if len(cs) > 1:
+            raise PrecisionError("exact non-monomial")
+        return _ref_norm(-low, [cs[0].inverse()], math.inf)
+    inv = [cs[0].inverse()]
+    for m in range(1, prec - low):
+        s = base.zero()
+        for j in range(1, min(m, len(cs) - 1) + 1):
+            s = s + cs[j] * inv[m - j]
+        inv.append(-(s * inv[0]))
+    return _ref_norm(-low, inv, prec - 2 * low)
+
+
+def _ref_frobenius(base, a, times):
+    q = base.p**times
+    low, cs, prec = a
+    out = [base.zero()] * max(0, (len(cs) - 1) * q + 1)
+    for i, c in enumerate(cs):
+        out[i * q] = c.frobenius(times)
+    return _ref_norm(low * q, out, prec * q)
+
+
+def _ref_repeated(base, a, m):
+    r = a
+    for _ in range(m - 1):
+        r = _ref_mul(base, r, a)
+    return r
+
+
+def _ref_pow(base, a, e):
+    if e < 0:
+        return _ref_pow(base, _ref_inverse(base, a), -e)
+    if e == 0:
+        return _ref_norm(0, [base.one()], a[2])
+    times = 0
+    while e % base.p == 0:
+        e //= base.p
+        times += 1
+    return _ref_frobenius(base, _ref_repeated(base, a, e), times)
+
+
+@st.composite
+def kernel_series(draw, max_len=300, field=None):
+    """(LaurentSeries, reference) over one of KERNEL_FIELDS: up to max_len
+    stored digits from a negative or positive low, runs of zeros included,
+    truncated at or past the last digit or exact."""
+    base = field if field is not None else draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(0, max_len))
+    low = draw(st.integers(-6, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = rng.choice([0.2, 0.9, 1.0])
+    cs = [
+        base.element(base.digits(rng.randrange(1, base.q))) if rng.random() < density else base.zero()
+        for _ in range(n)
+    ]
+    exact = draw(st.booleans())
+    prec = math.inf if exact else low + n + draw(st.integers(0, 4))
+    K = LaurentField(base, "t", default_prec=16)
+    s = K.from_terms({low + i: c for i, c in enumerate(cs) if not c.is_zero()}, prec)
+    return s, _ref_norm(low, cs, prec)
+
+
+KERNEL_IDS = ["F2", "F3", "F5", "F4", "F9", "F16"]
+
+
+@pytest.mark.parametrize("base", KERNEL_FIELDS, ids=KERNEL_IDS)
+class TestPackedKernels:
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_mul_matches_schoolbook(self, base, data):
+        a, ra = data.draw(kernel_series(field=base))
+        b, rb = data.draw(kernel_series(field=base))
+        assert _triple(a) == _ref_codes(ra)
+        assert _triple(a * b) == _ref_codes(_ref_mul(base, ra, rb))
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_inverse_matches_schoolbook(self, base, data):
+        a, ra = data.draw(kernel_series(field=base))
+        try:
+            expected = _ref_codes(_ref_inverse(base, ra))
+        except (IndeterminateValuationError, PrecisionError) as exc:
+            with pytest.raises(type(exc)):
+                a.inverse()
+            return
+        assert _triple(a.inverse()) == expected
+
+    @given(data=st.data(), times=st.integers(0, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_frobenius_matches_schoolbook(self, base, data, times):
+        a, ra = data.draw(kernel_series(field=base))
+        assert _triple(a.frobenius(times)) == _ref_codes(_ref_frobenius(base, ra, times))
+
+    @given(data=st.data(), e=st.integers(-3, 12))
+    @settings(max_examples=15, deadline=None)
+    def test_pow_matches_schoolbook(self, base, data, e):
+        a, ra = data.draw(kernel_series(max_len=24, field=base))
+        try:
+            expected = _ref_codes(_ref_pow(base, ra, e))
+        except (IndeterminateValuationError, PrecisionError) as exc:
+            with pytest.raises(type(exc)):
+                a**e
+            return
+        power = a**e
+        assert _triple(power) == expected
+        if e > 0:
+            # repeated multiplication knows less, and agrees as far as it knows
+            naive = _ref_repeated(base, ra, e)
+            assert naive[2] <= power.prec
+            assert _triple(power.truncate(naive[2])) == _ref_codes(naive)
+
+
+class TestFrobeniusPowering:
+    def test_pth_power_keeps_relative_precision(self):
+        a = K3.parse("t^-1 + O(t^2)")
+        assert a**9 == K3.parse("t^-9 + O(t^18)")
+        assert a**18 == K3.parse("t^-18 + O(t^9)")
+
+    def test_polynomial_evaluation_uses_frobenius(self):
+        x = K3.parse("t^-1 + O(t^2)")
+        assert MultiPoly(1, {(9,): K3.one(math.inf)}).evaluate([x]) == K3.parse("t^-9 + O(t^18)")
+
+
+@pytest.mark.parametrize("base", [prime_field(3), FiniteFieldDescriptor(2, 4)], ids=["F3", "F16"])
+def test_no_per_coefficient_ffelement_arithmetic(base, monkeypatch):
+    """The series kernels never fall back to FFElement + or *."""
+    prec = 256
+    K = LaurentField(base, "t", default_prec=prec)
+    rng = random.Random(6)
+
+    def digits(lo, hi):
+        return K.from_int_terms({e: base.digits(rng.randrange(base.q)) for e in range(lo, hi)}, prec)
+
+    a = K.t_power(-3, prec) + digits(-2, prec)
+    b = K.one(prec) + digits(1, prec)
+    r = digits(1, prec)
+    s = K.one(prec) + digits(1, prec)
+    f = [r * s, -(r + s), K.one(prec)]  # roots r and s, with s - r a unit
+    x0 = K.t_power(-3, prec) + digits(-2, prec)
+    as_input = x0.frobenius() - x0
+
+    def boom(self, other):
+        raise AssertionError("FFElement arithmetic inside a series kernel")
+
+    monkeypatch.setattr(FFElement, "__add__", boom)
+    monkeypatch.setattr(FFElement, "__mul__", boom)
+    assert (a * b).prec == prec - 3
+    assert (b * b.inverse() - K.one(prec)).is_zero_to_prec()
+    assert a.frobenius(2).prec == prec * base.p**2
+    root = hensel_lift(f, K.zero(prec), prec)
+    assert (root - r).is_zero_to_prec()
+    y = artin_schreier_solve(as_input)
+    assert y is not None and (y.frobenius() - y - as_input).is_zero_to_prec()

@@ -381,3 +381,23 @@ class TestCliExitCodes:
             "100",
         )
         assert code == 4
+
+
+class TestPrecOption:
+    """--prec is an error order of at least 1, checked when parsed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oap", "--field", "F(2)((t))", "--poly", "X", "--target", "t^-1", "--prec", "0"],
+            ["decompose", "--field", "F(3)((t))", "--poly", "X^3 + t*X", "--prec", "-2"],
+            ["extremal", "--field", "F(2)((t))", "--poly", "X^2 + t", "--prec", "0"],
+            ["tmcne", "-p", "3", "--prec", "0"],
+            ["fundeq", "--field", "F(2)((t))", "--poly", "X", "--prec", "0"],
+            ["fundeq", "--field", "Q_3", "--poly", "X", "--prec", "-1"],
+        ],
+        ids=["oap", "decompose", "extremal", "tmcne", "fundeq-laurent", "fundeq-padic"],
+    )
+    def test_error_order_below_one_is_a_usage_error(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        assert "error order must be >= 1" in capsys.readouterr().err
