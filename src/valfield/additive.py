@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PrecisionError, ValfieldError
-from .extremality import Ball, check_budget, extremal_search, DEFAULT_BUDGET
+from .extremality import Ball, check_budget, digit_window, extremal_search, DEFAULT_BUDGET
 from .finite_field import FFElement
 from .laurent import LaurentField, LaurentSeries, ValuationResult
 from .polynomials import MultiPoly
@@ -313,7 +313,7 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
         (ga, sa), (gb, sb) = work[a], work[b]
         la, lb = ga.leading_coefficient(), gb.leading_coefficient()
         hb = gb.height()
-        mu = (la.coeff_at(la.low) / lb.coeff_at(lb.low)).frobenius_root(hb)
+        mu = (la.coeff_at(la.low) / lb.coeff_at(lb.low)).frobenius(-hb)
         shift = (la.low - lb.low) // (p**hb)
         delta = ga.height() - hb
         g = _truncate_poly(ga - gb.compose_monomial(mu, shift, delta), work_prec)
@@ -522,25 +522,15 @@ def truncated_image(
     is the part of the image falling in the window [out_low, out_prec).
     """
     field = f.field
-    elems = list(field.base.elements())
-    ranges = []
-    total = 1
+    tops = []
     for i in range(f.nvars):
         g = f.restrict(i)
-        hi = max(_digit_horizon(g, out_prec), in_low) if not g.is_zero() else in_low
-        ranges.append(list(range(in_low, hi)))
-        total *= field.base.q ** len(ranges[-1])
-    check_budget(total, budget)
+        tops.append(max(_digit_horizon(g, out_prec), in_low) if not g.is_zero() else in_low)
+    check_budget(field.base.q ** sum(hi - in_low for hi in tops), budget)
     out = set()
-    for combo in itertools.product(
-        *[itertools.product(elems, repeat=len(r)) for r in ranges]
+    for args in itertools.product(
+        *[digit_window(field, in_low, hi, math.inf) for hi in tops]
     ):
-        args = [
-            field.from_terms(
-                {e: d for e, d in zip(r, digits) if not d.is_zero()}, math.inf
-            )
-            for r, digits in zip(ranges, combo)
-        ]
         value = f.evaluate(args)
         if out_low is not None and not value.is_zero_to_prec():
             if value.valuation_floor() < out_low:
@@ -560,19 +550,11 @@ def decomposition_image(
     """Image of g_1(K) + ... + g_m(K) at the same truncation, built by
     summing per-variable image sets.  out_low filters as in
     truncated_image."""
-    elems = list(field.base.elements())
     current: Dict[object, LaurentSeries] = {"0": field.zero(math.inf)}
     for g in dec.polys:
         hi = max(_digit_horizon(g, out_prec), in_low)
-        levels = list(range(in_low, hi))
-        check_budget(len(current) * field.base.q ** len(levels), budget)
-        values = []
-        for digits in itertools.product(elems, repeat=len(levels)):
-            y = field.from_terms(
-                {e: d for e, d in zip(levels, digits) if not d.is_zero()},
-                math.inf,
-            )
-            values.append(g.evaluate([y]))
+        check_budget(len(current) * field.base.q ** (hi - in_low), budget)
+        values = [g.evaluate([y]) for y in digit_window(field, in_low, hi, math.inf)]
         nxt: Dict[object, LaurentSeries] = {}
         for s in current.values():
             for v in values:
@@ -603,10 +585,7 @@ def _digit_generators(
     """
     field = f.field
     desc = field.base
-    basis = [
-        desc.element([1 if r == s else 0 for s in range(desc.k)])
-        for r in range(desc.k)
-    ]
+    basis = [FFElement(desc, desc.p**r) for r in range(desc.k)]
     gens = []
     for i in range(f.nvars):
         g = f.restrict(i)
@@ -627,23 +606,17 @@ def image_generators(
     return [g for *_, g in _digit_generators(f, out_prec, in_low)]
 
 
-def decomposition_generators(
-    dec: Decomposition, field: LaurentField, out_prec: int, in_low: int = 0
-) -> List[LaurentSeries]:
-    """The same single-digit generators for sum g_1(K) + ... + g_m(K)."""
-    return image_generators(dec.summed(field), out_prec, in_low)
-
-
 def _fp_coordinates(s: LaurentSeries, low: int, high: int) -> List[int]:
     """F_p-coordinates of the coefficients of t^low .. t^(high - 1) of s,
     ordered by (exponent, coordinate); terms below t^low are not read."""
     if s.prec < high:
         raise PrecisionError(f"series known to O(t^{s.prec}) read up to t^{high}")
-    k = s.field.base.k
+    desc = s.field.base
+    k = desc.k
     out = [0] * (max(0, high - low) * k)
     for e in range(max(low, s.low), min(high, s.low + len(s.coeffs))):
         pos = (e - low) * k
-        out[pos:pos + k] = s.coeff_at(e).coeffs
+        out[pos:pos + k] = desc.digits(s.coeffs[e - s.low])
     return out
 
 
@@ -719,7 +692,7 @@ def decomposition_image_agrees(
             image_generators(f, out_prec, in_low=level), field, out_prec, out_low
         )
         nd = windowed_image_span(
-            decomposition_generators(dec, field, out_prec, in_low=level),
+            image_generators(dec.summed(field), out_prec, in_low=level),
             field,
             out_prec,
             out_low,

@@ -349,7 +349,7 @@ def fundeq_laurent(
         len(coeffs) - 1,
         polygon,
         lambda: field.base.k == 1 and _pmod_irreducible(
-            tuple(0 if c is None else c.residue().coeffs[0] for c in coeffs),
+            tuple(0 if c is None else c.residue().code for c in coeffs),
             field.base.p,
         ),
         irreducible_asserted,

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from .composite import CompositeElement, CompositeField
 from .errors import BudgetExceededError, ValfieldError
-from .laurent import LaurentField, LaurentSeries, ValuationResult
+from .laurent import ErrorOrder, LaurentField, LaurentSeries, ValuationResult
 from .polynomials import MultiPoly
 from .value_group import Value
 
@@ -54,17 +54,22 @@ class SearchResult:
 # -- enumeration of truncated representatives ------------------------------
 
 
+def digit_window(
+    field: LaurentField, lo: int, hi: int, prec: ErrorOrder
+) -> Iterator[LaurentSeries]:
+    """Every sum of digits c_e t^e over lo <= e < hi, at error order prec,
+    with the digit codes counting up lexicographically, t^lo slowest."""
+    for codes in itertools.product(range(field.base.q), repeat=max(0, hi - lo)):
+        yield field.make(lo, codes, prec)
+
+
 def ball_representatives(
     field: LaurentField, ball: Ball, upto: int
 ) -> Iterator[LaurentSeries]:
     """All representatives of the ball modulo t^upto, at precision upto."""
-    levels = list(range(ball.radius, upto))
-    base = field.base
-    elems = list(base.elements())
     center = ball.center.truncate(min(ball.center.prec, upto)) if ball.center.prec > upto else ball.center
-    for digits in itertools.product(elems, repeat=len(levels)):
-        terms = {e: d for e, d in zip(levels, digits) if not d.is_zero()}
-        yield center + field.from_terms(terms, upto)
+    for digits in digit_window(field, ball.radius, upto, upto):
+        yield center + digits
 
 
 def ball_count(field: LaurentField, ball: Ball, upto: int) -> int:
@@ -86,21 +91,9 @@ def integral_composite_representatives(
     The coefficient of t^0 ranges over u-digits in [0, prec_u); higher
     t-coefficients may dip to u-level u_floor.
     """
-    inner = field.inner
-    base = field.base
-    elems = list(base.elements())
-
-    def inner_range(lo: int) -> List[LaurentSeries]:
-        levels = list(range(lo, field.prec_u))
-        out = []
-        for digits in itertools.product(elems, repeat=len(levels)):
-            terms = {e: d for e, d in zip(levels, digits) if not d.is_zero()}
-            out.append(inner.from_terms(terms, field.prec_u))
-        return out
-
-    slot_options = [inner_range(0)] + [
-        inner_range(u_floor) for _ in range(1, field.prec_t)
-    ]
+    inner, n = field.inner, field.prec_u
+    lower = list(digit_window(inner, u_floor, n, n))
+    slot_options = [list(digit_window(inner, 0, n, n))] + [lower] * (field.prec_t - 1)
     for combo in itertools.product(*slot_options):
         yield field.make(
             {e: c for e, c in enumerate(combo) if not c.is_zero_to_prec()}

@@ -6,11 +6,11 @@ polynomials in lexicographic coefficient order, so the choice is
 deterministic.  Root-finding is an exhaustive scan over the field; there is
 no factorization machinery beyond trial division at desk scale.
 
-``FFElement`` is the public scalar type, a reduced coefficient vector.  A
-descriptor also works on int codes, sum c_j p^j over that vector (the
-residue itself for k = 1): ``encode``/``decode`` convert at the boundary,
-and the ``*_code(s)`` methods and ``fold`` are the scalar arithmetic that
-the Laurent-series kernels run on, so those never build an ``FFElement``.
+An element is an int code, sum c_j p^j over its reduced coefficient vector
+(the residue itself for k = 1).  The descriptor's ``*_code(s)`` methods and
+``fold`` are the only scalar arithmetic: the Laurent-series kernels run on
+them directly, and ``FFElement``, the public scalar type, is a descriptor
+and a code whose operators each call into them.
 """
 
 from __future__ import annotations
@@ -129,23 +129,21 @@ class FiniteFieldDescriptor:
     # -- element construction ---------------------------------------------
 
     def element(self, coeffs) -> "FFElement":
+        """The element with coefficient vector coeffs (or an int for c_0)."""
         if isinstance(coeffs, FFElement):
             if coeffs.desc is not self and coeffs.desc != self:
                 raise DescriptorMismatchError("element from a different field")
             return coeffs
-        if isinstance(coeffs, int):
-            coeffs = [coeffs]
-        c = [x % self.p for x in coeffs]
-        if len(c) > self.k:
+        coeffs = [coeffs] if isinstance(coeffs, int) else list(coeffs)
+        if len(coeffs) > self.k:
             raise ValfieldError("coefficient vector longer than k")
-        c += [0] * (self.k - len(c))
-        return FFElement(self, tuple(c))
+        return FFElement(self, self.fold(coeffs))
 
     def zero(self) -> "FFElement":
-        return self.element(0)
+        return FFElement(self, 0)
 
     def one(self) -> "FFElement":
-        return self.element(1)
+        return FFElement(self, 1)
 
     def gen(self) -> "FFElement":
         if self.k == 1:
@@ -154,23 +152,12 @@ class FiniteFieldDescriptor:
 
     def elements(self) -> Iterator["FFElement"]:
         for code in range(self.q):
-            yield self.decode(code)
+            yield FFElement(self, code)
 
     # -- int codes ---------------------------------------------------------
     # The code of an element is sum c_j p^j over its coefficient vector, so
     # for k = 1 it is the residue itself, 0 is zero and 1 is one, and
     # elements() runs through the codes 0 .. q-1 in order.
-
-    def encode(self, x: "FFElement") -> int:
-        if x.desc is not self and x.desc != self:
-            raise DescriptorMismatchError("element from a different field")
-        code = 0
-        for c in reversed(x.coeffs):
-            code = code * self.p + c
-        return code
-
-    def decode(self, code: int) -> "FFElement":
-        return FFElement(self, tuple(self.digits(code)))
 
     def digits(self, code: int) -> List[int]:
         """The k coefficients of a code, lowest first."""
@@ -268,56 +255,41 @@ class FiniteFieldDescriptor:
 
 
 class FFElement:
-    """A field element as a reduced coefficient vector of length k."""
+    """A field element: its descriptor and its int code."""
 
-    __slots__ = ("desc", "coeffs", "_hash")
+    __slots__ = ("desc", "code")
 
-    def __init__(self, desc: FiniteFieldDescriptor, coeffs: Tuple[int, ...]):
+    def __init__(self, desc: FiniteFieldDescriptor, code: int):
         self.desc = desc
-        self.coeffs = coeffs
-        self._hash = None
+        self.code = code
+
+    @property
+    def coeffs(self) -> Tuple[int, ...]:
+        """The reduced coefficient vector, lowest first."""
+        return tuple(self.desc.digits(self.code))
 
     def _check(self, other: "FFElement") -> None:
-        if self.desc != other.desc:
+        if self.desc is not other.desc and self.desc != other.desc:
             raise DescriptorMismatchError("elements of different fields")
 
     def __add__(self, other: "FFElement") -> "FFElement":
         self._check(other)
-        p = self.desc.p
-        return FFElement(
-            self.desc, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return FFElement(self.desc, self.desc.add_codes(self.code, other.code))
 
     def __sub__(self, other: "FFElement") -> "FFElement":
         self._check(other)
-        p = self.desc.p
-        return FFElement(
-            self.desc, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        d = self.desc
+        return FFElement(d, d.add_codes(self.code, d.neg_code(other.code)))
 
     def __neg__(self) -> "FFElement":
-        p = self.desc.p
-        return FFElement(self.desc, tuple((-a) % p for a in self.coeffs))
+        return FFElement(self.desc, self.desc.neg_code(self.code))
 
     def __mul__(self, other: "FFElement") -> "FFElement":
         self._check(other)
-        d = self.desc
-        if d.k == 1:
-            return FFElement(d, ((self.coeffs[0] * other.coeffs[0]) % d.p,))
-        prod = [0] * (2 * d.k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] = (prod[i + j] + a * b) % d.p
-        rem = _pmod_rem(prod, d.modulus, d.p)
-        rem = list(rem) + [0] * (d.k - len(rem))
-        return FFElement(d, tuple(rem))
+        return FFElement(self.desc, self.desc.mul_codes(self.code, other.code))
 
     def inverse(self) -> "FFElement":
-        if self.is_zero():
-            raise ValfieldError("inverse of zero in finite field")
-        return self ** (self.desc.q - 2)
+        return FFElement(self.desc, self.desc.inverse_code(self.code))
 
     def __truediv__(self, other: "FFElement") -> "FFElement":
         self._check(other)
@@ -326,43 +298,28 @@ class FFElement:
     def __pow__(self, e: int) -> "FFElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.desc.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FFElement(self.desc, self.desc.pow_code(self.code, e))
 
     def frobenius(self, times: int = 1) -> "FFElement":
-        return self ** (self.desc.p**times)
-
-    def frobenius_root(self, times: int = 1) -> "FFElement":
-        """The unique y with y^(p^times) = self."""
-        e, r = self.desc.k, times % self.desc.k
-        if r == 0:
-            return self
-        return self ** (self.desc.p ** (e - r))
+        """The p^times-th power; a negative times gives the unique root."""
+        return FFElement(self.desc, self.desc.frobenius_code(self.code, times))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.code
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FFElement)
-            and self.desc == other.desc
-            and self.coeffs == other.coeffs
+            and self.code == other.code
+            and (self.desc is other.desc or self.desc == other.desc)
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.coeffs, self.desc.p, self.desc.k))
-        return self._hash
+        return hash((self.code, self.desc.q))
 
     def to_text(self) -> str:
         if self.desc.k == 1:
-            return str(self.coeffs[0])
+            return str(self.code)
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
     def __repr__(self) -> str:

@@ -12,14 +12,15 @@ every stored coefficient of a truncated series vanishes.  Consumers must
 branch on the two outcomes explicitly; an indeterminate valuation is never
 silently promoted to infinity.
 
-Coefficients are stored as int codes (``FiniteFieldDescriptor.encode``;
-over F_p a code is the residue itself), and the arithmetic works on the
-codes alone: a product packs both operands into one Python int each and
-multiplies once (Kronecker substitution), an inverse runs Newton's
-iteration with doubling precision on those products, and Frobenius
-re-spaces the exponents and maps each code through the descriptor's
-Frobenius table.  ``FFElement`` appears only at the boundary: ``coeff_at``,
-``residue``, ``scale``, ``from_terms``, parsing and ``to_text``.
+Coefficients are stored as the int codes of ``finite_field`` (over F_p a
+code is the residue itself), and the arithmetic works on the codes alone:
+a product packs both operands into one Python int each and multiplies
+once (Kronecker substitution), an inverse runs Newton's iteration with
+doubling precision on those products, and Frobenius re-spaces the
+exponents and maps each code through the descriptor's Frobenius table.
+``coeff_at`` and ``residue`` hand a code out as an ``FFElement``;
+``constant``, ``from_terms`` and ``scale`` take one (or an int or a
+coordinate list) and keep its code.
 
 A truncated series prints with its error term and round-trips bit-exactly:
 
@@ -136,21 +137,19 @@ class LaurentField:
 
     def constant(self, c, prec: Optional[ErrorOrder] = None) -> "LaurentSeries":
         n = self.default_prec if prec is None else prec
-        return self.make(0, [self.base.encode(self.base.element(c))], n)
+        return self.make(0, [self.base.element(c).code], n)
 
-    def from_terms(self, terms: Dict[int, FFElement], prec: ErrorOrder) -> "LaurentSeries":
+    def from_terms(self, terms: Dict[int, object], prec: ErrorOrder) -> "LaurentSeries":
+        """sum c_e t^e, each c_e an FFElement, an int or a coordinate list."""
         if not terms:
             return self.zero(prec)
         low = min(terms)
         codes = [0] * (max(terms) - low + 1)
         for e, c in terms.items():
-            codes[e - low] = self.base.encode(c)
+            codes[e - low] = self.base.element(c).code
         return self.make(low, codes, prec)
 
-    def from_int_terms(self, terms: Dict[int, int], prec: ErrorOrder) -> "LaurentSeries":
-        return self.from_terms(
-            {e: self.base.element(c) for e, c in terms.items()}, prec
-        )
+    from_int_terms = from_terms
 
     # -- parsing -----------------------------------------------------------
 
@@ -194,7 +193,7 @@ class LaurentSeries:
             raise PrecisionError(f"coefficient at t^{e} is beyond error order {self.prec}")
         i = e - self.low
         if 0 <= i < len(self.coeffs):
-            return self.field.base.decode(self.coeffs[i])
+            return FFElement(self.field.base, self.coeffs[i])
         return self.field.base.zero()
 
     def residue(self) -> FFElement:
@@ -249,9 +248,10 @@ class LaurentSeries:
         n = min(len(self.coeffs) + len(other.coeffs) - 1, max(0, prec - low))
         return self.field.make(low, _mul_codes(self.field.base, self.coeffs, other.coeffs, n), prec)
 
-    def scale(self, c: FFElement) -> "LaurentSeries":
+    def scale(self, c) -> "LaurentSeries":
+        """c * self, for c an FFElement, an int or a coordinate list."""
         base = self.field.base
-        code = base.encode(c)
+        code = base.element(c).code
         if not code:
             return self.field.zero(self.prec)
         return LaurentSeries(
@@ -342,12 +342,12 @@ class LaurentSeries:
 
     def to_text(self) -> str:
         var = self.field.var
-        decode = self.field.base.decode
+        base = self.field.base
         parts = [
             (
                 f"{var}^{self.low + i}"
                 if c == 1
-                else f"{decode(c).to_text()}*{var}^{self.low + i}"
+                else f"{FFElement(base, c).to_text()}*{var}^{self.low + i}"
             )
             for i, c in enumerate(self.coeffs)
             if c
@@ -402,13 +402,7 @@ def _pack(slots: Sequence[int], size: int) -> int:
 
 
 def poly_derivative(coeffs: Sequence[LaurentSeries]) -> List[LaurentSeries]:
-    out = []
-    for i, c in enumerate(coeffs):
-        if i == 0:
-            continue
-        scalar = c.field.base.element(i)
-        out.append(c.scale(scalar))
-    return out
+    return [c.scale(i) for i, c in enumerate(coeffs) if i]
 
 
 def hensel_lift(

@@ -477,7 +477,7 @@ def fundamental_equality_data(ring: PAdicExtRing) -> FundamentalEqualityData:
         ring.degree,
         ring.polygon(),
         lambda: _pmod_irreducible(
-            tuple(c.residue().coeffs[0] for c in ring.modulus), ring.p
+            tuple(c.residue().code for c in ring.modulus), ring.p
         ),
         ring.irreducible_asserted,
     )

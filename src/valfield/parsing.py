@@ -175,28 +175,14 @@ def parse_poly(
         coeff = _coefficient(field, t)
         mono = tuple(t.vars.get(i, 0) for i in range(n))
         out[mono] = out[mono] + coeff if mono in out else coeff
-    poly = MultiPoly(n, out)
-    return _drop_zero_terms(poly)
-
-
-def _drop_zero_terms(poly: MultiPoly) -> MultiPoly:
-    kept = {
-        mono: c
-        for mono, c in poly.terms.items()
-        if not getattr(c, "is_zero_to_prec", lambda: False)()
-    }
-    return MultiPoly(poly.nvars, kept)
+    return MultiPoly(n, out)
 
 
 def _coefficient(field: Union[LaurentField, CompositeField], t: _Term):
+    c = t.sign * t.number
     if isinstance(field, CompositeField):
-        base = field.base
-        c = base.element([t.sign * t.number % base.p])
-        inner = field.inner.t_power(t.unif.get(field.inner.var, 0), field.prec_u)
-        inner = inner.scale(c)
+        inner = field.inner.t_power(t.unif.get(field.inner.var, 0), field.prec_u).scale(c)
         return field.make({t.unif.get(field.outer_var, 0): inner})
-    base = field.base
-    c = base.element([t.sign * t.number % base.p])
     return field.t_power(t.unif.get(field.var, 0)).scale(c)
 
 
@@ -297,8 +283,7 @@ def parse_ball(text: str, field: LaurentField, prec: Optional[int] = None) -> Ba
     center_text = m.group(2).strip()
     prec = field.default_prec if prec is None else prec
     if re.fullmatch(r"-?\d+", center_text):
-        c = field.base.element([int(center_text) % field.base.p])
-        center = field.constant(c, prec)
+        center = field.constant(int(center_text), prec)
     else:
         center = parse_series(field, center_text, prec)
     return Ball(center, radius)

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from valfield.additive import AdditivePolynomial, truncated_image
 from valfield.composite import CompositeField
 from valfield.errors import BudgetExceededError, ValfieldError
 from valfield.extremality import (
@@ -18,7 +20,7 @@ from valfield.extremality import (
     integral_composite_representatives,
     valuation_multiset,
 )
-from valfield.finite_field import prime_field
+from valfield.finite_field import FFElement, FiniteFieldDescriptor, prime_field
 from valfield.laurent import LaurentField
 from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
@@ -37,6 +39,23 @@ class TestRepresentatives:
         for r in ball_representatives(K2, ball, 3):
             d = r - K2.t_power(-1, 5)
             assert d.is_zero_to_prec() or d.valuation_floor() >= 1
+
+    @pytest.mark.parametrize(
+        "base", [prime_field(2), prime_field(3), FiniteFieldDescriptor(2, 2)], ids=["F2", "F3", "F4"]
+    )
+    def test_ball_representatives_in_digit_order(self, base):
+        # the same sequence as summing the centre with every digit choice,
+        # the digits running through base.elements() with t^radius slowest
+        K = LaurentField(base, "t", default_prec=8)
+        center = K.from_terms({-1: base.one(), 1: base.gen(), 2: -base.one(), 5: base.one()}, 6)
+        radius, upto = 1, 4
+        levels = range(radius, upto)
+        expected = [
+            center.truncate(upto)
+            + K.from_terms({e: d for e, d in zip(levels, digits) if not d.is_zero()}, upto)
+            for digits in itertools.product(list(base.elements()), repeat=len(levels))
+        ]
+        assert list(ball_representatives(K, Ball(center, radius), upto)) == expected
 
     def test_composite_count(self, C2):
         reps = list(integral_composite_representatives(C2))
@@ -169,3 +188,27 @@ class TestCompositeCheck:
         g = MultiPoly(2, {(1, 1): inner.one(6)})
         with pytest.raises(BudgetExceededError):
             check_vexbarwex(g, C2, budget=10)
+
+
+def test_enumerations_build_no_ffelement(C2, K2, monkeypatch):
+    """The digit enumerations and the searches over them run on codes."""
+    K4 = LaurentField(FiniteFieldDescriptor(2, 2), "t", default_prec=8)
+    f = MultiPoly(1, {(2,): K4.one(8), (1,): K4.t_power(1, 8), (0,): K4.t_power(1, 8)})
+    inner = C2.inner
+    g = MultiPoly(1, {(2,): inner.one(6), (0,): inner.t_power(1, 6)}).map_coeffs(C2.from_inner)
+    a = AdditivePolynomial(K2, 2, {(0, 1): K2.one(8), (1, 0): K2.t_power(-1, 8)})
+
+    def run():
+        return (
+            extremal_search(f, K4, prec=3),
+            composite_extremal_search(g, C2),
+            truncated_image(a, 3, out_low=0),
+        )
+
+    expected = run()
+
+    def boom(self, *args):
+        raise AssertionError("FFElement built inside an enumeration")
+
+    monkeypatch.setattr(FFElement, "__init__", boom)
+    assert run() == expected

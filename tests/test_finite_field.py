@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from valfield.errors import ParseError, ValfieldError
 from valfield.finite_field import (
+    FFElement,
     FiniteFieldDescriptor,
     artin_schreier_irreducible,
     has_root,
@@ -56,8 +57,8 @@ class TestFieldAxioms:
     @given(field_and_elements(count=1))
     def test_frobenius_is_field_automorphism_inverse_pair(self, data):
         desc, (a,) = data
-        assert a.frobenius().frobenius_root() == a
-        assert a.frobenius_root().frobenius() == a
+        assert a.frobenius().frobenius(-1) == a
+        assert a.frobenius(-1).frobenius() == a
 
     @given(field_and_elements(count=2))
     def test_frobenius_additive_multiplicative(self, data):
@@ -70,6 +71,110 @@ class TestFieldAxioms:
             elems = list(desc.elements())
             assert len(elems) == desc.q
             assert len(set(elems)) == desc.q
+
+
+# -- the code layer against a schoolbook coordinate reference --------------
+#
+# The reference works on coordinate tuples (c_0, ..., c_{k-1}): sums
+# coordinatewise, products by schoolbook multiplication and long division by
+# the modulus, inverses by scanning the field.  It shares nothing with the
+# descriptor's code arithmetic but the modulus and the code convention
+# code = sum c_j p^j.
+
+REFERENCE_FIELDS = FIELDS + [FiniteFieldDescriptor(2, 4)]
+REFERENCE_IDS = ["F2", "F3", "F5", "F4", "F9", "F8", "F16"]
+
+
+def _ref_coords(desc, code):
+    return tuple(code // desc.p**j % desc.p for j in range(desc.k))
+
+
+def _ref_code(desc, coords):
+    return sum(c * desc.p**j for j, c in enumerate(coords))
+
+
+def _ref_add(desc, a, b):
+    return tuple((x + y) % desc.p for x, y in zip(a, b))
+
+
+def _ref_neg(desc, a):
+    return tuple(-x % desc.p for x in a)
+
+
+def _ref_rem(a, b, p):
+    """Remainder of a by the monic b over Z/p, as a length-(len(b)-1) tuple."""
+    a = [x % p for x in a]
+    for top in range(len(a) - 1, len(b) - 2, -1):
+        q = a[top]
+        for i, bi in enumerate(b):
+            a[top - len(b) + 1 + i] = (a[top - len(b) + 1 + i] - q * bi) % p
+    return tuple(a[: len(b) - 1])
+
+
+def _ref_mul(desc, a, b):
+    prod = [0] * (2 * desc.k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_rem(prod, desc.modulus, desc.p)
+
+
+def _ref_pow(desc, a, e):
+    out = _ref_coords(desc, 1)
+    for _ in range(e):
+        out = _ref_mul(desc, out, a)
+    return out
+
+
+def _ref_inverse(desc, a):
+    one = _ref_coords(desc, 1)
+    return next(
+        (y for y in (_ref_coords(desc, c) for c in range(desc.q)) if _ref_mul(desc, a, y) == one),
+        None,
+    )
+
+
+@pytest.mark.parametrize("desc", REFERENCE_FIELDS, ids=REFERENCE_IDS)
+class TestCodeLayerAgainstReference:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_arithmetic(self, desc, data):
+        ca, cb = data.draw(st.integers(0, desc.q - 1)), data.draw(st.integers(0, desc.q - 1))
+        a, b = FFElement(desc, ca), FFElement(desc, cb)
+        ra, rb = _ref_coords(desc, ca), _ref_coords(desc, cb)
+        assert (a + b).code == _ref_code(desc, _ref_add(desc, ra, rb))
+        assert (a - b).code == _ref_code(desc, _ref_add(desc, ra, _ref_neg(desc, rb)))
+        assert (-a).code == _ref_code(desc, _ref_neg(desc, ra))
+        assert (a * b).code == _ref_code(desc, _ref_mul(desc, ra, rb))
+        assert a.coeffs == ra
+        inv = _ref_inverse(desc, ra)
+        if inv is None:
+            with pytest.raises(ValfieldError):
+                a.inverse()
+        else:
+            assert a.inverse().code == _ref_code(desc, inv)
+
+    @given(data=st.data(), times=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_frobenius_and_its_inverse(self, desc, data, times):
+        code = data.draw(st.integers(0, desc.q - 1))
+        a, ra = FFElement(desc, code), _ref_coords(desc, code)
+        assert a.frobenius(times).code == _ref_code(desc, _ref_pow(desc, ra, desc.p**times))
+        root = a.frobenius(-times)
+        assert _ref_pow(desc, root.coeffs, desc.p**times) == ra
+
+    @given(data=st.data(), e=st.integers(-3, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_pow(self, desc, data, e):
+        code = data.draw(st.integers(0, desc.q - 1))
+        a, ra = FFElement(desc, code), _ref_coords(desc, code)
+        if e < 0:
+            ra = _ref_inverse(desc, ra)
+            if ra is None:
+                with pytest.raises(ValfieldError):
+                    a**e
+                return
+        assert (a**e).code == _ref_code(desc, _ref_pow(desc, ra, abs(e)))
 
 
 class TestModulusSelection:
