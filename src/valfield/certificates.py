@@ -317,19 +317,14 @@ def verify_tmcne(p: int, prec: Optional[int] = None) -> TmcneCertificate:
 def fundeq_padic(
     p: int,
     coeffs: Sequence[Union[int, Fraction]],
-    prec: Optional[int] = None,
     irreducible_asserted: bool = False,
 ) -> FundEqCertificate:
-    def run(work_prec: int) -> FundamentalEqualityData:
-        ring = PAdicExtRing(
-            p, coeffs, prec=work_prec,
-            irreducible_asserted=irreducible_asserted,
-        )
-        return fundamental_equality_data(ring)
-
-    deg = len([c for c in coeffs]) - 1
-    initial = prec if prec is not None else 4 * deg * deg
-    data = with_precision_retry(run, max(initial, 8))
+    """Extension of Q_p presented by a defining polynomial.  The report
+    depends only on the exact Newton polygon and on residues of the
+    coefficients, which any error order >= 1 reads, so one ring at its
+    default order settles it."""
+    ring = PAdicExtRing(p, coeffs, irreducible_asserted=irreducible_asserted)
+    data = fundamental_equality_data(ring)
     text = poly_text_from_coeffs(coeffs)
     return FundEqCertificate(**vars(data), polynomial=f"{text} over Q_{p}")
 
@@ -365,12 +360,11 @@ def fundeq_laurent(
 def verify_fundamental_equality(
     field,
     coeffs,
-    prec: Optional[int] = None,
     irreducible_asserted: bool = False,
 ) -> FundEqCertificate:
     """Dispatch on the base: Q_p (integer p) or a Laurent-series field."""
     if isinstance(field, int):
-        return fundeq_padic(field, coeffs, prec, irreducible_asserted)
+        return fundeq_padic(field, coeffs, irreducible_asserted)
     if isinstance(field, LaurentField):
         return fundeq_laurent(field, coeffs, irreducible_asserted)
     raise ValfieldError("unsupported base for the fundamental equality check")

@@ -276,7 +276,7 @@ def cmd_tmcne(args) -> int:
 
 
 def cmd_fundeq(args) -> int:
-    field = parse_any_field(args.field, prec=8 if args.prec is None else args.prec)
+    field = parse_any_field(args.field, prec=args.prec)
     if isinstance(field, PAdicFieldRef):
         coeffs = parse_int_poly(args.poly)
     elif isinstance(field, LaurentField):
@@ -288,7 +288,7 @@ def cmd_fundeq(args) -> int:
     if len(coeffs) < 2:
         raise ParseError(f"fundeq needs a polynomial of degree >= 1, got {args.poly!r}")
     if isinstance(field, PAdicFieldRef):
-        cert = fundeq_padic(field.p, coeffs, prec=args.prec, irreducible_asserted=args.asserted)
+        cert = fundeq_padic(field.p, coeffs, irreducible_asserted=args.asserted)
     else:
         cert = fundeq_laurent(field, coeffs, irreducible_asserted=args.asserted)
     print(f"polynomial: {cert.polynomial}")
@@ -399,7 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("fundeq", help="fundamental equality n = e*fRes for an extension")
     s.add_argument("--poly", required=True)
     s.add_argument("--field", required=True, help="Q_p or F(q)((t))")
-    s.add_argument("--prec", type=_error_order, default=None)
+    s.add_argument(
+        "--prec", type=_error_order, default=8,
+        help="error order of the Laurent coefficients (unused over Q_p)",
+    )
     s.add_argument("--asserted", action="store_true", help="assert irreducibility externally")
     s.add_argument("--json", metavar="PATH")
     s.set_defaults(handler=cmd_fundeq)

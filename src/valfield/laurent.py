@@ -19,8 +19,8 @@ once (Kronecker substitution), an inverse runs Newton's iteration with
 doubling precision on those products, and Frobenius re-spaces the
 exponents and maps each code through the descriptor's Frobenius table.
 ``coeff_at`` and ``residue`` hand a code out as an ``FFElement``;
-``constant``, ``from_terms`` and ``scale`` take one (or an int or a
-coordinate list) and keep its code.
+``from_terms`` and ``scale`` take one (or an int or a coordinate list)
+and keep its code.
 
 A truncated series prints with its error term and round-trips bit-exactly:
 
@@ -28,9 +28,12 @@ A truncated series prints with its error term and round-trips bit-exactly:
 
 with coefficients in finite-field element syntax (plain integers for prime
 fields, bracketed coefficient lists for extensions).  An exact series
-prints as the plain sum of its terms, and the exact zero as ``0``; typed
-text without an O-term is read as known to the default error order, so
-that round trip covers truncated series only.
+prints as the plain sum of its terms, and the exact zero as ``0``.
+``parse_series`` reads series text through ``polynomials.parse_sum``, the
+one term grammar, so typed text may also use products, parentheses and
+powers, in the series variable alone; text without an O-term is read as
+known to the default error order, so the round trip covers truncated
+series only.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .errors import (
     ValfieldError,
 )
 from .finite_field import FFElement, FiniteFieldDescriptor
-from .polynomials import dense_eval
+from .polynomials import dense_eval, parse_sum
 from .value_group import INFINITY, Value
 
 ErrorOrder = Union[int, float]  # an integer N, or math.inf for an exact series
@@ -134,10 +137,6 @@ class LaurentField:
     def t_power(self, e: int, prec: Optional[ErrorOrder] = None) -> "LaurentSeries":
         n = self.default_prec if prec is None else prec
         return self.make(e, [1], n)
-
-    def constant(self, c, prec: Optional[ErrorOrder] = None) -> "LaurentSeries":
-        n = self.default_prec if prec is None else prec
-        return self.make(0, [self.base.element(c).code], n)
 
     def from_terms(self, terms: Dict[int, object], prec: ErrorOrder) -> "LaurentSeries":
         """sum c_e t^e, each c_e an FFElement, an int or a coordinate list."""
@@ -498,96 +497,18 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
 def parse_series(
     field: LaurentField, text: str, default_prec: Optional[int] = None
 ) -> LaurentSeries:
-    """Parse the bit-exact text form produced by LaurentSeries.to_text()."""
-    var = field.var
-    s = text.strip()
-    if not s:
-        raise ParseError("empty series text")
-    prec = None
-    m = re.search(r"O\(\s*" + re.escape(var) + r"\^(-?\d+)\s*\)\s*$", s)
+    """Read a sum in the series variable alone, by ``parse_sum``, with an
+    optional trailing ``O(t^N)``; the bit-exact inverse of ``to_text()``."""
+    m = re.search(r"(?:\+\s*)?O\(\s*" + re.escape(field.var) + r"\^(-?\d+)\s*\)\s*$", text)
+    body, prec = text, field.default_prec if default_prec is None else default_prec
     if m:
-        prec = int(m.group(1))
-        s = s[: m.start()].rstrip()
-        s = re.sub(r"\+\s*$", "", s).rstrip()
-    if prec is None:
-        prec = field.default_prec if default_prec is None else default_prec
+        body, prec = text[: m.start()], int(m.group(1))
     terms: Dict[int, FFElement] = {}
-    if s:
-        for sign, chunk in split_terms(s):
-            e, c = _parse_term(field, chunk, text)
-            c = -c if sign < 0 else c
-            terms[e] = terms.get(e, field.base.zero()) + c
+    if m is None or body.strip():  # a bare O-term is the zero series
+        for key, c in parse_sum(body, field.base.element).items():
+            names = dict(key)
+            e = names.pop(field.var, 0)
+            if names:
+                raise ParseError(f"unknown symbol {min(names)!r} in series {text!r}")
+            terms[e] = terms[e] + c if e in terms else c
     return field.from_terms(terms, prec)
-
-
-def split_terms(text: str) -> List[Tuple[int, str]]:
-    """Split a sum at its top-level + and - into (sign, term) pairs.
-
-    ( and [ nest; a sign right after ^ or * belongs to an exponent or a
-    factor, and a sign with no term before it (leading, or after another
-    sign) multiplies into the sign of the next term.
-    """
-    out = []
-    sign = 1
-    depth = 0
-    buf = ""
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        term = buf.strip()
-        if ch in "+-" and depth == 0 and not term.endswith(("^", "*")):
-            if term:
-                out.append((sign, term))
-                sign = 1
-            sign, buf = (-sign if ch == "-" else sign), ""
-        else:
-            buf += ch
-    if buf.strip():
-        out.append((sign, buf.strip()))
-    elif text.strip():
-        raise ParseError(f"sum ends in a sign: {text!r}")
-    if not out:
-        raise ParseError(f"no terms in {text!r}")
-    return out
-
-
-def _parse_term(field: LaurentField, chunk: str, original: str) -> Tuple[int, FFElement]:
-    var = field.var
-    coeff_text = None
-    exp = 0
-    if "*" in chunk:
-        coeff_text, power = chunk.split("*", 1)
-    else:
-        power = chunk
-    power = power.strip()
-    if power.startswith(var):
-        rest = power[len(var):].strip()
-        if rest.startswith("^"):
-            try:
-                exp = int(rest[1:])
-            except ValueError:
-                raise ParseError(f"bad exponent in {original!r}") from None
-        elif rest == "":
-            exp = 1
-        else:
-            raise ParseError(f"cannot parse term {chunk!r} in {original!r}")
-    elif coeff_text is None:
-        coeff_text, exp = power, 0
-    else:
-        raise ParseError(f"cannot parse term {chunk!r} in {original!r}")
-    if coeff_text is None:
-        c = field.base.one()
-    else:
-        c = _parse_ff(field.base, coeff_text.strip(), original)
-    return exp, c
-
-
-def _parse_ff(base: FiniteFieldDescriptor, s: str, original: str) -> FFElement:
-    try:
-        if s.startswith("[") and s.endswith("]"):
-            return base.element([int(x) for x in s[1:-1].split(",")])
-        return base.element(int(s))
-    except (ValueError, ValfieldError) as exc:
-        raise ParseError(f"bad coefficient {s!r} in {original!r}: {exc}") from None

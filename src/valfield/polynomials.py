@@ -9,13 +9,18 @@ code carries polynomials over truncated Laurent series, over composite
 on plain coefficient lists indexed by degree; none of them needs a zero
 element of the ring, so a coefficient that is zero only to some precision
 keeps its own error order instead of borrowing one from a made-up zero.
+
+``parse_sum`` is the one reader of term text (series, polynomials over
+series fields, integer polynomials); the front ends in ``laurent`` and
+``parsing`` only decide what the names in its monomials mean.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+import re
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import ValfieldError
+from .errors import ParseError, ValfieldError
 
 Monomial = Tuple[int, ...]
 
@@ -241,3 +246,161 @@ def dense_eval(a: Sequence, x):
     for i in range(len(a) - 2, -1, -1):
         acc = acc * x + a[i]
     return acc
+
+
+# -- the term grammar ----------------------------------------------------------
+
+# an integer, a [c0,...] literal, a name (letters, then digits), an operator
+_TOKEN = re.compile(r"\s*(\d+|\[\s*[+-]?\d+(?:\s*,\s*[+-]?\d+)*\s*\]|[A-Za-z]+\d*|[-+*^()])")
+
+NameKey = Tuple[Tuple[str, int], ...]
+
+
+def parse_sum(text: str, scalar: Callable) -> Dict[NameKey, object]:
+    """Read a sum of signed products into {monomial: coefficient}.
+
+    A monomial is the sorted tuple of its (name, exponent) pairs, one pair
+    per name, exponents merged over the product.  ``scalar`` turns an int
+    or a list of ints (a ``[c0,...]`` literal) into a coefficient.
+
+    Grammar: a sum is products joined by signs; a leading run of signs,
+    and a run of signs between products, multiplies into one sign.  A
+    product is factors joined by an optional ``*``; a sign right after
+    ``*`` belongs to the next factor.  A factor is an integer, a
+    ``[c0,...]`` literal, a name or a parenthesised sum, optionally raised
+    to ``^e`` or ``^(e)`` with e a signed integer; only names take negative
+    exponents, and a literal or group is raised by square-and-multiply.
+    A syntax error is a ``ParseError`` at the offset of the offending token.
+    """
+    reader = _Reader(text, scalar)
+    try:
+        out = reader.sum()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", reader.position()) from None
+    if reader.peek() is not None:
+        raise ParseError(f"unexpected {reader.peek()!r}", reader.position())
+    return out
+
+
+class _Reader:
+    """Recursive descent over the tokens of one text, which end in (None, len(text))."""
+
+    def __init__(self, text: str, scalar: Callable):
+        self.scalar = scalar
+        self.one = scalar(1)
+        self.tokens: List[Tuple[Optional[str], int]] = []
+        pos = 0
+        while m := _TOKEN.match(text, pos):
+            self.tokens.append((m.group(1), m.start(1)))
+            pos = m.end()
+        rest = text[pos:].lstrip()
+        if rest:
+            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+        self.tokens.append((None, len(text)))
+        self.i = 0
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.i][0]
+
+    def position(self) -> int:
+        return self.tokens[self.i][1]
+
+    def take(self) -> str:
+        tok, pos = self.tokens[self.i]
+        if tok is None:
+            raise ParseError("unexpected end of expression", pos)
+        self.i += 1
+        return tok
+
+    def signs(self) -> int:
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                sign = -sign
+        return sign
+
+    def sum(self) -> Dict[NameKey, object]:
+        out: Dict[NameKey, object] = {}
+        while True:
+            _add_into(out, self.product(self.signs()))
+            if self.peek() not in ("+", "-"):
+                return out
+
+    def product(self, sign: int) -> Dict[NameKey, object]:
+        out = self.factor()
+        while self.peek() not in (None, "+", "-", ")"):
+            if self.peek() == "*":
+                self.take()
+                sign *= self.signs()
+            out = _mul_sums(out, self.factor())
+        return out if sign > 0 else {k: -c for k, c in out.items()}
+
+    def factor(self) -> Dict[NameKey, object]:
+        pos = self.position()
+        tok = self.take()
+        if tok == "(":
+            base = self.sum()
+            self.close()
+        elif tok[0].isdigit() or tok[0] == "[":
+            value = int(tok) if tok[0].isdigit() else [int(x) for x in tok[1:-1].split(",")]
+            try:
+                base = {(): self.scalar(value)}
+            except (ValfieldError, TypeError) as exc:
+                raise ParseError(f"bad coefficient {tok!r}: {exc}", pos) from None
+        elif tok[0].isalpha():
+            return {((tok, self.exponent()),): self.one}
+        else:
+            raise ParseError(f"unexpected {tok!r}", pos)
+        e = self.exponent()
+        if e < 0:
+            raise ParseError("only names take negative exponents", pos)
+        return _power_sum(base, e, self.one)
+
+    def exponent(self) -> int:
+        """The exponent after a factor: 1 unless a ``^`` follows."""
+        if self.peek() != "^":
+            return 1
+        self.take()
+        group = self.peek() == "("
+        if group:
+            self.take()
+        sign = self.signs()
+        pos = self.position()
+        tok = self.take()
+        if not tok.isdigit():
+            raise ParseError(f"bad exponent {tok!r}", pos)
+        if group:
+            self.close()
+        return sign * int(tok)
+
+    def close(self) -> None:
+        if self.peek() != ")":
+            raise ParseError("unbalanced parenthesis", self.position())
+        self.take()
+
+
+def _add_into(out: Dict, part: Dict) -> None:
+    for k, c in part.items():
+        out[k] = out[k] + c if k in out else c
+
+
+def _mul_sums(a: Dict, b: Dict) -> Dict:
+    out: Dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            names = dict(ka)
+            for n, e in kb:
+                names[n] = names.get(n, 0) + e
+            _add_into(out, {tuple(sorted(names.items())): ca * cb})
+    return out
+
+
+def _power_sum(base: Dict, e: int, one) -> Dict:
+    result = {(): one}
+    while e:
+        if e & 1:
+            result = _mul_sums(result, base)
+        e >>= 1
+        if e:
+            base = _mul_sums(base, base)
+    return result

@@ -115,7 +115,7 @@ class TestDecompose:
         # linear summand 2*X is onto K, so every other summand reduces to 0
         t = K3.t_power(1, 16)
         f = AdditivePolynomial(
-            K3, 2, {(0, 2): t, (0, 0): K3.constant(2, 16), (1, 1): t, (1, 0): t}
+            K3, 2, {(0, 2): t, (0, 0): K3.from_terms({0: 2}, 16), (1, 1): t, (1, 0): t}
         )
         dec = decompose(f)
         assert dec.nu == 0

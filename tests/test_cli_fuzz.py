@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-junk = st.text(alphabet="Xt^*+-()[]0123456789,;_O ", max_size=12)
+junk = st.text(alphabet="Xt^*+-()[]0123456789,;_O ", max_size=12) | st.just("(" * 2000 + "X")
 
 # field -> exponents that are powers of its characteristic
 LAURENT = {
@@ -26,6 +26,7 @@ LAURENT = {
     "F(4)((t))": ["", "^2", "^4"],
     "F(2^2; modulus=[1,1,1])((t))": ["", "^2"],
 }
+F4 = {"F(4)((t))", "F(2^2; modulus=[1,1,1])((t))"}
 PADIC = ["Q_3", "Q_5"]
 
 
@@ -34,6 +35,8 @@ def poly(draw, field):
     exps = LAURENT.get(field, ["", "^2", "^3", "^4"])
     if field in LAURENT:
         coeffs = ["", "t*", "t^-1*", "t^-2*", "2*", "t^2*", "[1,1]*t*"]
+        if field in F4:
+            coeffs += ["[0,1]*", "[1,1]*t^-1*"]
     else:
         coeffs = ["", "2*", "3*", "9*"]
     terms = draw(st.lists(
@@ -47,7 +50,7 @@ def poly(draw, field):
     ))
     text = "".join("".join(t) for t in terms)[3:]
     if draw(st.booleans()):
-        text += draw(st.sampled_from([" + t^-3", " + 1", " + 3"]))
+        text += draw(st.sampled_from([" + t^-3", " + 1", " + 3", " + (X1 + t*X2)^2"]))
     return text
 
 

@@ -20,9 +20,8 @@ from valfield.laurent import (
     hensel_lift,
     parse_series,
     poly_derivative,
-    split_terms,
 )
-from valfield.polynomials import MultiPoly, dense_eval
+from valfield.polynomials import MultiPoly, dense_eval, parse_sum
 from valfield.value_group import INFINITY, Value
 
 F2 = prime_field(2)
@@ -218,16 +217,32 @@ class TestTextRoundTrip:
             parse_series(K4, "[1,1,1]*t^-1")
 
 
-class TestSplitTerms:
+class TestTermSigns:
+    """The sign rules of the one term grammar, at the level of parse_sum."""
+
+    F9 = FiniteFieldDescriptor(3, 2)
+
     def test_signs_brackets_and_exponents(self):
-        assert split_terms("-t^-2*X + [1,-1]*t - -X2") == [
-            (-1, "t^-2*X"),
-            (1, "[1,-1]*t"),
-            (1, "X2"),
-        ]
+        e = self.F9.element
+        assert parse_sum("-t^-2*X + [1,-1]*t - -X2", e) == {
+            (("X", 1), ("t", -2)): e(-1),
+            (("t", 1),): e([1, -1]),
+            (("X2", 1),): e(1),
+        }
+        assert parse_sum("t^(-2) + t^+1", e) == {(("t", -2),): e(1), (("t", 1),): e(1)}
 
     def test_sign_after_star_stays_in_the_term(self):
-        assert split_terms("2*-X + (t - 1)") == [(1, "2*-X"), (1, "(t - 1)")]
+        e = self.F9.element
+        assert parse_sum("2*-X + (t - 1)", e) == {
+            (("X", 1),): e(-2),
+            (("t", 1),): e(1),
+            (): e(-1),
+        }
+
+    @pytest.mark.parametrize("text", ["t^2 +", "-", "2*X -", "2*-", "t^-"])
+    def test_dangling_sign_is_an_error(self, text):
+        with pytest.raises(ParseError, match=f"at position {len(text)}"):
+            parse_sum(text, self.F9.element)
 
 
 class TestHensel:

@@ -6,11 +6,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from valfield import cli
 from valfield.cli import main
 from valfield.composite import CompositeField
 from valfield.errors import ParseError, PrecisionError
+from valfield.finite_field import FiniteFieldDescriptor
 from valfield.laurent import LaurentField, parse_series
 from valfield.parsing import (
     PAdicFieldRef,
@@ -19,6 +22,7 @@ from valfield.parsing import (
     parse_int_poly,
     parse_poly,
 )
+from valfield.polynomials import MultiPoly
 
 
 class TestFieldParsing:
@@ -90,6 +94,50 @@ class TestPolyParsing:
         K = parse_any_field("F(2)((t))", prec=8)
         ball = parse_ball("v>=0 around 0", K)
         assert ball.center.is_zero_to_prec()
+
+    def test_error_reports_the_offending_offset(self):
+        K = parse_any_field("F(3)((t))", prec=8)
+        with pytest.raises(ParseError, match=r"'\^' \(at position 4\)"):
+            parse_poly("2*X^^2 + t", K)
+        with pytest.raises(ParseError, match=r"'\)' \(at position 7\)"):
+            parse_int_poly("(X + 1))")
+
+
+@st.composite
+def literal_terms(draw):
+    """A series field over F_3, F_4 or F_9 and terms (sign, [c], j, i, e)."""
+    base = draw(st.sampled_from([(3, 1), (2, 2), (3, 2)]))
+    K = LaurentField(FiniteFieldDescriptor(*base), "t", default_prec=6)
+    terms = draw(st.lists(
+        st.tuples(
+            st.sampled_from([1, -1]),
+            st.lists(st.integers(-3, 3), min_size=1, max_size=base[1]),
+            st.integers(-3, 7),
+            st.integers(1, 3),
+            st.integers(0, 3),
+        ),
+        min_size=1, max_size=5,
+    ))
+    return K, terms
+
+
+class TestLiteralCoefficients:
+    @given(literal_terms())
+    def test_text_equals_the_poly_built_from_terms(self, case):
+        K, terms = case
+        text = " ".join(
+            f"{'+' if sign > 0 else '-'} [{','.join(map(str, c))}]*t^{j}*X{i}^{e}"
+            for sign, c, j, i, e in terms
+        )
+        n = max(i for _, _, _, i, _ in terms)
+        digits = {}
+        for sign, c, j, i, e in terms:
+            mono = tuple(e if k == i - 1 else 0 for k in range(n))
+            c = K.base.element(c) if sign > 0 else -K.base.element(c)
+            d = digits.setdefault(mono, {})
+            d[j] = d[j] + c if j in d else c
+        expected = MultiPoly(n, {m: K.from_terms(d, K.default_prec) for m, d in digits.items()})
+        assert parse_poly(text, K) == expected
 
 
 def run_cli(*argv):
@@ -246,6 +294,24 @@ class TestCliExitCodes:
         proc = run_cli_process("fundeq", "--field", field, "--poly", "X^2 - 3")
         assert proc.returncode == 1
         assert "not prime" in proc.stderr
+
+    def test_extension_literal_as_a_polynomial_coefficient(self, capsys):
+        code = run_cli(
+            "extremal", "--field", "F(2^2; modulus=[1,1,1])((t))",
+            "--poly", "X^2 + t*X + [0,1]",
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("field", ["Q_3", "F(2)((t))"])
+    @pytest.mark.parametrize(
+        "poly", ["(" * 2000 + "X", "(" * 2000 + "X" + ")" * 2000], ids=["unclosed", "closed"]
+    )
+    def test_deep_nesting_is_a_parse_error(self, field, poly):
+        command = "fundeq" if field == "Q_3" else "extremal"
+        proc = run_cli_process(command, "--field", field, "--poly", poly)
+        assert proc.returncode == 1
+        assert "nested too deeply" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["oap", "alpha", "decompose"])
     def test_non_additive_exponent_is_a_parse_error(self, capsys, command):
