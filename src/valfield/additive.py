@@ -27,9 +27,10 @@ coefficient; a p-polynomial adds a constant.  The central operations:
 * ``oap_solve`` finds a best approximation of a target z by the image of
   f.  Additive polynomials are F_p-linear, so inside the alpha ball the
   image modulo the requested precision is the F_p-span of single-digit
-  generators g_i(lambda * t^j); the solver reduces z against an echelon
-  basis of that span, once per generator precision, and pulls the winning
-  combination back through the sections.  Exhaustive enumeration stays in
+  generators g_i(lambda * t^j); the solver inserts them into one echelon,
+  most precise first, reduces z against it in one walk whose known order
+  drops to the precision of each row used, and pulls the combination back
+  through the sections.  Exhaustive enumeration stays in
   the oracles (``brute_force_max``, ``truncated_image``,
   ``decomposition_image``) that tests and ``--oracle`` compare against.
 
@@ -422,11 +423,14 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
     The image of f equals the image of its decomposition, and on the alpha
     ball that image is the F_p-span of the single-digit generators
     g_i(lambda * t^j).  A combination is known only to the lowest
-    precision among the generators it uses, so the span is reduced once
-    per bound B = min(generator precision, z.prec, prec), with just the
-    generators known to at least B and z read below B.  The best pass wins
-    (an exact answer beats ">= B" on a tie) and its combination, read as
-    digits, is mapped back through the sections.
+    precision among the generators it uses.  The generators enter one
+    echelon most precise first, each read below min(its precision, top),
+    so the pivot row at a column is the most precise span element that
+    pivots there.  One walk reduces z: each row used lowers the known order
+    to its precision; the first surviving column without a pivot is the
+    exact answer, and reaching the known order answers ">= order".  The
+    combination, read as digits, is mapped back through the sections.
+    The F_p matrix is charged to the default budget before it is built.
     """
     field = f.field
     dec = decompose(f)
@@ -437,53 +441,41 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
     alpha_v = alpha_bound(PPolynomial(f, -z), dec)
     alpha = int(alpha_v.first)
     gens = _digit_generators(dec.summed(field), prec, alpha, min_width=1)
+    gens.sort(key=lambda gen: -gen[3].prec)
     top = min(z.prec, prec)
     low = min([top, z.valuation_floor()] + [g.valuation_floor() for *_, g in gens])
-    best = None
-    for bound in sorted({min(g.prec, top) for *_, g in gens} | {top}, reverse=True):
-        used = [gen for gen in gens if gen[3].prec >= bound]
-        key, exact, combo = _reduce_in_span(z, [g for *_, g in used], low, bound)
-        if best is None or (key, exact) > best[:2]:
-            best = (key, exact, zip(used, combo))
-    key, exact, combo = best
+    p, k, n = field.base.p, field.base.k, len(gens)
+    width = (top - low) * k
+    check_budget(n * (width + n), DEFAULT_BUDGET)
+    pivots: Dict[int, List[int]] = {}
+    known: Dict[int, int] = {}  # pivot column -> precision of its row
+    # an identity block after the coordinates carries each row's combination
+    for r, (*_, g) in enumerate(gens):
+        stop = min(g.prec, top)
+        coords = _fp_coordinates(g, low, stop)
+        row = coords + [0] * (width - len(coords) + n)
+        row[width + r] = 1
+        col = _fp_insert(pivots, row, len(coords), p)
+        if col is not None:
+            known[col] = stop
+    vec = _fp_coordinates(z, low, top) + [0] * n
+    order, col, exact = top, 0, False
+    while col < (order - low) * k:
+        x = vec[col]
+        if x:
+            if col not in pivots:
+                exact = True
+                break
+            vec[col:] = [(y - x * w) % p for y, w in zip(vec[col:], pivots[col][col:])]
+            order = min(order, known[col])
+        col += 1
+    # the identity block of vec holds minus each generator's digit
     ys = [field.zero(math.inf) for _ in dec.polys]
-    for (i, j, lam, _), a in combo:
-        ys[i] = ys[i] + field.from_terms({j: lam * field.base.element(a)}, math.inf)
-    value = ValuationResult(exact, Value.rank1(key))
+    for (i, j, lam, _), a in zip(gens, vec[width:]):
+        if a:
+            ys[i] = ys[i] + field.from_terms({j: lam * field.base.element(-a % p)}, math.inf)
+    value = ValuationResult(exact, Value.rank1(low + col // k if exact else order))
     return OapResult(dec.pullback(ys, field), tuple(ys), value, alpha_v)
-
-
-def _reduce_in_span(
-    z: LaurentSeries, gens: Sequence[LaurentSeries], low: int, high: int
-) -> Tuple[int, bool, List[int]]:
-    """Best approximation of z by the F_p-span of gens on t^low .. t^(high-1).
-
-    Returns (valuation, exact, combination): the leading exponent of z
-    fully reduced against the echelon basis, exact, or (high, False) when
-    nothing below t^high survives; the combination gives each generator's
-    F_p coefficient in the element subtracted from z.  An identity block
-    appended to each row carries the combination through the echelon.
-    """
-    desc = z.field.base
-    p, n = desc.p, len(gens)
-    width = (high - low) * desc.k
-    rows = [
-        _fp_coordinates(g, low, high) + [int(r == c) for c in range(n)]
-        for r, g in enumerate(gens)
-    ]
-    vec = _fp_coordinates(z, low, high) + [0] * n
-    for row in _fp_echelon(rows, p):
-        pivot = next(i for i, x in enumerate(row) if x)
-        if pivot >= width:
-            break
-        c = vec[pivot]
-        if c:
-            vec = [(x - c * y) % p for x, y in zip(vec, row)]
-    combo = [(-x) % p for x in vec[width:]]
-    lead = next((i for i in range(width) if vec[i]), None)
-    if lead is None:
-        return high, False, combo
-    return low + lead // desc.k, True, combo
 
 
 def brute_force_max(
@@ -615,33 +607,46 @@ def _fp_coordinates(s: LaurentSeries, low: int, high: int) -> List[int]:
     k = desc.k
     out = [0] * (max(0, high - low) * k)
     for e in range(max(low, s.low), min(high, s.low + len(s.coeffs))):
-        pos = (e - low) * k
-        out[pos:pos + k] = desc.digits(s.coeffs[e - s.low])
+        if s.coeffs[e - s.low]:
+            out[(e - low) * k:(e - low + 1) * k] = desc.digits(s.coeffs[e - s.low])
     return out
 
 
-def _fp_echelon(rows: List[List[int]], p: int) -> Tuple[Tuple[int, ...], ...]:
-    """Canonical reduced row-echelon form over F_p (rows as int lists)."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][col] % p != 0:
-                sel = i
-                break
-        if sel is None:
+def _fp_insert(pivots: Dict[int, List[int]], row: List[int], stop: int, p: int) -> Optional[int]:
+    """Insert a row into an F_p echelon {pivot column: row}.  The row is
+    reduced in place by the pivot rows at its leading columns below stop;
+    the first column below stop that survives without a pivot gets the
+    row, scaled to 1 there, and is returned (None when nothing survives).
+    Entries past stop are carried along but never read."""
+    for col in range(stop):
+        x = row[col]
+        if not x:
             continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] % p != 0:
-                factor = mat[i][col]
-                mat[i] = [(x - factor * y) % p for x, y in zip(mat[i], mat[r])]
-        r += 1
-    return tuple(tuple(row) for row in mat[:r])
+        piv = pivots.get(col)
+        if piv is None:
+            inv = pow(x, -1, p)
+            row[col:] = [(y * inv) % p for y in row[col:]]
+            pivots[col] = row
+            return col
+        row[col:] = [(y - x * w) % p for y, w in zip(row[col:], piv[col:])]
+    return None
+
+
+def _fp_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[Tuple[int, ...], ...]:
+    """Canonical reduced row-echelon form over F_p (rows as int lists):
+    every row inserted, then each pivot column cleared from the rows above
+    it, last pivot first."""
+    pivots: Dict[int, List[int]] = {}
+    for row in rows:
+        _fp_insert(pivots, list(row), len(row), p)
+    cols = sorted(pivots)
+    for i in reversed(range(len(cols))):
+        c, piv = cols[i], pivots[cols[i]]
+        for row in (pivots[a] for a in cols[:i]):
+            x = row[c]
+            if x:
+                row[c:] = [(y - x * w) % p for y, w in zip(row[c:], piv[c:])]
+    return tuple(tuple(pivots[c]) for c in cols)
 
 
 def windowed_image_span(

@@ -2,7 +2,7 @@
 
 Subcommands: oap, decompose, alpha, extremal, transfer, compose, tmcne,
 fundeq, selftest.  Exit codes: 0 success/pass, 1 usage or parse error,
-2 check failed, 3 inconclusive, 4 enumeration budget exceeded.
+2 check failed, 3 inconclusive, 4 budget exceeded.
 
 Output is deterministic: the human-readable summary and the JSON report
 depend only on the arguments (and --seed where sampling is involved).

@@ -79,7 +79,7 @@ def ball_count(field: LaurentField, ball: Ball, upto: int) -> int:
 def check_budget(count: int, budget: int) -> None:
     if count > budget:
         raise BudgetExceededError(
-            f"enumeration of {count} candidates exceeds budget {budget}"
+            f"{count} candidates or matrix entries exceed budget {budget}"
         )
 
 

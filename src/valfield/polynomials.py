@@ -189,12 +189,6 @@ def dense_trim(a: Sequence) -> List:
     return out
 
 
-def dense_add(a: Sequence, b: Sequence) -> List:
-    """a + b; the longer operand's tail is copied."""
-    n = min(len(a), len(b))
-    return [x + y for x, y in zip(a, b)] + list(a[n:]) + list(b[n:])
-
-
 def dense_sub(a: Sequence, b: Sequence) -> List:
     """a - b; a's tail is copied and b's tail negated."""
     n = min(len(a), len(b))

@@ -12,6 +12,9 @@ import pytest
 from valfield.additive import (
     AdditivePolynomial,
     PPolynomial,
+    _digit_generators,
+    _fp_coordinates,
+    _fp_echelon,
     additive_from_multipoly,
     alpha_bound,
     brute_force_max,
@@ -341,6 +344,16 @@ class TestOapSolve:
         )
         assert oap_solve(f, z, prec=4).value.to_text() == "-2"
 
+    def test_known_order_drops_to_a_generator_precision(self, K2):
+        # f = (1 + O(t^4))*X^2: the generator g(1) = 1 + O(t^4) cancels z's
+        # constant term, so z - f(1 + t) is known to O(t^4) only.  Without
+        # g(1) the constant survives (exact 0); a per-bound solve reaches
+        # ">=4" only at the bound 4, below top = 5
+        f = AdditivePolynomial(K2, 1, {(0, 1): K2.one(4)})
+        z = parse_series(K2, "1 + t^2 + O(t^12)")
+        assert _per_bound_value(f, z, 5) == ">=4"
+        assert oap_solve(f, z, prec=5).value.to_text() == ">=4"
+
     def test_no_enumeration_budget(self):
         import inspect
 
@@ -484,6 +497,29 @@ def test_decompose_of_exact_coefficients_terminates():
     assert proc.stdout.strip() == "0 ['(t^0 + t^1 + O(t^16))*X^1']"
 
 
+def _oap_cli(poly: str, target: str, prec: int) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "valfield", "oap", "--field", "F(2)((t))",
+         "--poly", poly, "--target", target, "--prec", str(prec)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+
+
+def test_span_matrix_is_capped_by_the_default_budget():
+    """X against t^-1 at prec 100000 needs about 10^5 generator rows of
+    2 * 10^5 entries each; the solver charges rows * (columns + rows) to
+    the default budget before building a row and exits 4.  At prec 2048,
+    X^2 + t*X against t^-3 + t needs 8.4 * 10^6 entries, under the budget.
+    Each run is a child process, killed if it outlives the timeout."""
+    proc = _oap_cli("X", "t^-1", 100000)
+    assert proc.returncode == 4, proc.stderr
+    assert "budget" in proc.stderr
+    proc = _oap_cli("X^2 + t*X", "t^-3 + t", 2048)
+    assert proc.returncode == 0, proc.stderr
+    assert "max v(target - f(a)): -3" in proc.stdout
+
+
 def test_exact_two_variable_witnesses_show_the_value():
     """Sampler(7) two-variable, height <= 2 inputs with exact coefficients
     over F_2, F_3 and F_4, targets from valuation -2, -1 and -3: the
@@ -506,3 +542,83 @@ def test_exact_two_variable_witnesses_show_the_value():
                 assert _clamped(residual.valuation(), 4) == _clamped(res.value, 4)
                 checked += 1
     assert checked == 435
+
+
+def _per_bound_value(f, z, prec) -> str:
+    """The per-bound span solver, kept as a reference for oap_solve's one
+    pass.  For each bound B = min(generator precision, z.prec, prec), z is
+    read below B and reduced against the RREF of the generators known to at
+    least B; the best pass wins, an exact answer beating ">= B" on a tie."""
+    K = f.field
+    dec = decompose(f)
+    alpha = int(alpha_bound(PPolynomial(f, -z), dec).first)
+    gens = [g for *_, g in _digit_generators(dec.summed(K), prec, alpha, min_width=1)]
+    top = min(z.prec, prec)
+    low = min([top, z.valuation_floor()] + [g.valuation_floor() for g in gens])
+    p, k = K.base.p, K.base.k
+    best = None
+    for bound in {min(g.prec, top) for g in gens} | {top}:
+        vec = _fp_coordinates(z, low, bound)
+        used = [_fp_coordinates(g, low, bound) for g in gens if g.prec >= bound]
+        for row in _fp_echelon(used, p):
+            c = vec[next(i for i, x in enumerate(row) if x)]
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        key = (bound, False) if lead is None else (low + lead // k, True)
+        best = key if best is None else max(best, key)
+    return Value.rank1(best[0]).to_text() if best[1] else f">={best[0]}"
+
+
+def test_one_pass_matches_per_bound_reference_on_sampler7():
+    """The Sampler(7) two-variable, height <= 2 family over F_2, F_3 and
+    F_4, coefficients at O(t^16) and exact, targets from valuation -2, -1
+    and -3: oap_solve's value text equals the per-bound reference's."""
+    checked = 0
+    for coeff_prec in (16, math.inf):
+        for lo in (-2, -1, -3):
+            s = Sampler(7)
+            for K in _SWEEP_FIELDS:
+                for _ in range(50):
+                    f = s.additive(K, 2, max_k=2, prec=coeff_prec)
+                    z = s.series(K, lo, 16)
+                    if f.is_zero():
+                        continue
+                    assert oap_solve(f, z, prec=4).value.to_text() == _per_bound_value(f, z, 4)
+                    checked += 1
+    assert checked == 870
+
+
+def test_one_pass_matches_per_bound_reference_on_mixed_precisions():
+    """Seeded 1-3 variable inputs over F_2, F_3, F_4 and F_5, solver
+    precisions 2..10: f has exact coefficients cut to O(t^4), O(t^6),
+    O(t^8) or O(t^16), so that its generators fall into several precision
+    classes, and z is the exact polynomial's value at a random input plus
+    noise from valuation -3..12, so that most walks go deep enough for
+    those classes to matter.  oap_solve's value text equals the per-bound
+    reference's.  Where the reference's own decompose raises (an expanded
+    summand truncated to zero at a low coefficient order), oap_solve
+    raises too."""
+    fields = _SWEEP_FIELDS + [LaurentField(prime_field(5), "t", 16)]
+    rng = random.Random(2031)
+    s = Sampler(2031)
+    checked = 0
+    for n in range(300):
+        K = fields[n % 4]
+        nvars = 1 + (n // 4) % 3
+        exact = s.additive(K, nvars, max_k=2 if K.base.q < 5 else 1, prec=math.inf)
+        if exact.is_zero():
+            continue
+        order = rng.choice([4, 6, 8, 16])
+        f = AdditivePolynomial(K, nvars, {key: c.truncate(order) for key, c in exact.terms.items()})
+        z = exact.evaluate([s.series(K, 0, 16) for _ in range(nvars)])
+        z = z + s.series(K, rng.randint(-3, 12), 16)
+        prec = rng.randint(2, 10)
+        try:
+            want = _per_bound_value(f, z, prec)
+        except ValfieldError:
+            with pytest.raises(ValfieldError):
+                oap_solve(f, z, prec=prec)
+            continue
+        assert oap_solve(f, z, prec=prec).value.to_text() == want
+        checked += 1
+    assert checked == 279

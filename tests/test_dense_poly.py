@@ -1,6 +1,6 @@
 """The dense-polynomial helpers of valfield.polynomials over the rationals.
 
-add, sub, mul and eval are checked against a direct sum of c_i * x^i at
+sub, mul and eval are checked against a direct sum of c_i * x^i at
 integer points, so the oracle shares no code with the helpers; divmod is
 checked through a = q*b + r with deg r < deg b.
 """
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from valfield.errors import ValfieldError
 from valfield.polynomials import (
-    dense_add,
     dense_divmod,
     dense_eval,
     dense_mul,
@@ -36,10 +35,8 @@ def direct(a, x):
 
 @given(poly, poly, point)
 @settings(max_examples=200)
-def test_add_and_sub_agree_with_direct_evaluation(a, b, x):
-    assert direct(dense_add(a, b), x) == direct(a, x) + direct(b, x)
+def test_sub_agrees_with_direct_evaluation(a, b, x):
     assert direct(dense_sub(a, b), x) == direct(a, x) - direct(b, x)
-    assert len(dense_add(a, b)) == max(len(a), len(b))
 
 
 @given(poly, poly, point)
@@ -64,7 +61,7 @@ def test_divmod_is_division_with_remainder(a, b):
             dense_divmod(a, b)
         return
     q, r = dense_divmod(a, b)
-    assert dense_trim(dense_sub(a, dense_add(dense_mul(q, b), r))) == []
+    assert dense_trim(dense_sub(dense_sub(a, r), dense_mul(q, b))) == []
     assert len(dense_trim(r)) < len(dense_trim(b))
 
 
