@@ -1,7 +1,7 @@
 """Exact arithmetic in valued fields at finite precision.
 
-Layers: finite fields, truncated Laurent series, p-adic numbers and
-extensions, rank-2 composite series; on top of them Newton polygons,
+Layers: finite fields, truncated Laurent series, exact finite extensions
+of Q_p, rank-2 composite series; on top of them Newton polygons,
 additive-polynomial decomposition, the alpha-bound best-approximation
 solver, extremality searches, and machine-checkable certificates.
 """
@@ -57,7 +57,6 @@ from .laurent import (
 )
 from .padic import (
     PAdicExtRing,
-    PAdicNumber,
     ext_valuation,
     fundamental_equality_data,
 )

@@ -330,6 +330,12 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
         for g, section in work
         for gg, ss in _expand_to_height(g, section, nu)
     ]
+    if any(g.height() != nu for g, _ in expanded):
+        # a shifted coefficient fell past the working order: the summand's
+        # leader, or all of it, is unknown there
+        raise PrecisionError(
+            f"an expanded summand loses its degree-p^{nu} term at O(t^{work_prec})"
+        )
     expanded.sort(key=lambda gs: gs[0].leading_coefficient().low)
     return Decomposition(
         nu, [g for g, _ in expanded], [s for _, s in expanded], f.nvars

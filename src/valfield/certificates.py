@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import CertificationError, PrecisionError, ValfieldError
+from .errors import CertificationError, ValfieldError
 from .finite_field import (
     _pmod_irreducible,
     artin_schreier_irreducible,
@@ -40,7 +40,6 @@ from .padic import (
     PAdicExtRing,
     ext_valuation,
     fundamental_equality_data,
-    with_precision_retry,
 )
 from .polygon import (
     FundamentalEqualityData,
@@ -160,7 +159,7 @@ def _counterexample_coeffs(p: int) -> List[Fraction]:
     return dense_sub(dense_mul([Fraction(p)], dense_mul(s, s)), [Fraction(1)])
 
 
-def verify_tmcne(p: int, prec: Optional[int] = None) -> TmcneCertificate:
+def verify_tmcne(p: int) -> TmcneCertificate:
     """Run all five steps of the non-equivalence check for an odd prime p."""
     if not is_prime(p) or p == 2:
         raise CertificationError(
@@ -168,145 +167,133 @@ def verify_tmcne(p: int, prec: Optional[int] = None) -> TmcneCertificate:
         )
     if p > 7:
         raise CertificationError("p <= 7 keeps the resultant degree 2p tractable")
-    steps: List[StepRecord] = []
     coeffs = _counterexample_coeffs(p)
     poly_text = f"{p}*(X^{p} - X)^2 - 1"
-    initial_prec = prec if prec is not None else 4 * (2 * p) * (2 * p)
+    steps: List[StepRecord] = []
+    ring = PAdicExtRing(p, coeffs)
 
-    def build_and_check(work_prec: int) -> List[StepRecord]:
-        out: List[StepRecord] = []
-        ring = PAdicExtRing(
-            p, coeffs, prec=work_prec, denominator_bound=2 * p
+    # S1: Newton polygon and the valuation of the generator
+    polygon = ring.polygon()
+    slope = polygon.single_slope()
+    v_gen = None if slope is None else -slope
+    expected_slope = Fraction(1, 2 * p)
+    steps.append(
+        StepRecord(
+            "S1-newton-polygon",
+            {"polynomial": poly_text},
+            {
+                "segments": len(polygon.segments),
+                "slope": None if slope is None else str(slope),
+                "vGenerator": None if v_gen is None else str(v_gen),
+            },
+            {
+                "segments": 1,
+                "slope": str(expected_slope),
+                "vGenerator": str(-expected_slope),
+            },
+            slope == expected_slope and len(polygon.segments) == 1,
         )
+    )
 
-        # S1: Newton polygon and the valuation of the generator
-        polygon = ring.polygon()
-        slope = polygon.single_slope()
-        v_gen = None if slope is None else -slope
-        expected_slope = Fraction(1, 2 * p)
-        out.append(
-            StepRecord(
-                "S1-newton-polygon",
-                {"polynomial": poly_text},
-                {
-                    "segments": len(polygon.segments),
-                    "slope": None if slope is None else str(slope),
-                    "vGenerator": None if v_gen is None else str(v_gen),
-                },
-                {
-                    "segments": 1,
-                    "slope": str(expected_slope),
-                    "vGenerator": str(-expected_slope),
-                },
-                slope == expected_slope and len(polygon.segments) == 1,
-            )
-        )
-
-        # S2: certified irreducibility and the fundamental equality chain
-        try:
-            data = fundamental_equality_data(ring)
-            computed = data.to_dict()
-            ok = (
-                data.n == 2 * p
-                and data.e == 2 * p
-                and data.f_res == 1
-                and data.equality_holds is True
-            )
-        except CertificationError as exc:
-            computed = {"error": str(exc)}
-            ok = False
-        out.append(
-            StepRecord(
-                "S2-fundamental-equality",
-                {"polynomial": poly_text},
-                computed,
-                {
-                    "n": 2 * p,
-                    "e": 2 * p,
-                    "fRes": 1,
-                    "certifiedBy": "slope-denominator",
-                    "equalityHolds": True,
-                },
-                ok,
-            )
-        )
-
-        # S3: ring identity p*s^2 = 1 and v(s) = -1/2 for s = gen^p - gen
-        gen = ring.gen()
-        s = gen**p - gen
-        identity = ring.element([p]) * s * s - ring.one()
-        identity_zero = identity.is_zero_to_prec()
-        v_s = ext_valuation(s)
-        out.append(
-            StepRecord(
-                "S3-ring-identity",
-                {"s": "gen^p - gen"},
-                {
-                    "pTimesSSquaredMinusOneIsZero": identity_zero,
-                    "vS": str(Fraction(v_s.first)),
-                },
-                {"pTimesSSquaredMinusOneIsZero": True, "vS": "-1/2"},
-                identity_zero and Fraction(v_s.first) == Fraction(-1, 2),
-            )
-        )
-
-        # S4: exact rational ledger for the cross terms of (b-a)^p - (b-a)
-        va = vb = Fraction(-1, 2 * p)
-        cross = []
-        for i in range(1, p):
-            vbinom = binomial_valuation(p, i, p)
-            val = vbinom + i * vb + (p - i) * va
-            cross.append(
-                {
-                    "i": i,
-                    "vBinomial": vbinom,
-                    "crossTermValuation": str(val),
-                }
-            )
-        min_cross = min(
-            Fraction(entry["crossTermValuation"]) for entry in cross
-        )
-        all_div = all(entry["vBinomial"] >= 1 for entry in cross)
-        agree = Fraction(p) * va == Fraction(v_s.first) * 1  # symbolic route
-        out.append(
-            StepRecord(
-                "S4-cross-term-ledger",
-                {"vA": str(va), "vB": str(vb)},
-                {
-                    "crossTerms": cross,
-                    "minCrossTermValuation": str(min_cross),
-                    "sumInValuationIdeal": min_cross > 0,
-                    "residueOfExpansion": 1,
-                    "symbolicVSAgreesWithS3": agree,
-                },
-                {
-                    "minCrossTermValuation": "1/2",
-                    "sumInValuationIdeal": True,
-                    "residueOfExpansion": 1,
-                    "symbolicVSAgreesWithS3": True,
-                },
-                min_cross == Fraction(1, 2) and all_div and agree,
-            )
-        )
-
-        # S5: X^p - X - 1 has no root in F_p
-        base = prime_field(p)
-        rootless = artin_schreier_irreducible(base.one())
-        out.append(
-            StepRecord(
-                "S5-residue-rootless",
-                {"polynomial": f"X^{p} - X - 1 over F({p})"},
-                {"irreducibleOverPrimeField": rootless},
-                {"irreducibleOverPrimeField": True},
-                rootless,
-            )
-        )
-        return out
-
+    # S2: certified irreducibility and the fundamental equality chain
     try:
-        steps = with_precision_retry(build_and_check, initial_prec)
-    except PrecisionError:
-        return TmcneCertificate(p, tuple(steps), INCONCLUSIVE)
+        data = fundamental_equality_data(ring)
+        computed = data.to_dict()
+        ok = (
+            data.n == 2 * p
+            and data.e == 2 * p
+            and data.f_res == 1
+            and data.equality_holds is True
+        )
+    except CertificationError as exc:
+        computed = {"error": str(exc)}
+        ok = False
+    steps.append(
+        StepRecord(
+            "S2-fundamental-equality",
+            {"polynomial": poly_text},
+            computed,
+            {
+                "n": 2 * p,
+                "e": 2 * p,
+                "fRes": 1,
+                "certifiedBy": "slope-denominator",
+                "equalityHolds": True,
+            },
+            ok,
+        )
+    )
+
+    # S3: ring identity p*s^2 = 1 and v(s) = -1/2 for s = gen^p - gen
+    gen = ring.gen()
+    s = gen**p - gen
+    identity = ring.element([p]) * s * s - ring.one()
+    identity_zero = identity.is_zero()
+    v_s = ext_valuation(s)
+    steps.append(
+        StepRecord(
+            "S3-ring-identity",
+            {"s": "gen^p - gen"},
+            {
+                "pTimesSSquaredMinusOneIsZero": identity_zero,
+                "vS": str(Fraction(v_s.first)),
+            },
+            {"pTimesSSquaredMinusOneIsZero": True, "vS": "-1/2"},
+            identity_zero and Fraction(v_s.first) == Fraction(-1, 2),
+        )
+    )
+
+    # S4: exact rational ledger for the cross terms of (b-a)^p - (b-a)
+    va = vb = Fraction(-1, 2 * p)
+    cross = []
+    for i in range(1, p):
+        vbinom = binomial_valuation(p, i, p)
+        val = vbinom + i * vb + (p - i) * va
+        cross.append(
+            {
+                "i": i,
+                "vBinomial": vbinom,
+                "crossTermValuation": str(val),
+            }
+        )
+    min_cross = min(
+        Fraction(entry["crossTermValuation"]) for entry in cross
+    )
+    all_div = all(entry["vBinomial"] >= 1 for entry in cross)
+    agree = Fraction(p) * va == Fraction(v_s.first) * 1  # symbolic route
+    steps.append(
+        StepRecord(
+            "S4-cross-term-ledger",
+            {"vA": str(va), "vB": str(vb)},
+            {
+                "crossTerms": cross,
+                "minCrossTermValuation": str(min_cross),
+                "sumInValuationIdeal": min_cross > 0,
+                "residueOfExpansion": 1,
+                "symbolicVSAgreesWithS3": agree,
+            },
+            {
+                "minCrossTermValuation": "1/2",
+                "sumInValuationIdeal": True,
+                "residueOfExpansion": 1,
+                "symbolicVSAgreesWithS3": True,
+            },
+            min_cross == Fraction(1, 2) and all_div and agree,
+        )
+    )
+
+    # S5: X^p - X - 1 has no root in F_p
+    base = prime_field(p)
+    rootless = artin_schreier_irreducible(base.one())
+    steps.append(
+        StepRecord(
+            "S5-residue-rootless",
+            {"polynomial": f"X^{p} - X - 1 over F({p})"},
+            {"irreducibleOverPrimeField": rootless},
+            {"irreducibleOverPrimeField": True},
+            rootless,
+        )
+    )
     verdict = PASS if all(s.passed for s in steps) else FAIL
     return TmcneCertificate(p, tuple(steps), verdict)
 
@@ -320,9 +307,8 @@ def fundeq_padic(
     irreducible_asserted: bool = False,
 ) -> FundEqCertificate:
     """Extension of Q_p presented by a defining polynomial.  The report
-    depends only on the exact Newton polygon and on residues of the
-    coefficients, which any error order >= 1 reads, so one ring at its
-    default order settles it."""
+    depends only on the Newton polygon and on residues of the exact
+    coefficients."""
     ring = PAdicExtRing(p, coeffs, irreducible_asserted=irreducible_asserted)
     data = fundamental_equality_data(ring)
     text = poly_text_from_coeffs(coeffs)

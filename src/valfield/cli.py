@@ -44,6 +44,7 @@ from .extremality import (
     DEFAULT_BUDGET,
     MAX_ATTAINED,
     ball_transfer,
+    check_budget,
     check_vexbarwex,
     composite_extremal_search,
     extremal_search,
@@ -262,17 +263,13 @@ def cmd_compose(args) -> int:
 
 
 def cmd_tmcne(args) -> int:
-    cert = verify_tmcne(args.p, prec=args.prec)
+    cert = verify_tmcne(args.p)
     print(f"p = {cert.p}")
     for step in cert.steps:
         print(f"  {step.name}: {'pass' if step.passed else 'FAIL'}")
     print(f"verdict: {cert.verdict}")
     _emit(cert.to_dict(), args.json)
-    if cert.verdict == PASS:
-        return EXIT_OK
-    if cert.verdict == INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAILED
+    return EXIT_OK if cert.verdict == PASS else EXIT_FAILED
 
 
 def cmd_fundeq(args) -> int:
@@ -282,6 +279,7 @@ def cmd_fundeq(args) -> int:
     elif isinstance(field, LaurentField):
         mp = parse_poly(args.poly, field, nvars=1)
         deg = max((e for (e,) in mp.terms), default=0)
+        check_budget(deg + 1, DEFAULT_BUDGET)
         coeffs = [mp.terms.get((i,)) for i in range(deg + 1)]
     else:
         raise ParseError(f"fundeq needs Q_p or a Laurent field, got {args.field!r}")
@@ -392,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("tmcne", help="non-equivalence certificate for an odd prime")
     s.add_argument("-p", type=int, required=True)
-    s.add_argument("--prec", type=_error_order, default=None)
     s.add_argument("--json", metavar="PATH")
     s.set_defaults(handler=cmd_tmcne)
 

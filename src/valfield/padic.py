@@ -1,27 +1,25 @@
-"""Q_p at finite precision and finite extensions Q_p[X]/(f).
+"""Finite extensions Q_p[X]/(f), computed exactly over Q.
 
-Numbers are stored as p^v * u with the whole number known modulo p^N
-(absolute error order N, as in the Laurent module).  Extension elements are
-representative polynomials modulo a monic defining polynomial; their
-valuations come from the valuation of a resultant:
+Every input to the p-adic layer is rational, so an element of Q_p[X]/(f)
+is stored as its representative polynomial of degree < deg f with exact
+``Fraction`` coefficients, reduced modulo the monic defining polynomial f.
+Nothing is truncated, so no working precision is chosen, and an answer is
+never "zero to precision": the zero element is exactly zero, with
+valuation infinity.  Valuations come from the valuation of a resultant:
 
-    v(g(gen)) = v(Res(f, g)) / deg f
+    v(g(gen)) = v_p(Res(f, g)) / deg f
 
-which is the norm route and needs no uniformizer towers.  Irreducibility
-over Q_p is certified by degree one or through the Newton polygon: a
-single segment whose slope denominator equals the degree, or a unit
-polynomial whose residue is irreducible over F_p.  Anything else must
-carry an external irreducibility assertion, which is recorded downstream
-in certificates.
-
-When a resultant valuation comes out indeterminate the ring rebuilds
-itself at doubled precision and retries, at most three times.
+which is the norm route and needs no uniformizer towers.  The resultant
+is the determinant of the Sylvester matrix, found by plain elimination
+over Q.  Irreducibility over Q_p is certified by degree one or through the
+Newton polygon: a single segment whose slope denominator equals the
+degree, or a unit polynomial whose residue is irreducible over F_p.
+Anything else must carry an external irreducibility assertion, which is
+recorded downstream in certificates.
 
 Polynomial arithmetic on representatives (product, reduction modulo f,
 the extended-gcd inverse) runs on the dense helpers of
-:mod:`valfield.polynomials`, which need no zero element: every
-coefficient, including one that is zero to its precision, carries the
-error order its own inputs give it.
+:mod:`valfield.polynomials`.
 """
 
 from __future__ import annotations
@@ -29,14 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    CertificationError,
-    DescriptorMismatchError,
-    IndeterminateValuationError,
-    PrecisionError,
-    ValfieldError,
-)
-from .finite_field import _pmod_irreducible, is_prime, prime_field
+from .errors import CertificationError, DescriptorMismatchError, ValfieldError
+from .finite_field import _pmod_irreducible, is_prime
 from .laurent import ValuationResult
 from .polygon import (
     FundamentalEqualityData,
@@ -44,7 +36,7 @@ from .polygon import (
     certify_extension,
     newton_polygon_from_valuations,
 )
-from .polynomials import dense_divmod, dense_mul, dense_sub, dense_trim
+from .polynomials import _ring_pow, dense_divmod, dense_mul, dense_sub, dense_trim
 from .value_group import INFINITY, Value
 
 
@@ -65,154 +57,6 @@ def vp_fraction(q: Fraction, p: int) -> Optional[int]:
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-class PAdicNumber:
-    """An element of Q_p known modulo p^prec."""
-
-    __slots__ = ("p", "val", "unit", "prec")
-
-    def __init__(self, p: int, val: Optional[int], unit: int, prec: int):
-        self.p = p
-        self.prec = prec
-        # unit == 0 is tested before p**(prec - val) is built: zero
-        # coefficients are multiplied and added like any other
-        if val is None or val >= prec or unit == 0:
-            self.val, self.unit = None, 0
-            return
-        rel = prec - val
-        unit %= p**rel
-        if unit == 0:
-            self.val, self.unit = None, 0
-            return
-        shift = vp_int(unit, p)
-        self.val = val + shift
-        if self.val >= prec:
-            self.val, self.unit = None, 0
-            return
-        self.unit = (unit // p**shift) % p ** (prec - self.val)
-
-    @staticmethod
-    def from_fraction(p: int, q: Union[int, Fraction], prec: int) -> "PAdicNumber":
-        q = Fraction(q)
-        if q == 0:
-            return PAdicNumber(p, None, 0, prec)
-        vn = vp_int(q.numerator, p)
-        vd = vp_int(q.denominator, p)
-        v = vn - vd
-        num = q.numerator // p**vn
-        den = q.denominator // p**vd
-        rel = prec - v
-        if rel <= 0:
-            return PAdicNumber(p, None, 0, prec)
-        unit = num * pow(den, -1, p**rel) % p**rel
-        return PAdicNumber(p, v, unit, prec)
-
-    # -- predicates --------------------------------------------------------
-
-    def is_zero_to_prec(self) -> bool:
-        return self.val is None
-
-    def valuation_floor(self) -> int:
-        return self.prec if self.val is None else self.val
-
-    def valuation(self) -> ValuationResult:
-        if self.val is None:
-            return ValuationResult.at_least(Value.rank1(self.prec))
-        return ValuationResult.exactly(Value.rank1(self.val))
-
-    def _check(self, other: "PAdicNumber") -> None:
-        if self.p != other.p:
-            raise DescriptorMismatchError("numbers over different primes")
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "PAdicNumber") -> "PAdicNumber":
-        self._check(other)
-        prec = min(self.prec, other.prec)
-        shift = min(self.valuation_floor(), other.valuation_floor(), 0)
-        a = 0 if self.val is None else self.unit * self.p ** (self.val - shift)
-        b = 0 if other.val is None else other.unit * other.p ** (other.val - shift)
-        return PAdicNumber(self.p, shift, a + b, prec)
-
-    def __neg__(self) -> "PAdicNumber":
-        if self.val is None:
-            return self
-        return PAdicNumber(self.p, self.val, -self.unit, self.prec)
-
-    def __sub__(self, other: "PAdicNumber") -> "PAdicNumber":
-        return self + (-other)
-
-    def __mul__(self, other: "PAdicNumber") -> "PAdicNumber":
-        self._check(other)
-        prec = min(
-            self.prec + other.valuation_floor(),
-            other.prec + self.valuation_floor(),
-        )
-        if self.val is None or other.val is None:
-            return PAdicNumber(self.p, None, 0, prec)
-        return PAdicNumber(
-            self.p, self.val + other.val, self.unit * other.unit, prec
-        )
-
-    def inverse(self) -> "PAdicNumber":
-        if self.val is None:
-            raise IndeterminateValuationError("division by an indeterminate number")
-        rel = self.prec - self.val
-        if rel <= 0:
-            raise PrecisionError("no digits left to invert")
-        inv = pow(self.unit, -1, self.p**rel)
-        return PAdicNumber(self.p, -self.val, inv, self.prec - 2 * self.val)
-
-    def __truediv__(self, other: "PAdicNumber") -> "PAdicNumber":
-        return self * other.inverse()
-
-    def residue(self):
-        """Image in F_p, for elements of nonnegative valuation."""
-        if self.val is not None and self.val < 0:
-            raise ValfieldError("residue of an element with negative valuation")
-        if self.prec <= 0:
-            raise PrecisionError("error order too small to read the residue")
-        base = prime_field(self.p)
-        if self.val is None or self.val > 0:
-            return base.zero()
-        return base.element(self.unit % self.p)
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PAdicNumber)
-            and self.p == other.p
-            and self.val == other.val
-            and self.unit == other.unit
-            and self.prec == other.prec
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.val, self.unit, self.prec))
-
-    def to_text(self) -> str:
-        if self.val is None:
-            return f"O({self.p}^{self.prec})"
-        return f"{self.unit}*{self.p}^{self.val} + O({self.p}^{self.prec})"
-
-    def __repr__(self) -> str:
-        return self.to_text()
-
-
-# -- polynomials over Q_p --------------------------------------------------
-
-
-def poly_from_fractions(
-    p: int, coeffs: Sequence[Union[int, Fraction]], prec: int
-) -> List[PAdicNumber]:
-    return [PAdicNumber.from_fraction(p, c, prec) for c in coeffs]
-
-
-def newton_polygon(coeffs: Sequence[PAdicNumber]) -> NewtonPolygon:
-    """Polygon of a polynomial over Q_p (index = degree)."""
-    return newton_polygon_from_valuations([c.valuation() for c in coeffs])
-
-
 def monicize(coeffs: Sequence[Fraction]) -> List[Fraction]:
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -224,38 +68,31 @@ def monicize(coeffs: Sequence[Fraction]) -> List[Fraction]:
 
 
 class PAdicExtRing:
-    """Q_p[X]/(f) with f monic, at a fixed working precision."""
+    """Q_p[X]/(f) with f monic and rational."""
 
     def __init__(
         self,
         p: int,
         modulus: Sequence[Union[int, Fraction]],
-        prec: Optional[int] = None,
-        denominator_bound: Optional[int] = None,
         irreducible_asserted: bool = False,
     ):
         if not is_prime(p):
             raise ValfieldError(f"Q_p needs a prime p, got {p}")
         self.p = p
-        mod = monicize([Fraction(c) for c in modulus])
-        self.modulus_fractions = mod
-        self.degree = len(mod) - 1
+        self.modulus = monicize(modulus)
+        self.degree = len(self.modulus) - 1
         if self.degree < 1:
             raise ValfieldError("modulus must have degree >= 1")
-        db = denominator_bound if denominator_bound is not None else self.degree
-        self.denominator_bound = db
-        self.prec = prec if prec is not None else 4 * self.degree * db
-        self.modulus = poly_from_fractions(p, mod, self.prec)
         self.irreducible_asserted = irreducible_asserted
         self._polygon: Optional[NewtonPolygon] = None
 
     def polygon(self) -> NewtonPolygon:
-        """Polygon of the exact modulus; a zero coefficient is passed as None."""
+        """Polygon of the modulus; a zero coefficient is passed as None."""
         if self._polygon is None:
             self._polygon = newton_polygon_from_valuations([
                 None if c == 0
                 else ValuationResult.exactly(Value.rank1(vp_fraction(c, self.p)))
-                for c in self.modulus_fractions
+                for c in self.modulus
             ])
         return self._polygon
 
@@ -282,11 +119,7 @@ class PAdicExtRing:
             if rep.ring is not self:
                 raise DescriptorMismatchError("element from a different ring")
             return rep
-        coeffs = [
-            c if isinstance(c, PAdicNumber) else PAdicNumber.from_fraction(self.p, c, self.prec)
-            for c in rep
-        ]
-        return PAdicExtElement(self, self._reduce(coeffs))
+        return PAdicExtElement(self, self._reduce([Fraction(c) for c in rep]))
 
     def zero(self) -> "PAdicExtElement":
         return self.element([])
@@ -297,19 +130,9 @@ class PAdicExtRing:
     def gen(self) -> "PAdicExtElement":
         return self.element([0, 1])
 
-    def _reduce(self, coeffs: List[PAdicNumber]) -> Tuple[PAdicNumber, ...]:
+    def _reduce(self, coeffs: List[Fraction]) -> Tuple[Fraction, ...]:
         _, cs = dense_divmod(coeffs, self.modulus)
-        cs += [PAdicNumber(self.p, None, 0, self.prec)] * (self.degree - len(cs))
-        return tuple(cs)
-
-    def at_precision(self, prec: int) -> "PAdicExtRing":
-        return PAdicExtRing(
-            self.p,
-            self.modulus_fractions,
-            prec=prec,
-            denominator_bound=self.denominator_bound,
-            irreducible_asserted=self.irreducible_asserted,
-        )
+        return tuple(cs) + (Fraction(0),) * (self.degree - len(cs))
 
 
 class PAdicExtElement:
@@ -317,14 +140,13 @@ class PAdicExtElement:
 
     __slots__ = ("ring", "rep")
 
-    def __init__(self, ring: PAdicExtRing, rep: Tuple[PAdicNumber, ...]):
+    def __init__(self, ring: PAdicExtRing, rep: Tuple[Fraction, ...]):
         self.ring = ring
         self.rep = rep
 
     def _check(self, other: "PAdicExtElement") -> None:
         if self.ring is not other.ring and (
-            self.ring.p != other.ring.p
-            or self.ring.modulus_fractions != other.ring.modulus_fractions
+            self.ring.p != other.ring.p or self.ring.modulus != other.ring.modulus
         ):
             raise DescriptorMismatchError("elements of different extension rings")
 
@@ -348,42 +170,38 @@ class PAdicExtElement:
     def __pow__(self, e: int) -> "PAdicExtElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _ring_pow(self, e) if e else self.ring.one()
 
     def inverse(self) -> "PAdicExtElement":
         """Extended-gcd inverse against the modulus."""
-        one = PAdicNumber.from_fraction(self.ring.p, 1, self.ring.prec)
         # (r0, s0) and (r1, s1) with ri = si * g (mod f); s0 = [] is zero
         r0, s0 = list(self.ring.modulus), []
-        r1, s1 = list(self.rep), [one]
-        while True:
-            r1 = dense_trim(r1)
-            if len(r1) == 0:
-                raise IndeterminateValuationError(
-                    "element is zero (or not invertible) at current precision"
-                )
-            if len(r1) == 1:
-                inv = r1[0].inverse()
-                return self.ring.element([c * inv for c in s1])
+        r1, s1 = dense_trim(self.rep), [Fraction(1)]
+        while len(r1) > 1:
             q, r = dense_divmod(r0, r1)
-            r0, r1 = r1, r
+            r0, r1 = r1, dense_trim(r)
             s0, s1 = s1, dense_sub(s0, dense_mul(q, s1))
+        if not r1:
+            raise ValfieldError("element is zero or not invertible modulo f")
+        return self.ring.element([c / r1[0] for c in s1])
 
-    def is_zero_to_prec(self) -> bool:
-        return all(c.is_zero_to_prec() for c in self.rep)
+    def is_zero(self) -> bool:
+        return not any(self.rep)
+
+    def valuation(self) -> ValuationResult:
+        return ValuationResult.exactly(ext_valuation(self))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PAdicExtElement)
+            and self.rep == other.rep
+            and (self.ring.p, self.ring.modulus) == (other.ring.p, other.ring.modulus)
+        )
+
+    __hash__ = None
 
     def to_text(self) -> str:
-        parts = [
-            f"({c.to_text()})*X^{i}" for i, c in enumerate(self.rep)
-            if not c.is_zero_to_prec()
-        ]
+        parts = [f"({c})*X^{i}" for i, c in enumerate(self.rep) if c]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
@@ -393,91 +211,51 @@ class PAdicExtElement:
 # -- resultant-based valuation ---------------------------------------------
 
 
-def _sylvester_det_valuation(
-    f: List[PAdicNumber], g: List[PAdicNumber]
-) -> ValuationResult:
-    """Valuation of det(Sylvester(f, g)) by elimination with valuation pivoting.
-
-    Rows are sparse maps column -> entry.  A structural zero of the matrix
-    is an absent entry: it is exact and lends no precision to anything.
-    """
+def _sylvester_det(f: List[Fraction], g: List[Fraction]) -> Fraction:
+    """det Sylvester(f, g), up to sign, by exact elimination; g is trimmed
+    and nonzero."""
     m, n = len(f) - 1, len(g) - 1
-    if n < 0:
-        raise ValfieldError("resultant with the zero polynomial")
-    if n == 0:
-        # Res(f, c) = c^deg(f)
-        acc = g[0].valuation()
-        if not acc.exact:
-            return acc
-        return ValuationResult.exactly(acc.value.scale(m))
     size = m + n
-    rows = [{i + j: c for j, c in enumerate(reversed(f))} for i in range(n)]
-    rows += [{i + j: c for j, c in enumerate(reversed(g))} for i in range(m)]
-    total = Fraction(0)
+    rows = [[Fraction(0)] * i + f[::-1] + [Fraction(0)] * (n - 1 - i) for i in range(n)]
+    rows += [[Fraction(0)] * i + g[::-1] + [Fraction(0)] * (m - 1 - i) for i in range(m)]
+    det = Fraction(1)
     for col in range(size):
-        present = [r for r in range(col, size) if col in rows[r]]
-        if not present:
-            # a structurally empty column: the determinant is exactly zero
-            return ValuationResult.exactly(INFINITY)
-        nonzero = [r for r in present if not rows[r][col].is_zero_to_prec()]
-        if not nonzero:
-            bound = min(rows[r][col].prec for r in present)
-            return ValuationResult.at_least(Value.rank1(bound))
-        pivot_row = min(nonzero, key=lambda r: rows[r][col].val)
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot = rows[col]
-        pv = pivot[col]
-        total += pv.val
-        for r in range(col + 1, size):
-            row = rows[r]
-            entry = row.get(col)
-            if entry is None or entry.is_zero_to_prec():
-                continue
-            factor = entry / pv
-            for c, y in pivot.items():
-                row[c] = row[c] - factor * y if c in row else -(factor * y)
-    return ValuationResult.exactly(Value.rank1(total))
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        det *= top[col]
+        for row in rows[col + 1:]:
+            if row[col]:
+                factor = row[col] / top[col]
+                for c in range(col, size):
+                    row[c] -= factor * top[c]
+    return det
 
 
 def ext_valuation(a: PAdicExtElement) -> Value:
-    """v(a) = v(Res(f, a)) / deg f.
-
-    Raises PrecisionError when the resultant valuation is indeterminate at
-    the ring's working precision; use :func:`with_precision_retry` to rerun
-    a whole construction at doubled precision.
-    """
+    """v(a) = v_p(Res(f, a)) / deg f, exact; infinity for the zero element."""
     ring = a.ring
     ring._check_irreducible()
-    if a.is_zero_to_prec():
-        raise IndeterminateValuationError("valuation of a zero-to-precision element")
     g = dense_trim(a.rep)
-    res = _sylvester_det_valuation(list(ring.modulus), g)
-    if not res.exact:
-        raise PrecisionError("resultant valuation indeterminate at working precision")
-    return res.value.scale(Fraction(1, ring.degree))
-
-
-def with_precision_retry(compute, initial_prec: int, attempts: int = 3):
-    """Run compute(prec), doubling precision on PrecisionError, capped retries."""
-    prec = initial_prec
-    last = None
-    for _ in range(attempts + 1):
-        try:
-            return compute(prec)
-        except PrecisionError as exc:
-            last = exc
-            prec *= 2
-    raise PrecisionError(f"still indeterminate after {attempts} precision raises") from last
+    if not g:
+        return INFINITY
+    res = _sylvester_det(ring.modulus, g)
+    if res == 0:
+        raise CertificationError("the element shares a factor with the modulus, which is reducible")
+    return Value.rank1(Fraction(vp_fraction(res, ring.p), ring.degree))
 
 
 def fundamental_equality_data(ring: PAdicExtRing) -> FundamentalEqualityData:
     """Degree, ramification index and residue degree of Q_p[X]/(f), by the
     routes of :func:`certify_extension`."""
+    p = ring.p
     return certify_extension(
         ring.degree,
         ring.polygon(),
         lambda: _pmod_irreducible(
-            tuple(c.residue().code for c in ring.modulus), ring.p
+            tuple(c.numerator * pow(c.denominator, -1, p) % p for c in ring.modulus), p
         ),
         ring.irreducible_asserted,
     )

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Union
 
 from .composite import CompositeField
 from .errors import ParseError
-from .extremality import Ball
+from .extremality import DEFAULT_BUDGET, Ball, check_budget
 from .finite_field import FiniteFieldDescriptor, is_prime, parse_field
 from .laurent import LaurentField, parse_series
 from .polynomials import MultiPoly, dense_trim, parse_sum
@@ -129,8 +129,9 @@ def parse_poly(
 
 def parse_int_poly(text: str) -> List[Fraction]:
     """Univariate polynomial in ``X`` (or ``x``) over Q as a dense list,
-    e.g. ``3*(X^3 - X)^2 - 1``; trailing zeros are trimmed."""
-    coeffs = [Fraction(0)]
+    e.g. ``3*(X^3 - X)^2 - 1``; trailing zeros are trimmed.  The list's
+    length, degree + 1, is charged to the default budget before it is built."""
+    terms = []
     for key, c in parse_sum(text, Fraction).items():
         names = dict(key)
         e = names.pop("X", 0) + names.pop("x", 0)
@@ -138,7 +139,11 @@ def parse_int_poly(text: str) -> List[Fraction]:
             raise ParseError(f"unknown symbol {min(names)!r}")
         if e < 0:
             raise ParseError("negative exponent on X")
-        coeffs += [Fraction(0)] * (e + 1 - len(coeffs))
+        terms.append((e, c))
+    size = max((e for e, _ in terms), default=0) + 1
+    check_budget(size, DEFAULT_BUDGET)
+    coeffs = [Fraction(0)] * size
+    for e, c in terms:
         coeffs[e] += c
     return dense_trim(coeffs) or [Fraction(0)]
 

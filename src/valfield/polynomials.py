@@ -112,8 +112,8 @@ class MultiPoly:
         for m, c in self.terms.items():
             term = MultiPoly.constant(nv, c)
             for i, e in enumerate(m):
-                for _ in range(e):
-                    term = term * inner[i]
+                if e:
+                    term = term * _ring_pow(inner[i], e)
             acc = term if acc is None else acc + term
         if acc is None:
             return MultiPoly(nv, {})

@@ -14,7 +14,6 @@ from .additive import AdditivePolynomial
 from .composite import CompositeElement, CompositeField
 from .finite_field import FFElement, FiniteFieldDescriptor
 from .laurent import LaurentField, LaurentSeries
-from .padic import PAdicNumber
 from .polynomials import MultiPoly
 from .value_group import Value
 
@@ -75,13 +74,6 @@ class Sampler:
         s = self.series(field, lead + 1, prec)
         terms = {lead: self.ff_nonzero(field.base)}
         return field.from_terms(terms, prec) + s
-
-    # -- p-adic ------------------------------------------------------------
-
-    def padic(self, p: int, lo: int, prec: int) -> PAdicNumber:
-        v = self.rng.randint(lo, prec - 1)
-        unit = self.rng.randrange(p ** max(1, prec - v))
-        return PAdicNumber(p, v, unit, prec)
 
     # -- composite ---------------------------------------------------------
 

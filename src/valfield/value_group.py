@@ -159,34 +159,34 @@ def value_min(values: Iterable[Value]) -> Value:
 
 @dataclass(frozen=True)
 class ValueGroupDescriptor:
-    """Context for a computation: group rank plus a denominator bound.
+    """Context for a computation: group rank plus a denominator d.
 
     The group is (1/d)Z for rank 1, or lexicographic pairs thereof for
     rank 2.  Every value produced under the descriptor must have
-    denominators dividing ``denominator_bound``.
+    denominators dividing ``denominator``.
     """
 
     rank: int
-    denominator_bound: int = 1
+    denominator: int = 1
 
     def __post_init__(self):
         if self.rank not in (1, 2):
             raise ValfieldError(f"unsupported rank {self.rank}")
-        if self.denominator_bound < 1:
-            raise ValfieldError("denominator bound must be positive")
+        if self.denominator < 1:
+            raise ValfieldError("denominator must be positive")
 
     def contains(self, v: Value) -> bool:
         if v.is_infinity:
             return True
         if v.rank != self.rank:
             return False
-        d = self.denominator_bound
+        d = self.denominator
         parts = [v.first] if self.rank == 1 else [v.first, v.second]
         return all((q * d).denominator == 1 for q in parts)
 
     def grain(self) -> Value:
         """The smallest positive group element under this descriptor."""
-        g = Fraction(1, self.denominator_bound)
+        g = Fraction(1, self.denominator)
         if self.rank == 1:
             return Value.rank1(g)
         return Value.rank2(0, g)

@@ -80,6 +80,18 @@ class TestDecompose:
         assert dec.nu == 2
         assert [g.leading_coefficient().low for g in dec.polys] == [0, 1, 2]
 
+    def test_summand_below_height_nu_is_a_precision_error(self, K3):
+        # nu = 2; raising 2*X1^3 + t^-2*X1 over the basis 1, t, t^2 turns
+        # the X1^3 coefficient 2 into 2*t^6 in the summand for t^2, past
+        # O(t^6), so that summand would keep only degree 3 < 9
+        f = AdditivePolynomial(K3, 2, {
+            (0, 1): K3.from_terms({0: 2}, 6),
+            (0, 0): K3.from_terms({-2: 1}, 6),
+            (1, 2): K3.from_terms({1: 2}, 6),
+        })
+        with pytest.raises(PrecisionError):
+            decompose(f)
+
     def test_merging_same_class(self, K3):
         # X1^3 + t^3*X2^3: leaders t^0 and t^3 share the class 0 mod 3,
         # so the second summand merges away (t^3 = (t)^3 * 1)
@@ -596,8 +608,8 @@ def test_one_pass_matches_per_bound_reference_on_mixed_precisions():
     noise from valuation -3..12, so that most walks go deep enough for
     those classes to matter.  oap_solve's value text equals the per-bound
     reference's.  Where the reference's own decompose raises (an expanded
-    summand truncated to zero at a low coefficient order), oap_solve
-    raises too."""
+    summand truncated to zero, or below height nu, at a low coefficient
+    order: 7 of the inputs), oap_solve raises too."""
     fields = _SWEEP_FIELDS + [LaurentField(prime_field(5), "t", 16)]
     rng = random.Random(2031)
     s = Sampler(2031)
@@ -621,4 +633,4 @@ def test_one_pass_matches_per_bound_reference_on_mixed_precisions():
             continue
         assert oap_solve(f, z, prec=prec).value.to_text() == want
         checked += 1
-    assert checked == 279
+    assert checked == 275

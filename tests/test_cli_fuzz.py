@@ -32,7 +32,8 @@ PADIC = ["Q_3", "Q_5"]
 
 @st.composite
 def poly(draw, field):
-    exps = LAURENT.get(field, ["", "^2", "^3", "^4"])
+    # ^99999999 is a typed degree whose dense list the budget refuses
+    exps = LAURENT.get(field, ["", "^2", "^3", "^4", "^99999999"])
     if field in LAURENT:
         coeffs = ["", "t*", "t^-1*", "t^-2*", "2*", "t^2*", "[1,1]*t*"]
         if field in F4:
@@ -67,7 +68,12 @@ def argv(draw, command):
     if command == "oap":
         args["--target"] = draw(targets)
     if draw(st.booleans()):
-        args["--prec"] = draw(st.sampled_from(["-1", "0", "1", "3", "4", "6"]))
+        precs = ["-1", "0", "1", "3", "4", "6"]
+        # the budget caps the span matrix; decompose's --oracle image check
+        # has no cap yet
+        if command != "decompose":
+            precs.append("100000")
+        args["--prec"] = draw(st.sampled_from(precs))
     # about one case in four replaces one argument by junk
     if draw(st.integers(0, 3)) == 0:
         args[draw(st.sampled_from(sorted(args)))] = draw(junk)

@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,25 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valfield.errors import (
-    CertificationError,
-    IndeterminateValuationError,
-    PrecisionError,
-    ValfieldError,
-)
+from valfield.errors import CertificationError, ValfieldError
+from valfield.finite_field import _pmod_irreducible
 from valfield.padic import (
     PAdicExtRing,
-    PAdicNumber,
     ext_valuation,
     fundamental_equality_data,
     monicize,
-    newton_polygon,
-    poly_from_fractions,
     vp_fraction,
     vp_int,
-    with_precision_retry,
 )
-from valfield.value_group import Value
+from valfield.value_group import INFINITY, Value
 
 
 class TestIntegerValuations:
@@ -42,66 +36,13 @@ class TestIntegerValuations:
         assert vp_fraction(Fraction(0), 3) is None
 
 
-@st.composite
-def padics(draw, p=None):
-    pp = p if p is not None else draw(st.sampled_from([2, 3, 5]))
-    v = draw(st.integers(-3, 5))
-    unit = draw(st.integers(0, pp**8 - 1))
-    return PAdicNumber(pp, v, unit, 8)
-
-
-class TestNumberArithmetic:
-    @given(st.sampled_from([2, 3, 5]), st.data())
-    def test_ring_laws(self, p, data):
-        a = data.draw(padics(p=p))
-        b = data.draw(padics(p=p))
-        c = data.draw(padics(p=p))
-        assert (a + b - b - a).is_zero_to_prec()
-        assert ((a * (b + c)) - (a * b + a * c)).is_zero_to_prec()
-
-    @given(st.sampled_from([2, 3, 5]), st.data())
-    def test_valuation_laws(self, p, data):
-        a = data.draw(padics(p=p))
-        b = data.draw(padics(p=p))
-        va, vb, vm = a.valuation(), b.valuation(), (a * b).valuation()
-        if va.exact and vb.exact and vm.exact:
-            assert vm.value == va.value + vb.value
-        vs = (a + b).valuation()
-        if vs.exact:
-            assert vs.value >= min(va.value, vb.value)
-
-    def test_from_fraction_examples(self):
-        x = PAdicNumber.from_fraction(3, Fraction(9, 2), 6)
-        assert x.valuation().value == Value.rank1(2)
-        y = PAdicNumber.from_fraction(3, Fraction(1, 3), 6)
-        assert y.valuation().value == Value.rank1(-1)
-
-    def test_inverse(self):
-        x = PAdicNumber.from_fraction(5, 7, 8)
-        prod = x * x.inverse()
-        one = PAdicNumber.from_fraction(5, 1, prod.prec)
-        assert (prod - one).is_zero_to_prec()
-
-    def test_inverse_of_indeterminate_rejected(self):
-        with pytest.raises(IndeterminateValuationError):
-            PAdicNumber(3, None, 0, 6).inverse()
-
-    def test_residue(self):
-        assert PAdicNumber.from_fraction(3, 7, 6).residue().coeffs[0] == 1
-        assert PAdicNumber.from_fraction(3, 9, 6).residue().is_zero()
-
-    def test_text_round_mentions_precision(self):
-        x = PAdicNumber.from_fraction(3, 7, 4)
-        assert "O(3^4)" in x.to_text()
-
-
-def counterexample_ring(p, prec=None):
+def counterexample_ring(p):
     coeffs = [Fraction(0)] * (2 * p + 1)
     coeffs[2 * p] = Fraction(p)
     coeffs[p + 1] = Fraction(-2 * p)
     coeffs[2] = Fraction(p)
     coeffs[0] = Fraction(-1)
-    return PAdicExtRing(p, coeffs, prec=prec, denominator_bound=2 * p)
+    return PAdicExtRing(p, coeffs)
 
 
 class TestExtensionRing:
@@ -120,13 +61,33 @@ class TestExtensionRing:
         s = gen**3 - gen
         assert ext_valuation(s) == Value.rank1(Fraction(-1, 2))
         identity = ring.element([3]) * s * s - ring.one()
-        assert identity.is_zero_to_prec()
+        assert identity.is_zero()
 
     def test_inverse_in_quotient(self):
         ring = counterexample_ring(3)
         gen = ring.gen()
-        prod = gen * gen.inverse()
-        assert (prod - ring.one()).is_zero_to_prec()
+        assert gen * gen.inverse() == ring.one()
+        assert gen ** -2 * gen**2 == ring.one()
+        assert gen**0 == ring.one()
+
+    def test_zero_has_infinite_valuation(self):
+        ring = counterexample_ring(3)
+        assert ext_valuation(ring.zero()) == INFINITY
+        assert ring.zero().valuation().exact
+
+    def test_inverse_of_zero_rejected(self):
+        with pytest.raises(ValfieldError):
+            counterexample_ring(3).zero().inverse()
+
+    def test_rational_valuations_in_degree_one(self):
+        ring = PAdicExtRing(3, [0, 1])
+        assert ext_valuation(ring.element([Fraction(9, 2)])) == Value.rank1(2)
+        assert ext_valuation(ring.element([Fraction(1, 3)])) == Value.rank1(-1)
+
+    def test_polygon_of_a_rational_modulus(self):
+        # 2 + 2X + X^2 over Q_2, and its scaled copy with denominators
+        for modulus in ([2, 2, 1], [Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)]):
+            assert PAdicExtRing(2, modulus).polygon().segments == ((Fraction(-1, 2), 2),)
 
     def test_uncertified_ring_refuses_valuation(self):
         # X^2 - 1 is reducible; no certificate route applies
@@ -134,16 +95,17 @@ class TestExtensionRing:
         with pytest.raises(CertificationError):
             ext_valuation(ring.gen())
 
+    def test_false_assertion_is_caught_by_a_common_factor(self):
+        # X^2 - 1 = (X - 1)(X + 1): the resultant with X - 1 is zero
+        ring = PAdicExtRing(3, [-1, 0, 1], irreducible_asserted=True)
+        with pytest.raises(CertificationError):
+            ext_valuation(ring.element([-1, 1]))
+
     def test_monicize(self):
         assert monicize([Fraction(2), Fraction(4)]) == [
             Fraction(1, 2),
             Fraction(1),
         ]
-
-    def test_newton_polygon_of_padic_poly(self):
-        coeffs = poly_from_fractions(2, [Fraction(2), Fraction(2), Fraction(1)], 8)
-        poly = newton_polygon(coeffs)
-        assert poly.segments == ((Fraction(-1, 2), 2),)
 
 
 class TestFundamentalEquality:
@@ -176,26 +138,108 @@ class TestFundamentalEquality:
         assert data.n == 2
         assert data.certified_by in ("asserted", "residue-irreducible")
 
+    def test_residue_of_rational_coefficients(self):
+        # X^2 + X/2 + 1/2 over Q_3 has residue X^2 + 2X + 2, irreducible mod 3
+        ring = PAdicExtRing(3, [Fraction(1, 2), Fraction(1, 2), 1])
+        data = fundamental_equality_data(ring)
+        assert (data.n, data.e, data.f_res) == (2, 1, 2)
+        assert data.certified_by == "residue-irreducible"
 
-class TestPrecisionRetry:
-    def test_retry_doubles_until_success(self):
-        calls = []
 
-        def compute(prec):
-            calls.append(prec)
-            if prec < 20:
-                raise PrecisionError("too small")
-            return prec
+def _eisenstein_modulus(rng, p, n):
+    """X^n + p * (c_{n-1} X^(n-1) + ... + c_0) with c_0 a unit."""
+    lower = [p * rng.randrange(-p * p, p * p) for _ in range(n)]
+    lower[0] = p * rng.choice([u for u in range(1, p * p) if u % p])
+    return lower + [1]
 
-        assert with_precision_retry(compute, 6) == 24
-        assert calls == [6, 12, 24]
 
-    def test_retry_gives_up(self):
-        def compute(prec):
-            raise PrecisionError("never enough")
+def _unit_modulus(rng, p, n):
+    """A monic lift of a random irreducible polynomial of degree n mod p."""
+    while True:
+        residue = [rng.randrange(p) for _ in range(n)] + [1]
+        if _pmod_irreducible(residue, p):
+            return [c + p * rng.randrange(-p, p) for c in residue[:-1]] + [1]
 
-        with pytest.raises(PrecisionError):
-            with_precision_retry(compute, 4, attempts=2)
+
+def _rational(rng, p):
+    """A rational whose numerator and denominator both may carry p-powers."""
+    num = rng.choice([c for c in range(-30, 31) if c])
+    return Fraction(num, rng.choice((1, 2, 3, 5, 7, 11))) * Fraction(p) ** rng.randint(-4, 8)
+
+
+def _element(rng, ring):
+    return ring.element([
+        _rational(rng, ring.p) if rng.random() < 0.8 else 0 for _ in range(ring.degree)
+    ])
+
+
+def _norm_valuation(a):
+    """v_p(det of multiplication by a in the basis 1, X, ..., X^(n-1)) / n.
+
+    Column j is a * X^j reduced modulo the monic f by shifting and
+    subtracting; the determinant is Leibniz's sum over permutations."""
+    f, n, p = a.ring.modulus, a.ring.degree, a.ring.p
+    cols = [list(a.rep)]
+    for _ in range(n - 1):
+        top = cols[-1][-1]
+        shifted = [Fraction(0)] + cols[-1][:-1]
+        cols.append([c - top * fc for c, fc in zip(shifted, f)])
+    det = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for j in range(n):
+            term *= cols[j][perm[j]]
+        det += term
+    if det == 0:
+        return INFINITY
+    return Value.rank1(Fraction(vp_fraction(det, p), n))
+
+
+def _ring_and_elements(p, n, eisenstein, seed, count):
+    rng = random.Random(seed)
+    if eisenstein:
+        ring = PAdicExtRing(p, _eisenstein_modulus(rng, p, n))
+    else:
+        ring = PAdicExtRing(p, _unit_modulus(rng, p, n), irreducible_asserted=True)
+    return ring, [_element(rng, ring) for _ in range(count)]
+
+
+# Eisenstein rings and residue-irreducible unit rings over Q_p, p <= 7,
+# degree <= 6, with rational elements whose denominators carry p-powers
+exact_cases = given(
+    st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.booleans(), st.integers(0, 2**32)
+)
+
+
+class TestExactOracle:
+    @settings(max_examples=80, deadline=None)
+    @exact_cases
+    def test_valuation_matches_the_norm(self, p, n, eisenstein, seed):
+        _, (x,) = _ring_and_elements(p, n, eisenstein, seed, 1)
+        assert ext_valuation(x) == _norm_valuation(x)
+
+    @settings(max_examples=60, deadline=None)
+    @exact_cases
+    def test_valuation_is_additive(self, p, n, eisenstein, seed):
+        _, (x, y) = _ring_and_elements(p, n, eisenstein, seed, 2)
+        assert ext_valuation(x * y) == ext_valuation(x) + ext_valuation(y)
+
+    @settings(max_examples=60, deadline=None)
+    @exact_cases
+    def test_inverse_is_exact(self, p, n, eisenstein, seed):
+        ring, (x,) = _ring_and_elements(p, n, eisenstein, seed, 1)
+        if not x.is_zero():
+            assert x * x.inverse() == ring.one()
+
+    @settings(max_examples=40, deadline=None)
+    @exact_cases
+    def test_ring_laws(self, p, n, eisenstein, seed):
+        _, (x, y, z) = _ring_and_elements(p, n, eisenstein, seed, 3)
+        assert (x - x).is_zero()
+        assert (x + y) - y == x
+        assert x * (y + z) == x * y + x * z
+        assert (x * y) * z == x * (y * z)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

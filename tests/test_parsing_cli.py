@@ -416,6 +416,24 @@ class TestCliExitCodes:
         assert code == 0
         assert "identical" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["decompose", "oap"])
+    def test_summand_truncated_past_the_working_order_is_inconclusive(self, capsys, command):
+        # expanded to height 2, the summand from t^2*X2^3 has every
+        # coefficient shifted past O(t^6) and would be the zero polynomial
+        argv = [command, "--field", "F(3)((t))", "--prec", "6",
+                "--poly", "t^-2*X1^9 + t^2*X2^3 + X3^9 + t*X3^3"]
+        if command == "oap":
+            argv += ["--target", "t^-1"]
+        assert run_cli(*argv) == 3
+        assert "loses its degree-p^2 term" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["Q_3", "F(3)((t))"])
+    def test_fundeq_typed_degree_is_charged_to_the_budget(self, field):
+        # the dense coefficient list would hold 10^8 entries
+        proc = run_cli_process("fundeq", "--field", field, "--poly", "X^99999999", timeout=60)
+        assert proc.returncode == 4, proc.stderr
+        assert "budget" in proc.stderr
+
     def test_fundeq_uncertifiable(self, capsys):
         code = run_cli("fundeq", "--field", "Q_3", "--poly", "X^2 - 1")
         assert code == 3
@@ -458,11 +476,10 @@ class TestPrecOption:
             ["oap", "--field", "F(2)((t))", "--poly", "X", "--target", "t^-1", "--prec", "0"],
             ["decompose", "--field", "F(3)((t))", "--poly", "X^3 + t*X", "--prec", "-2"],
             ["extremal", "--field", "F(2)((t))", "--poly", "X^2 + t", "--prec", "0"],
-            ["tmcne", "-p", "3", "--prec", "0"],
             ["fundeq", "--field", "F(2)((t))", "--poly", "X", "--prec", "0"],
             ["fundeq", "--field", "Q_3", "--poly", "X", "--prec", "-1"],
         ],
-        ids=["oap", "decompose", "extremal", "tmcne", "fundeq-laurent", "fundeq-padic"],
+        ids=["oap", "decompose", "extremal", "fundeq-laurent", "fundeq-padic"],
     )
     def test_error_order_below_one_is_a_usage_error(self, capsys, argv):
         assert run_cli(*argv) == 1
