@@ -22,7 +22,6 @@ from .certificates import (
     FundEqCertificate,
     StepRecord,
     TmcneCertificate,
-    verify_fundamental_equality,
     verify_tmcne,
 )
 from .composite import CompositeElement, CompositeField
@@ -63,6 +62,6 @@ from .padic import (
 from .parsing import parse_any_field, parse_ball, parse_int_poly, parse_poly
 from .polygon import NewtonPolygon, newton_polygon_from_valuations
 from .polynomials import MultiPoly
-from .value_group import INFINITY, Value, ValueGroupDescriptor
+from .value_group import INFINITY, Value
 
 __version__ = "0.1.0"

@@ -30,9 +30,13 @@ coefficient; a p-polynomial adds a constant.  The central operations:
   generators g_i(lambda * t^j); the solver inserts them into one echelon,
   most precise first, reduces z against it in one walk whose known order
   drops to the precision of each row used, and pulls the combination back
-  through the sections.  Exhaustive enumeration stays in
-  the oracles (``brute_force_max``, ``truncated_image``,
-  ``decomposition_image``) that tests and ``--oracle`` compare against.
+  through the sections.  Exhaustive enumeration stays only in
+  ``brute_force_max``, the oracle that ``oap --oracle`` compares against.
+
+* ``decomposition_image_agrees`` checks that f and its decomposition have
+  the same image in an output window by the ranks of the windowed F_p
+  spans of their single-digit generators, built with the solver's
+  insertion step.
 
 Everything this module builds from integers is exact (error order
 ``math.inf``): the digit monomials lambda * t^j, the zero accumulators, the
@@ -43,14 +47,13 @@ coefficients, so a witness built from exact digits is itself exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PrecisionError, ValfieldError
-from .extremality import Ball, check_budget, digit_window, extremal_search, DEFAULT_BUDGET
+from .extremality import Ball, check_budget, extremal_search, DEFAULT_BUDGET
 from .finite_field import FFElement
 from .laurent import LaurentField, LaurentSeries, ValuationResult
 from .polynomials import MultiPoly
@@ -496,79 +499,6 @@ def brute_force_max(
     return result.witness, result.value
 
 
-# -- image sets at a truncation (Prop 3.4 style checks) --------------------
-
-
-def _series_key(s: LaurentSeries, out_prec: int):
-    t = s.truncate(min(s.prec, out_prec))
-    return (t.low, t.coeffs) if t.coeffs else "0"
-
-
-def truncated_image(
-    f: AdditivePolynomial,
-    out_prec: int,
-    in_low: int = 0,
-    out_low: Optional[int] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> frozenset:
-    """{ f(a) mod t^out_prec : a_i over digits [in_low, horizon_i) }.
-
-    The horizon per variable is where further digits provably stop
-    mattering modulo t^out_prec, so this is the image of the whole
-    valuation ring (shifted to in_low) at the truncation.  When out_low
-    is given, outputs with valuation below it are discarded: the result
-    is the part of the image falling in the window [out_low, out_prec).
-    """
-    field = f.field
-    tops = []
-    for i in range(f.nvars):
-        g = f.restrict(i)
-        tops.append(max(_digit_horizon(g, out_prec), in_low) if not g.is_zero() else in_low)
-    check_budget(field.base.q ** sum(hi - in_low for hi in tops), budget)
-    out = set()
-    for args in itertools.product(
-        *[digit_window(field, in_low, hi, math.inf) for hi in tops]
-    ):
-        value = f.evaluate(args)
-        if out_low is not None and not value.is_zero_to_prec():
-            if value.valuation_floor() < out_low:
-                continue
-        out.add(_series_key(value, out_prec))
-    return frozenset(out)
-
-
-def decomposition_image(
-    dec: Decomposition,
-    field: LaurentField,
-    out_prec: int,
-    in_low: int = 0,
-    out_low: Optional[int] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> frozenset:
-    """Image of g_1(K) + ... + g_m(K) at the same truncation, built by
-    summing per-variable image sets.  out_low filters as in
-    truncated_image."""
-    current: Dict[object, LaurentSeries] = {"0": field.zero(math.inf)}
-    for g in dec.polys:
-        hi = max(_digit_horizon(g, out_prec), in_low)
-        check_budget(len(current) * field.base.q ** (hi - in_low), budget)
-        values = [g.evaluate([y]) for y in digit_window(field, in_low, hi, math.inf)]
-        nxt: Dict[object, LaurentSeries] = {}
-        for s in current.values():
-            for v in values:
-                w = s + v
-                nxt[_series_key(w, out_prec)] = w
-        current = nxt
-    if out_low is not None:
-        kept = set()
-        for key, s in current.items():
-            if not s.is_zero_to_prec() and s.valuation_floor() < out_low:
-                continue
-            kept.add(key)
-        return frozenset(kept)
-    return frozenset(current.keys())
-
-
 def _digit_generators(
     f: AdditivePolynomial, out_prec: int, in_low: int, min_width: int = 0
 ) -> List[Tuple[int, int, FFElement, LaurentSeries]]:
@@ -597,13 +527,6 @@ def _digit_generators(
     return gens
 
 
-def image_generators(
-    f: AdditivePolynomial, out_prec: int, in_low: int = 0
-) -> List[LaurentSeries]:
-    """The single-digit generators of the truncated image of f, unlabelled."""
-    return [g for *_, g in _digit_generators(f, out_prec, in_low)]
-
-
 def _fp_coordinates(s: LaurentSeries, low: int, high: int) -> List[int]:
     """F_p-coordinates of the coefficients of t^low .. t^(high - 1) of s,
     ordered by (exponent, coordinate); terms below t^low are not read."""
@@ -612,6 +535,8 @@ def _fp_coordinates(s: LaurentSeries, low: int, high: int) -> List[int]:
     desc = s.field.base
     k = desc.k
     out = [0] * (max(0, high - low) * k)
+    if not s.coeffs:  # an exact zero has low = inf
+        return out
     for e in range(max(low, s.low), min(high, s.low + len(s.coeffs))):
         if s.coeffs[e - s.low]:
             out[(e - low) * k:(e - low + 1) * k] = desc.digits(s.coeffs[e - s.low])
@@ -638,45 +563,47 @@ def _fp_insert(pivots: Dict[int, List[int]], row: List[int], stop: int, p: int) 
     return None
 
 
-def _fp_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[Tuple[int, ...], ...]:
-    """Canonical reduced row-echelon form over F_p (rows as int lists):
-    every row inserted, then each pivot column cleared from the rows above
-    it, last pivot first."""
-    pivots: Dict[int, List[int]] = {}
-    for row in rows:
-        _fp_insert(pivots, list(row), len(row), p)
-    cols = sorted(pivots)
-    for i in reversed(range(len(cols))):
-        c, piv = cols[i], pivots[cols[i]]
-        for row in (pivots[a] for a in cols[:i]):
-            x = row[c]
-            if x:
-                row[c:] = [(y - x * w) % p for y, w in zip(row[c:], piv[c:])]
-    return tuple(tuple(pivots[c]) for c in cols)
-
-
 def windowed_image_span(
     gens: Sequence[LaurentSeries],
     field: LaurentField,
     out_prec: int,
     out_low: int,
-) -> Tuple[Tuple[int, ...], ...]:
-    """Canonical basis of the part of the generated image falling in the
-    output window [out_low, out_prec).
+) -> Dict[int, List[int]]:
+    """The part of the generated image falling in the output window
+    [out_low, out_prec): the echelon's pivot rows at or past the cut, as
+    {pivot column: row} over the window's coordinates.
 
-    The span of all generators is echelonized over coordinates from the
-    lowest generator valuation up to out_prec; rows whose pivot sits at a
-    coordinate >= out_low automatically have zero entries below it, and
-    exactly those rows span the subgroup of image elements with valuation
-    at least out_low."""
+    The generators are inserted into one echelon over coordinates from the
+    lowest generator valuation up to out_prec.  A pivot row is zero below
+    its pivot, and a span element leads at the least pivot among the rows
+    it uses, so the rows pivoting at or past out_low span exactly the image
+    elements of valuation at least out_low."""
     desc = field.base
     floor = min(
         [s.valuation_floor() for s in gens if not s.is_zero_to_prec()]
         + [out_low]
     )
-    rows = _fp_echelon([_fp_coordinates(s, floor, out_prec) for s in gens], desc.p)
+    pivots: Dict[int, List[int]] = {}
+    for s in gens:
+        row = _fp_coordinates(s, floor, out_prec)
+        _fp_insert(pivots, row, len(row), desc.p)
     cut = (out_low - floor) * desc.k
-    return tuple(row[cut:] for row in rows if not any(row[:cut]))
+    return {col - cut: row[cut:] for col, row in pivots.items() if col >= cut}
+
+
+def _span_size(g: AdditivePolynomial, out_prec: int, out_low: int, level: int) -> int:
+    """Rows x columns of windowed_image_span over g's generators from input
+    level <= 0, bounded from g's terms before any generator is built: the
+    digit t^j, j >= level, meets the term c * X^(p^k) at valuation
+    >= v(c) + p^k * level."""
+    desc = g.field.base
+    rows = sum(
+        _digit_horizon(g.restrict(i), out_prec) - level
+        for i in range(g.nvars)
+        if g.height(i) is not None
+    )
+    floor = min([out_low] + [c.low + desc.p**k * level for (_, k), c in g.terms.items()])
+    return rows * desc.k * (out_prec - floor) * desc.k
 
 
 def decomposition_image_agrees(
@@ -691,29 +618,33 @@ def decomposition_image_agrees(
     window [out_low, out_prec).
 
     Both images are spans of single-digit generators, and the input window
-    is lowered one level at a time.  Once neither span changes for a level,
-    equal spans answer True and an f-span outside the decomposed span
-    answers False; an f-span strictly inside it may still grow, so the
-    descent goes on, and a window that does not settle above min_in_low
-    raises PrecisionError."""
+    is lowered one level at a time, so the windowed spans W_f and W_d only
+    grow: a level that changes neither dimension changes neither span.  At
+    such a level, W_f lies inside W_d exactly when inserting W_f's rows
+    into W_d's echelon adds no pivot; a pivot added answers False, equal
+    dimensions then answer True, and a smaller W_f may still grow, so the
+    descent goes on.  A window that does not settle above min_in_low raises
+    PrecisionError.  Every span matrix is charged to the default budget,
+    summed over both sides and all levels, before its generators are
+    built."""
+    p = field.base.p
+    sides = (f, dec.summed(field))
     level = min(0, out_low)
-    span_f = span_d = None
+    spent, dims = 0, None
     while level >= min_in_low:
-        nf = windowed_image_span(
-            image_generators(f, out_prec, in_low=level), field, out_prec, out_low
-        )
-        nd = windowed_image_span(
-            image_generators(dec.summed(field), out_prec, in_low=level),
-            field,
-            out_prec,
-            out_low,
-        )
-        if (nf, nd) == (span_f, span_d):
-            if nf == nd:
-                return True
-            if _fp_echelon(list(nf + nd), field.base.p) != nd:
+        spans = []
+        for g in sides:
+            spent += _span_size(g, out_prec, out_low, level)
+            check_budget(spent, DEFAULT_BUDGET)
+            gens = [s for *_, s in _digit_generators(g, out_prec, level)]
+            spans.append(windowed_image_span(gens, field, out_prec, out_low))
+        span_f, span_d = spans
+        if (len(span_f), len(span_d)) == dims:
+            if any(_fp_insert(span_d, row, len(row), p) is not None for row in span_f.values()):
                 return False
-        span_f, span_d = nf, nd
+            if len(span_f) == len(span_d):
+                return True
+        dims = len(span_f), len(span_d)
         level -= 1
     raise PrecisionError(
         "image comparison window did not saturate above the input floor"

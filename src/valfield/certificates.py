@@ -12,10 +12,9 @@ Two certificate families:
   X^p - X - 1 over F_p.  The last two steps together force a residue that
   cannot exist, which is the contradiction the certificate records.
 
-* ``verify_fundamental_equality`` reports (n, e, fRes) and whether
-  n = e * fRes for a finite extension presented either over Q_p (by an
-  integer polynomial) or over F_q((t)) (by a polynomial with series
-  coefficients).
+* ``fundeq_padic`` and ``fundeq_laurent`` report (n, e, fRes) and whether
+  n = e * fRes for a finite extension presented over Q_p by an integer
+  polynomial or over F_q((t)) by a polynomial with series coefficients.
 
 Certificates serialize to deterministic JSON: same parameters, byte-equal
 output.
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import CertificationError, ValfieldError
+from .errors import CertificationError
 from .finite_field import (
     _pmod_irreducible,
     artin_schreier_irreducible,
@@ -341,19 +340,6 @@ def fundeq_laurent(
         if c is not None and not c.is_zero_to_prec()
     )
     return FundEqCertificate(**vars(data), polynomial=f"{text} over {field.to_text()}")
-
-
-def verify_fundamental_equality(
-    field,
-    coeffs,
-    irreducible_asserted: bool = False,
-) -> FundEqCertificate:
-    """Dispatch on the base: Q_p (integer p) or a Laurent-series field."""
-    if isinstance(field, int):
-        return fundeq_padic(field, coeffs, irreducible_asserted)
-    if isinstance(field, LaurentField):
-        return fundeq_laurent(field, coeffs, irreducible_asserted)
-    raise ValfieldError("unsupported base for the fundamental equality check")
 
 
 def poly_text_from_coeffs(coeffs: Sequence[Union[int, Fraction]]) -> str:

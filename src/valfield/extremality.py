@@ -282,11 +282,10 @@ def check_vexbarwex(
     )
     if comp_result.verdict != MAX_ATTAINED:
         return CompositeCheckReport("Inconclusive", comp_result, res_result, None)
-    pushed = tuple(w.coarsen()[1] if w.coeffs else inner_field.zero(comp_field.prec_u)
-                   for w in comp_result.witness)
+    # a witness's residue at w = 0 is its t^0 coefficient; a witness of
+    # larger outer valuation has residue 0
     pushed = tuple(
-        s if _coarsen_level(w) == 0 else inner_field.zero(comp_field.prec_u)
-        for w, s in zip(comp_result.witness, pushed)
+        w.coeffs.get(0, inner_field.zero(comp_field.prec_u)) for w in comp_result.witness
     )
     vr = g.evaluate(pushed).valuation()
     if not vr.exact or res_result.verdict != MAX_ATTAINED:
@@ -298,9 +297,3 @@ def check_vexbarwex(
             "Counterexample", comp_result, res_result, vr.to_text()
         )
     return CompositeCheckReport("Confirmed", comp_result, res_result, vr.to_text())
-
-
-def _coarsen_level(w: CompositeElement) -> int:
-    if not w.coeffs:
-        return 0
-    return min(w.coeffs)

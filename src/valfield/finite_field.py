@@ -145,11 +145,6 @@ class FiniteFieldDescriptor:
     def one(self) -> "FFElement":
         return FFElement(self, 1)
 
-    def gen(self) -> "FFElement":
-        if self.k == 1:
-            return self.one()
-        return self.element([0, 1])
-
     def elements(self) -> Iterator["FFElement"]:
         for code in range(self.q):
             yield FFElement(self, code)

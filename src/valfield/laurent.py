@@ -152,9 +152,6 @@ class LaurentField:
 
     # -- parsing -----------------------------------------------------------
 
-    def parse(self, text: str, default_prec: Optional[int] = None) -> "LaurentSeries":
-        return parse_series(self, text, default_prec)
-
 
 class LaurentSeries:
     """An element of F_q((t)) known modulo t^prec; prec = inf is exact.

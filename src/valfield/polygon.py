@@ -31,14 +31,6 @@ class NewtonPolygon:
     segments: Tuple[Tuple[Fraction, int], ...]
     start: int  # order of vanishing at 0
 
-    @property
-    def degree_span(self) -> int:
-        return sum(length for _, length in self.segments)
-
-    def root_valuations(self) -> List[Tuple[Fraction, int]]:
-        """(valuation, multiplicity-as-length) for the nonzero roots."""
-        return [(-slope, length) for slope, length in self.segments]
-
     def single_slope(self) -> Optional[Fraction]:
         if len(self.segments) == 1:
             return self.segments[0][0]

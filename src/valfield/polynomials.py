@@ -79,9 +79,6 @@ class MultiPoly:
                 out[m] = out[m] + c if m in out else c
         return MultiPoly(self.nvars, out)
 
-    def scale(self, c) -> "MultiPoly":
-        return MultiPoly(self.nvars, {m: x * c for m, x in self.terms.items()})
-
     def map_coeffs(self, fn: Callable) -> "MultiPoly":
         return MultiPoly(self.nvars, {m: fn(c) for m, c in self.terms.items()})
 

@@ -24,7 +24,7 @@ from .laurent import LaurentField, parse_series
 from .padic import PAdicExtRing
 from .polynomials import _coeff_is_zero
 from .sampling import Sampler
-from .value_group import INFINITY, Value, value_min
+from .value_group import INFINITY, Value
 
 
 def value_group_suite(seed: int = 0, samples: int = 1000) -> List[str]:
@@ -45,12 +45,8 @@ def value_group_suite(seed: int = 0, samples: int = 1000) -> List[str]:
             fails.append("order not total")
         if a <= b and (a + c) > (b + c):
             fails.append("add not monotone")
-        if value_min([a, b]) != min(a, b):
-            fails.append("value_min disagrees with min")
         if Value.from_text(a.to_text()) != a:
             fails.append(f"value text round trip: {a.to_text()}")
-        if a.scale(2).scale(3) != a.scale(6):
-            fails.append("scale not multiplicative")
     return fails
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import ParseError, RankMismatchError, ValfieldError
 
@@ -81,15 +81,6 @@ class Value:
     def __sub__(self, other: "Value") -> "Value":
         return self + (-other)
 
-    def scale(self, n: Rational) -> "Value":
-        """n-fold multiple inside the divisible hull (n a rational scalar)."""
-        if self.tag == _INF:
-            return INFINITY
-        n = Fraction(n)
-        if self.tag == _RANK1:
-            return Value.rank1(self.first * n)
-        return Value.rank2(self.first * n, self.second * n)
-
     # -- total order -------------------------------------------------------
 
     def _key(self):
@@ -143,50 +134,3 @@ class Value:
 
 
 INFINITY = Value(_INF)
-
-
-def value_min(values: Iterable[Value]) -> Value:
-    """Least element of a nonempty uniform-rank list of values."""
-    vals = list(values)
-    if not vals:
-        raise ValfieldError("minimum over an empty list of values")
-    best = vals[0]
-    for v in vals[1:]:
-        if v < best:
-            best = v
-    return best
-
-
-@dataclass(frozen=True)
-class ValueGroupDescriptor:
-    """Context for a computation: group rank plus a denominator d.
-
-    The group is (1/d)Z for rank 1, or lexicographic pairs thereof for
-    rank 2.  Every value produced under the descriptor must have
-    denominators dividing ``denominator``.
-    """
-
-    rank: int
-    denominator: int = 1
-
-    def __post_init__(self):
-        if self.rank not in (1, 2):
-            raise ValfieldError(f"unsupported rank {self.rank}")
-        if self.denominator < 1:
-            raise ValfieldError("denominator must be positive")
-
-    def contains(self, v: Value) -> bool:
-        if v.is_infinity:
-            return True
-        if v.rank != self.rank:
-            return False
-        d = self.denominator
-        parts = [v.first] if self.rank == 1 else [v.first, v.second]
-        return all((q * d).denominator == 1 for q in parts)
-
-    def grain(self) -> Value:
-        """The smallest positive group element under this descriptor."""
-        g = Fraction(1, self.denominator)
-        if self.rank == 1:
-            return Value.rank1(g)
-        return Value.rank2(0, g)

@@ -1,0 +1,104 @@
+"""Enumerating and canonical-form oracles that only the tests compare against.
+
+* ``truncated_image`` and ``decomposition_image`` enumerate the image of an
+  additive polynomial, and of its decomposition, at a truncation: every
+  input digit combination is evaluated, so they share no span code with
+  ``decomposition_image_agrees``.
+* ``_fp_echelon`` is the canonical reduced row-echelon form over F_p, for
+  the per-bound reference of ``oap_solve`` in ``test_additive``.
+"""
+
+import itertools
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon, _fp_insert
+from valfield.extremality import DEFAULT_BUDGET, check_budget, digit_window
+from valfield.laurent import LaurentField, LaurentSeries
+
+
+def _series_key(s: LaurentSeries, out_prec: int):
+    t = s.truncate(min(s.prec, out_prec))
+    return (t.low, t.coeffs) if t.coeffs else "0"
+
+
+def truncated_image(
+    f: AdditivePolynomial,
+    out_prec: int,
+    in_low: int = 0,
+    out_low: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> frozenset:
+    """{ f(a) mod t^out_prec : a_i over digits [in_low, horizon_i) }.
+
+    The horizon per variable is where further digits provably stop
+    mattering modulo t^out_prec, so this is the image of the whole
+    valuation ring (shifted to in_low) at the truncation.  When out_low
+    is given, outputs with valuation below it are discarded: the result
+    is the part of the image falling in the window [out_low, out_prec).
+    """
+    field = f.field
+    tops = []
+    for i in range(f.nvars):
+        g = f.restrict(i)
+        tops.append(max(_digit_horizon(g, out_prec), in_low) if not g.is_zero() else in_low)
+    check_budget(field.base.q ** sum(hi - in_low for hi in tops), budget)
+    out = set()
+    for args in itertools.product(
+        *[digit_window(field, in_low, hi, math.inf) for hi in tops]
+    ):
+        value = f.evaluate(args)
+        if out_low is not None and not value.is_zero_to_prec():
+            if value.valuation_floor() < out_low:
+                continue
+        out.add(_series_key(value, out_prec))
+    return frozenset(out)
+
+
+def decomposition_image(
+    dec: Decomposition,
+    field: LaurentField,
+    out_prec: int,
+    in_low: int = 0,
+    out_low: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
+) -> frozenset:
+    """Image of g_1(K) + ... + g_m(K) at the same truncation, built by
+    summing per-variable image sets.  out_low filters as in
+    truncated_image."""
+    current: Dict[object, LaurentSeries] = {"0": field.zero(math.inf)}
+    for g in dec.polys:
+        hi = max(_digit_horizon(g, out_prec), in_low)
+        check_budget(len(current) * field.base.q ** (hi - in_low), budget)
+        values = [g.evaluate([y]) for y in digit_window(field, in_low, hi, math.inf)]
+        nxt: Dict[object, LaurentSeries] = {}
+        for s in current.values():
+            for v in values:
+                w = s + v
+                nxt[_series_key(w, out_prec)] = w
+        current = nxt
+    if out_low is not None:
+        kept = set()
+        for key, s in current.items():
+            if not s.is_zero_to_prec() and s.valuation_floor() < out_low:
+                continue
+            kept.add(key)
+        return frozenset(kept)
+    return frozenset(current.keys())
+
+
+def _fp_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[Tuple[int, ...], ...]:
+    """Canonical reduced row-echelon form over F_p (rows as int lists):
+    every row inserted, then each pivot column cleared from the rows above
+    it, last pivot first."""
+    pivots: Dict[int, List[int]] = {}
+    for row in rows:
+        _fp_insert(pivots, list(row), len(row), p)
+    cols = sorted(pivots)
+    for i in reversed(range(len(cols))):
+        c, piv = cols[i], pivots[cols[i]]
+        for row in (pivots[a] for a in cols[:i]):
+            x = row[c]
+            if x:
+                row[c:] = [(y - x * w) % p for y, w in zip(row[c:], piv[c:])]
+    return tuple(tuple(pivots[c]) for c in cols)

@@ -14,17 +14,14 @@ from valfield.additive import (
     PPolynomial,
     _digit_generators,
     _fp_coordinates,
-    _fp_echelon,
+    _fp_insert,
     additive_from_multipoly,
     alpha_bound,
     brute_force_max,
     Decomposition,
     decompose,
-    decomposition_image,
     decomposition_image_agrees,
-    image_generators,
     oap_solve,
-    truncated_image,
     valuation_independent,
     windowed_image_span,
 )
@@ -35,6 +32,8 @@ from valfield.laurent import LaurentField, parse_series
 from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
 from valfield.value_group import Value
+
+from oracles import _fp_echelon, decomposition_image, truncated_image
 
 
 class TestConversion:
@@ -171,9 +170,13 @@ class TestDecompose:
 class TestImages:
     def test_span_matches_enumeration(self, K2, K3):
         # the span route is the fast oracle; pin it to plain enumeration
-        # on the same input window and output window
+        # on the same input window and output window: each enumerated
+        # image is a group of p^rank elements, and the two images are
+        # equal exactly when the spans have one rank and W_f's rows add no
+        # pivot to W_d's echelon
         s = Sampler(42)
         for K in (K2, K3):
+            p = K.base.p
             for trial in range(6):
                 n = 1 + trial % 2
                 f = s.additive(K, n, max_k=1, coeff_lo=-1, coeff_hi=1, prec=16)
@@ -181,18 +184,32 @@ class TestImages:
                     continue
                 dec = decompose(f)
                 for in_low in (0, -1):
-                    enum_equal = truncated_image(
-                        f, 4, in_low=in_low, out_low=0
-                    ) == decomposition_image(dec, K, 4, in_low=in_low, out_low=0)
-                    span_eq = windowed_image_span(
-                        image_generators(f, 4, in_low=in_low), K, 4, 0
-                    ) == windowed_image_span(
-                        image_generators(dec.summed(K), 4, in_low=in_low),
-                        K,
-                        4,
-                        0,
+                    img_f = truncated_image(f, 4, in_low=in_low, out_low=0)
+                    img_d = decomposition_image(dec, K, 4, in_low=in_low, out_low=0)
+                    span_f, span_d = (
+                        windowed_image_span(
+                            [g for *_, g in _digit_generators(h, 4, in_low)], K, 4, 0
+                        )
+                        for h in (f, dec.summed(K))
                     )
-                    assert enum_equal == span_eq
+                    assert (len(img_f), len(img_d)) == (p ** len(span_f), p ** len(span_d))
+                    inside = all(
+                        _fp_insert(span_d, row, len(row), p) is None
+                        for row in span_f.values()
+                    )
+                    assert (img_f == img_d) == (inside and len(span_f) == len(span_d))
+
+    @pytest.mark.parametrize(
+        "p, lin", [(2, 1), (3, -1)], ids=["X^2+X over F2", "X^3-X over F3"]
+    )
+    def test_agreement_with_an_exactly_zero_generator(self, p, lin):
+        # with exact coefficients, the generator at lambda = 1, j = 0 is
+        # the exact zero series, whose low is inf
+        K = LaurentField(prime_field(p), "t", default_prec=12)
+        one = K.one(math.inf)
+        f = AdditivePolynomial(K, 1, {(0, 1): one, (0, 0): one.scale(lin)})
+        assert f.evaluate([one]).coeffs == ()
+        assert decomposition_image_agrees(f, decompose(f), K, 4)
 
     def test_image_agreement_on_samples(self, K2, K3):
         s = Sampler(42)

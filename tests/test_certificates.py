@@ -14,9 +14,9 @@ from valfield.certificates import (
     fundeq_laurent,
     fundeq_padic,
     poly_text_from_coeffs,
-    verify_fundamental_equality,
     verify_tmcne,
 )
+from valfield.cli import main
 from valfield.errors import CertificationError
 from valfield.laurent import LaurentField
 from valfield.finite_field import prime_field
@@ -147,9 +147,9 @@ class TestFundamentalEquality:
         with pytest.raises(CertificationError):
             fundeq_laurent(K, [-K.one(8), K.zero(8), K.one(8)])
 
-    def test_dispatcher(self):
-        data = verify_fundamental_equality(3, [Fraction(-3), Fraction(0), Fraction(1)])
-        assert (data.n, data.e) == (2, 2)
-        K = LaurentField(prime_field(3), "t", default_prec=8)
-        data2 = verify_fundamental_equality(K, [-K.t_power(1, 8), K.zero(8), K.one(8)])
-        assert (data2.n, data2.e) == (2, 2)
+    def test_dispatcher(self, capsys):
+        # the CLI's fundeq dispatches on the base: fundeq_padic over Q_p,
+        # fundeq_laurent over a Laurent field
+        for field, poly in (("Q_3", "X^2 - 3"), ("F(3)((t))", "X^2 - t")):
+            assert main(["fundeq", "--field", field, "--poly", poly]) == 0
+            assert "n = 2, e = 2, fRes = 1" in capsys.readouterr().out

@@ -68,12 +68,8 @@ def argv(draw, command):
     if command == "oap":
         args["--target"] = draw(targets)
     if draw(st.booleans()):
-        precs = ["-1", "0", "1", "3", "4", "6"]
-        # the budget caps the span matrix; decompose's --oracle image check
-        # has no cap yet
-        if command != "decompose":
-            precs.append("100000")
-        args["--prec"] = draw(st.sampled_from(precs))
+        # the budget caps the span matrices of oap and decompose --oracle
+        args["--prec"] = draw(st.sampled_from(["-1", "0", "1", "3", "4", "6", "100000"]))
     # about one case in four replaces one argument by junk
     if draw(st.integers(0, 3)) == 0:
         args[draw(st.sampled_from(sorted(args)))] = draw(junk)
@@ -85,16 +81,36 @@ def argv(draw, command):
     return [command, *flags]
 
 
-@pytest.mark.parametrize("command", ["oap", "decompose", "alpha", "fundeq"])
-@settings(derandomize=True, max_examples=12, deadline=None)
-@given(data=st.data())
-def test_cli_exits_with_a_documented_code(command, data):
-    args = data.draw(argv(command))
+def run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "valfield", *args],
         capture_output=True, text=True, timeout=30, env=env,
     )
-    assert proc.returncode in range(5), (args, proc.returncode, proc.stderr)
     assert "Traceback" not in proc.stderr, (args, proc.stderr)
+    return proc
+
+
+@pytest.mark.parametrize("command", ["oap", "decompose", "alpha", "fundeq"])
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_cli_exits_with_a_documented_code(command, data):
+    args = data.draw(argv(command))
+    proc = run(args)
+    assert proc.returncode in range(5), (args, proc.returncode, proc.stderr)
+
+
+# the derandomized draws above need not pair a valid field with an input
+# past a budget, so each budget is reached here through a valid field
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fundeq", "--field", field, "--poly", "X^99999999 + 3*X + 3"] for field in PADIC
+    ] + [
+        ["decompose", "--field", "F(2)((t))", "--poly", "X^2 + t*X", "--prec", "100000", "--oracle"],
+    ],
+    ids=["fundeq-Q_3", "fundeq-Q_5", "decompose-oracle"],
+)
+def test_a_budget_reached_through_a_valid_field_exits_4(args):
+    assert run(args).returncode == 4

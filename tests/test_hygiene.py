@@ -1,18 +1,29 @@
-"""Source hygiene: no module of valfield imports a name it never uses.
+"""Source hygiene: valfield imports nothing it never uses, and defines
+nothing public that no caller uses.
 
 Every module-level ``import`` / ``from ... import`` binding in
 ``src/valfield`` must be referenced somewhere in its module, counting
 names inside string annotations.  ``__init__.py`` is exempt: its imports
 are the package's public re-exports.
+
+Every module-level public function and class must be referenced outside
+its own definition and the ``__init__`` re-export: in library code, in
+``scripts/`` or ``perfbench/``, or among the names that the acceptance
+gate ``tests/test_acceptance.py`` imports.  Code that only the other
+tests call belongs beside them, in ``tests/oracles.py``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "valfield"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "valfield"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CALLERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+GATE = ROOT / "tests" / "test_acceptance.py"
 
 
 def _names_in(node, out):
@@ -68,3 +79,74 @@ def test_checker_flags_an_unused_import():
         "    return None\n"
     )
     assert unused_imports(source) == [(1, "List"), (2, "re")]
+
+
+def _references(tree):
+    """Names, attribute names and dotted strings (such as "additive.decompose"
+    or a quoted annotation) used in tree."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                stack.append(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def uncalled_public_names(modules, callers, gate):
+    """(module, name) for each module-level public function or class that
+    no other top-level statement of the modules, no caller and no gate
+    import references."""
+    outside = set()
+    for path in callers:
+        outside |= _references(ast.parse(path.read_text()))
+    for node in ast.walk(ast.parse(gate.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("valfield"):
+            outside |= {alias.name for alias in node.names}
+    statements = [
+        (path.stem, stmt, _references(stmt))
+        for path in modules
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    # how many top-level statements reference each name; a definition that
+    # references itself counts once for itself
+    count = Counter(name for *_, refs in statements for name in refs)
+    return [
+        (module, stmt.name)
+        for module, stmt, refs in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in outside
+        and count[stmt.name] == (stmt.name in refs)
+    ]
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_public_names(MODULES, CALLERS, GATE) == []
+
+
+def test_checker_flags_a_name_only_tests_call(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def used(): return helper()\n"
+        "def helper(): return 1\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Orphan: pass\n"
+        "def gated(): pass\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("import lib\nlib.used()\n")
+    gate = tmp_path / "gate.py"
+    gate.write_text("from valfield.lib import gated\n")
+    assert uncalled_public_names([lib], [caller], gate) == [
+        ("lib", "recursive"),
+        ("lib", "Orphan"),
+    ]

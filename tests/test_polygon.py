@@ -24,13 +24,14 @@ class TestKnownPolygons:
         vals = [exact(0), None, exact(1), None, exact(1), None, exact(1)]
         poly = newton_polygon_from_valuations(vals)
         assert poly.segments == ((Fraction(1, 6), 6),)
-        assert poly.root_valuations() == [(Fraction(-1, 6), 6)]
+        # the six roots have valuation minus the slope
+        assert -poly.single_slope() == Fraction(-1, 6)
 
     def test_eisenstein(self):
         # X^2 - p: points (0,1), (2,0): slope -1/2, roots valuation 1/2
         poly = newton_polygon_from_valuations([exact(1), None, exact(0)])
         assert poly.segments == ((Fraction(-1, 2), 2),)
-        assert poly.root_valuations() == [(Fraction(1, 2), 2)]
+        assert -poly.single_slope() == Fraction(1, 2)
 
     def test_two_segments_sorted(self):
         # (0,0), (1,-2), (3,0): slopes -2 then 1
@@ -99,7 +100,7 @@ class TestHullProperties:
         assert slopes == sorted(slopes)
         assert len(set(slopes)) == len(slopes)
         # total horizontal length spans all points
-        assert poly.degree_span == len(heights) - 1
+        assert sum(length for _, length in poly.segments) == len(heights) - 1
         # the hull supports every point from below
         x = 0
         y = Fraction(heights[0])

@@ -5,12 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valfield.errors import ParseError, RankMismatchError, ValfieldError
-from valfield.value_group import (
-    INFINITY,
-    Value,
-    ValueGroupDescriptor,
-    value_min,
-)
+from valfield.value_group import INFINITY, Value
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=12
@@ -56,12 +51,6 @@ class TestGroupLaws:
         assert a < INFINITY
         assert not INFINITY < a
 
-    @given(values(), st.integers(min_value=-5, max_value=5))
-    def test_scale(self, a, n):
-        assert a.scale(n).scale(2) == a.scale(2 * n)
-        if n:
-            assert a.scale(n).scale(Fraction(1, n)) == a
-
 
 class TestRankDiscipline:
     def test_cross_rank_add_rejected(self):
@@ -91,33 +80,3 @@ class TestTextForm:
     def test_bad_text_rejected(self):
         with pytest.raises(ParseError):
             Value.from_text("three")
-
-
-class TestMinAndDescriptor:
-    @given(st.lists(values(rank=1), min_size=1, max_size=6))
-    def test_value_min(self, vals):
-        m = value_min(vals)
-        assert all(m <= v for v in vals)
-        assert m in vals
-
-    def test_value_min_empty_rejected(self):
-        with pytest.raises(ValfieldError):
-            value_min([])
-
-    def test_descriptor_contains(self):
-        d = ValueGroupDescriptor(1, 6)
-        assert d.contains(Value.rank1(Fraction(-1, 6)))
-        assert d.contains(Value.rank1(Fraction(1, 2)))
-        assert not d.contains(Value.rank1(Fraction(1, 4)))
-        assert d.contains(INFINITY)
-        assert not d.contains(Value.rank2(1, 1))
-
-    def test_grain(self):
-        assert ValueGroupDescriptor(1, 6).grain() == Value.rank1(Fraction(1, 6))
-        assert ValueGroupDescriptor(2, 1).grain() == Value.rank2(0, 1)
-
-    def test_bad_descriptor(self):
-        with pytest.raises(ValfieldError):
-            ValueGroupDescriptor(3, 1)
-        with pytest.raises(ValfieldError):
-            ValueGroupDescriptor(1, 0)
