@@ -52,8 +52,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import PrecisionError, ValfieldError
-from .extremality import Ball, check_budget, extremal_search, DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
+from .extremality import Ball, extremal_search
 from .finite_field import FFElement
 from .laurent import LaurentField, LaurentSeries, ValuationResult
 from .polynomials import MultiPoly
@@ -439,7 +439,8 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
     to its precision; the first surviving column without a pivot is the
     exact answer, and reaching the known order answers ">= order".  The
     combination, read as digits, is mapped back through the sections.
-    The F_p matrix is charged to the default budget before it is built.
+    The F_p matrix, with its identity block, is charged to the default
+    budget before any generator is built.
     """
     field = f.field
     dec = decompose(f)
@@ -449,13 +450,15 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
         return OapResult(zeros, (), val, None)
     alpha_v = alpha_bound(PPolynomial(f, -z), dec)
     alpha = int(alpha_v.first)
-    gens = _digit_generators(dec.summed(field), prec, alpha, min_width=1)
-    gens.sort(key=lambda gen: -gen[3].prec)
+    summed = dec.summed(field)
     top = min(z.prec, prec)
+    rows, cols = _span_size(summed, prec, min(top, z.valuation_floor()), alpha, min_width=1)
+    check_budget(rows * (cols + rows), DEFAULT_BUDGET)
+    gens = _digit_generators(summed, prec, alpha, min_width=1)
+    gens.sort(key=lambda gen: -gen[3].prec)
     low = min([top, z.valuation_floor()] + [g.valuation_floor() for *_, g in gens])
     p, k, n = field.base.p, field.base.k, len(gens)
     width = (top - low) * k
-    check_budget(n * (width + n), DEFAULT_BUDGET)
     pivots: Dict[int, List[int]] = {}
     known: Dict[int, int] = {}  # pivot column -> precision of its row
     # an identity block after the coordinates carries each row's combination
@@ -591,19 +594,22 @@ def windowed_image_span(
     return {col - cut: row[cut:] for col, row in pivots.items() if col >= cut}
 
 
-def _span_size(g: AdditivePolynomial, out_prec: int, out_low: int, level: int) -> int:
-    """Rows x columns of windowed_image_span over g's generators from input
-    level <= 0, bounded from g's terms before any generator is built: the
-    digit t^j, j >= level, meets the term c * X^(p^k) at valuation
-    >= v(c) + p^k * level."""
+def _span_size(
+    g: AdditivePolynomial, out_prec: int, out_low: int, level: int, min_width: int = 0
+) -> Tuple[int, int]:
+    """(rows, columns) of a span matrix over _digit_generators(g, out_prec,
+    level, min_width), its columns from min(out_low, generator valuations)
+    to out_prec, bounded from g's terms before any generator is built: the
+    rows exactly, the columns since the digit t^j, j >= level, meets the
+    term c * X^(p^k) at valuation >= v(c) + p^k * level."""
     desc = g.field.base
     rows = sum(
-        _digit_horizon(g.restrict(i), out_prec) - level
+        max(_digit_horizon(g.restrict(i), out_prec), level + min_width) - level
         for i in range(g.nvars)
         if g.height(i) is not None
     )
     floor = min([out_low] + [c.low + desc.p**k * level for (_, k), c in g.terms.items()])
-    return rows * desc.k * (out_prec - floor) * desc.k
+    return rows * desc.k, (out_prec - floor) * desc.k
 
 
 def decomposition_image_agrees(
@@ -634,7 +640,8 @@ def decomposition_image_agrees(
     while level >= min_in_low:
         spans = []
         for g in sides:
-            spent += _span_size(g, out_prec, out_low, level)
+            rows, cols = _span_size(g, out_prec, out_low, level)
+            spent += rows * cols
             check_budget(spent, DEFAULT_BUDGET)
             gens = [s for *_, s in _digit_generators(g, out_prec, level)]
             spans.append(windowed_image_span(gens, field, out_prec, out_low))

@@ -33,18 +33,18 @@ from .certificates import (
 )
 from .composite import CompositeField
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CertificationError,
     ParseError,
     PrecisionError,
     ValfieldError,
+    check_budget,
 )
 from .extremality import (
     Ball,
-    DEFAULT_BUDGET,
     MAX_ATTAINED,
     ball_transfer,
-    check_budget,
     check_vexbarwex,
     composite_extremal_search,
     extremal_search,
@@ -225,9 +225,12 @@ def cmd_transfer(args) -> int:
         cap=args.prec, budget=args.budget,
     )
     same = m_f == m_g
+    # a bound below the cap is precision lost in evaluation, not a failed check
+    lossy = not same and any(m.startswith(">=") and m != f">={args.prec}" for m in m_f + m_g)
+    verdict = "different, inconclusive" if lossy else "identical" if same else "DIFFERENT"
     print(
         f"valuation multisets over B_{args.beta}(b) for f and B_{args.alpha}(a) "
-        f"for g mod t^{args.prec}: {'identical' if same else 'DIFFERENT'}"
+        f"for g mod t^{args.prec}: {verdict}"
     )
     _emit(
         {
@@ -238,7 +241,7 @@ def cmd_transfer(args) -> int:
         },
         args.json,
     )
-    return EXIT_OK if same else EXIT_FAILED
+    return EXIT_INCONCLUSIVE if lossy else EXIT_OK if same else EXIT_FAILED
 
 
 def cmd_compose(args) -> int:

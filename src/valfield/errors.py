@@ -25,6 +25,14 @@ class BudgetExceededError(ValfieldError):
     """An enumeration would exceed the configured budget."""
 
 
+DEFAULT_BUDGET = 10**7
+
+
+def check_budget(count: int, budget: int) -> None:
+    if count > budget:
+        raise BudgetExceededError(f"{count} candidates or matrix entries exceed budget {budget}")
+
+
 class CertificationError(ValfieldError):
     """A required property (e.g. irreducibility) cannot be certified."""
 

@@ -1,26 +1,26 @@
 """Truncated extremality searches, ball transfer, and rank-2 desk checks.
 
-A search over a truncated ring can never certify extremality of the
-infinite field; every search therefore returns an explicit verdict:
-``MaxAttained`` when all evaluated valuations were exact and the maximum is
-known, or ``Indeterminate`` when some candidate was zero to its error order
-and only a lower bound for the maximum survives.  Reported lower bounds are
-capped at the working precision.
+The searches and the valuation multisets are one walk over every tuple of
+truncated representatives, with one horizon rule at the cap (the working
+precision): an exact value below the cap stays exact, and every other value
+becomes ">= min(value, cap)".  A search over a truncated ring can never
+certify extremality of the infinite field; every search therefore returns
+an explicit verdict: ``MaxAttained`` when every walked value was exact, or
+``Indeterminate`` when some value was only bounded and only a lower bound
+for the maximum survives.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .composite import CompositeElement, CompositeField
-from .errors import BudgetExceededError, ValfieldError
+from .errors import DEFAULT_BUDGET, ValfieldError, check_budget
 from .laurent import ErrorOrder, LaurentField, LaurentSeries, ValuationResult
 from .polynomials import MultiPoly
 from .value_group import Value
-
-DEFAULT_BUDGET = 10**7
 
 MAX_ATTAINED = "MaxAttained"
 INDETERMINATE = "Indeterminate"
@@ -45,7 +45,7 @@ class SearchResult:
 
     def to_dict(self) -> dict:
         return {
-            "witness": [getattr(w, "to_text", lambda: str(w))() for w in self.witness],
+            "witness": [w.to_text() for w in self.witness],
             "value": self.value.to_text(),
             "verdict": self.verdict,
         }
@@ -67,20 +67,13 @@ def ball_representatives(
     field: LaurentField, ball: Ball, upto: int
 ) -> Iterator[LaurentSeries]:
     """All representatives of the ball modulo t^upto, at precision upto."""
-    center = ball.center.truncate(min(ball.center.prec, upto)) if ball.center.prec > upto else ball.center
+    center = ball.center.truncate(min(ball.center.prec, upto))
     for digits in digit_window(field, ball.radius, upto, upto):
         yield center + digits
 
 
 def ball_count(field: LaurentField, ball: Ball, upto: int) -> int:
     return field.base.q ** max(0, upto - ball.radius)
-
-
-def check_budget(count: int, budget: int) -> None:
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} candidates or matrix entries exceed budget {budget}"
-        )
 
 
 def integral_composite_representatives(
@@ -107,45 +100,43 @@ def integral_composite_count(field: CompositeField, u_floor: int = 0) -> int:
     return n0 * nj ** max(0, field.prec_t - 1)
 
 
-# -- the generic max search ------------------------------------------------
+# -- the one truncated walk ------------------------------------------------
 
 
-def search_max(
-    f: MultiPoly, candidates: Iterable[tuple], cap: Value
-) -> SearchResult:
-    """Exhaustive maximum of v(f(a)) over candidate tuples.
+def _walk(
+    f: MultiPoly, count: int, reps: Iterable, cap: Value, budget: int
+) -> Iterator[Tuple[tuple, ValuationResult]]:
+    """(args, v(f(args))) for every tuple of the count representatives.
 
-    Any candidate whose value is only bounded below makes the verdict
-    Indeterminate; the reported value is then the best certain lower bound.
+    The count ** nvars tuples are charged to the budget before reps is
+    read, once, into the product's pool.  One horizon rule: a value below
+    the cap keeps its kind, so an exact value stays exact and a bound
+    stays the bound that is known; every other value becomes ">= cap",
+    because digits past the enumeration window were never tried.
     """
-    best_exact: Optional[Value] = None
-    best_exact_wit = None
-    best_bound: Optional[Value] = None
-    best_bound_wit = None
-    for args in candidates:
+    check_budget(count**f.nvars, budget)
+    capped = ValuationResult.at_least(cap)
+    for args in itertools.product(reps, repeat=f.nvars):
         vr = f.evaluate(args).valuation()
-        if vr.exact and vr.value < cap:
-            if best_exact is None or vr.value > best_exact:
-                best_exact = vr.value
-                best_exact_wit = args
-        else:
-            # exact values at or beyond the horizon are as untrustworthy as
-            # genuine lower bounds: deeper digits were never enumerated
-            b = vr.value if vr.value < cap else cap
-            if best_bound is None or b > best_bound:
-                best_bound = b
-                best_bound_wit = args
-    if best_exact is None and best_bound is None:
-        raise ValfieldError("empty candidate set")
-    if best_bound is None:
-        return SearchResult(best_exact_wit, ValuationResult.exactly(best_exact), MAX_ATTAINED)
-    if best_exact is not None and best_exact > best_bound:
-        return SearchResult(
-            best_exact_wit, ValuationResult.at_least(best_exact), INDETERMINATE
-        )
-    return SearchResult(
-        best_bound_wit, ValuationResult.at_least(best_bound), INDETERMINATE
-    )
+        yield args, vr if vr.value < cap else capped
+
+
+def search_max(walk: Iterator[Tuple[tuple, ValuationResult]]) -> SearchResult:
+    """Exhaustive maximum of v(f(a)) over a walk.
+
+    The first maximum wins, and a bound beats an equal exact value.  Any
+    bound on the walk makes the verdict Indeterminate; the reported value
+    is then the best certain lower bound.
+    """
+    witness, best = next(walk)
+    bounded = not best.exact
+    for args, vr in walk:
+        bounded = bounded or not vr.exact
+        if vr.value > best.value or (best.exact and not vr.exact and vr.value == best.value):
+            witness, best = args, vr
+    if bounded:
+        return SearchResult(witness, ValuationResult.at_least(best.value), INDETERMINATE)
+    return SearchResult(witness, best, MAX_ATTAINED)
 
 
 def extremal_search(
@@ -158,11 +149,8 @@ def extremal_search(
     """Exhaustive max of v(f) over ball representatives modulo t^prec."""
     if ball is None:
         ball = Ball(field.zero(prec), 0)
-    check_budget(ball_count(field, ball, prec) ** f.nvars, budget)
-    reps = list(ball_representatives(field, ball, prec))
-    return search_max(
-        f, itertools.product(reps, repeat=f.nvars), Value.rank1(prec)
-    )
+    count, reps = ball_count(field, ball, prec), ball_representatives(field, ball, prec)
+    return search_max(_walk(f, count, reps, Value.rank1(prec), budget))
 
 
 def composite_extremal_search(
@@ -172,13 +160,9 @@ def composite_extremal_search(
     budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
     """Exhaustive max of v(f) over the truncated rank-2 valuation ring."""
-    check_budget(integral_composite_count(field, u_floor) ** f.nvars, budget)
-    reps = list(integral_composite_representatives(field, u_floor))
-    return search_max(
-        f,
-        itertools.product(reps, repeat=f.nvars),
-        Value.rank2(field.prec_t, 0),
-    )
+    count = integral_composite_count(field, u_floor)
+    reps = integral_composite_representatives(field, u_floor)
+    return search_max(_walk(f, count, reps, Value.rank2(field.prec_t, 0), budget))
 
 
 # -- ball transfer (affine bijection between balls) ------------------------
@@ -216,29 +200,18 @@ def valuation_multiset(
     field: LaurentField,
     ball: Ball,
     upto: int,
-    cap: Optional[int] = None,
+    cap: int,
     budget: int = DEFAULT_BUDGET,
 ) -> List[str]:
-    """Sorted multiset of valuation results of f over ball reps mod t^upto.
+    """Sorted texts of v(f) over ball reps mod t^upto, by the walk's
+    horizon rule at ``cap``.
 
-    Every entry at or beyond ``cap`` (exact or bounded) is reported as
-    ``>=cap``: digits outside the enumeration window could change those
-    values, so only the classes below the cap are trustworthy.  Two
-    enumerations related by an affine ball bijection agree entry for entry
-    when their windows correspond under the map and share one cap.
+    Two enumerations related by an affine ball bijection agree entry for
+    entry when their windows correspond under the map, share one cap, and
+    lose no precision below it; a bound below the cap records such a loss.
     """
-    cap = upto if cap is None else cap
-    check_budget(ball_count(field, ball, upto) ** f.nvars, budget)
-    reps = list(ball_representatives(field, ball, upto))
-    cap_v = Value.rank1(cap)
-    out = []
-    for args in itertools.product(reps, repeat=f.nvars):
-        vr = f.evaluate(args).valuation()
-        if vr.exact and vr.value < cap_v:
-            out.append(vr.to_text())
-        else:
-            out.append(f">={cap}")
-    return sorted(out)
+    count, reps = ball_count(field, ball, upto), ball_representatives(field, ball, upto)
+    return sorted(vr.to_text() for _, vr in _walk(f, count, reps, Value.rank1(cap), budget))
 
 
 # -- coarsening and the composite desk check -------------------------------
@@ -289,11 +262,9 @@ def check_vexbarwex(
     )
     vr = g.evaluate(pushed).valuation()
     if not vr.exact or res_result.verdict != MAX_ATTAINED:
-        return CompositeCheckReport(
-            "Inconclusive", comp_result, res_result, vr.to_text()
-        )
-    if res_result.value.value > vr.value:
-        return CompositeCheckReport(
-            "Counterexample", comp_result, res_result, vr.to_text()
-        )
-    return CompositeCheckReport("Confirmed", comp_result, res_result, vr.to_text())
+        conclusion = "Inconclusive"
+    elif res_result.value.value > vr.value:
+        conclusion = "Counterexample"
+    else:
+        conclusion = "Confirmed"
+    return CompositeCheckReport(conclusion, comp_result, res_result, vr.to_text())

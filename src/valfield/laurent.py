@@ -442,7 +442,8 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
     Returns None when no solution exists: at negative valuations not
     divisible by p, or when the residue equation y^p - y = res(a) has no
     root in F_q.  The input must have an exact valuation (or be zero to
-    its error order).
+    its error order); an exact input whose root is an infinite series
+    raises PrecisionError.
     """
     field = a.field
     p = field.base.p
@@ -452,8 +453,7 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
         raise IndeterminateValuationError("cannot solve at indeterminate valuation")
 
     base = field.base
-    parts: List[LaurentSeries] = []
-    current = a
+    current, peeled = a, field.zero(a.prec)
     # peel leading terms of negative valuation
     while current.coeffs and current.low < 0:
         v = current.low
@@ -461,8 +461,7 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
             return None
         root = base.frobenius_code(current.coeffs[0], -1)
         m = field.make(v // p, [root], current.prec)
-        parts.append(m)
-        current = current - (m.frobenius() - m)
+        peeled, current = peeled + m, current - (m.frobenius() - m)
     if current.coeffs and current.low == 0:
         r = current.coeffs[0]
         y = next(
@@ -473,19 +472,17 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
         if y is None:
             return None
         m = field.make(0, [y], current.prec)
-        parts.append(m)
-        current = current - (m.frobenius() - m)
-    # now v(current) > 0 (or zero to precision): Hensel from 0 on X^p - X - current
-    if current.is_zero_to_prec():
-        root = field.zero(current.prec)
-    else:
-        target = current.prec
-        poly = [-current] + [field.zero(target)] * (p - 1) + [field.one(target)]
-        poly[1] = poly[1] - field.one(target)
-        root = hensel_lift(poly, field.zero(target), target)
-    x = root
-    for m in parts:
-        x = x + m
+        peeled, current = peeled + m, current - (m.frobenius() - m)
+    # now v(current) > 0 (or zero to precision): the root of positive
+    # valuation is -(c + c^p + c^(p^2) + ...), and c^(p^i) is known to
+    # O(t^N) from c mod t^ceil(N/p) before the Frobenius that raises it
+    n = current.prec
+    if n == math.inf and current.coeffs:
+        raise PrecisionError("the root of an exact series of positive valuation has no finite form")
+    term, x = current, peeled
+    while not term.is_zero_to_prec():
+        x = x - term
+        term = term.truncate(-(-n // p)).frobenius()
     return x
 
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Union
 
 from .composite import CompositeField
-from .errors import ParseError
-from .extremality import DEFAULT_BUDGET, Ball, check_budget
+from .errors import DEFAULT_BUDGET, ParseError, check_budget
+from .extremality import Ball
 from .finite_field import FiniteFieldDescriptor, is_prime, parse_field
 from .laurent import LaurentField, parse_series
 from .polynomials import MultiPoly, dense_trim, parse_sum

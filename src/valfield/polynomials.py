@@ -17,10 +17,12 @@ series fields, integer polynomials); the front ends in ``laurent`` and
 
 from __future__ import annotations
 
+import math
 import re
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import ParseError, ValfieldError
+from .errors import DEFAULT_BUDGET, ParseError, ValfieldError, check_budget
 
 Monomial = Tuple[int, ...]
 
@@ -260,7 +262,7 @@ def parse_sum(text: str, scalar: Callable) -> Dict[NameKey, object]:
     ``*`` belongs to the next factor.  A factor is an integer, a
     ``[c0,...]`` literal, a name or a parenthesised sum, optionally raised
     to ``^e`` or ``^(e)`` with e a signed integer; only names take negative
-    exponents, and a literal or group is raised by square-and-multiply.
+    exponents, and a literal or group is raised by ``_power_sum``.
     A syntax error is a ``ParseError`` at the offset of the offending token.
     """
     reader = _Reader(text, scalar)
@@ -387,6 +389,17 @@ def _mul_sums(a: Dict, b: Dict) -> Dict:
 
 
 def _power_sum(base: Dict, e: int, one) -> Dict:
+    """base^e by square-and-multiply, its cost charged to the default budget
+    first: an m-term sum's power has at most C(e + m - 1, m - 1) monomials
+    and each product pairs at most that many with as many; a rational
+    scalar's power has at most e times its bit length; a power of one F_q
+    scalar or monomial is O(log e) products and free."""
+    m, c = len(base), next(iter(base.values()))
+    if m > 1 and e > 1:
+        check_budget(math.comb(e + m - 1, m - 1) ** 2, DEFAULT_BUDGET)
+    elif isinstance(c, Fraction):
+        bits = c.numerator.bit_length() + c.denominator.bit_length() - 1
+        check_budget(e * bits, DEFAULT_BUDGET)
     result = {(): one}
     while e:
         if e & 1:

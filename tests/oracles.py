@@ -13,7 +13,8 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon, _fp_insert
-from valfield.extremality import DEFAULT_BUDGET, check_budget, digit_window
+from valfield.errors import DEFAULT_BUDGET, check_budget
+from valfield.extremality import digit_window
 from valfield.laurent import LaurentField, LaurentSeries
 
 

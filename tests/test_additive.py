@@ -25,7 +25,7 @@ from valfield.additive import (
     valuation_independent,
     windowed_image_span,
 )
-from valfield.errors import PrecisionError, ValfieldError
+from valfield.errors import BudgetExceededError, PrecisionError, ValfieldError
 from valfield.extremality import Ball
 from valfield.finite_field import FiniteFieldDescriptor, prime_field
 from valfield.laurent import LaurentField, parse_series
@@ -547,6 +547,20 @@ def test_span_matrix_is_capped_by_the_default_budget():
     proc = _oap_cli("X^2 + t*X", "t^-3 + t", 2048)
     assert proc.returncode == 0, proc.stderr
     assert "max v(target - f(a)): -3" in proc.stdout
+
+
+def test_span_matrix_is_charged_before_any_generator_is_built(monkeypatch):
+    """At prec 5000, X^2 + t*X against t^-3 + t would build about 10^4
+    generators of up to 5000 coefficients; the bound from f's terms
+    refuses it first."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a generator was built before the budget charge")
+
+    monkeypatch.setattr("valfield.additive._digit_generators", boom)
+    K = LaurentField(prime_field(2), "t", default_prec=5000)
+    f = AdditivePolynomial(K, 1, {(0, 1): K.one(5000), (0, 0): K.t_power(1, 5000)})
+    with pytest.raises(BudgetExceededError):
+        oap_solve(f, parse_series(K, "t^-3 + t"), 5000)
 
 
 def test_exact_two_variable_witnesses_show_the_value():

@@ -109,8 +109,11 @@ def test_cli_exits_with_a_documented_code(command, data):
         ["fundeq", "--field", field, "--poly", "X^99999999 + 3*X + 3"] for field in PADIC
     ] + [
         ["decompose", "--field", "F(2)((t))", "--poly", "X^2 + t*X", "--prec", "100000", "--oracle"],
+        ["oap", "--field", "F(2)((t))", "--poly", "X^2 + t*X", "--target", "t^-3 + t", "--prec", "100000"],
+        ["fundeq", "--field", "Q_3", "--poly", "3^99999999*X + 1"],
+        ["fundeq", "--field", "Q_3", "--poly", "(X + 1)^99999999"],
     ],
-    ids=["fundeq-Q_3", "fundeq-Q_5", "decompose-oracle"],
+    ids=["fundeq-Q_3", "fundeq-Q_5", "decompose-oracle", "oap-span", "fundeq-literal-power", "fundeq-group-power"],
 )
 def test_a_budget_reached_through_a_valid_field_exits_4(args):
     assert run(args).returncode == 4

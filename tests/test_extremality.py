@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from valfield.extremality import (
 )
 from valfield.finite_field import FFElement, FiniteFieldDescriptor, prime_field
 from valfield.laurent import LaurentField
+from valfield.parsing import parse_poly
 from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
 from valfield.value_group import Value
@@ -161,6 +163,48 @@ class TestBallTransfer:
         f = MultiPoly(1, {(0,): K2.t_power(5, 12)})
         m = valuation_multiset(f, K2, Ball(K2.zero(12), 0), 2, cap=3)
         assert set(m) == {">=3"}
+
+    def test_multiset_keeps_a_bound_below_the_cap(self):
+        # t^-2 read at O(t^3) times the representative O(t^3) is only known
+        # to be O(t^1): the entry is ">=1", as extremal_search reports
+        K = LaurentField(prime_field(2), "t", default_prec=3)
+        f = parse_poly("t^-2*X", K)
+        m = valuation_multiset(f, K, Ball(K.zero(3), 0), 3, cap=3)
+        assert m == ["-1", "-1", "-2", "-2", "-2", "-2", "0", ">=1"]
+        assert extremal_search(f, K, prec=3).value.to_text() == ">=1"
+
+
+def _cross_route_instances():
+    """Seeded one-variable polynomials over F_2 and F_3 with coefficient
+    valuations in [-2, 2] known to O(t^3)..O(t^8), on balls of radius 0
+    and 1 around nonzero centres, at prec 3..5."""
+    rng = random.Random(12)
+    for n in range(40):
+        K = LaurentField(prime_field((2, 3)[n % 2]), "t", default_prec=8)
+        q = K.base.q
+        terms = {}
+        for d in rng.sample(range(3), rng.randint(1, 3)):
+            v, order = rng.randint(-2, 2), rng.randint(3, 8)
+            digits = {e: rng.randrange(q) for e in range(v + 1, order)}
+            terms[(d,)] = K.from_int_terms({**digits, v: rng.randrange(1, q)}, order)
+        prec, radius = rng.randint(3, 5), rng.randint(0, 1)
+        center = K.from_int_terms({-1: rng.randrange(q), 0: rng.randrange(1, q), 1: rng.randrange(q)}, 8)
+        yield MultiPoly(1, terms), K, Ball(center, radius), prec
+
+
+def test_multiset_maximum_is_the_search_value():
+    # the multiset and the search walk the same values under one horizon
+    # rule: the largest entry is the search's value, a bound when any
+    # entry is a bound
+    bounded_below_cap = 0
+    for f, K, ball, prec in _cross_route_instances():
+        entries = valuation_multiset(f, K, ball, prec, cap=prec)
+        values = [Value.from_text(e.removeprefix(">=")) for e in entries]
+        bounded = any(e.startswith(">=") for e in entries)
+        expected = (">=" if bounded else "") + max(values).to_text()
+        assert extremal_search(f, K, ball, prec).value.to_text() == expected, (f, ball, prec)
+        bounded_below_cap += any(e.startswith(">=") and e != f">={prec}" for e in entries)
+    assert bounded_below_cap > 0
 
 
 class TestCompositeCheck:

@@ -317,6 +317,34 @@ class TestArtinSchreier:
         if x is not None:
             assert (x.frobenius() - x - a).is_zero_to_prec()
 
+    @pytest.mark.parametrize("base", [F2, F3, FiniteFieldDescriptor(2, 4)], ids=["F2", "F3", "F16"])
+    def test_positive_valuation_matches_the_hensel_route(self, base):
+        # for v(c) > 0 the closed form -(c + c^p + ...) is the root that
+        # Newton's iteration from 0 on X^p - X - c reaches: seeded inputs
+        # truncated at O(t^8)..O(t^256), sparse and dense, and inputs that
+        # are zero to their order
+        rng = random.Random(base.q)
+        for prec in (8, 9, 31, 64, 100, 256):
+            K = LaurentField(base, "t", default_prec=prec)
+            one = K.one(prec)
+            for lo in (1, 2, 3, prec // 2, prec - 1, prec):
+                for density in (1, 4):
+                    c = K.from_int_terms(
+                        {e: base.digits(rng.randrange(base.q)) for e in range(lo, prec) if rng.randrange(density) == 0},
+                        prec,
+                    )
+                    poly = [-c, -one] + [K.zero(prec)] * (base.p - 2) + [one]
+                    expected = hensel_lift(poly, K.zero(prec), prec)
+                    assert artin_schreier_solve(c).to_text() == expected.to_text(), c.to_text()
+
+    def test_exact_input(self):
+        # a root that is a finite sum stays exact; an infinite one needs an
+        # error order
+        x = artin_schreier_solve(K2.from_int_terms({-2: 1, -1: 1}, math.inf))
+        assert x == K2.t_power(-1, math.inf)
+        with pytest.raises(PrecisionError):
+            artin_schreier_solve(K2.t_power(1, math.inf))
+
 
 def test_poly_derivative():
     one = K2.one(8)

@@ -255,6 +255,30 @@ class TestCliExitCodes:
         )
         assert code == 0
 
+    def test_transfer_reports_the_bound_that_is_known(self, capsys):
+        # f(a) = t^-2 * a for a = O(t^3) is only known to O(t^1), and
+        # extremal on the same f says so too
+        args = ["--field", "F(2)((t))", "--poly", "t^-2*X", "--prec", "3", "--json", "-"]
+        def report():
+            out = capsys.readouterr().out
+            return json.loads(out[out.index("{"):])
+
+        assert run_cli("transfer", *args, "--alpha", "0", "--beta", "0", "--scale", "1") == 0
+        multisets = report()
+        assert multisets["multisetF"][-1] == multisets["multisetG"][-1] == ">=1"
+        assert run_cli("extremal", *args) == 3
+        assert report()["value"] == ">=1"
+
+    def test_transfer_difference_from_lost_precision_is_inconclusive(self, capsys):
+        # the typed centre 0 is read at O(t^3), but the source ball needs
+        # t^5: the f side only knows ">=1" where g reads 1, 2 and ">=3"
+        code = run_cli(
+            "transfer", "--field", "F(2)((t))", "--poly", "t^-2*X + X^2",
+            "--alpha", "0", "--beta", "2", "--scale", "t^2", "--prec", "3",
+        )
+        assert code == 3
+        assert "different, inconclusive" in capsys.readouterr().out
+
     def test_compose(self, capsys):
         code = run_cli(
             "compose",
@@ -433,6 +457,12 @@ class TestCliExitCodes:
         proc = run_cli_process("fundeq", "--field", field, "--poly", "X^99999999", timeout=60)
         assert proc.returncode == 4, proc.stderr
         assert "budget" in proc.stderr
+
+    def test_a_power_of_one_finite_field_scalar_is_not_charged(self, capsys):
+        # 3 has order 4 in F_5^*, so 3^99999999 = 3^3 = 2 after 27 squarings
+        code = run_cli("oap", "--field", "F(5)((t))", "--poly", "3^99999999*X", "--target", "t^-1")
+        assert code == 0
+        assert "additive polynomial: (2*t^0 + O(t^8))*X^1" in capsys.readouterr().out
 
     def test_fundeq_uncertifiable(self, capsys):
         code = run_cli("fundeq", "--field", "Q_3", "--poly", "X^2 - 1")
