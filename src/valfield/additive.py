@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
-from .extremality import Ball, extremal_search
+from .extremality import Ball, ball_walk, search_max
 from .finite_field import FFElement
 from .laurent import LaurentField, LaurentSeries, ValuationResult
 from .polynomials import MultiPoly
@@ -498,7 +498,7 @@ def brute_force_max(
     budget: int = DEFAULT_BUDGET,
 ) -> Tuple[tuple, ValuationResult]:
     """Independent oracle: plain exhaustive maximum over ball representatives."""
-    result = extremal_search(f, field, ball, prec, budget)
+    result = search_max(ball_walk(f, field, ball, prec, prec, budget))
     return result.witness, result.value
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import CertificationError
+from .errors import BudgetExceededError, CertificationError
 from .finite_field import (
     _pmod_irreducible,
     artin_schreier_irreducible,
@@ -343,15 +343,20 @@ def fundeq_laurent(
 
 
 def poly_text_from_coeffs(coeffs: Sequence[Union[int, Fraction]]) -> str:
+    """The polynomial's text; a coefficient with more decimal digits than
+    Python prints (``sys.get_int_max_str_digits``) exceeds the budget."""
     parts = []
-    for i in reversed(range(len(coeffs))):
-        c = Fraction(coeffs[i])
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(f"X^{i}")
-        else:
-            parts.append(f"{c}*X^{i}")
+    try:
+        for i in reversed(range(len(coeffs))):
+            c = Fraction(coeffs[i])
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(f"X^{i}")
+            else:
+                parts.append(f"{c}*X^{i}")
+    except ValueError:
+        raise BudgetExceededError("a coefficient has too many digits to print") from None
     return " + ".join(parts) if parts else "0"

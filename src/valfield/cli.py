@@ -335,7 +335,10 @@ def _add_common(sub, prec_default=8, budget=True):
     sub.add_argument("--field", required=True, help="field descriptor, e.g. \"F(3)((t))\"")
     sub.add_argument("--prec", type=_error_order, default=prec_default, help="working error order")
     if budget:
-        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget")
+        sub.add_argument(
+            "--budget", type=int, default=DEFAULT_BUDGET,
+            help="search budget: tuples enumerated or tree digits expanded",
+        )
     sub.add_argument("--json", metavar="PATH", help="write a JSON report ('-' for stdout)")
 
 

@@ -1,25 +1,41 @@
-"""Truncated extremality searches, ball transfer, and rank-2 desk checks.
+"""Extremality searches, ball transfer, and rank-2 desk checks.
 
-The searches and the valuation multisets are one walk over every tuple of
-truncated representatives, with one horizon rule at the cap (the working
-precision): an exact value below the cap stays exact, and every other value
-becomes ">= min(value, cap)".  A search over a truncated ring can never
-certify extremality of the infinite field; every search therefore returns
-an explicit verdict: ``MaxAttained`` when every walked value was exact, or
-``Indeterminate`` when some value was only bounded and only a lower bound
-for the maximum survives.
+``extremal_search`` finds the maximum of v(f) on a ball by the Hensel digit
+tree (as in Berthomieu-Lecerf-Quintin, "Polynomial root finding over local
+rings", AAECC 24, 2013).  A node is a point a known to t^k and the
+coefficients of g(Y) = f(a + t^k Y), every one kept with its own error
+order.  When the least valuation m among them lies below the cap and
+below every error order, the coefficients of valuation m form a residue
+polynomial R over F_q: a digit y with R(y) != 0 gives exactly m on its
+whole subtree, and only the zeros of R become children g(y + t Y).  Any
+other node below the ``prec`` horizon branches on all q^n digits, and a
+branch ends once m reaches the cap, where nothing can beat it.
+
+Exhaustive enumeration stays as the oracle and as the searches whose
+residue field is infinite: one walk over every tuple of truncated
+representatives, with one horizon rule at the cap (the working
+precision): an exact value below the cap stays exact, and every other
+value becomes ">= min(value, cap)".  It serves ``brute_force_max``,
+``composite_extremal_search`` and the valuation multisets.
+
+A search over a truncated ring can never certify extremality of the
+infinite field; every search therefore returns an explicit verdict:
+``MaxAttained`` when every value found was exact, or ``Indeterminate``
+when some value was only bounded and only a lower bound for the maximum
+survives.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .composite import CompositeElement, CompositeField
-from .errors import DEFAULT_BUDGET, ValfieldError, check_budget
+from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
 from .laurent import ErrorOrder, LaurentField, LaurentSeries, ValuationResult
-from .polynomials import MultiPoly
+from .polynomials import Monomial, MultiPoly
 from .value_group import Value
 
 MAX_ATTAINED = "MaxAttained"
@@ -139,6 +155,99 @@ def search_max(walk: Iterator[Tuple[tuple, ValuationResult]]) -> SearchResult:
     return SearchResult(witness, best, MAX_ATTAINED)
 
 
+def ball_walk(
+    f: MultiPoly, field: LaurentField, ball: Ball, upto: int, cap: int, budget: int
+) -> Iterator[Tuple[tuple, ValuationResult]]:
+    """The walk over every tuple of ball representatives modulo t^upto,
+    with the horizon rule at cap."""
+    count, reps = ball_count(field, ball, upto), ball_representatives(field, ball, upto)
+    return _walk(f, count, reps, Value.rank1(cap), budget)
+
+
+# -- the Hensel digit tree -------------------------------------------------
+
+
+def _lucas(e: int, p: int) -> List[Tuple[int, int]]:
+    """(m, C(e, m) mod p) for every m with C(e, m) prime to p: by Lucas's
+    theorem, the m whose base-p digits are at most those of e."""
+    out, place = [(0, 1)], 1
+    while e:
+        e, d = divmod(e, p)
+        out = [(m + j * place, b * math.comb(d, j) % p) for m, b in out for j in range(d + 1)]
+        place *= p
+    return out
+
+
+def _chain_count(e: int, p: int) -> int:
+    """The number of pairs m <= m' <= e, digitwise in base p."""
+    count = 1
+    while e:
+        e, d = divmod(e, p)
+        count *= (d + 1) * (d + 2) // 2
+    return count
+
+
+def _reduced(exponents: Iterable[int], q: int) -> tuple:
+    """Exponents reduced to 1..q-1 (0 stays 0): y^e is y^(reduced e) for
+    every digit y of F_q, since y^(q-1) is 1 for y != 0."""
+    return tuple(e and (e - 1) % (q - 1) + 1 for e in exponents)
+
+
+def _times_monomial(code: int, y: tuple, exponents: tuple, powers, mul) -> int:
+    """code * y^exponents, for reduced exponents and powers[y][e] = y^e."""
+    for yi, e in zip(y, exponents):
+        if e:
+            code = mul(code, powers[yi][e])
+    return code
+
+
+def _shift_table(monomials: Iterable[Monomial], p: int, q: int) -> Dict[Monomial, list]:
+    """For the shift Y -> y + t*Y: coefficient mu of the result collects
+    C(nu, mu) y^(nu - mu) b_nu over every nu of the closure of the monomials
+    with C(nu, mu) prime to p.  An entry is (nu, C(nu, mu) mod p, nu - mu),
+    with nu - mu reduced."""
+    closure = set()
+    for nu in monomials:
+        closure.update(itertools.product(*([m for m, _ in _lucas(e, p)] for e in nu)))
+    table: Dict[Monomial, list] = {}
+    for nu in closure:
+        for pairs in itertools.product(*(_lucas(e, p) for e in nu)):
+            mu = tuple(m for m, _ in pairs)
+            b = math.prod(c for _, c in pairs) % p
+            diff = _reduced([e - m for e, m in zip(nu, mu)], q)
+            table.setdefault(mu, []).append((nu, b, diff))
+    return table
+
+
+def _scaled(c: LaurentSeries, code: int) -> LaurentSeries:
+    """The series times a nonzero F_q code."""
+    if code == 1:
+        return c
+    mul = c.field.base.mul_codes
+    return LaurentSeries(c.field, c.low, tuple(mul(x, code) for x in c.coeffs), c.prec)
+
+
+def _child(
+    g: Dict[Monomial, LaurentSeries], y: tuple, table, powers, mul
+) -> Dict[Monomial, LaurentSeries]:
+    """The coefficients of g(y + t*Y), every one kept, also when it is zero
+    to its error order; a coefficient no term reaches is exactly zero."""
+    out = {}
+    for mu, terms in table.items():
+        acc = None
+        for nu, code, diff in terms:
+            c = g.get(nu)
+            if c is None:
+                continue
+            code = _times_monomial(code, y, diff, powers, mul)
+            if code:
+                term = _scaled(c, code)
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            out[mu] = acc.shift(sum(mu))
+    return out
+
+
 def extremal_search(
     f: MultiPoly,
     field: LaurentField,
@@ -146,11 +255,99 @@ def extremal_search(
     prec: int = 4,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
-    """Exhaustive max of v(f) over ball representatives modulo t^prec."""
+    """Max of v(f) over the ball (O by default) by the digit tree, capped
+    at prec, over its leaves in digit order.
+
+    The tree starts at x = t^k0 * Y with k0 the lowest exponent of the
+    centre, and a node below the radius has the centre's digit as its only
+    digit.  The shift table charges its size to the budget, and then each
+    expanded node its digits.  A leaf is (its digits, newest first as
+    nested pairs, and the exponent past them) with the value on its
+    subtree; the leaves end at the first one at the cap, since no later
+    leaf can beat it.  The witness is the exact digit point of the best
+    leaf, completed by the centre's digits below the radius, at error order
+    max(prec, the exponent past its digits).
+    """
     if ball is None:
         ball = Ball(field.zero(prec), 0)
-    count, reps = ball_count(field, ball, prec), ball_representatives(field, ball, prec)
-    return search_max(_walk(f, count, reps, Value.rank1(prec), budget))
+    base, n = field.base, f.nvars
+    p, q, mul, add = base.p, base.q, base.mul_codes, base.add_codes
+    center, radius = ball.center, ball.radius
+    if center.prec < radius:
+        raise PrecisionError(
+            f"ball centre known to O({field.var}^{center.prec}), below its radius {radius}"
+        )
+    spent = sum(math.prod(_chain_count(e, p) for e in nu) for nu in f.terms)
+    check_budget(spent, budget)
+    table = _shift_table(f.terms, p, q)
+    powers = []
+    for y in range(q):
+        row = [1]
+        for _ in range(q - 1):
+            row.append(mul(row[-1], y))
+        powers.append(row)
+    low = min(radius, center.valuation_floor())
+    root = {nu: c.shift(low * sum(nu)) for nu, c in f.terms.items()}
+
+    def centre_digit(k: int) -> tuple:
+        i = k - center.low
+        return (center.coeffs[i] if 0 <= i < len(center.coeffs) else 0,) * n
+
+    def leaves() -> Iterator[Tuple[tuple, ValuationResult]]:
+        nonlocal spent
+        capped = ValuationResult.at_least(Value.rank1(prec))
+        all_digits = None
+        stack = [(root, low, None)]
+        while stack:
+            g, k, node = stack.pop()
+            if node is not None:
+                g = _child(g, node[0], table, powers, mul)
+            m = min((c.valuation_floor() for c in g.values()), default=math.inf)
+            if m >= prec:
+                yield (node, k), capped
+                return
+            spent += 1 if k < radius else q**n
+            check_budget(spent, budget)
+            if k < radius:
+                digits = [centre_digit(k)]
+            else:
+                if all_digits is None:
+                    all_digits = list(itertools.product(range(q), repeat=n))
+                digits = all_digits
+            if m < min(c.prec for c in g.values()):
+                # g(y + t*Y) = t^m * R(y) mod t^(m + 1)
+                lead = [
+                    (_reduced(nu, q), c.coeffs[0]) for nu, c in g.items() if c.coeffs and c.low == m
+                ]
+                decided, children = None, []
+                for y in digits:
+                    r = 0
+                    for nu, code in lead:
+                        r = add(r, _times_monomial(code, y, nu, powers, mul))
+                    if not r:
+                        children.append(y)
+                    elif decided is None:
+                        decided = y
+                if decided is not None:
+                    yield ((decided, node), k + 1), ValuationResult.exactly(Value.rank1(m))
+            elif k < prec:
+                children = digits
+            else:
+                yield (node, k), ValuationResult.at_least(Value.rank1(m))
+                continue
+            stack.extend((g, k + 1, (y, node)) for y in reversed(children))
+
+    result = search_max(leaves())
+    node, upto = result.witness
+    digits = []
+    while node is not None:
+        y, node = node
+        digits.append(y)
+    digits.reverse()
+    digits += [centre_digit(k) for k in range(upto, radius)]
+    order = max(prec, low + len(digits))
+    witness = tuple(field.make(low, [y[i] for y in digits], order) for i in range(n))
+    return SearchResult(witness, result.value, result.verdict)
 
 
 def composite_extremal_search(
@@ -210,8 +407,7 @@ def valuation_multiset(
     entry when their windows correspond under the map, share one cap, and
     lose no precision below it; a bound below the cap records such a loss.
     """
-    count, reps = ball_count(field, ball, upto), ball_representatives(field, ball, upto)
-    return sorted(vr.to_text() for _, vr in _walk(f, count, reps, Value.rank1(cap), budget))
+    return sorted(vr.to_text() for _, vr in ball_walk(f, field, ball, upto, cap, budget))
 
 
 # -- coarsening and the composite desk check -------------------------------

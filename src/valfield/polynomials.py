@@ -335,7 +335,9 @@ class _Reader:
             base = self.sum()
             self.close()
         elif tok[0].isdigit() or tok[0] == "[":
-            value = int(tok) if tok[0].isdigit() else [int(x) for x in tok[1:-1].split(",")]
+            value = _integer(tok, pos) if tok[0].isdigit() else [
+                _integer(x, pos) for x in tok[1:-1].split(",")
+            ]
             try:
                 base = {(): self.scalar(value)}
             except (ValfieldError, TypeError) as exc:
@@ -364,12 +366,21 @@ class _Reader:
             raise ParseError(f"bad exponent {tok!r}", pos)
         if group:
             self.close()
-        return sign * int(tok)
+        return sign * _integer(tok, pos)
 
     def close(self) -> None:
         if self.peek() != ")":
             raise ParseError("unbalanced parenthesis", self.position())
         self.take()
+
+
+def _integer(text: str, pos: int) -> int:
+    """A decimal integer token; one longer than Python reads
+    (``sys.get_int_max_str_digits``) is a parse error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer of {len(text)} digits is too long", pos) from None
 
 
 def _add_into(out: Dict, part: Dict) -> None:

@@ -26,7 +26,7 @@ from valfield.additive import (
     windowed_image_span,
 )
 from valfield.errors import BudgetExceededError, PrecisionError, ValfieldError
-from valfield.extremality import Ball
+from valfield.extremality import Ball, extremal_search
 from valfield.finite_field import FiniteFieldDescriptor, prime_field
 from valfield.laurent import LaurentField, parse_series
 from valfield.polynomials import MultiPoly
@@ -394,6 +394,28 @@ def _clamped(vr, cap: int) -> str:
     if vr.exact and vr.value < Value.rank1(cap):
         return vr.to_text()
     return f">={cap}"
+
+
+def test_digit_tree_is_a_third_route_to_the_optimal_approximation():
+    # on acceptance 5's Sampler family, the digit tree's maximum of
+    # v(z - f(a)) over the alpha ball, clamped at 4, is oap_solve's value:
+    # the tree decides subtrees from residue forms and shares no code with
+    # the span solver or with the enumerating oracle
+    s = Sampler(2014)
+    fields = [LaurentField(prime_field(p), "t", default_prec=16) for p in (2, 3)]
+    done = 0
+    while done < 100:
+        K = fields[done % 2]
+        f = s.additive(K, 1, max_k=1, coeff_lo=-1, coeff_hi=1, prec=16)
+        if f.is_zero():
+            continue
+        z = s.series(K, -2, 16)
+        res = oap_solve(f, z, prec=4)
+        residual = MultiPoly.constant(1, z) - f.to_multipoly()
+        ball = Ball(K.zero(16), int(res.alpha.first))
+        tree = extremal_search(residual, K, ball, prec=4)
+        assert _clamped(tree.value, 4) == _clamped(res.value, 4), (f, z)
+        done += 1
 
 
 def _shows(residual, claimed, cap: int) -> bool:

@@ -1,12 +1,13 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from valfield.additive import AdditivePolynomial
+from valfield.additive import AdditivePolynomial, brute_force_max
 from valfield.composite import CompositeField
-from valfield.errors import BudgetExceededError, ValfieldError
+from valfield.errors import DEFAULT_BUDGET, BudgetExceededError, PrecisionError, ValfieldError
 from valfield.extremality import (
     INDETERMINATE,
     MAX_ATTAINED,
@@ -14,11 +15,13 @@ from valfield.extremality import (
     ball_count,
     ball_representatives,
     ball_transfer,
+    ball_walk,
     check_vexbarwex,
     composite_extremal_search,
     extremal_search,
     integral_composite_count,
     integral_composite_representatives,
+    search_max,
     valuation_multiset,
 )
 from valfield.finite_field import FFElement, FiniteFieldDescriptor, prime_field
@@ -112,9 +115,30 @@ class TestExtremalSearch:
                 assert vr.value >= res.value.value
 
     def test_budget_enforced(self, K2):
+        # the enumerating oracle charges its 2^24 tuples at once; the digit
+        # tree decides the same input in a few nodes of 4 digits each
         f = MultiPoly(2, {(2, 1): K2.one(20)})
         with pytest.raises(BudgetExceededError):
-            extremal_search(f, K2, prec=12, budget=100)
+            brute_force_max(f, K2, Ball(K2.zero(12), 0), prec=12, budget=100)
+        assert extremal_search(f, K2, prec=12, budget=100).value.to_text() == ">=12"
+
+    def test_tree_budget_charges_each_node(self, K3):
+        # one node of the tree has 3^5 = 243 digits, more than the budget
+        f = MultiPoly(5, {(1, 1, 0, 0, 0): K3.one(8), (0, 0, 1, 1, 1): K3.t_power(1, 8)})
+        with pytest.raises(BudgetExceededError):
+            extremal_search(f, K3, prec=4, budget=100)
+        assert extremal_search(f, K3, prec=4, budget=243 * 4).value.to_text() == ">=4"
+
+    def test_tree_budget_charges_the_shift_table(self, K2):
+        # X^(2^20 - 1) has 3^20 pairs of binomial terms that are odd
+        f = MultiPoly(1, {(2**20 - 1,): K2.one(8)})
+        with pytest.raises(BudgetExceededError):
+            extremal_search(f, K2, prec=4)
+
+    def test_centre_known_below_the_radius_is_inconclusive(self, K2):
+        f = MultiPoly(1, {(1,): K2.one(8)})
+        with pytest.raises(PrecisionError):
+            extremal_search(f, K2, Ball(K2.t_power(1, 3), 5), prec=4)
 
 
 class TestBallTransfer:
@@ -166,12 +190,15 @@ class TestBallTransfer:
 
     def test_multiset_keeps_a_bound_below_the_cap(self):
         # t^-2 read at O(t^3) times the representative O(t^3) is only known
-        # to be O(t^1): the entry is ">=1", as extremal_search reports
+        # to be O(t^1): the entry is ">=1", as the enumerating oracle
+        # reports; the digit tree evaluates at exact digit points, where
+        # t^-2 * t^3 = t^1 is known to O(t^6), so it reaches the cap
         K = LaurentField(prime_field(2), "t", default_prec=3)
         f = parse_poly("t^-2*X", K)
         m = valuation_multiset(f, K, Ball(K.zero(3), 0), 3, cap=3)
         assert m == ["-1", "-1", "-2", "-2", "-2", "-2", "0", ">=1"]
-        assert extremal_search(f, K, prec=3).value.to_text() == ">=1"
+        assert brute_force_max(f, K, Ball(K.zero(3), 0), 3)[1].to_text() == ">=1"
+        assert extremal_search(f, K, prec=3).value.to_text() == ">=3"
 
 
 def _cross_route_instances():
@@ -193,18 +220,76 @@ def _cross_route_instances():
 
 
 def test_multiset_maximum_is_the_search_value():
-    # the multiset and the search walk the same values under one horizon
-    # rule: the largest entry is the search's value, a bound when any
-    # entry is a bound
+    # the multiset and the enumerating search walk the same values under
+    # one horizon rule: the largest entry is the walk's search value, a
+    # bound when any entry is a bound
     bounded_below_cap = 0
     for f, K, ball, prec in _cross_route_instances():
         entries = valuation_multiset(f, K, ball, prec, cap=prec)
         values = [Value.from_text(e.removeprefix(">=")) for e in entries]
         bounded = any(e.startswith(">=") for e in entries)
         expected = (">=" if bounded else "") + max(values).to_text()
-        assert extremal_search(f, K, ball, prec).value.to_text() == expected, (f, ball, prec)
+        walked = search_max(ball_walk(f, K, ball, prec, prec, DEFAULT_BUDGET))
+        assert walked.value.to_text() == expected, (f, ball, prec)
         bounded_below_cap += any(e.startswith(">=") and e != f">={prec}" for e in entries)
     assert bounded_below_cap > 0
+
+
+def _tree_instances():
+    """Seeded polynomials in 1-2 variables over F_2, F_3 and F_4 with 1-3
+    terms of degree <= 2 per variable, coefficient valuations in [-2, 2],
+    a third of them exact and the rest known to O(t^(v+1))..O(t^8), on
+    balls of radius 0 and 1 around nonzero centres, at prec 2..4 (2..3 in
+    two variables), lowered until the oracle walks at most 729 tuples."""
+    rng = random.Random(14)
+    bases = [prime_field(2), prime_field(3), FiniteFieldDescriptor(2, 2)]
+    for n in range(450):
+        K = LaurentField(bases[n % 3], "t", default_prec=8)
+        q, nvars = K.base.q, rng.randint(1, 2)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = tuple(rng.randint(0, 2) for _ in range(nvars))
+            v = rng.randint(-2, 2)
+            order = math.inf if rng.random() < 1 / 3 else rng.randint(v + 1, 8)
+            digits = {e: rng.randrange(q) for e in range(v + 1, min(order, v + 4))}
+            terms[mono] = K.from_int_terms({**digits, v: rng.randrange(1, q)}, order)
+        prec, radius = rng.randint(2, 5 - nvars), rng.randint(0, 1)
+        while q ** (nvars * (prec - radius)) > 729:
+            prec -= 1
+        center = K.from_int_terms({-1: rng.randrange(q), 0: rng.randrange(1, q), 1: rng.randrange(q)}, 8)
+        yield MultiPoly(nvars, terms), K, Ball(center, radius), prec
+
+
+def test_digit_tree_agrees_with_the_enumeration():
+    # equal when both are exact; otherwise the tree only tightens: its
+    # bound is at least the enumeration's, and an exact tree value lies at
+    # or above an enumerated bound (the enumeration loses precision when a
+    # negative-valuation coefficient meets a representative known to
+    # O(t^prec), the tree evaluates at exact digit points)
+    equal = tightened = 0
+    for f, K, ball, prec in _tree_instances():
+        tree = extremal_search(f, K, ball, prec)
+        _, walked = brute_force_max(f, K, ball, prec)
+        case = (f, ball.to_text(), prec, tree.value, walked)
+        if walked.exact:
+            assert tree.value == walked, case
+        else:
+            assert tree.value.value >= walked.value, case
+        if tree.value == walked:
+            equal += 1
+        else:
+            tightened += 1
+        # the witness is an exact digit point of the ball, printed at a
+        # finite order
+        assert all(w.prec >= prec and w.prec != math.inf for w in tree.witness), case
+        point = tuple(K.make(w.low, w.coeffs, math.inf) for w in tree.witness)
+        assert all((x - ball.center).valuation_floor() >= ball.radius for x in point), case
+        reached = f.evaluate(point).valuation()
+        if tree.value.exact:
+            assert reached == tree.value, case
+        else:
+            assert reached.value >= tree.value.value, case
+    assert equal > 300 and tightened > 0
 
 
 class TestCompositeCheck:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -256,8 +257,9 @@ class TestCliExitCodes:
         assert code == 0
 
     def test_transfer_reports_the_bound_that_is_known(self, capsys):
-        # f(a) = t^-2 * a for a = O(t^3) is only known to O(t^1), and
-        # extremal on the same f says so too
+        # f(a) = t^-2 * a for a = O(t^3) is only known to O(t^1); extremal
+        # evaluates at exact digit points, where only t^-2 itself, known to
+        # O(t^3), limits the value, so it reads ">=3"
         args = ["--field", "F(2)((t))", "--poly", "t^-2*X", "--prec", "3", "--json", "-"]
         def report():
             out = capsys.readouterr().out
@@ -267,7 +269,7 @@ class TestCliExitCodes:
         multisets = report()
         assert multisets["multisetF"][-1] == multisets["multisetG"][-1] == ">=1"
         assert run_cli("extremal", *args) == 3
-        assert report()["value"] == ">=1"
+        assert report()["value"] == ">=3"
 
     def test_transfer_difference_from_lost_precision_is_inconclusive(self, capsys):
         # the typed centre 0 is read at O(t^3), but the source ball needs
@@ -481,20 +483,51 @@ class TestCliExitCodes:
         assert code == 1
 
     def test_budget_error(self, capsys):
+        # transfer still enumerates its 2^20 representatives per side;
+        # extremal's digit tree reads the same input as ">=10" in a few nodes
+        args = ["--field", "F(2)((t))", "--poly", "X1*X2 + t", "--prec", "10", "--budget", "100"]
+        assert run_cli("transfer", *args, "--alpha", "0", "--beta", "0", "--scale", "1") == 4
+        assert run_cli("extremal", *args, "--ball", "v>=0 around 0", "--json", "-") == 3
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])["value"] == ">=10"
+
+    def test_extremal_budget_error(self, capsys):
+        # one node of the digit tree has 3^5 digits, more than the budget
         code = run_cli(
-            "extremal",
-            "--field",
-            "F(2)((t))",
-            "--poly",
-            "X1*X2 + t",
-            "--ball",
-            "v>=0 around 0",
-            "--prec",
-            "10",
-            "--budget",
-            "100",
+            "extremal", "--field", "F(3)((t))", "--poly", "X1*X2 + t*X3*X4*X5",
+            "--prec", "4", "--budget", "100",
         )
         assert code == 4
+
+    def test_extremal_reaches_prec_20(self, capsys):
+        # the enumeration would walk 2^40 tuples; the digit tree finds the
+        # root near 0 in a few dozen nodes
+        args = ["extremal", "--field", "F(2)((t))", "--poly", "X1^2 + t*X2^2 + X1",
+                "--prec", "20", "--json", "-"]
+        t0 = time.monotonic()
+        assert run_cli(*args) == 3
+        assert time.monotonic() - t0 < 1.0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])["value"] == ">=20"
+        proc = run_cli_process(*args, timeout=30)
+        assert proc.returncode == 3 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout[proc.stdout.index("{"):])["value"] == ">=20"
+
+    @pytest.mark.parametrize(
+        "poly",
+        ["X^" + "9" * 5000, "9" * 5000 + "*X + 1", "[" + "9" * 5000 + ",1]*X"],
+        ids=["exponent", "integer", "literal"],
+    )
+    def test_integer_longer_than_python_reads_is_a_parse_error(self, poly):
+        proc = run_cli_process("fundeq", "--field", "Q_3", "--poly", poly)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "too long" in proc.stderr
+
+    def test_certificate_coefficient_too_long_to_print_exceeds_the_budget(self):
+        # 3^10000 has 4772 decimal digits, more than Python prints
+        proc = run_cli_process("fundeq", "--field", "Q_3", "--poly", "3^10000*X + 3")
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestPrecOption:
