@@ -12,13 +12,13 @@ coefficient; a p-polynomial adds a constant.  The central operations:
   division on leading terms).  Each step raises a leading valuation or
   lowers a height, so at a fixed error order the loop ends; the summands
   are then expanded once over the basis 1, t, ..., t^(p^delta - 1) of K
-  over K^(p^delta) to the common height.  The summands are capped at f's
-  largest finite coefficient error order (the field's default order when
-  every coefficient is exact).  Alongside each g_j the decomposition
-  carries a section: single-variable additive maps back into the original
-  variables with f(section_j(y)) = g_j(y), so any point of the decomposed
-  image pulls back to an explicit input of f.  Sections are built from the
-  exact identity by exact monomial substitutions, so they are exact.
+  over K^(p^delta) to the common height.  A decomposition that rewrites
+  f's summands is claimed modulo a working order.  Alongside each g_j the
+  decomposition carries a section: single-variable additive maps back into
+  the original variables with f(section_j(y)) = g_j(y), so any point of the
+  decomposed image pulls back to an explicit input of f.  Sections are
+  built from the exact identity by exact monomial substitutions, so they
+  are exact.
 
 * ``alpha_bound`` computes the ball radius below which inputs can only
   make things worse: the minimum of 0 and all coefficient-gap valuations,
@@ -228,13 +228,16 @@ class Decomposition:
     """f(K^n) = g_1(K) + ... + g_m(K) with common degree p^nu.
 
     sections[j] maps an input y of g_j to the tuple of original arguments:
-    f(sections[j][0](y), ..., sections[j][n-1](y)) = g_j(y).
+    f(sections[j][0](y), ..., sections[j][n-1](y)) = g_j(y).  working_prec
+    is the order the summands are claimed modulo when the decomposition
+    rewrote f's own summands, and None when it did not.
     """
 
     nu: int
     polys: List[AdditivePolynomial]
     sections: List[List[AdditivePolynomial]]
     nvars: int
+    working_prec: Optional[int] = None
 
     @property
     def leading_coefficients(self) -> List[LaurentSeries]:
@@ -290,6 +293,12 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
     summand that becomes zero is dropped.  With no clash left, every
     summand is expanded once to the largest height nu, which puts the
     leaders in pairwise distinct classes mod p^nu.
+
+    A decomposition that rewrites anything, by the loop or the expansion,
+    is claimed modulo the working order: f's largest finite coefficient
+    order or, when every coefficient is exact, the larger of the field's
+    default order and the order just past f's own terms.  One that
+    rewrites nothing is f's own summands, exact ones exact.
     """
     field = f.field
     p = field.base.p
@@ -304,13 +313,14 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
         work.append((g, section))
     if not work:
         return Decomposition(0, [], [], f.nvars)
-    # the summands are claimed modulo the input's own error order; the cap
-    # bounds how far a leading valuation can rise, which ends the loop, so
-    # an input with only exact coefficients is capped at the default order
+    # the working order bounds how far a leading valuation can rise, which
+    # ends the loop
+    coeffs = [c for g, _ in work for c in g.terms.values()]
     work_prec = max(
-        [c.prec for g, _ in work for c in g.terms.values() if c.prec != math.inf],
-        default=field.default_prec,
+        [c.prec for c in coeffs if c.prec != math.inf],
+        default=max([field.default_prec] + [c.low + len(c.coeffs) for c in coeffs]),
     )
+    rewritten = False
 
     while (clash := _find_clash(work, p)) is not None:
         a, b = clash
@@ -322,17 +332,17 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
         delta = ga.height() - hb
         g = _truncate_poly(ga - gb.compose_monomial(mu, shift, delta), work_prec)
         section = [x - y.compose_monomial(mu, shift, delta) for x, y in zip(sa, sb)]
+        rewritten = True
         if g.is_zero():
             del work[a]
         else:
             work[a] = (g, section)
 
     nu = max(g.height() for g, _ in work)
-    expanded = [
-        (_truncate_poly(gg, work_prec), ss)
-        for g, section in work
-        for gg, ss in _expand_to_height(g, section, nu)
-    ]
+    expanded = [gs for g, section in work for gs in _expand_to_height(g, section, nu)]
+    rewritten = rewritten or len(expanded) > len(work)
+    if rewritten:
+        expanded = [(_truncate_poly(g, work_prec), s) for g, s in expanded]
     if any(g.height() != nu for g, _ in expanded):
         # a shifted coefficient fell past the working order: the summand's
         # leader, or all of it, is unknown there
@@ -341,7 +351,8 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
         )
     expanded.sort(key=lambda gs: gs[0].leading_coefficient().low)
     return Decomposition(
-        nu, [g for g, _ in expanded], [s for _, s in expanded], f.nvars
+        nu, [g for g, _ in expanded], [s for _, s in expanded], f.nvars,
+        work_prec if rewritten else None,
     )
 
 
@@ -487,7 +498,15 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
         if a:
             ys[i] = ys[i] + field.from_terms({j: lam * field.base.element(-a % p)}, math.inf)
     value = ValuationResult(exact, Value.rank1(low + col // k if exact else order))
-    return OapResult(dec.pullback(ys, field), tuple(ys), value, alpha_v)
+    best = dec.pullback(ys, field)
+    if dec.working_prec is not None:
+        # a rewritten summand may have lost a term that vanished below the
+        # working order, which the span does not see; an exact residual of
+        # the witness that contradicts the claim leaves only ">=" it
+        shown = (z - f.evaluate(best)).valuation()
+        if shown.exact and (shown.value != value.value if exact else shown.value < value.value):
+            value = ValuationResult.at_least(min(shown.value, Value.rank1(top)))
+    return OapResult(best, tuple(ys), value, alpha_v)
 
 
 def brute_force_max(
@@ -612,13 +631,16 @@ def _span_size(
     return rows * desc.k, (out_prec - floor) * desc.k
 
 
+MIN_IN_LOW = -24  # the lowest input level of the image comparison
+
+
 def decomposition_image_agrees(
     f: AdditivePolynomial,
     dec: Decomposition,
     field: LaurentField,
     out_prec: int,
     out_low: int = 0,
-    min_in_low: int = -24,
+    min_in_low: int = MIN_IN_LOW,
 ) -> bool:
     """Whether f and its decomposition have the same image in the output
     window [out_low, out_prec).

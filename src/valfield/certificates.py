@@ -159,13 +159,14 @@ def _counterexample_coeffs(p: int) -> List[Fraction]:
 
 
 def verify_tmcne(p: int) -> TmcneCertificate:
-    """Run all five steps of the non-equivalence check for an odd prime p."""
+    """Run all five steps of the non-equivalence check for an odd prime p;
+    the range is checked before primality, which trial-divides."""
+    if p > 7:
+        raise CertificationError("p <= 7 keeps the resultant degree 2p tractable")
     if not is_prime(p) or p == 2:
         raise CertificationError(
             f"p must be an odd prime (the sign trick a -> -a needs p odd); got {p}"
         )
-    if p > 7:
-        raise CertificationError("p <= 7 keeps the resultant degree 2p tractable")
     coeffs = _counterexample_coeffs(p)
     poly_text = f"{p}*(X^{p} - X)^2 - 1"
     steps: List[StepRecord] = []

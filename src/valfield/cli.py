@@ -11,11 +11,14 @@ depend only on the arguments (and --seed where sampling is involved).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Tuple
 
 from .additive import (
+    MIN_IN_LOW,
+    AdditivePolynomial,
     PPolynomial,
     additive_from_multipoly,
     alpha_bound,
@@ -102,7 +105,7 @@ def cmd_oap(args) -> int:
     mp, pp = _additive_poly(args.poly, field)
     if pp.constant is not None:
         raise ParseError("oap takes the additive part in --poly and the target in --target")
-    z = parse_series(field, args.target, args.prec)
+    z = parse_series(field, args.target)
     result = oap_solve(pp.additive, z, args.prec)
     print(f"field: {field.to_text()}")
     print(f"additive polynomial: {pp.additive.to_text()}")
@@ -149,12 +152,14 @@ def cmd_decompose(args) -> int:
     }
     code = EXIT_OK
     if args.oracle:
-        # the saturating image comparison may lower the input window, so
-        # the polynomial is re-read with generous coefficient precision
-        field_hi = parse_any_field(args.field, prec=args.prec + 64)
-        _, pp_hi = _additive_poly(args.poly, field_hi)
-        dec_hi = decompose(pp_hi.additive)
-        same = decomposition_image_agrees(pp_hi.additive, dec_hi, field_hi, args.prec)
+        # the image comparison lowers its input level to MIN_IN_LOW, where a
+        # generator of a summand of height <= nu capped at N is known to
+        # N + p^nu * MIN_IN_LOW, so the summands are capped that far past
+        # the window; f's own coefficients are exact
+        f = pp.additive
+        cap = args.prec - field.base.p ** (f.height() or 0) * MIN_IN_LOW
+        wide = AdditivePolynomial(LaurentField(field.base, field.var, cap), f.nvars, f.terms)
+        same = decomposition_image_agrees(f, decompose(wide), field, args.prec)
         print(
             f"image check on the window [0, {args.prec}): "
             f"{'identical' if same else 'DIFFERENT'}"
@@ -182,15 +187,13 @@ def cmd_alpha(args) -> int:
 def cmd_extremal(args) -> int:
     field = parse_any_field(args.field, prec=args.prec, prec_t=args.prec_t, prec_u=args.prec_u)
     if isinstance(field, CompositeField):
+        if args.ball:
+            raise ParseError("--ball needs a Laurent field; a composite search covers its valuation ring")
         mp = parse_poly(args.poly, field)
         result = composite_extremal_search(mp, field, args.u_floor, args.budget)
     elif isinstance(field, LaurentField):
         mp = parse_poly(args.poly, field)
-        ball = (
-            parse_ball(args.ball, field, args.prec)
-            if args.ball
-            else Ball(field.zero(args.prec), 0)
-        )
+        ball = parse_ball(args.ball, field) if args.ball else None
         result = extremal_search(mp, field, ball, args.prec, args.budget)
     else:
         raise ParseError(f"unsupported field for extremal search: {args.field!r}")
@@ -207,9 +210,9 @@ def cmd_extremal(args) -> int:
 def cmd_transfer(args) -> int:
     field = _laurent_field(args)
     mp = parse_poly(args.poly, field)
-    a = parse_series(field, args.center_a, args.prec)
-    b = parse_series(field, args.center_b, args.prec)
-    c = parse_series(field, args.scale, args.prec)
+    a = parse_series(field, args.center_a)
+    b = parse_series(field, args.center_b)
+    c = parse_series(field, args.scale)
     g = ball_transfer(mp, args.alpha, a, args.beta, b, c)
     print(f"f: {mp.to_text()}")
     print(f"g = f(c*(Y - a) + b): {g.to_text()}")
@@ -276,7 +279,7 @@ def cmd_tmcne(args) -> int:
 
 
 def cmd_fundeq(args) -> int:
-    field = parse_any_field(args.field, prec=args.prec)
+    field = parse_any_field(args.field)
     if isinstance(field, PAdicFieldRef):
         coeffs = parse_int_poly(args.poly)
     elif isinstance(field, LaurentField):
@@ -331,9 +334,15 @@ def _error_order(text: str) -> int:
     return n
 
 
-def _add_common(sub, prec_default=8, budget=True):
+def _add_common(sub, prec_default: Optional[int] = 8, budget=True):
+    """--field, --json and, unless told otherwise, --prec and --budget;
+    prec_default None leaves --prec out."""
     sub.add_argument("--field", required=True, help="field descriptor, e.g. \"F(3)((t))\"")
-    sub.add_argument("--prec", type=_error_order, default=prec_default, help="working error order")
+    if prec_default is not None:
+        sub.add_argument(
+            "--prec", type=_error_order, default=prec_default,
+            help="horizon: the order that searches, solvers and oracles work to",
+        )
     if budget:
         sub.add_argument(
             "--budget", type=int, default=DEFAULT_BUDGET,
@@ -342,7 +351,10 @@ def _add_common(sub, prec_default=8, budget=True):
     sub.add_argument("--json", metavar="PATH", help="write a JSON report ('-' for stdout)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared: a parse reads it and
+    changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="valfield",
         description="exact computations in valued fields at finite precision",
@@ -354,18 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--poly", required=True, help="additive polynomial, e.g. \"X^3 - X\"")
     s.add_argument("--target", required=True, help="series to approximate, e.g. \"t^-1\"")
     s.add_argument("--oracle", action="store_true", help="cross-check against brute force")
-    s.set_defaults(handler=cmd_oap)
 
     s = subs.add_parser("decompose", help="single-variable decomposition of an additive polynomial")
     _add_common(s, prec_default=4, budget=False)
     s.add_argument("--poly", required=True)
     s.add_argument("--oracle", action="store_true", help="compare truncated image sets")
-    s.set_defaults(handler=cmd_decompose)
 
     s = subs.add_parser("alpha", help="alpha bound of a p-polynomial")
     _add_common(s, budget=False)
     s.add_argument("--poly", required=True, help="additive part plus optional constant")
-    s.set_defaults(handler=cmd_alpha)
 
     s = subs.add_parser("extremal", help="max of v(f) over a truncated ball or valuation ring")
     _add_common(s, prec_default=4)
@@ -374,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--prec-t", type=int, default=3, help="t-window for composite fields")
     s.add_argument("--prec-u", type=int, default=2, help="u-precision for composite fields")
     s.add_argument("--u-floor", type=int, default=0, help="lowest u-level at positive t-levels")
-    s.set_defaults(handler=cmd_extremal)
 
     s = subs.add_parser("transfer", help="carry a search between balls by an affine map")
     _add_common(s, prec_default=5)
@@ -384,49 +392,45 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=int, required=True, help="radius of the source ball")
     s.add_argument("--center-b", default="0", help="center of the source ball")
     s.add_argument("--scale", required=True, help="series c with v(c) = beta - alpha")
-    s.set_defaults(handler=cmd_transfer)
 
     s = subs.add_parser("compose", help="rank-2 composite search vs residue-level search")
-    _add_common(s, prec_default=4)
+    _add_common(s, prec_default=None)
     s.add_argument("--poly", required=True, help="polynomial with coefficients in F_q((u))")
     s.add_argument("--prec-t", type=int, default=2)
     s.add_argument("--prec-u", type=int, default=2)
     s.add_argument("--u-floor", type=int, default=0)
-    s.set_defaults(handler=cmd_compose)
 
     s = subs.add_parser("tmcne", help="non-equivalence certificate for an odd prime")
     s.add_argument("-p", type=int, required=True)
     s.add_argument("--json", metavar="PATH")
-    s.set_defaults(handler=cmd_tmcne)
 
     s = subs.add_parser("fundeq", help="fundamental equality n = e*fRes for an extension")
     s.add_argument("--poly", required=True)
     s.add_argument("--field", required=True, help="Q_p or F(q)((t))")
-    s.add_argument(
-        "--prec", type=_error_order, default=8,
-        help="error order of the Laurent coefficients (unused over Q_p)",
-    )
     s.add_argument("--asserted", action="store_true", help="assert irreducibility externally")
     s.add_argument("--json", metavar="PATH")
-    s.set_defaults(handler=cmd_fundeq)
 
     s = subs.add_parser("selftest", help="seeded invariant suites for all layers")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=300)
     s.add_argument("--json", metavar="PATH")
-    s.set_defaults(handler=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # looked up on each call, so that the shared parser holds no handler
+    handler = {
+        "oap": cmd_oap, "decompose": cmd_decompose, "alpha": cmd_alpha,
+        "extremal": cmd_extremal, "transfer": cmd_transfer, "compose": cmd_compose,
+        "tmcne": cmd_tmcne, "fundeq": cmd_fundeq, "selftest": cmd_selftest,
+    }[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

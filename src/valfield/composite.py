@@ -78,8 +78,10 @@ class CompositeField:
         return self.make({e: self.inner.one(self.prec_u)})
 
     def from_inner(self, s: LaurentSeries) -> "CompositeElement":
-        """Embed a series in u as a w-unit (coefficient of t^0)."""
-        return self.make({0: s})
+        """Embed a series in u as a w-unit (coefficient of t^0), known to at
+        most the u-horizon prec_u, so that a coefficient zero below it
+        reads as absent."""
+        return self.make({0: s.truncate(min(s.prec, self.prec_u))})
 
 
 class CompositeElement:

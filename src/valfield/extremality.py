@@ -220,11 +220,12 @@ def _shift_table(monomials: Iterable[Monomial], p: int, q: int) -> Dict[Monomial
 
 
 def _scaled(c: LaurentSeries, code: int) -> LaurentSeries:
-    """The series times a nonzero F_q code."""
+    """The series times a nonzero F_q code (its codes built from a list,
+    as in ``laurent``)."""
     if code == 1:
         return c
     mul = c.field.base.mul_codes
-    return LaurentSeries(c.field, c.low, tuple(mul(x, code) for x in c.coeffs), c.prec)
+    return LaurentSeries(c.field, c.low, tuple([mul(x, code) for x in c.coeffs]), c.prec)
 
 
 def _child(

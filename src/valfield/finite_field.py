@@ -15,18 +15,22 @@ and a code whose operators each call into them.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DescriptorMismatchError, ParseError, ValfieldError
+from .errors import DEFAULT_BUDGET, DescriptorMismatchError, ParseError, ValfieldError, check_budget
 from .polynomials import dense_eval, dense_trim
 
 MAX_SCAN_SIZE = 10**6
 
 
 def is_prime(n: int) -> bool:
+    """Trial division up to sqrt(n), whose divisions are charged to the
+    default budget first."""
     if n < 2:
         return False
+    check_budget(math.isqrt(n), DEFAULT_BUDGET)
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -389,9 +393,11 @@ def parse_field(text: str) -> FiniteFieldDescriptor:
 
 
 def _prime_power(q: int):
-    """(p, k) with q = p^k for prime p, or (None, None)."""
+    """(p, k) with q = p^k for prime p, or (None, None), by trial division
+    up to sqrt(q), charged to the default budget first."""
     if q < 2:
         return None, None
+    check_budget(math.isqrt(q), DEFAULT_BUDGET)
     d = 2
     while d * d <= q:
         if q % d == 0:

@@ -20,7 +20,9 @@ doubling precision on those products, and Frobenius re-spaces the
 exponents and maps each code through the descriptor's Frobenius table.
 ``coeff_at`` and ``residue`` hand a code out as an ``FFElement``;
 ``from_terms`` and ``scale`` take one (or an int or a coordinate list)
-and keep its code.
+and keep its code.  Code tuples are built from lists, not generators:
+``tuple()`` of a generator resizes a guessed length, and the short tuples
+it frees pile up on the interpreter's free lists, raising peak memory.
 
 A truncated series prints with its error term and round-trips bit-exactly:
 
@@ -31,9 +33,9 @@ fields, bracketed coefficient lists for extensions).  An exact series
 prints as the plain sum of its terms, and the exact zero as ``0``.
 ``parse_series`` reads series text through ``polynomials.parse_sum``, the
 one term grammar, so typed text may also use products, parentheses and
-powers, in the series variable alone; text without an O-term is read as
-known to the default error order, so the round trip covers truncated
-series only.
+powers, in the series variable alone.  Text means what it says: a sum
+without an O-term is exact, and ``O(t^N)`` sets the error order N, so
+``parse_series`` inverts ``to_text`` on exact and truncated series alike.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .errors import (
     ValfieldError,
 )
 from .finite_field import FFElement, FiniteFieldDescriptor
-from .polynomials import dense_eval, parse_sum
+from .polynomials import _integer, dense_eval, parse_sum
 from .value_group import INFINITY, Value
 
 ErrorOrder = Union[int, float]  # an integer N, or math.inf for an exact series
@@ -226,7 +228,7 @@ class LaurentSeries:
     def __neg__(self) -> "LaurentSeries":
         neg = self.field.base.neg_code
         return LaurentSeries(
-            self.field, self.low, tuple(neg(c) for c in self.coeffs), self.prec
+            self.field, self.low, tuple([neg(c) for c in self.coeffs]), self.prec
         )
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -251,7 +253,7 @@ class LaurentSeries:
         if not code:
             return self.field.zero(self.prec)
         return LaurentSeries(
-            self.field, self.low, tuple(base.mul_codes(x, code) for x in self.coeffs), self.prec
+            self.field, self.low, tuple([base.mul_codes(x, code) for x in self.coeffs]), self.prec
         )
 
     def shift(self, e: int) -> "LaurentSeries":
@@ -406,33 +408,35 @@ def hensel_lift(
 ) -> LaurentSeries:
     """Newton iteration x -> x - f(x)/f'(x) up to f(x) = 0 mod t^target_prec.
 
-    Requires the Hensel condition v(f(x0)) > 2 v(f'(x0)) with both
-    valuations exact; the iteration doubles the residual valuation gap per
-    step.
+    Requires the Hensel condition v(f(x0)) > 2 v(f'(x0)), with v(f'(x0))
+    exact and v(f(x0)) at least its floor.  With b = v(f'(x0)), a step
+    from v(f(x)) = m lands at v(f) >= 2m - 2b, so it is worked at
+    n = min(target_prec, 2m - b): f(x) is read to t^(n + b), f'(x) to the
+    digits the quotient needs, and the new iterate is the exact point of
+    its digits below n.  By Hensel's lemma the last iterate x agrees with
+    the root of f, as far as f is known, modulo t^(v(f(x)) - b), and it is
+    returned at that order.
     """
     coeffs = list(coeffs)
     deriv = poly_derivative(coeffs)
-    fx = dense_eval(coeffs, x0)
-    if fx.is_zero_to_prec() and fx.prec >= target_prec:
-        return x0
-    dfx = dense_eval(deriv, x0)
-    vfx = fx.valuation().require_exact().first
-    vdfx = dfx.valuation().require_exact().first
-    if not vfx > 2 * vdfx:
+    fx, dfx = dense_eval(coeffs, x0), dense_eval(deriv, x0)
+    b = int(dfx.valuation().require_exact().first)
+    if not fx.valuation_floor() > 2 * b:
         raise ValfieldError(
-            f"Hensel condition fails: v(f(x0))={vfx} <= 2*v(f'(x0))={2 * vdfx}"
+            f"Hensel condition fails: v(f(x0))={fx.valuation().to_text()} <= 2*v(f'(x0))={2 * b}"
         )
-    x = x0
+    field, x = x0.field, x0
     for _ in range(max_iter):
-        fx = dense_eval(coeffs, x)
+        m = fx.valuation_floor()
+        if m >= target_prec:
+            return field.make(x.low, x.coeffs, m - b)
         if fx.is_zero_to_prec():
-            if fx.prec >= target_prec:
-                return x
             raise PrecisionError("input precision insufficient for the requested lift")
-        if fx.low >= target_prec:
-            return x
-        dfx = dense_eval(deriv, x)
-        x = x - fx / dfx
+        n = min(target_prec, 2 * m - b)
+        step = fx.truncate(min(fx.prec, n + b)) / dfx.truncate(min(dfx.prec, n - m + 2 * b))
+        y = x - step
+        x = field.make(y.low, y.coeffs, math.inf)
+        fx, dfx = dense_eval(coeffs, x), dense_eval(deriv, x)
     raise PrecisionError("Newton iteration did not reach the target precision")
 
 
@@ -488,15 +492,14 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
 
 # -- parsing ---------------------------------------------------------------
 
-def parse_series(
-    field: LaurentField, text: str, default_prec: Optional[int] = None
-) -> LaurentSeries:
+def parse_series(field: LaurentField, text: str) -> LaurentSeries:
     """Read a sum in the series variable alone, by ``parse_sum``, with an
-    optional trailing ``O(t^N)``; the bit-exact inverse of ``to_text()``."""
+    optional trailing ``O(t^N)``; without one the series is exact.  The
+    bit-exact inverse of ``to_text()``."""
     m = re.search(r"(?:\+\s*)?O\(\s*" + re.escape(field.var) + r"\^(-?\d+)\s*\)\s*$", text)
-    body, prec = text, field.default_prec if default_prec is None else default_prec
+    body, prec = text, math.inf
     if m:
-        body, prec = text[: m.start()], int(m.group(1))
+        body, prec = text[: m.start()], _integer(m.group(1), m.start(1))
     terms: Dict[int, FFElement] = {}
     if m is None or body.strip():  # a bare O-term is the zero series
         for key, c in parse_sum(body, field.base.element).items():

@@ -18,6 +18,7 @@ CENTER a series.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .errors import DEFAULT_BUDGET, ParseError, check_budget
 from .extremality import Ball
 from .finite_field import FiniteFieldDescriptor, is_prime, parse_field
 from .laurent import LaurentField, parse_series
-from .polynomials import MultiPoly, dense_trim, parse_sum
+from .polynomials import MultiPoly, _integer, dense_trim, parse_sum
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ def parse_any_field(
     s = text.strip()
     m = re.fullmatch(r"Q_(\d+)", s)
     if m:
-        p = int(m.group(1))
+        p = _integer(m.group(1), 2)
         if not is_prime(p):
             raise ParseError(f"{p} is not prime in {text!r}", 0)
         return PAdicFieldRef(p)
@@ -89,8 +90,8 @@ def parse_poly(
 
     Uniformizers take any exponent; ``X``/``Y`` (variable 1) and ``X<n>``/
     ``Y<n>`` (variable n) take exponents >= 0.  A coefficient c*t^j is
-    ``t_power(j)`` at the default error order scaled by c; over a composite
-    field c*u^i*t^j is ``make({j: u^i})`` with u^i at ``prec_u``."""
+    exact; over a composite field c*u^i*t^j is ``make({j: c*u^i})`` with
+    c*u^i known to ``prec_u``, the u-horizon of the truncated rank-2 ring."""
     composite = isinstance(field, CompositeField)
     series = field.inner if composite else field
     uniformizers = (series.var, field.outer_var) if composite else (series.var,)
@@ -105,14 +106,14 @@ def parse_poly(
                 raise ParseError(f"unknown symbol {name!r}")
             if e < 0:
                 raise ParseError(f"negative exponent on the variable {name!r}")
-            var = int(m.group(1) or 1) - 1
+            var = _integer(m.group(1) or "1", None) - 1
             if var < 0:
                 raise ParseError(f"variables are numbered from 1: {name!r}")
             var_exps[var] = var_exps.get(var, 0) + e
         if composite:
-            coeff = field.make({unif[1]: series.t_power(unif[0], field.prec_u).scale(c)})
+            coeff = field.make({unif[1]: series.from_terms({unif[0]: c}, field.prec_u)})
         else:
-            coeff = field.t_power(unif[0]).scale(c)
+            coeff = field.from_terms({unif[0]: c}, math.inf)
         rows.append((var_exps, coeff))
     n = max((var + 1 for var_exps, _ in rows for var in var_exps), default=0)
     if nvars is not None:
@@ -120,6 +121,7 @@ def parse_poly(
             raise ParseError(f"expression uses {n} variables, expected {nvars}")
         n = nvars
     n = max(n, 1)
+    check_budget(n * len(rows), DEFAULT_BUDGET)  # the monomial tuples' entries
     out: Dict[tuple, object] = {}
     for var_exps, coeff in rows:
         mono = tuple(var_exps.get(i, 0) for i in range(n))
@@ -154,8 +156,8 @@ def parse_int_poly(text: str) -> List[Fraction]:
 _BALL = re.compile(r"v\s*>=\s*(-?\d+)\s+around\s+(.*)$")
 
 
-def parse_ball(text: str, field: LaurentField, prec: Optional[int] = None) -> Ball:
+def parse_ball(text: str, field: LaurentField) -> Ball:
     m = _BALL.fullmatch(text.strip())
     if not m:
         raise ParseError(f"expected 'v>=R around CENTER': {text!r}", 0)
-    return Ball(parse_series(field, m.group(2), prec), int(m.group(1)))
+    return Ball(parse_series(field, m.group(2)), _integer(m.group(1), None))

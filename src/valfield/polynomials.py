@@ -374,7 +374,7 @@ class _Reader:
         self.take()
 
 
-def _integer(text: str, pos: int) -> int:
+def _integer(text: str, pos: Optional[int]) -> int:
     """A decimal integer token; one longer than Python reads
     (``sys.get_int_max_str_digits``) is a parse error."""
     try:

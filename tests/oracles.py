@@ -6,6 +6,8 @@
   ``decomposition_image_agrees``.
 * ``_fp_echelon`` is the canonical reduced row-echelon form over F_p, for
   the per-bound reference of ``oap_solve`` in ``test_additive``.
+* ``full_precision_lift`` is Newton's iteration with every step worked at
+  the full precision of its operands, the reference for ``hensel_lift``.
 """
 
 import itertools
@@ -13,9 +15,10 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon, _fp_insert
-from valfield.errors import DEFAULT_BUDGET, check_budget
+from valfield.errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
 from valfield.extremality import digit_window
-from valfield.laurent import LaurentField, LaurentSeries
+from valfield.laurent import LaurentField, LaurentSeries, poly_derivative
+from valfield.polynomials import dense_eval
 
 
 def _series_key(s: LaurentSeries, out_prec: int):
@@ -103,3 +106,31 @@ def _fp_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[Tuple[int, ...],
             if x:
                 row[c:] = [(y - x * w) % p for y, w in zip(row[c:], piv[c:])]
     return tuple(tuple(pivots[c]) for c in cols)
+
+
+def full_precision_lift(
+    coeffs: Sequence[LaurentSeries], x0: LaurentSeries, target_prec: int, max_iter: int = 64
+) -> LaurentSeries:
+    """x -> x - f(x)/f'(x) on the series as they are, each step dividing at
+    the full precision its operands carry, up to f(x) = 0 mod t^target_prec;
+    the root keeps the error order that the arithmetic gives it."""
+    coeffs = list(coeffs)
+    deriv = poly_derivative(coeffs)
+    fx = dense_eval(coeffs, x0)
+    if fx.is_zero_to_prec() and fx.prec >= target_prec:
+        return x0
+    vfx = fx.valuation().require_exact().first
+    vdfx = dense_eval(deriv, x0).valuation().require_exact().first
+    if not vfx > 2 * vdfx:
+        raise ValfieldError(f"Hensel condition fails: v(f(x0))={vfx} <= 2*v(f'(x0))={2 * vdfx}")
+    x = x0
+    for _ in range(max_iter):
+        fx = dense_eval(coeffs, x)
+        if fx.is_zero_to_prec():
+            if fx.prec >= target_prec:
+                return x
+            raise PrecisionError("input precision insufficient for the requested lift")
+        if fx.low >= target_prec:
+            return x
+        x = x - fx / dense_eval(deriv, x)
+    raise PrecisionError("Newton iteration did not reach the target precision")

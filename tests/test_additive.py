@@ -1,10 +1,13 @@
 import inspect
+import io
+import json
 import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from valfield.additive import (
 from valfield.errors import BudgetExceededError, PrecisionError, ValfieldError
 from valfield.extremality import Ball, extremal_search
 from valfield.finite_field import FiniteFieldDescriptor, prime_field
+from valfield import cli
 from valfield.laurent import LaurentField, parse_series
 from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
@@ -605,6 +609,45 @@ def test_exact_two_variable_witnesses_show_the_value():
                 residual = z - f.evaluate(res.best_input)
                 assert residual.prec == z.prec
                 assert _clamped(residual.valuation(), 4) == _clamped(res.value, 4)
+                checked += 1
+    assert checked == 435
+
+
+def test_cli_witnesses_show_the_value():
+    """The same 435 instances typed as text through ``oap --prec 16``: a
+    typed sum is exact, so the CLI reads f back as itself, and each printed
+    witness, read back and substituted, leaves a residual known to z's own
+    order whose valuation is the printed value, or at least the printed
+    bound."""
+    checked = 0
+    for lo in (-2, -1, -3):
+        s = Sampler(7)
+        for K in _SWEEP_FIELDS:
+            for _ in range(50):
+                f = s.additive(K, 2, max_k=2, prec=math.inf)
+                z = s.series(K, lo, 16)
+                if f.is_zero():
+                    continue
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = cli.main([
+                        "oap", "--field", K.to_text(), "--poly", f.to_text(),
+                        "--target", z.to_text(), "--prec", "16", "--json", "-",
+                    ])
+                text = out.getvalue()
+                report = json.loads(text[text.index("{"):])
+                args = [parse_series(K, a) for a in report["bestInput"]]
+                # text that names X1 alone reads as one variable
+                read = f if len(args) == f.nvars else f.restrict(0)
+                assert code == 0 and f"additive polynomial: {read.to_text()}\n" in text
+                args += [K.zero(math.inf)] * (f.nvars - len(args))
+                residual = z - f.evaluate(args)
+                assert residual.prec == z.prec
+                value = report["value"]
+                if value.startswith(">="):
+                    assert residual.valuation_floor() >= int(value[2:])
+                else:
+                    assert residual.valuation().to_text() == value
                 checked += 1
     assert checked == 435
 

@@ -112,8 +112,44 @@ def test_cli_exits_with_a_documented_code(command, data):
         ["oap", "--field", "F(2)((t))", "--poly", "X^2 + t*X", "--target", "t^-3 + t", "--prec", "100000"],
         ["fundeq", "--field", "Q_3", "--poly", "3^99999999*X + 1"],
         ["fundeq", "--field", "Q_3", "--poly", "(X + 1)^99999999"],
+        ["extremal", "--field", "F(2)((t))", "--poly", "X99999999"],
     ],
-    ids=["fundeq-Q_3", "fundeq-Q_5", "decompose-oracle", "oap-span", "fundeq-literal-power", "fundeq-group-power"],
+    ids=[
+        "fundeq-Q_3", "fundeq-Q_5", "decompose-oracle", "oap-span", "fundeq-literal-power",
+        "fundeq-group-power", "extremal-variable-count",
+    ],
 )
 def test_a_budget_reached_through_a_valid_field_exits_4(args):
     assert run(args).returncode == 4
+
+
+LONG = "9" * 5000  # more digits than Python reads into an int
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["oap", "--field", "F(2)((t))", "--poly", "X", "--target", f"O(t^{LONG})"],
+        ["extremal", "--field", "F(2)((t))", "--poly", "X", "--ball", f"v>={LONG} around 0"],
+        ["fundeq", "--field", f"Q_{LONG}", "--poly", "X"],
+        ["extremal", "--field", "F(2)((t))", "--poly", f"X{LONG}"],
+    ],
+    ids=["error-order", "ball-radius", "padic-prime", "variable-index"],
+)
+def test_an_integer_too_long_to_read_is_a_parse_error(args):
+    proc = run(args)
+    assert proc.returncode == 1 and "too long" in proc.stderr, proc.stderr
+
+
+# trial division up to the square root of 10^18 + 3 would run for minutes
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["fundeq", "--field", "Q_1000000000000000003", "--poly", "X"], 4),
+        (["extremal", "--field", "F(1000000000000000003)((t))", "--poly", "X"], 4),
+        (["tmcne", "-p", "1000000000000000003"], 3),
+    ],
+    ids=["fundeq-Q_p", "extremal-F_p", "tmcne"],
+)
+def test_a_huge_prime_ends_within_the_timeout(args, code):
+    assert run(args).returncode == code

@@ -189,10 +189,10 @@ class TestBallTransfer:
         assert set(m) == {">=3"}
 
     def test_multiset_keeps_a_bound_below_the_cap(self):
-        # t^-2 read at O(t^3) times the representative O(t^3) is only known
-        # to be O(t^1): the entry is ">=1", as the enumerating oracle
-        # reports; the digit tree evaluates at exact digit points, where
-        # t^-2 * t^3 = t^1 is known to O(t^6), so it reaches the cap
+        # the typed t^-2 is exact, but times the representative O(t^3) it
+        # is only known to be O(t^1): the entry is ">=1", as the enumerating
+        # oracle reports; the digit tree evaluates at exact digit points,
+        # where t^-2 * t^3 = t^1 is exact, so it reaches the cap
         K = LaurentField(prime_field(2), "t", default_prec=3)
         f = parse_poly("t^-2*X", K)
         m = valuation_multiset(f, K, Ball(K.zero(3), 0), 3, cap=3)

@@ -24,6 +24,8 @@ from valfield.laurent import (
 from valfield.polynomials import MultiPoly, dense_eval, parse_sum
 from valfield.value_group import INFINITY, Value
 
+from oracles import full_precision_lift
+
 F2 = prime_field(2)
 F3 = prime_field(3)
 K2 = LaurentField(F2, "t", default_prec=10)
@@ -192,6 +194,12 @@ class TestTextRoundTrip:
     def test_print_parse_identity(self, a):
         assert parse_series(a.field, a.to_text()) == a
 
+    @given(series(exact=True))
+    def test_exact_series_round_trip(self, a):
+        # a sum typed without O(t^N) is exact, so a bare sum reads back as itself
+        assert a.prec == math.inf
+        assert parse_series(a.field, a.to_text()) == a
+
     def test_extension_coefficients(self):
         x = K4.from_terms({-1: K4.base.element([1, 1]), 0: K4.base.element([0, 1])}, 5)
         assert parse_series(K4, x.to_text()) == x
@@ -203,8 +211,8 @@ class TestTextRoundTrip:
             parse_series(K2, "")
 
     def test_leading_sign(self):
-        assert parse_series(K3, "-t^2").to_text() == "2*t^2 + O(t^10)"
-        assert parse_series(K3, "- t^-1 + t").to_text() == "2*t^-1 + t^1 + O(t^10)"
+        assert parse_series(K3, "-t^2").to_text() == "2*t^2"
+        assert parse_series(K3, "- t^-1 + t").to_text() == "2*t^-1 + t^1"
 
     def test_dangling_sign_rejected(self):
         with pytest.raises(ParseError):
@@ -277,6 +285,51 @@ class TestHensel:
         root = hensel_lift(f, one, 8)
         residual = dense_eval(f, root)
         assert residual.is_zero_to_prec() or residual.valuation_floor() >= 8
+
+
+def _lift_instances():
+    """Seeded f = (X - r)(X - s) over F_2, F_3 and F_16 at prec 8..256,
+    with s - r of valuation d in 0..3, so v(f'(r)) = d, and x0 the digits
+    of r below d + 1 or d + 2 as a point known to the coefficients' order."""
+    rng = random.Random(18)
+    bases = [prime_field(2), prime_field(3), FiniteFieldDescriptor(2, 4, (1, 1, 0, 0, 1))]
+    for n in range(120):
+        base = bases[n % 3]
+        prec = (8, 16, 32, 64, 128, 256)[n // 3 % 6]
+        d = n // 18 % 4
+        K = LaurentField(base, "t", prec)
+        r = K.make(0, [rng.randrange(base.q) for _ in range(prec)], prec)
+        unit = K.make(0, [rng.randrange(1, base.q)] + [rng.randrange(base.q) for _ in range(prec)], prec)
+        s = r + unit.shift(d)
+        k = d + 1 + rng.randrange(2)
+        x0 = K.make(r.low, r.coeffs[:max(0, k - r.low)], prec)
+        yield [r * s, -(r + s), K.one(prec)], x0, prec - rng.randrange(3), r, d
+
+
+def test_lift_agrees_with_the_full_precision_route():
+    """hensel_lift against the full-precision Newton route: where that
+    route lifts, the same root digits at an order no higher than its own
+    and at least target - v(f'); where it runs out of precision, the fast
+    route either does too or returns a root that the true one confirms."""
+    counts = {"same": 0, "beyond": 0}
+    for f, x0, target, r, d in _lift_instances():
+        try:
+            ref = full_precision_lift(f, x0, target)
+        except PrecisionError:
+            ref = None
+        try:
+            y = hensel_lift(f, x0, target)
+        except PrecisionError:
+            assert ref is None
+            continue
+        if ref is not None:
+            assert y.prec <= ref.prec and ref.truncate(y.prec) == y
+            counts["same"] += 1
+        else:
+            counts["beyond"] += 1
+        assert y.prec >= target - d
+        assert (y - r).valuation_floor() >= y.prec
+    assert min(counts.values()) >= 40, counts
 
 
 class TestArtinSchreier:
