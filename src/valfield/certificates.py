@@ -349,9 +349,9 @@ def poly_text_from_coeffs(coeffs: Sequence[Union[int, Fraction]]) -> str:
     parts = []
     try:
         for i in reversed(range(len(coeffs))):
-            c = Fraction(coeffs[i])
-            if c == 0:
+            if not coeffs[i]:
                 continue
+            c = Fraction(coeffs[i])
             if i == 0:
                 parts.append(str(c))
             elif c == 1:

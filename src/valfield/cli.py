@@ -185,18 +185,23 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    field = parse_any_field(args.field, prec=args.prec, prec_t=args.prec_t, prec_u=args.prec_u)
-    if isinstance(field, CompositeField):
-        if args.ball:
-            raise ParseError("--ball needs a Laurent field; a composite search covers its valuation ring")
-        mp = parse_poly(args.poly, field)
-        result = composite_extremal_search(mp, field, args.u_floor, args.budget)
-    elif isinstance(field, LaurentField):
-        mp = parse_poly(args.poly, field)
-        ball = parse_ball(args.ball, field) if args.ball else None
-        result = extremal_search(mp, field, ball, args.prec, args.budget)
-    else:
+    # an option left out is absent from args, so one given to the kind of
+    # field that never reads it is refused
+    given = vars(args)
+    opts = {"prec": 4, "ball": None, "prec_t": 3, "prec_u": 2, "u_floor": 0, **given}
+    field = parse_any_field(args.field, prec=opts["prec"], prec_t=opts["prec_t"], prec_u=opts["prec_u"])
+    composite = isinstance(field, CompositeField)
+    if not composite and not isinstance(field, LaurentField):
         raise ParseError(f"unsupported field for extremal search: {args.field!r}")
+    for name in ("prec", "ball") if composite else ("prec_t", "prec_u", "u_floor"):
+        if given.get(name) is not None:
+            raise ParseError(f"--{name.replace('_', '-')} needs a {'Laurent' if composite else 'composite'} field")
+    mp = parse_poly(args.poly, field)
+    if composite:
+        result = composite_extremal_search(mp, field, opts["u_floor"], args.budget)
+    else:
+        ball = parse_ball(opts["ball"], field) if opts["ball"] else None
+        result = extremal_search(mp, field, ball, opts["prec"], args.budget)
     print(f"field: {field.to_text()}")
     print(f"polynomial: {mp.to_text()}")
     print(f"max value: {result.value.to_text()}")
@@ -213,16 +218,17 @@ def cmd_transfer(args) -> int:
     a = parse_series(field, args.center_a)
     b = parse_series(field, args.center_b)
     c = parse_series(field, args.scale)
-    g = ball_transfer(mp, args.alpha, a, args.beta, b, c)
-    print(f"f: {mp.to_text()}")
-    print(f"g = f(c*(Y - a) + b): {g.to_text()}")
-    # the bijection x = c*(y-a)+b maps B_alpha(a) reps mod t^N to
-    # B_beta(b) reps mod t^(N + beta - alpha); cap both at N
+    # the bijection x = c*(y-a)+b maps B_alpha(a) classes mod t^N to
+    # B_beta(b) classes mod t^(N + beta - alpha); cap both at N.  f's
+    # multiset is charged before g is built.
     shift = args.beta - args.alpha
     m_f = valuation_multiset(
         mp, field, Ball(b, args.beta), args.prec + shift,
         cap=args.prec, budget=args.budget,
     )
+    g = ball_transfer(mp, args.alpha, a, args.beta, b, c)
+    print(f"f: {mp.to_text()}")
+    print(f"g = f(c*(Y - a) + b): {g.to_text()}")
     m_g = valuation_multiset(
         g, field, Ball(a, args.alpha), args.prec,
         cap=args.prec, budget=args.budget,
@@ -346,7 +352,8 @@ def _add_common(sub, prec_default: Optional[int] = 8, budget=True):
     if budget:
         sub.add_argument(
             "--budget", type=int, default=DEFAULT_BUDGET,
-            help="search budget: tuples enumerated or tree digits expanded",
+            help="search budget: tree digits expanded and multiset entries "
+            "(tuples enumerated by composite searches and oap --oracle)",
         )
     sub.add_argument("--json", metavar="PATH", help="write a JSON report ('-' for stdout)")
 
@@ -377,12 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--poly", required=True, help="additive part plus optional constant")
 
     s = subs.add_parser("extremal", help="max of v(f) over a truncated ball or valuation ring")
-    _add_common(s, prec_default=4)
+    _add_common(s, prec_default=argparse.SUPPRESS)
     s.add_argument("--poly", required=True)
     s.add_argument("--ball", help="e.g. \"v>=0 around 0\" (Laurent fields only)")
-    s.add_argument("--prec-t", type=int, default=3, help="t-window for composite fields")
-    s.add_argument("--prec-u", type=int, default=2, help="u-precision for composite fields")
-    s.add_argument("--u-floor", type=int, default=0, help="lowest u-level at positive t-levels")
+    # --prec (default 4) fits Laurent fields, and these three composite ones
+    s.add_argument("--prec-t", type=int, default=argparse.SUPPRESS, help="t-window (default 3)")
+    s.add_argument("--prec-u", type=int, default=argparse.SUPPRESS, help="u-precision (default 2)")
+    s.add_argument("--u-floor", type=int, default=argparse.SUPPRESS, help="lowest u-level past t^0 (default 0)")
 
     s = subs.add_parser("transfer", help="carry a search between balls by an affine map")
     _add_common(s, prec_default=5)

@@ -33,6 +33,13 @@ def check_budget(count: int, budget: int) -> None:
         raise BudgetExceededError(f"{count} candidates or matrix entries exceed budget {budget}")
 
 
+def check_power(base: int, exponent: int, spent: int, budget: int) -> int:
+    """spent + base ** exponent (base >= 2) charged, a power past the budget refused unbuilt."""
+    if exponent > budget.bit_length() or spent + base**exponent > budget:
+        raise BudgetExceededError(f"{spent} + {base}^{exponent} candidates exceed budget {budget}")
+    return spent + base**exponent
+
+
 class CertificationError(ValfieldError):
     """A required property (e.g. irreducibility) cannot be certified."""
 

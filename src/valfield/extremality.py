@@ -1,22 +1,24 @@
 """Extremality searches, ball transfer, and rank-2 desk checks.
 
-``extremal_search`` finds the maximum of v(f) on a ball by the Hensel digit
-tree (as in Berthomieu-Lecerf-Quintin, "Polynomial root finding over local
-rings", AAECC 24, 2013).  A node is a point a known to t^k and the
-coefficients of g(Y) = f(a + t^k Y), every one kept with its own error
-order.  When the least valuation m among them lies below the cap and
-below every error order, the coefficients of valuation m form a residue
-polynomial R over F_q: a digit y with R(y) != 0 gives exactly m on its
-whole subtree, and only the zeros of R become children g(y + t Y).  Any
-other node below the ``prec`` horizon branches on all q^n digits, and a
-branch ends once m reaches the cap, where nothing can beat it.
+Over a ball of F_q((t)), ``extremal_search`` (the maximum of v(f)) and
+``valuation_multiset`` (every value of f, one per class mod t^upto) read
+one Hensel digit tree (as in Berthomieu-Lecerf-Quintin, "Polynomial root
+finding over local rings", AAECC 24, 2013).  A node is a point a known to
+t^k and the coefficients of g(Y) = f(a + t^k Y), every one kept with its
+own error order.  When the least valuation m among them lies below the cap
+and below every error order, the coefficients of valuation m form a
+residue polynomial R over F_q: a digit y with R(y) != 0 gives exactly m on
+its whole subtree, and only the zeros of R become children g(y + t Y).  Any
+other node above the horizon branches on all q^n digits, and a branch ends
+once m reaches the cap, where nothing can beat it.  The multiset counts its
+leaves as in the usual recursion for points mod t^k (Denef, "Report on
+Igusa's local zeta function", Sem. Bourbaki 741).
 
-Exhaustive enumeration stays as the oracle and as the searches whose
-residue field is infinite: one walk over every tuple of truncated
-representatives, with one horizon rule at the cap (the working
-precision): an exact value below the cap stays exact, and every other
-value becomes ">= min(value, cap)".  It serves ``brute_force_max``,
-``composite_extremal_search`` and the valuation multisets.
+Exhaustive enumeration is left to ``brute_force_max`` (the oracle of
+``oap --oracle``) and ``composite_extremal_search``, whose rank-2 ring
+has no tree yet: one walk over every tuple of truncated representatives,
+with one horizon rule at the cap: an exact value below the cap stays
+exact, and every other value becomes ">= min(value, cap)".
 
 A search over a truncated ring can never certify extremality of the
 infinite field; every search therefore returns an explicit verdict:
@@ -29,13 +31,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .composite import CompositeElement, CompositeField
-from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
+from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget, check_power
 from .laurent import ErrorOrder, LaurentField, LaurentSeries, ValuationResult
-from .polynomials import Monomial, MultiPoly
+from .polynomials import MultiPoly
 from .value_group import Value
 
 MAX_ATTAINED = "MaxAttained"
@@ -187,34 +190,35 @@ def _chain_count(e: int, p: int) -> int:
     return count
 
 
-def _reduced(exponents: Iterable[int], q: int) -> tuple:
-    """Exponents reduced to 1..q-1 (0 stays 0): y^e is y^(reduced e) for
-    every digit y of F_q, since y^(q-1) is 1 for y != 0."""
-    return tuple(e and (e - 1) % (q - 1) + 1 for e in exponents)
+def _reduced(monomial: Iterable[Tuple[int, int]], q: int) -> tuple:
+    """A sparse monomial, (variable, exponent) pairs, with the zero
+    exponents left out and the others reduced to 1..q-1: y^e is
+    y^(reduced e) for every digit y of F_q, since y^(q-1) is 1 for y != 0."""
+    return tuple((i, (e - 1) % (q - 1) + 1) for i, e in monomial if e)
 
 
-def _times_monomial(code: int, y: tuple, exponents: tuple, powers, mul) -> int:
-    """code * y^exponents, for reduced exponents and powers[y][e] = y^e."""
-    for yi, e in zip(y, exponents):
-        if e:
-            code = mul(code, powers[yi][e])
+def _times_monomial(code: int, y: tuple, monomial: tuple, powers, mul) -> int:
+    """code * y^monomial, for a reduced monomial and powers[y][e] = y^e."""
+    for i, e in monomial:
+        code = mul(code, powers[y[i]][e])
     return code
 
 
-def _shift_table(monomials: Iterable[Monomial], p: int, q: int) -> Dict[Monomial, list]:
+def _shift_table(monomials: Iterable[tuple], p: int, q: int) -> Dict[tuple, list]:
     """For the shift Y -> y + t*Y: coefficient mu of the result collects
     C(nu, mu) y^(nu - mu) b_nu over every nu of the closure of the monomials
-    with C(nu, mu) prime to p.  An entry is (nu, C(nu, mu) mod p, nu - mu),
-    with nu - mu reduced."""
+    with C(nu, mu) prime to p.  Monomials are sparse, as in ``_reduced``;
+    an entry is (nu, C(nu, mu) mod p, nu - mu reduced)."""
     closure = set()
     for nu in monomials:
-        closure.update(itertools.product(*([m for m, _ in _lucas(e, p)] for e in nu)))
-    table: Dict[Monomial, list] = {}
+        for ms in itertools.product(*([m for m, _ in _lucas(e, p)] for _, e in nu)):
+            closure.add(tuple((i, m) for (i, _), m in zip(nu, ms) if m))
+    table: Dict[tuple, list] = {}
     for nu in closure:
-        for pairs in itertools.product(*(_lucas(e, p) for e in nu)):
-            mu = tuple(m for m, _ in pairs)
+        for pairs in itertools.product(*(_lucas(e, p) for _, e in nu)):
+            mu = tuple((i, m) for (i, _), (m, _) in zip(nu, pairs) if m)
             b = math.prod(c for _, c in pairs) % p
-            diff = _reduced([e - m for e, m in zip(nu, mu)], q)
+            diff = _reduced([(i, e - m) for (i, e), (m, _) in zip(nu, pairs)], q)
             table.setdefault(mu, []).append((nu, b, diff))
     return table
 
@@ -228,25 +232,86 @@ def _scaled(c: LaurentSeries, code: int) -> LaurentSeries:
     return LaurentSeries(c.field, c.low, tuple([mul(x, code) for x in c.coeffs]), c.prec)
 
 
-def _child(
-    g: Dict[Monomial, LaurentSeries], y: tuple, table, powers, mul
-) -> Dict[Monomial, LaurentSeries]:
-    """The coefficients of g(y + t*Y), every one kept, also when it is zero
-    to its error order; a coefficient no term reaches is exactly zero."""
-    out = {}
-    for mu, terms in table.items():
-        acc = None
-        for nu, code, diff in terms:
-            c = g.get(nu)
-            if c is None:
-                continue
-            code = _times_monomial(code, y, diff, powers, mul)
-            if code:
-                term = _scaled(c, code)
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            out[mu] = acc.shift(sum(mu))
-    return out
+class _DigitTree:
+    """The digit tree of f over a ball: the root f(t^low * Y) at depth low,
+    the ball's lowest exponent, and the centre's digit as the only one below
+    the radius.  The shift table is charged its (nu, mu) pairs before it is
+    built, and each expanded node its digits."""
+
+    def __init__(self, f: MultiPoly, field: LaurentField, ball: Ball, budget: int):
+        base = field.base
+        self.n, self.q, self.ball, self.budget = f.nvars, base.q, ball, budget
+        self.mul, self.add = base.mul_codes, base.add_codes
+        if ball.center.prec < ball.radius:
+            raise PrecisionError(
+                f"ball centre known to O({field.var}^{ball.center.prec}), below its radius {ball.radius}"
+            )
+        # monomials are read by their nonzero exponents from here on; only
+        # the digit tuples, charged q^n per node, hold every variable
+        terms = {tuple((i, e) for i, e in enumerate(nu) if e): c for nu, c in f.terms.items()}
+        self.spent = sum(math.prod(_chain_count(e, base.p) for _, e in nu) for nu in terms)
+        check_budget(self.spent, budget)
+        self.table = _shift_table(terms, base.p, base.q)
+        # powers[y][e] = y^e
+        self.powers = [list(itertools.accumulate([y] * (self.q - 1), self.mul, initial=1)) for y in range(self.q)]
+        self.low = min(ball.radius, ball.center.valuation_floor())
+        self.root = {nu: c.shift(self.low * sum(e for _, e in nu)) for nu, c in terms.items()}
+        self.all_digits = None
+
+    def centre_digit(self, k: int) -> tuple:
+        center = self.ball.center
+        i = k - center.low
+        return (center.coeffs[i] if 0 <= i < len(center.coeffs) else 0,) * self.n
+
+    def digits(self, k: int) -> list:
+        """The digits of a node at depth k, charged to the budget."""
+        if k < self.ball.radius:
+            self.spent += 1
+            check_budget(self.spent, self.budget)
+            return [self.centre_digit(k)]
+        self.spent = check_power(self.q, self.n, self.spent, self.budget)
+        if self.all_digits is None:
+            self.all_digits = list(itertools.product(range(self.q), repeat=self.n))
+        return self.all_digits
+
+    def child(self, g: Dict[tuple, LaurentSeries], y: tuple) -> Dict[tuple, LaurentSeries]:
+        """The coefficients of g(y + t*Y), every one kept, also when it is
+        zero to its error order; one that no term reaches is exactly zero."""
+        out = {}
+        for mu, terms in self.table.items():
+            acc = None
+            for nu, code, diff in terms:
+                c = g.get(nu)
+                if c is None:
+                    continue
+                code = _times_monomial(code, y, diff, self.powers, self.mul)
+                if code:
+                    term = _scaled(c, code)
+                    acc = term if acc is None else acc + term
+            if acc is not None:
+                out[mu] = acc.shift(sum(e for _, e in mu))
+        return out
+
+    def floor(self, g: Dict[tuple, LaurentSeries]) -> Tuple[float, Optional[list]]:
+        """(m, R): g's least valuation m, and when m lies below every error
+        order the residue form R of g's terms of valuation m, else None."""
+        m = min((c.valuation_floor() for c in g.values()), default=math.inf)
+        if m >= min((c.prec for c in g.values()), default=math.inf):
+            return m, None
+        return m, [(_reduced(nu, self.q), c.coeffs[0]) for nu, c in g.items() if c.coeffs and c.low == m]
+
+    def split(self, lead: Optional[list], digits: list) -> Tuple[list, list]:
+        """(decided, children): as g(y + t*Y) = t^m R(y) mod t^(m + 1), R(y) != 0
+        gives exactly m on y's subtree, and every other digit is a child."""
+        if lead is None:
+            return [], digits
+        decided, children = [], []
+        for y in digits:
+            r = 0
+            for nu, code in lead:
+                r = self.add(r, _times_monomial(code, y, nu, self.powers, self.mul))
+            (decided if r else children).append(y)
+        return decided, children
 
 
 def extremal_search(
@@ -259,83 +324,36 @@ def extremal_search(
     """Max of v(f) over the ball (O by default) by the digit tree, capped
     at prec, over its leaves in digit order.
 
-    The tree starts at x = t^k0 * Y with k0 the lowest exponent of the
-    centre, and a node below the radius has the centre's digit as its only
-    digit.  The shift table charges its size to the budget, and then each
-    expanded node its digits.  A leaf is (its digits, newest first as
-    nested pairs, and the exponent past them) with the value on its
-    subtree; the leaves end at the first one at the cap, since no later
-    leaf can beat it.  The witness is the exact digit point of the best
-    leaf, completed by the centre's digits below the radius, at error order
-    max(prec, the exponent past its digits).
+    A leaf is (its digits, newest first as nested pairs, and the exponent
+    past them) with the value on its subtree; the leaves end at the first
+    one at the cap, since no later leaf can beat it.  A node past the
+    horizon whose residue form is unknown is a leaf at its floor.  The
+    witness is the exact digit point of the best leaf, completed by the
+    centre's digits below the radius, at error order max(prec, the
+    exponent past its digits).
     """
     if ball is None:
         ball = Ball(field.zero(prec), 0)
-    base, n = field.base, f.nvars
-    p, q, mul, add = base.p, base.q, base.mul_codes, base.add_codes
-    center, radius = ball.center, ball.radius
-    if center.prec < radius:
-        raise PrecisionError(
-            f"ball centre known to O({field.var}^{center.prec}), below its radius {radius}"
-        )
-    spent = sum(math.prod(_chain_count(e, p) for e in nu) for nu in f.terms)
-    check_budget(spent, budget)
-    table = _shift_table(f.terms, p, q)
-    powers = []
-    for y in range(q):
-        row = [1]
-        for _ in range(q - 1):
-            row.append(mul(row[-1], y))
-        powers.append(row)
-    low = min(radius, center.valuation_floor())
-    root = {nu: c.shift(low * sum(nu)) for nu, c in f.terms.items()}
-
-    def centre_digit(k: int) -> tuple:
-        i = k - center.low
-        return (center.coeffs[i] if 0 <= i < len(center.coeffs) else 0,) * n
+    tree = _DigitTree(f, field, ball, budget)
+    capped = ValuationResult.at_least(Value.rank1(prec))
 
     def leaves() -> Iterator[Tuple[tuple, ValuationResult]]:
-        nonlocal spent
-        capped = ValuationResult.at_least(Value.rank1(prec))
-        all_digits = None
-        stack = [(root, low, None)]
+        stack = [(tree.root, tree.low, None)]
         while stack:
             g, k, node = stack.pop()
             if node is not None:
-                g = _child(g, node[0], table, powers, mul)
-            m = min((c.valuation_floor() for c in g.values()), default=math.inf)
+                g = tree.child(g, node[0])
+            m, lead = tree.floor(g)
             if m >= prec:
                 yield (node, k), capped
                 return
-            spent += 1 if k < radius else q**n
-            check_budget(spent, budget)
-            if k < radius:
-                digits = [centre_digit(k)]
-            else:
-                if all_digits is None:
-                    all_digits = list(itertools.product(range(q), repeat=n))
-                digits = all_digits
-            if m < min(c.prec for c in g.values()):
-                # g(y + t*Y) = t^m * R(y) mod t^(m + 1)
-                lead = [
-                    (_reduced(nu, q), c.coeffs[0]) for nu, c in g.items() if c.coeffs and c.low == m
-                ]
-                decided, children = None, []
-                for y in digits:
-                    r = 0
-                    for nu, code in lead:
-                        r = add(r, _times_monomial(code, y, nu, powers, mul))
-                    if not r:
-                        children.append(y)
-                    elif decided is None:
-                        decided = y
-                if decided is not None:
-                    yield ((decided, node), k + 1), ValuationResult.exactly(Value.rank1(m))
-            elif k < prec:
-                children = digits
-            else:
+            digits = tree.digits(k)
+            if lead is None and k >= prec:
                 yield (node, k), ValuationResult.at_least(Value.rank1(m))
                 continue
+            decided, children = tree.split(lead, digits)
+            if decided:
+                yield ((decided[0], node), k + 1), ValuationResult.exactly(Value.rank1(m))
             stack.extend((g, k + 1, (y, node)) for y in reversed(children))
 
     result = search_max(leaves())
@@ -345,9 +363,9 @@ def extremal_search(
         y, node = node
         digits.append(y)
     digits.reverse()
-    digits += [centre_digit(k) for k in range(upto, radius)]
-    order = max(prec, low + len(digits))
-    witness = tuple(field.make(low, [y[i] for y in digits], order) for i in range(n))
+    digits += [tree.centre_digit(k) for k in range(upto, ball.radius)]
+    order = max(prec, tree.low + len(digits))
+    witness = tuple(field.make(tree.low, [y[i] for y in digits], order) for i in range(f.nvars))
     return SearchResult(witness, result.value, result.verdict)
 
 
@@ -383,13 +401,12 @@ def ball_transfer(
         )
     shift = b - c * a
     nv = f.nvars
-    inner = []
-    for i in range(nv):
-        mono = tuple(1 if j == i else 0 for j in range(nv))
-        terms = {mono: c}
+    inner = {}
+    for i in {i for nu in f.terms for i, e in enumerate(nu) if e}:
+        terms = {tuple(1 if j == i else 0 for j in range(nv)): c}
         if not shift.is_zero_to_prec():
             terms[(0,) * nv] = shift
-        inner.append(MultiPoly(nv, terms))
+        inner[i] = MultiPoly(nv, terms)
     return f.compose(inner)
 
 
@@ -401,14 +418,41 @@ def valuation_multiset(
     cap: int,
     budget: int = DEFAULT_BUDGET,
 ) -> List[str]:
-    """Sorted texts of v(f) over ball reps mod t^upto, by the walk's
-    horizon rule at ``cap``.
+    """Sorted texts of v(f) over the classes of the ball mod t^upto, read
+    at ``cap``, from the leaves of the digit tree.
 
-    Two enumerations related by an affine ball bijection agree entry for
-    entry when their windows correspond under the map, share one cap, and
-    lose no precision below it; a bound below the cap records such a loss.
+    A node at depth k stands for q^(n*(upto - max(k, radius))) classes, all
+    ">=cap" once its floor m reaches the cap; a digit that the residue form
+    decides gives exactly m on all of its classes.  At depth upto a node is
+    one class, a + t^k O^n: exactly m when the residue form is known and
+    has no zero digit, else ">=m".  The entry count q^(n*(upto - radius))
+    is charged to the budget, together with the expanded digits.
     """
-    return sorted(vr.to_text() for _, vr in ball_walk(f, field, ball, upto, cap, budget))
+    tree = _DigitTree(f, field, ball, budget)
+    n, q, radius = f.nvars, field.base.q, ball.radius
+    tree.spent = check_power(q, n * max(0, upto - radius), tree.spent, budget)
+
+    def classes(k: int) -> int:
+        return q ** (n * max(0, upto - max(k, radius)))
+
+    counts: Counter = Counter()
+    stack = [(tree.root, tree.low, None)]
+    while stack:
+        g, k, y = stack.pop()
+        if y is not None:
+            g = tree.child(g, y)
+        m, lead = tree.floor(g)
+        if m >= cap:
+            counts[f">={cap}"] += classes(k)
+        elif k >= upto:
+            exact = lead is not None and not tree.split(lead, tree.digits(max(k, radius)))[1]
+            counts[str(m) if exact else f">={m}"] += 1
+        else:
+            decided, children = tree.split(lead, tree.digits(k))
+            if decided:
+                counts[str(m)] += len(decided) * classes(k + 1)
+            stack.extend((g, k + 1, y) for y in children)
+    return [text for text in sorted(counts) for _ in range(counts[text])]
 
 
 # -- coarsening and the composite desk check -------------------------------

@@ -58,13 +58,16 @@ def vp_fraction(q: Fraction, p: int) -> Optional[int]:
 
 
 def monicize(coeffs: Sequence[Fraction]) -> List[Fraction]:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
+    """coeffs over the last nonzero one; the zeros, which a typed degree
+    leaves many of, are one shared Fraction and divide nothing."""
+    zero = Fraction(0)
+    cs = [Fraction(c) if c else zero for c in coeffs]
+    while cs and not cs[-1]:
         cs.pop()
     if not cs:
         raise ValfieldError("cannot monicize the zero polynomial")
     lead = cs[-1]
-    return [c / lead for c in cs]
+    return [c / lead if c else zero for c in cs]
 
 
 class PAdicExtRing:
@@ -90,7 +93,7 @@ class PAdicExtRing:
         """Polygon of the modulus; a zero coefficient is passed as None."""
         if self._polygon is None:
             self._polygon = newton_polygon_from_valuations([
-                None if c == 0
+                None if not c
                 else ValuationResult.exactly(Value.rank1(vp_fraction(c, self.p)))
                 for c in self.modulus
             ])

@@ -102,11 +102,10 @@ class MultiPoly:
             return a - a
         return acc
 
-    def compose(self, inner: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute inner[i] for variable i; all inner share one arity."""
-        if len(inner) != self.nvars:
-            raise ValfieldError("wrong number of inner polynomials")
-        nv = inner[0].nvars if inner else self.nvars
+    def compose(self, inner: Dict[int, "MultiPoly"]) -> "MultiPoly":
+        """Substitute inner[i] for every variable i that occurs; all inner
+        share one arity, self's when there is none."""
+        nv = next(iter(inner.values())).nvars if inner else self.nvars
         acc = None
         for m, c in self.terms.items():
             term = MultiPoly.constant(nv, c)

@@ -6,6 +6,9 @@
   ``decomposition_image_agrees``.
 * ``_fp_echelon`` is the canonical reduced row-echelon form over F_p, for
   the per-bound reference of ``oap_solve`` in ``test_additive``.
+* ``enumerated_multiset`` is the valuation multiset read off the walk over
+  every tuple of ball representatives, the reference for the digit-tree
+  count ``valuation_multiset``.
 * ``full_precision_lift`` is Newton's iteration with every step worked at
   the full precision of its operands, the reference for ``hensel_lift``.
 """
@@ -16,9 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon, _fp_insert
 from valfield.errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
-from valfield.extremality import digit_window
+from valfield.extremality import Ball, ball_walk, digit_window
 from valfield.laurent import LaurentField, LaurentSeries, poly_derivative
-from valfield.polynomials import dense_eval
+from valfield.polynomials import MultiPoly, dense_eval
 
 
 def _series_key(s: LaurentSeries, out_prec: int):
@@ -89,6 +92,14 @@ def decomposition_image(
             kept.add(key)
         return frozenset(kept)
     return frozenset(current.keys())
+
+
+def enumerated_multiset(
+    f: MultiPoly, field: LaurentField, ball: Ball, upto: int, cap: int, budget: int = DEFAULT_BUDGET
+) -> List[str]:
+    """Sorted texts of v(f) over every tuple of ball representatives mod
+    t^upto, by the walk's horizon rule at cap."""
+    return sorted(vr.to_text() for _, vr in ball_walk(f, field, ball, upto, cap, budget))
 
 
 def _fp_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[Tuple[int, ...], ...]:

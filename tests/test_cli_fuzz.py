@@ -113,10 +113,16 @@ def test_cli_exits_with_a_documented_code(command, data):
         ["fundeq", "--field", "Q_3", "--poly", "3^99999999*X + 1"],
         ["fundeq", "--field", "Q_3", "--poly", "(X + 1)^99999999"],
         ["extremal", "--field", "F(2)((t))", "--poly", "X99999999"],
+        # 10^7 variables pass the parser's charge; the searches read the
+        # one that occurs and refuse the 2^(10^7) digits of a node
+        ["extremal", "--field", "F(2)((t))", "--poly", "X9999999", "--prec", "4"],
+        ["transfer", "--field", "F(2)((t))", "--poly", "X9999999", "--alpha", "0", "--beta", "0",
+         "--scale", "1"],
     ],
     ids=[
         "fundeq-Q_3", "fundeq-Q_5", "decompose-oracle", "oap-span", "fundeq-literal-power",
-        "fundeq-group-power", "extremal-variable-count",
+        "fundeq-group-power", "extremal-variable-count", "extremal-admitted-variable-count",
+        "transfer-admitted-variable-count",
     ],
 )
 def test_a_budget_reached_through_a_valid_field_exits_4(args):
@@ -153,3 +159,9 @@ def test_an_integer_too_long_to_read_is_a_parse_error(args):
 )
 def test_a_huge_prime_ends_within_the_timeout(args, code):
     assert run(args).returncode == code
+
+
+def test_a_typed_degree_over_q_p_reads_only_its_nonzero_coefficients():
+    # a million zero coefficients are neither divided nor printed
+    proc = run(["fundeq", "--field", "Q_3", "--poly", "X^1000000 + 3"])
+    assert proc.returncode == 0 and "n = 1000000, e = 1000000" in proc.stdout

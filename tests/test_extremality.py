@@ -31,7 +31,7 @@ from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
 from valfield.value_group import Value
 
-from oracles import truncated_image
+from oracles import enumerated_multiset, truncated_image
 
 
 class TestRepresentatives:
@@ -189,10 +189,10 @@ class TestBallTransfer:
         assert set(m) == {">=3"}
 
     def test_multiset_keeps_a_bound_below_the_cap(self):
-        # the typed t^-2 is exact, but times the representative O(t^3) it
-        # is only known to be O(t^1): the entry is ">=1", as the enumerating
-        # oracle reports; the digit tree evaluates at exact digit points,
-        # where t^-2 * t^3 = t^1 is exact, so it reaches the cap
+        # the typed t^-2 is exact, but the class of 0 mod t^3 maps to
+        # t^1 * O: its entry is ">=1", as the enumerating oracle reports;
+        # the search follows the exact digit points of that class past the
+        # window, where t^-2 * t^k reaches the cap
         K = LaurentField(prime_field(2), "t", default_prec=3)
         f = parse_poly("t^-2*X", K)
         m = valuation_multiset(f, K, Ball(K.zero(3), 0), 3, cap=3)
@@ -220,9 +220,8 @@ def _cross_route_instances():
 
 
 def test_multiset_maximum_is_the_search_value():
-    # the multiset and the enumerating search walk the same values under
-    # one horizon rule: the largest entry is the walk's search value, a
-    # bound when any entry is a bound
+    # the largest entry of the counted multiset is the enumerating
+    # search's value, a bound when any entry is a bound
     bounded_below_cap = 0
     for f, K, ball, prec in _cross_route_instances():
         entries = valuation_multiset(f, K, ball, prec, cap=prec)
@@ -290,6 +289,59 @@ def test_digit_tree_agrees_with_the_enumeration():
         else:
             assert reached.value >= tree.value.value, case
     assert equal > 300 and tightened > 0
+
+
+def _transfer_pairs():
+    """Seeded transfers over F_2 and F_3 with beta < alpha, at prec 1..4:
+    f on B_beta(b) mod t^(prec + beta - alpha) and g on B_alpha(a) mod
+    t^prec, both capped at prec, so either window can end below its
+    radius."""
+    rng = random.Random(19)
+    for n in range(60):
+        K = LaurentField(prime_field((2, 3)[n % 2]), "t", default_prec=8)
+        q = K.base.q
+
+        def series(lo, hi):
+            return K.from_int_terms({e: rng.randrange(q) for e in range(lo, hi)}, math.inf)
+
+        terms = {}
+        for d in rng.sample(range(3), rng.randint(1, 3)):
+            v = rng.randint(-1, 2)
+            terms[(d,)] = series(v + 1, v + 3) + K.from_int_terms({v: rng.randrange(1, q)}, math.inf)
+        f = MultiPoly(1, terms)
+        alpha, prec = rng.randint(1, 3), rng.randint(1, 4)
+        beta = rng.randint(alpha - 2, alpha - 1)
+        a, b = series(-1, 3), series(-1, 3)
+        c = K.from_int_terms({beta - alpha: rng.randrange(1, q)}, math.inf) + series(beta - alpha + 1, 3)
+        g = ball_transfer(f, alpha, a, beta, b, c)
+        yield f, K, Ball(b, beta), prec + beta - alpha, prec
+        yield g, K, Ball(a, alpha), prec, prec
+
+
+def test_multiset_count_agrees_with_the_enumeration():
+    # the same number of entries; equal wherever the enumeration reads no
+    # bound below the cap, and otherwise the count only tightens: for
+    # every v it has at least as many entries >= v (the enumeration loses
+    # precision where the count reads exact digit points)
+    def at_least(entries, v):
+        return sum(Value.from_text(e.removeprefix(">=")) >= v for e in entries)
+
+    instances = [(f, K, ball, prec, prec) for f, K, ball, prec in _tree_instances()]
+    instances += [(f, K, ball, prec, prec) for f, K, ball, prec in _cross_route_instances()]
+    instances += list(_transfer_pairs())
+    equal = below_radius = 0
+    for f, K, ball, upto, cap in instances:
+        counted = valuation_multiset(f, K, ball, upto, cap)
+        walked = enumerated_multiset(f, K, ball, upto, cap)
+        case = (f, ball.to_text(), upto, cap, counted, walked)
+        assert len(counted) == len(walked), case
+        if counted != walked:
+            assert any(e != f">={cap}" and e.startswith(">=") for e in walked), case
+            for v in {Value.from_text(e.removeprefix(">=")) for e in counted + walked}:
+                assert at_least(counted, v) >= at_least(walked, v), case
+        equal += counted == walked
+        below_radius += upto < ball.radius
+    assert len(instances) - 15 < equal < len(instances) and below_radius >= 20
 
 
 class TestCompositeCheck:

@@ -275,15 +275,22 @@ class TestCliExitCodes:
         assert report()["value"] == ">=3"
 
     def test_transfer_difference_from_lost_precision_is_inconclusive(self, capsys):
-        # the centre O(t^3) is known to t^3, but the source ball needs t^5:
-        # the f side only knows ">=1" where g reads 1, 2 and ">=3"
+        # the scale 1 + O(t^1) makes g's coefficients known only to O(t^1),
+        # so g's side reads ">=1" on classes where f's reads 1, 2 or ">=3"
         code = run_cli(
-            "transfer", "--field", "F(2)((t))", "--poly", "t^-2*X + X^2",
-            "--alpha", "0", "--beta", "2", "--center-b", "O(t^3)", "--scale", "t^2",
-            "--prec", "3",
+            "transfer", "--field", "F(2)((t))", "--poly", "X^2 + X",
+            "--alpha", "0", "--beta", "0", "--scale", "1 + O(t^1)", "--prec", "3",
         )
         assert code == 3
         assert "different, inconclusive" in capsys.readouterr().out
+        # a centre known to t^3 fixes the ball B_2 that it centres, so both
+        # sides count exact points; known only to t^1, it fixes no ball
+        args = ["--field", "F(2)((t))", "--poly", "t^-2*X + X^2", "--alpha", "0",
+                "--scale", "t^2", "--prec", "3"]
+        assert run_cli("transfer", *args, "--beta", "2", "--center-b", "O(t^3)") == 0
+        assert "identical" in capsys.readouterr().out
+        assert run_cli("transfer", *args, "--beta", "2", "--center-b", "O(t^1)") == 3
+        assert "below its radius" in capsys.readouterr().err
 
     def test_compose(self, capsys):
         code = run_cli(
@@ -487,8 +494,9 @@ class TestCliExitCodes:
         assert code == 1
 
     def test_budget_error(self, capsys):
-        # transfer still enumerates its 2^20 representatives per side;
-        # extremal's digit tree reads the same input as ">=10" in a few nodes
+        # transfer's multisets have 2^20 entries per side, charged before
+        # they are built; extremal's digit tree reads the same input as
+        # ">=10" in a few nodes
         args = ["--field", "F(2)((t))", "--poly", "X1*X2 + t", "--prec", "10", "--budget", "100"]
         assert run_cli("transfer", *args, "--alpha", "0", "--beta", "0", "--scale", "1") == 4
         assert run_cli("extremal", *args, "--ball", "v>=0 around 0", "--json", "-") == 3
@@ -560,8 +568,13 @@ class TestTypedText:
             ["compose", "--field", "F(2)((u))((t))", "--poly", "X^2 + u", "--prec", "999"],
             ["fundeq", "--field", "Q_3", "--poly", "X", "--prec", "3"],
             ["extremal", "--field", "F(2)((u))((t))", "--poly", "X", "--ball", "v>=1 around t"],
+            ["extremal", "--field", "F(2)((u))((t))", "--poly", "X^2+u", "--prec", "9"],
+            ["extremal", "--field", "F(2)((t))", "--poly", "X^2+t", "--prec-t", "9"],
+            ["extremal", "--field", "F(2)((t))", "--poly", "X^2+t", "--u-floor", "5"],
+            ["extremal", "--field", "F(2)((t))", "--poly", "X^2+t", "--prec-u", "3"],
         ],
-        ids=["compose-prec", "fundeq-prec", "composite-ball"],
+        ids=["compose-prec", "fundeq-prec", "composite-ball", "composite-prec",
+             "laurent-prec-t", "laurent-u-floor", "laurent-prec-u"],
     )
     def test_an_option_that_no_handler_reads_is_refused(self, capsys, argv):
         assert run_cli(*argv) == 1
