@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from .additive import (
     MIN_IN_LOW,
@@ -340,9 +340,10 @@ def _error_order(text: str) -> int:
     return n
 
 
-def _add_common(sub, prec_default: Optional[int] = 8, budget=True):
+def _add_common(sub, prec_default: Union[int, str, None] = 8, budget=True):
     """--field, --json and, unless told otherwise, --prec and --budget;
-    prec_default None leaves --prec out."""
+    prec_default None leaves --prec out, and argparse.SUPPRESS leaves it
+    out of args unless it is given."""
     sub.add_argument("--field", required=True, help="field descriptor, e.g. \"F(3)((t))\"")
     if prec_default is not None:
         sub.add_argument(
