@@ -340,6 +340,14 @@ def _error_order(text: str) -> int:
     return n
 
 
+def _u_floor(text: str) -> int:
+    """A --u-floor value: at most 0, so that the window keeps t*u^0 in O_v."""
+    n = int(text)
+    if n > 0:
+        raise argparse.ArgumentTypeError(f"u-floor must be <= 0, got {n}")
+    return n
+
+
 def _add_common(sub, prec_default: Union[int, str, None] = 8, budget=True):
     """--field, --json and, unless told otherwise, --prec and --budget;
     prec_default None leaves --prec out, and argparse.SUPPRESS leaves it
@@ -354,7 +362,7 @@ def _add_common(sub, prec_default: Union[int, str, None] = 8, budget=True):
         sub.add_argument(
             "--budget", type=int, default=DEFAULT_BUDGET,
             help="search budget: tree digits expanded and multiset entries "
-            "(tuples enumerated by composite searches and oap --oracle)",
+            "(tuples enumerated by oap --oracle)",
         )
     sub.add_argument("--json", metavar="PATH", help="write a JSON report ('-' for stdout)")
 
@@ -389,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--poly", required=True)
     s.add_argument("--ball", help="e.g. \"v>=0 around 0\" (Laurent fields only)")
     # --prec (default 4) fits Laurent fields, and these three composite ones
-    s.add_argument("--prec-t", type=int, default=argparse.SUPPRESS, help="t-window (default 3)")
-    s.add_argument("--prec-u", type=int, default=argparse.SUPPRESS, help="u-precision (default 2)")
-    s.add_argument("--u-floor", type=int, default=argparse.SUPPRESS, help="lowest u-level past t^0 (default 0)")
+    s.add_argument("--prec-t", type=_error_order, default=argparse.SUPPRESS, help="t-window (default 3)")
+    s.add_argument("--prec-u", type=_error_order, default=argparse.SUPPRESS, help="u-precision (default 2)")
+    s.add_argument("--u-floor", type=_u_floor, default=argparse.SUPPRESS, help="lowest u-level past t^0 (default 0)")
 
     s = subs.add_parser("transfer", help="carry a search between balls by an affine map")
     _add_common(s, prec_default=5)
@@ -405,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("compose", help="rank-2 composite search vs residue-level search")
     _add_common(s, prec_default=None)
     s.add_argument("--poly", required=True, help="polynomial with coefficients in F_q((u))")
-    s.add_argument("--prec-t", type=int, default=2)
-    s.add_argument("--prec-u", type=int, default=2)
-    s.add_argument("--u-floor", type=int, default=0)
+    s.add_argument("--prec-t", type=_error_order, default=2)
+    s.add_argument("--prec-u", type=_error_order, default=2)
+    s.add_argument("--u-floor", type=_u_floor, default=0)
 
     s = subs.add_parser("tmcne", help="non-equivalence certificate for an odd prime")
     s.add_argument("-p", type=int, required=True)

@@ -9,6 +9,7 @@ coordinate and the residue at the coarsening lives in F_q((u)).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 from .errors import DescriptorMismatchError, IndeterminateValuationError
@@ -61,18 +62,15 @@ class CompositeField:
                 continue
             if c.field != self.inner:
                 raise DescriptorMismatchError("coefficient from a different inner field")
-            # an absent key means exactly zero; a computed zero-to-precision
-            # coefficient stays, carrying its error order (dropping it would
-            # silently promote O(u^k) to an exact zero)
-            if not (c.is_zero_to_prec() and c.prec >= self.prec_u):
+            # an absent key means exactly zero; a zero-to-precision
+            # coefficient stays, carrying its error order, so that a sum does
+            # not depend on the order of its terms (``read`` reads it)
+            if c.coeffs or c.prec != math.inf:
                 out[e] = c
         return CompositeElement(self, out, nt)
 
     def zero(self, prec_t: Optional[int] = None) -> "CompositeElement":
         return self.make({}, prec_t)
-
-    def one(self) -> "CompositeElement":
-        return self.make({0: self.inner.one(self.prec_u)})
 
     def t_power(self, e: int) -> "CompositeElement":
         return self.make({e: self.inner.one(self.prec_u)})
@@ -80,7 +78,7 @@ class CompositeField:
     def from_inner(self, s: LaurentSeries) -> "CompositeElement":
         """Embed a series in u as a w-unit (coefficient of t^0), known to at
         most the u-horizon prec_u, so that a coefficient zero below it
-        reads as absent."""
+        reads as zero."""
         return self.make({0: s.truncate(min(s.prec, self.prec_u))})
 
 
@@ -127,37 +125,36 @@ class CompositeElement:
                 out[e] = out[e] + c if e in out else c
         return self.field.make(out, nt)
 
-    def is_zero_to_prec(self) -> bool:
-        return all(c.is_zero_to_prec() for c in self.coeffs.values())
+    def times(self, j: int, i: int) -> "CompositeElement":
+        """x * t^j * u^i, exactly, cut to the field's t-window."""
+        return self.field.make({e + j: c.shift(i) for e, c in self.coeffs.items()})
 
     # -- valuation and coarsening -----------------------------------------
 
-    def valuation(self) -> ValuationResult:
-        if not self.coeffs:
-            return ValuationResult.at_least(Value.rank2(self.prec_t, 0))
+    def read(self) -> Tuple[tuple, tuple, int]:
+        """(floor, error order, code at the floor), pairs (t-level, u-order)
+        read at the leading t-level.  One read-time rule, the u-horizon: a
+        level zero to O(u^k) with k >= prec_u reads as zero, any other level
+        zero to its order is leading, with its floor at that order."""
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
-            vr = c.valuation()
-            if c.is_zero_to_prec():
-                # the element might be nonzero already at this t-level, with
-                # u-valuation at least the coefficient's error order
-                return ValuationResult.at_least(Value.rank2(e, c.prec))
-            if vr.exact:
-                return ValuationResult.exactly(Value.rank2(e, vr.value.first))
-            return ValuationResult.at_least(Value.rank2(e, vr.value.first))
-        raise AssertionError("unreachable")
+            if c.coeffs or c.prec < self.field.prec_u:
+                return (e, c.valuation_floor()), (e, c.prec), c.coeffs[0] if c.coeffs else 0
+        return (self.prec_t, 0), (self.prec_t, 0), 0
+
+    def is_zero_to_prec(self) -> bool:
+        return all(c.is_zero_to_prec() for c in self.coeffs.values())
+
+    def valuation(self) -> ValuationResult:
+        floor, order, _ = self.read()
+        return ValuationResult(floor < order, Value.rank2(*floor))
 
     def outer_valuation(self) -> int:
         """w(x): the coarsened (first lex coordinate) valuation."""
-        for e in sorted(self.coeffs):
-            if not self.coeffs[e].is_zero_to_prec():
-                return e
-            raise IndeterminateValuationError(
-                "leading coefficient is zero only to its error order"
-            )
-        raise IndeterminateValuationError(
-            "outer valuation of a zero-to-precision element"
-        )
+        floor, order, _ = self.read()
+        if floor >= order:
+            raise IndeterminateValuationError("outer valuation of an element zero to its leading error order")
+        return floor[0]
 
     def coarsen(self) -> Tuple[int, LaurentSeries]:
         """(w(x), residue of x * t^(-w(x)) at w), the image in F_q((u))."""

@@ -1,24 +1,25 @@
 """Extremality searches, ball transfer, and rank-2 desk checks.
 
-Over a ball of F_q((t)), ``extremal_search`` (the maximum of v(f)) and
-``valuation_multiset`` (every value of f, one per class mod t^upto) read
-one Hensel digit tree (as in Berthomieu-Lecerf-Quintin, "Polynomial root
-finding over local rings", AAECC 24, 2013).  A node is a point a known to
-t^k and the coefficients of g(Y) = f(a + t^k Y), every one kept with its
-own error order.  When the least valuation m among them lies below the cap
-and below every error order, the coefficients of valuation m form a
-residue polynomial R over F_q: a digit y with R(y) != 0 gives exactly m on
-its whole subtree, and only the zeros of R become children g(y + t Y).  Any
-other node above the horizon branches on all q^n digits, and a branch ends
-once m reaches the cap, where nothing can beat it.  The multiset counts its
-leaves as in the usual recursion for points mod t^k (Denef, "Report on
-Igusa's local zeta function", Sem. Bourbaki 741).
+One Hensel digit tree (as in Berthomieu-Lecerf-Quintin, "Polynomial root
+finding over local rings", AAECC 24, 2013) answers every search: over a
+ball of F_q((t)), ``extremal_search`` (the maximum of v(f)) and
+``valuation_multiset`` (every value of f, one per class mod t^upto); over
+the truncated valuation ring O_v of F_q((u))((t)), whose residue field is
+F_q too, ``composite_extremal_search``.  A node is a point a known to a
+digit slot s_k (t^k, or u^i t^j in lex (j, i) order) and the coefficients
+of g(Y) = f(a + s_k Y), every one kept with its own error order.  When the
+least value m among them lies below the cap and below every error order,
+the coefficients of value m form a residue polynomial R over F_q: a digit
+y with R(y) != 0 gives exactly m on its whole subtree, and only the zeros
+of R become children g(y + (s_(k+1) / s_k) Y).  Any other node above the
+horizon branches on all q^n digits, and a branch ends once m reaches the
+cap, where nothing can beat it.  The multiset counts its leaves as in the
+usual recursion for points mod t^k (Denef, "Report on Igusa's local zeta
+function", Sem. Bourbaki 741).
 
-Exhaustive enumeration is left to ``brute_force_max`` (the oracle of
-``oap --oracle``) and ``composite_extremal_search``, whose rank-2 ring
-has no tree yet: one walk over every tuple of truncated representatives,
-with one horizon rule at the cap: an exact value below the cap stays
-exact, and every other value becomes ">= min(value, cap)".
+Exhaustive enumeration is left to ``brute_force_max``, the oracle of
+``oap --oracle``: ``ball_walk`` evaluates f on every tuple of ball
+representatives, with one horizon rule at the cap.
 
 A search over a truncated ring can never certify extremality of the
 infinite field; every search therefore returns an explicit verdict:
@@ -91,53 +92,7 @@ def ball_representatives(
         yield center + digits
 
 
-def ball_count(field: LaurentField, ball: Ball, upto: int) -> int:
-    return field.base.q ** max(0, upto - ball.radius)
-
-
-def integral_composite_representatives(
-    field: CompositeField, u_floor: int = 0
-) -> Iterator[CompositeElement]:
-    """Representatives of the rank-2 valuation ring O_v in the truncation.
-
-    The coefficient of t^0 ranges over u-digits in [0, prec_u); higher
-    t-coefficients may dip to u-level u_floor.
-    """
-    inner, n = field.inner, field.prec_u
-    lower = list(digit_window(inner, u_floor, n, n))
-    slot_options = [list(digit_window(inner, 0, n, n))] + [lower] * (field.prec_t - 1)
-    for combo in itertools.product(*slot_options):
-        yield field.make(
-            {e: c for e, c in enumerate(combo) if not c.is_zero_to_prec()}
-        )
-
-
-def integral_composite_count(field: CompositeField, u_floor: int = 0) -> int:
-    q = field.base.q
-    n0 = q**field.prec_u
-    nj = q ** (field.prec_u - u_floor)
-    return n0 * nj ** max(0, field.prec_t - 1)
-
-
-# -- the one truncated walk ------------------------------------------------
-
-
-def _walk(
-    f: MultiPoly, count: int, reps: Iterable, cap: Value, budget: int
-) -> Iterator[Tuple[tuple, ValuationResult]]:
-    """(args, v(f(args))) for every tuple of the count representatives.
-
-    The count ** nvars tuples are charged to the budget before reps is
-    read, once, into the product's pool.  One horizon rule: a value below
-    the cap keeps its kind, so an exact value stays exact and a bound
-    stays the bound that is known; every other value becomes ">= cap",
-    because digits past the enumeration window were never tried.
-    """
-    check_budget(count**f.nvars, budget)
-    capped = ValuationResult.at_least(cap)
-    for args in itertools.product(reps, repeat=f.nvars):
-        vr = f.evaluate(args).valuation()
-        yield args, vr if vr.value < cap else capped
+# -- the enumerating walk --------------------------------------------------
 
 
 def search_max(walk: Iterator[Tuple[tuple, ValuationResult]]) -> SearchResult:
@@ -161,10 +116,17 @@ def search_max(walk: Iterator[Tuple[tuple, ValuationResult]]) -> SearchResult:
 def ball_walk(
     f: MultiPoly, field: LaurentField, ball: Ball, upto: int, cap: int, budget: int
 ) -> Iterator[Tuple[tuple, ValuationResult]]:
-    """The walk over every tuple of ball representatives modulo t^upto,
-    with the horizon rule at cap."""
-    count, reps = ball_count(field, ball, upto), ball_representatives(field, ball, upto)
-    return _walk(f, count, reps, Value.rank1(cap), budget)
+    """(args, v(f(args))) for every tuple of ball representatives modulo
+    t^upto, charged to the budget before the representatives are read, once,
+    into the product's pool.  One horizon rule: a value below the cap keeps
+    its kind, so an exact value stays exact and a bound stays the bound that
+    is known; every other value becomes ">= cap", because digits past the
+    enumeration window were never tried."""
+    check_power(field.base.q, f.nvars * max(0, upto - ball.radius), 0, budget)
+    capped = ValuationResult.at_least(Value.rank1(cap))
+    for args in itertools.product(ball_representatives(field, ball, upto), repeat=f.nvars):
+        vr = f.evaluate(args).valuation()
+        yield args, vr if vr.value < capped.value else capped
 
 
 # -- the Hensel digit tree -------------------------------------------------
@@ -232,20 +194,89 @@ def _scaled(c: LaurentSeries, code: int) -> LaurentSeries:
     return LaurentSeries(c.field, c.low, tuple([mul(x, code) for x in c.coeffs]), c.prec)
 
 
-class _DigitTree:
-    """The digit tree of f over a ball: the root f(t^low * Y) at depth low,
-    the ball's lowest exponent, and the centre's digit as the only one below
-    the radius.  The shift table is charged its (nu, mu) pairs before it is
-    built, and each expanded node its digits."""
+class _BallDigits:
+    """The digit points of a ball of F_q((t)) for the tree: slot k is t^k,
+    from the ball's lowest exponent low, and below the radius only the
+    centre's digit; integer values, and a horizon at the cap."""
 
-    def __init__(self, f: MultiPoly, field: LaurentField, ball: Ball, budget: int):
-        base = field.base
-        self.n, self.q, self.ball, self.budget = f.nvars, base.q, ball, budget
-        self.mul, self.add = base.mul_codes, base.add_codes
+    last = math.inf
+    scale, value = staticmethod(_scaled), staticmethod(Value.rank1)
+    shift = staticmethod(lambda c, e, k: c.shift(e))
+    read = staticmethod(lambda c: (c.valuation_floor(), c.prec, c.coeffs[0] if c.coeffs else 0))
+
+    def __init__(self, field: LaurentField, ball: Ball, prec: int):
         if ball.center.prec < ball.radius:
             raise PrecisionError(
                 f"ball centre known to O({field.var}^{ball.center.prec}), below its radius {ball.radius}"
             )
+        self.field, self.ball, self.cap, self.horizon = field, ball, prec, prec
+        self.low = min(ball.radius, ball.center.valuation_floor())
+
+    def root(self, terms: Dict[tuple, LaurentSeries]) -> Dict[tuple, LaurentSeries]:
+        return {nu: c.shift(self.low * sum(e for _, e in nu)) for nu, c in terms.items()}
+
+    def fixed(self, k: int) -> Optional[int]:
+        """The centre's digit at t^k below the radius, else None."""
+        center, i = self.ball.center, k - self.ball.center.low
+        if k < self.ball.radius:
+            return center.coeffs[i] if 0 <= i < len(center.coeffs) else 0
+
+    def point(self, digits: list, upto: int, n: int) -> tuple:
+        """The digit point, completed by the centre's digits below the
+        radius, at error order max(prec, the exponent past its digits)."""
+        digits = digits + [(self.fixed(k),) * n for k in range(upto, self.ball.radius)]
+        order = max(self.cap, self.low + len(digits))
+        return tuple(self.field.make(self.low, [y[i] for y in digits], order) for i in range(n))
+
+
+class _RingDigits:
+    """The digit points of the truncated valuation ring O_v of
+    F_q((u))((t)) for the tree: slot k is u^i t^j in lex (j, i) order, i
+    from 0 at j = 0 and from u_floor at each j >= 1, up to prec_u - 1; pair
+    values, and one exact point past the last slot."""
+
+    low, read = 0, staticmethod(CompositeElement.read)
+    root, fixed = staticmethod(lambda terms: terms), staticmethod(lambda k: None)
+    value = staticmethod(lambda m: Value.rank2(*m))
+
+    def __init__(self, field: CompositeField, u_floor: int):
+        self.field, self.u_floor, self.width = field, u_floor, field.prec_u - u_floor
+        self.last = self.horizon = field.prec_u + (field.prec_t - 1) * self.width
+        self.cap = (field.prec_t, 0)
+
+    @staticmethod
+    def scale(c: CompositeElement, code: int) -> CompositeElement:
+        return CompositeElement(c.field, {j: _scaled(s, code) for j, s in c.coeffs.items()}, c.prec_t)
+
+    def shift(self, c: CompositeElement, e: int, k: int) -> CompositeElement:
+        """c times (slot k / slot k - 1)^e: u^e within a level, and
+        (t*u^(u_floor - prec_u + 1))^e into a new one."""
+        r = k - self.field.prec_u
+        if r < 0 or r % self.width:
+            return c.times(0, e)
+        return c.times(e, e * (self.u_floor - self.field.prec_u + 1))
+
+    def point(self, digits: list, upto: int, n: int) -> tuple:
+        """The exact digit point, level by level as far as its digits reach."""
+        inner, n0, w = self.field.inner, self.field.prec_u, self.width
+
+        def coordinate(codes: list) -> CompositeElement:
+            starts = enumerate(range(n0, len(codes), w), 1)
+            levels = {j: inner.make(self.u_floor, codes[a:a + w], math.inf) for j, a in starts}
+            return self.field.make({0: inner.make(0, codes[:n0], math.inf), **levels})
+
+        return tuple(coordinate([y[i] for y in digits]) for i in range(n))
+
+
+class _DigitTree:
+    """The digit tree of f over the digit points of a ring (``_BallDigits``,
+    ``_RingDigits``): the shift table is charged its (nu, mu) pairs before it
+    is built, and each expanded node its digits."""
+
+    def __init__(self, f: MultiPoly, ring, budget: int):
+        base = ring.field.base
+        self.n, self.q, self.ring, self.budget = f.nvars, base.q, ring, budget
+        self.mul, self.add = base.mul_codes, base.add_codes
         # monomials are read by their nonzero exponents from here on; only
         # the digit tuples, charged q^n per node, hold every variable
         terms = {tuple((i, e) for i, e in enumerate(nu) if e): c for nu, c in f.terms.items()}
@@ -254,29 +285,24 @@ class _DigitTree:
         self.table = _shift_table(terms, base.p, base.q)
         # powers[y][e] = y^e
         self.powers = [list(itertools.accumulate([y] * (self.q - 1), self.mul, initial=1)) for y in range(self.q)]
-        self.low = min(ball.radius, ball.center.valuation_floor())
-        self.root = {nu: c.shift(self.low * sum(e for _, e in nu)) for nu, c in terms.items()}
+        self.root = ring.root(terms)
         self.all_digits = None
-
-    def centre_digit(self, k: int) -> tuple:
-        center = self.ball.center
-        i = k - center.low
-        return (center.coeffs[i] if 0 <= i < len(center.coeffs) else 0,) * self.n
 
     def digits(self, k: int) -> list:
         """The digits of a node at depth k, charged to the budget."""
-        if k < self.ball.radius:
+        fixed = self.ring.fixed(k)
+        if fixed is not None:
             self.spent += 1
             check_budget(self.spent, self.budget)
-            return [self.centre_digit(k)]
+            return [(fixed,) * self.n]
         self.spent = check_power(self.q, self.n, self.spent, self.budget)
         if self.all_digits is None:
             self.all_digits = list(itertools.product(range(self.q), repeat=self.n))
         return self.all_digits
 
-    def child(self, g: Dict[tuple, LaurentSeries], y: tuple) -> Dict[tuple, LaurentSeries]:
-        """The coefficients of g(y + t*Y), every one kept, also when it is
-        zero to its error order; one that no term reaches is exactly zero."""
+    def child(self, g: dict, y: tuple, k: int) -> dict:
+        """The coefficients of g(y + (s_k / s_(k-1)) Y) at depth k, every one
+        kept, also when zero to its error order; one no term reaches is 0."""
         out = {}
         for mu, terms in self.table.items():
             acc = None
@@ -286,23 +312,24 @@ class _DigitTree:
                     continue
                 code = _times_monomial(code, y, diff, self.powers, self.mul)
                 if code:
-                    term = _scaled(c, code)
+                    term = self.ring.scale(c, code)
                     acc = term if acc is None else acc + term
             if acc is not None:
-                out[mu] = acc.shift(sum(e for _, e in mu))
+                out[mu] = self.ring.shift(acc, sum(e for _, e in mu), k)
         return out
 
-    def floor(self, g: Dict[tuple, LaurentSeries]) -> Tuple[float, Optional[list]]:
-        """(m, R): g's least valuation m, and when m lies below every error
-        order the residue form R of g's terms of valuation m, else None."""
-        m = min((c.valuation_floor() for c in g.values()), default=math.inf)
-        if m >= min((c.prec for c in g.values()), default=math.inf):
+    def floor(self, g: dict) -> tuple:
+        """(m, R): g's least value m, and when m lies below every error
+        order the residue form R of g's terms of value m, else None."""
+        reads = [(nu, self.ring.read(c)) for nu, c in g.items()]
+        m = min((r[0] for _, r in reads), default=self.ring.cap)
+        if m >= min((r[1] for _, r in reads), default=self.ring.cap):
             return m, None
-        return m, [(_reduced(nu, self.q), c.coeffs[0]) for nu, c in g.items() if c.coeffs and c.low == m]
+        return m, [(_reduced(nu, self.q), code) for nu, (v, _, code) in reads if v == m]
 
     def split(self, lead: Optional[list], digits: list) -> Tuple[list, list]:
-        """(decided, children): as g(y + t*Y) = t^m R(y) mod t^(m + 1), R(y) != 0
-        gives exactly m on y's subtree, and every other digit is a child."""
+        """(decided, children): g's terms of value m sum to R(y) times a unit
+        of value m, so R(y) != 0 gives exactly m on y's subtree."""
         if lead is None:
             return [], digits
         decided, children = [], []
@@ -313,6 +340,52 @@ class _DigitTree:
             (decided if r else children).append(y)
         return decided, children
 
+    def search(self) -> SearchResult:
+        """The maximum of v(f) over the leaves in digit order.
+
+        A leaf is (its digits, newest first as nested pairs, and the depth
+        past them) with the value on its subtree; the leaves end at the first
+        one at the cap, since no later leaf can beat it.  A node past the
+        horizon whose residue form is unknown is a leaf at its floor, and a
+        node past the last slot is a leaf at its constant coefficient's
+        value.  The witness is the digit point of the best leaf.
+        """
+        ring = self.ring
+        capped = ValuationResult.at_least(ring.value(ring.cap))
+
+        def leaves() -> Iterator[Tuple[tuple, ValuationResult]]:
+            stack = [(self.root, ring.low, None)]
+            while stack:
+                g, k, node = stack.pop()
+                if node is not None:
+                    g = self.child(g, node[0], k)
+                if k == ring.last:  # one exact point, f(a) = g(0)
+                    g = {nu: c for nu, c in g.items() if not nu}
+                m, lead = self.floor(g)
+                if m >= ring.cap:
+                    yield (node, k), capped
+                    return
+                if k == ring.last:
+                    yield (node, k), ValuationResult(lead is not None, ring.value(m))
+                    continue
+                digits = self.digits(k)
+                if lead is None and k >= ring.horizon:
+                    yield (node, k), ValuationResult.at_least(ring.value(m))
+                    continue
+                decided, children = self.split(lead, digits)
+                if decided:
+                    yield ((decided[0], node), k + 1), ValuationResult.exactly(ring.value(m))
+                stack.extend((g, k + 1, (y, node)) for y in reversed(children))
+
+        result = search_max(leaves())
+        node, upto = result.witness
+        digits = []
+        while node is not None:
+            y, node = node
+            digits.append(y)
+        digits.reverse()
+        return SearchResult(ring.point(digits, upto, self.n), result.value, result.verdict)
+
 
 def extremal_search(
     f: MultiPoly,
@@ -322,51 +395,10 @@ def extremal_search(
     budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
     """Max of v(f) over the ball (O by default) by the digit tree, capped
-    at prec, over its leaves in digit order.
-
-    A leaf is (its digits, newest first as nested pairs, and the exponent
-    past them) with the value on its subtree; the leaves end at the first
-    one at the cap, since no later leaf can beat it.  A node past the
-    horizon whose residue form is unknown is a leaf at its floor.  The
-    witness is the exact digit point of the best leaf, completed by the
-    centre's digits below the radius, at error order max(prec, the
-    exponent past its digits).
-    """
+    at prec."""
     if ball is None:
         ball = Ball(field.zero(prec), 0)
-    tree = _DigitTree(f, field, ball, budget)
-    capped = ValuationResult.at_least(Value.rank1(prec))
-
-    def leaves() -> Iterator[Tuple[tuple, ValuationResult]]:
-        stack = [(tree.root, tree.low, None)]
-        while stack:
-            g, k, node = stack.pop()
-            if node is not None:
-                g = tree.child(g, node[0])
-            m, lead = tree.floor(g)
-            if m >= prec:
-                yield (node, k), capped
-                return
-            digits = tree.digits(k)
-            if lead is None and k >= prec:
-                yield (node, k), ValuationResult.at_least(Value.rank1(m))
-                continue
-            decided, children = tree.split(lead, digits)
-            if decided:
-                yield ((decided[0], node), k + 1), ValuationResult.exactly(Value.rank1(m))
-            stack.extend((g, k + 1, (y, node)) for y in reversed(children))
-
-    result = search_max(leaves())
-    node, upto = result.witness
-    digits = []
-    while node is not None:
-        y, node = node
-        digits.append(y)
-    digits.reverse()
-    digits += [tree.centre_digit(k) for k in range(upto, ball.radius)]
-    order = max(prec, tree.low + len(digits))
-    witness = tuple(field.make(tree.low, [y[i] for y in digits], order) for i in range(f.nvars))
-    return SearchResult(witness, result.value, result.verdict)
+    return _DigitTree(f, _BallDigits(field, ball, prec), budget).search()
 
 
 def composite_extremal_search(
@@ -375,10 +407,9 @@ def composite_extremal_search(
     u_floor: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
-    """Exhaustive max of v(f) over the truncated rank-2 valuation ring."""
-    count = integral_composite_count(field, u_floor)
-    reps = integral_composite_representatives(field, u_floor)
-    return search_max(_walk(f, count, reps, Value.rank2(field.prec_t, 0), budget))
+    """Max of v(f) over the truncated rank-2 valuation ring by the digit
+    tree, capped at (prec_t, 0)."""
+    return _DigitTree(f, _RingDigits(field, u_floor), budget).search()
 
 
 # -- ball transfer (affine bijection between balls) ------------------------
@@ -428,7 +459,7 @@ def valuation_multiset(
     has no zero digit, else ">=m".  The entry count q^(n*(upto - radius))
     is charged to the budget, together with the expanded digits.
     """
-    tree = _DigitTree(f, field, ball, budget)
+    tree = _DigitTree(f, _BallDigits(field, ball, cap), budget)
     n, q, radius = f.nvars, field.base.q, ball.radius
     tree.spent = check_power(q, n * max(0, upto - radius), tree.spent, budget)
 
@@ -436,11 +467,11 @@ def valuation_multiset(
         return q ** (n * max(0, upto - max(k, radius)))
 
     counts: Counter = Counter()
-    stack = [(tree.root, tree.low, None)]
+    stack = [(tree.root, tree.ring.low, None)]
     while stack:
         g, k, y = stack.pop()
         if y is not None:
-            g = tree.child(g, y)
+            g = tree.child(g, y, k)
         m, lead = tree.floor(g)
         if m >= cap:
             counts[f">={cap}"] += classes(k)

@@ -6,22 +6,29 @@
   ``decomposition_image_agrees``.
 * ``_fp_echelon`` is the canonical reduced row-echelon form over F_p, for
   the per-bound reference of ``oap_solve`` in ``test_additive``.
+* ``ball_count`` counts the ball representatives that ``ball_walk`` reads.
 * ``enumerated_multiset`` is the valuation multiset read off the walk over
   every tuple of ball representatives, the reference for the digit-tree
   count ``valuation_multiset``.
+* ``enumerated_composite_max`` walks every tuple of representatives of the
+  truncated rank-2 valuation ring (``integral_composite_representatives``,
+  ``integral_composite_count``), the reference for the digit tree of
+  ``composite_extremal_search``.
 * ``full_precision_lift`` is Newton's iteration with every step worked at
   the full precision of its operands, the reference for ``hensel_lift``.
 """
 
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon, _fp_insert
 from valfield.errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
-from valfield.extremality import Ball, ball_walk, digit_window
-from valfield.laurent import LaurentField, LaurentSeries, poly_derivative
+from valfield.composite import CompositeElement, CompositeField
+from valfield.extremality import Ball, SearchResult, ball_walk, digit_window, search_max
+from valfield.laurent import LaurentField, LaurentSeries, ValuationResult, poly_derivative
 from valfield.polynomials import MultiPoly, dense_eval
+from valfield.value_group import Value
 
 
 def _series_key(s: LaurentSeries, out_prec: int):
@@ -94,12 +101,61 @@ def decomposition_image(
     return frozenset(current.keys())
 
 
+def ball_count(field: LaurentField, ball: Ball, upto: int) -> int:
+    """The number of representatives of the ball modulo t^upto."""
+    return field.base.q ** max(0, upto - ball.radius)
+
+
 def enumerated_multiset(
     f: MultiPoly, field: LaurentField, ball: Ball, upto: int, cap: int, budget: int = DEFAULT_BUDGET
 ) -> List[str]:
     """Sorted texts of v(f) over every tuple of ball representatives mod
     t^upto, by the walk's horizon rule at cap."""
     return sorted(vr.to_text() for _, vr in ball_walk(f, field, ball, upto, cap, budget))
+
+
+def integral_composite_representatives(
+    field: CompositeField, u_floor: int = 0
+) -> Iterator[CompositeElement]:
+    """Representatives of the rank-2 valuation ring O_v in the truncation.
+
+    The coefficient of t^0 ranges over u-digits in [0, prec_u); higher
+    t-coefficients may dip to u-level u_floor.  Every coefficient is known
+    to O(u^prec_u).
+    """
+    inner, n = field.inner, field.prec_u
+    lower = list(digit_window(inner, u_floor, n, n))
+    slot_options = [list(digit_window(inner, 0, n, n))] + [lower] * (field.prec_t - 1)
+    for combo in itertools.product(*slot_options):
+        yield field.make(
+            {e: c for e, c in enumerate(combo) if not c.is_zero_to_prec()}
+        )
+
+
+def integral_composite_count(field: CompositeField, u_floor: int = 0) -> int:
+    q = field.base.q
+    n0 = q**field.prec_u
+    nj = q ** (field.prec_u - u_floor)
+    return n0 * nj ** max(0, field.prec_t - 1)
+
+
+def enumerated_composite_max(
+    f: MultiPoly, field: CompositeField, u_floor: int = 0, budget: int = DEFAULT_BUDGET
+) -> SearchResult:
+    """Exhaustive max of v(f) over every tuple of representatives of the
+    truncated rank-2 valuation ring, charged to the budget first, with one
+    horizon rule at (prec_t, 0): a value below it keeps its kind, and every
+    other value becomes ">= (prec_t, 0)"."""
+    check_budget(integral_composite_count(field, u_floor) ** f.nvars, budget)
+    capped = ValuationResult.at_least(Value.rank2(field.prec_t, 0))
+    reps = integral_composite_representatives(field, u_floor)
+
+    def walk():
+        for args in itertools.product(reps, repeat=f.nvars):
+            vr = f.evaluate(args).valuation()
+            yield args, vr if vr.value < capped.value else capped
+
+    return search_max(walk())
 
 
 def _fp_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[Tuple[int, ...], ...]:

@@ -130,6 +130,42 @@ def test_a_budget_reached_through_a_valid_field_exits_4(args):
 
 
 LONG = "9" * 5000  # more digits than Python reads into an int
+NINES = "9" * 4000  # read, but its power's cost has more digits than Python prints
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fundeq", "--field", "Q_3", "--poly", f"(X+1)^{NINES}"],
+        ["extremal", "--field", "F(2)((t))", "--poly", f"(X+1)^{NINES}"],
+    ],
+    ids=["fundeq", "extremal"],
+)
+def test_a_charge_too_long_to_print_exits_4(args):
+    assert run(args).returncode == 4
+
+
+@pytest.mark.parametrize("command", ["extremal", "compose"])
+@pytest.mark.parametrize(
+    "window",
+    [["--prec-t", "0"], ["--prec-t", "-2"], ["--prec-u", "0"], ["--u-floor", "5"]],
+    ids=["prec-t-0", "prec-t-negative", "prec-u-0", "u-floor-positive"],
+)
+def test_a_composite_window_outside_the_valuation_ring_is_a_usage_error(command, window):
+    proc = run([command, "--field", "F(2)((u))((t))", "--poly", "X^2 + u", *window])
+    assert proc.returncode == 1 and "must be" in proc.stderr, proc.stderr
+
+
+# the digit tree decides X^2 + u at its second node, however wide the window
+@pytest.mark.parametrize("command", ["extremal", "compose"])
+@pytest.mark.parametrize(
+    "window",
+    [["--prec-t", "100000"], ["--prec-u", "100000"], ["--u-floor", "-100000"]],
+    ids=["prec-t", "prec-u", "u-floor"],
+)
+def test_a_wide_composite_window_answers(command, window):
+    proc = run([command, "--field", "F(2)((u))((t))", "--poly", "X^2 + u", *window])
+    assert proc.returncode == 0 and "(0,1)" in proc.stdout, proc.stdout
 
 
 @pytest.mark.parametrize(

@@ -12,15 +12,12 @@ from valfield.extremality import (
     INDETERMINATE,
     MAX_ATTAINED,
     Ball,
-    ball_count,
     ball_representatives,
     ball_transfer,
     ball_walk,
     check_vexbarwex,
     composite_extremal_search,
     extremal_search,
-    integral_composite_count,
-    integral_composite_representatives,
     search_max,
     valuation_multiset,
 )
@@ -31,7 +28,14 @@ from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
 from valfield.value_group import Value
 
-from oracles import enumerated_multiset, truncated_image
+from oracles import (
+    ball_count,
+    enumerated_composite_max,
+    enumerated_multiset,
+    integral_composite_count,
+    integral_composite_representatives,
+    truncated_image,
+)
 
 
 class TestRepresentatives:
@@ -342,6 +346,76 @@ def test_multiset_count_agrees_with_the_enumeration():
         equal += counted == walked
         below_radius += upto < ball.radius
     assert len(instances) - 15 < equal < len(instances) and below_radius >= 20
+
+
+def _composite_instances():
+    """Seeded polynomials over F_2((u))((t)) in one variable of degree <= 4
+    or two of degree <= 2 each, and over F_3((u))((t)) in one variable, with
+    1-3 terms whose coefficients sum c*u^i*t^j over one or two i in [-1, 2]
+    and j in {0, 1}, on windows prec_t, prec_u in 2..3 with u_floor 0 or -1,
+    shrunk (prec_t, then u_floor, then prec_u) until the oracle walks at
+    most 512 tuples."""
+    rng = random.Random(20)
+    for n in range(400):
+        p, nvars = (2, 3)[n % 2], 1 + (n % 4 == 0)
+        C = CompositeField(prime_field(p), prec_t=rng.randint(2, 3), prec_u=rng.randint(2, 3))
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            mono = "*".join(f"X{i + 1}^{rng.randint(0, 4 // nvars)}" for i in range(nvars))
+            coeff = " + ".join(
+                f"{rng.randrange(1, p)}*u^{i}*t^{rng.randint(0, 1)}"
+                for i in rng.sample(range(-1, 3), rng.randint(1, 2))
+            )
+            terms.append(f"({coeff})*{mono}")
+        u_floor = rng.choice((0, -1))
+        while integral_composite_count(C, u_floor) ** nvars > 512:
+            if C.prec_t > 2:
+                C = CompositeField(C.base, prec_t=2, prec_u=C.prec_u)
+            elif u_floor < 0:
+                u_floor = 0
+            else:
+                C = CompositeField(C.base, prec_t=2, prec_u=C.prec_u - 1)
+        yield parse_poly(" + ".join(terms), C), C, u_floor
+
+
+def test_composite_tree_agrees_with_the_enumeration():
+    # equal when both are exact; otherwise the tree only tightens (the walk
+    # reads representatives known to O(u^prec_u), the tree exact digit
+    # points); every witness re-evaluates to its value, and wherever no
+    # coefficient has negative u-valuation the answers are identical
+    tightened = negative = 0
+    for f, C, u_floor in _composite_instances():
+        tree = composite_extremal_search(f, C, u_floor)
+        walked = enumerated_composite_max(f, C, u_floor)
+        case = (f, C.prec_t, C.prec_u, u_floor, tree, walked.value)
+        if tree.value.exact and walked.value.exact:
+            assert tree.value == walked.value, case
+        else:
+            assert tree.value.value >= walked.value.value, case
+        below = any(s.low < 0 for c in f.terms.values() for s in c.coeffs.values() if s.coeffs)
+        if not below:
+            assert (tree.value, tree.verdict) == (walked.value, walked.verdict), case
+        tightened += tree.value != walked.value
+        negative += below
+        # the witness is an exact digit point of the truncated ring
+        assert all(c.prec == math.inf for w in tree.witness for c in w.coeffs.values()), case
+        assert all(w.valuation().value >= Value.rank2(0, 0) for w in tree.witness), case
+        reached = f.evaluate(tree.witness).valuation()
+        if tree.value.exact:
+            assert reached == tree.value, case
+        else:
+            assert reached.value >= tree.value.value, case
+    assert tightened > 0 and negative > 200
+
+
+@pytest.mark.parametrize("poly", ["u + X + u^2*X^4", "u^2*X^4 + X + u"])
+def test_a_sum_does_not_depend_on_the_order_of_its_terms(poly):
+    # u + a at a = u is zero to O(u^3), the u-horizon: it reads as zero
+    # whichever term comes first, so no term can reach past it
+    C = CompositeField(prime_field(2), prec_t=2, prec_u=3)
+    f = parse_poly(poly, C)
+    for res in (composite_extremal_search(f, C), enumerated_composite_max(f, C)):
+        assert (res.value.to_text(), res.verdict) == (">=(2,0)", INDETERMINATE)
 
 
 class TestCompositeCheck:
