@@ -62,9 +62,8 @@ class CompositeField:
                 continue
             if c.field != self.inner:
                 raise DescriptorMismatchError("coefficient from a different inner field")
-            # an absent key means exactly zero; a zero-to-precision
-            # coefficient stays, carrying its error order, so that a sum does
-            # not depend on the order of its terms (``read`` reads it)
+            # only an exact zero is left out: a zero to O(u^k) keeps its error
+            # order, so that a sum does not depend on the order of its terms
             if c.coeffs or c.prec != math.inf:
                 out[e] = c
         return CompositeElement(self, out, nt)
@@ -76,9 +75,8 @@ class CompositeField:
         return self.make({e: self.inner.one(self.prec_u)})
 
     def from_inner(self, s: LaurentSeries) -> "CompositeElement":
-        """Embed a series in u as a w-unit (coefficient of t^0), known to at
-        most the u-horizon prec_u, so that a coefficient zero below it
-        reads as zero."""
+        """Embed a series in u at t^0, known to at most the u-horizon prec_u,
+        so that a coefficient zero below it reads as zero."""
         return self.make({0: s.truncate(min(s.prec, self.prec_u))})
 
 
@@ -131,19 +129,22 @@ class CompositeElement:
 
     # -- valuation and coarsening -----------------------------------------
 
-    def read(self) -> Tuple[tuple, tuple, int]:
+    def read(self, horizon: Optional[float] = None) -> Tuple[tuple, tuple, int]:
         """(floor, error order, code at the floor), pairs (t-level, u-order)
         read at the leading t-level.  One read-time rule, the u-horizon: a
-        level zero to O(u^k) with k >= prec_u reads as zero, any other level
-        zero to its order is leading, with its floor at that order."""
+        level zero to O(u^k) with k >= horizon (prec_u unless given) reads
+        as zero, any other level zero to its order is leading, with its
+        floor at that order."""
+        horizon = self.field.prec_u if horizon is None else horizon
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
-            if c.coeffs or c.prec < self.field.prec_u:
+            if c.coeffs or c.prec < horizon:
                 return (e, c.valuation_floor()), (e, c.prec), c.coeffs[0] if c.coeffs else 0
         return (self.prec_t, 0), (self.prec_t, 0), 0
 
     def is_zero_to_prec(self) -> bool:
-        return all(c.is_zero_to_prec() for c in self.coeffs.values())
+        """Zero to its read error order: the valuation is only a bound."""
+        return not self.valuation().exact
 
     def valuation(self) -> ValuationResult:
         floor, order, _ = self.read()

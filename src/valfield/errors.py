@@ -29,8 +29,7 @@ DEFAULT_BUDGET = 10**7
 
 
 def check_budget(count: int, budget: int) -> None:
-    """A count past the budget is refused, named by its bit length when
-    Python would refuse to print its digits (more than 4300)."""
+    """Refuse a count past the budget, by its bit length past 4300 digits."""
     if count > budget:
         text = str(count) if count.bit_length() < 14000 else f"a {count.bit_length()}-bit number of"
         raise BudgetExceededError(f"{text} candidates or matrix entries exceed budget {budget}")

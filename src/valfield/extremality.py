@@ -202,7 +202,8 @@ class _BallDigits:
     last = math.inf
     scale, value = staticmethod(_scaled), staticmethod(Value.rank1)
     shift = staticmethod(lambda c, e, k: c.shift(e))
-    read = staticmethod(lambda c: (c.valuation_floor(), c.prec, c.coeffs[0] if c.coeffs else 0))
+    read = staticmethod(lambda c, nu: (c.valuation_floor(), c.prec, c.coeffs[0] if c.coeffs else 0))
+    hidden = staticmethod(lambda g, m: math.inf)
 
     def __init__(self, field: LaurentField, ball: Ball, prec: int):
         if ball.center.prec < ball.radius:
@@ -221,10 +222,10 @@ class _BallDigits:
         if k < self.ball.radius:
             return center.coeffs[i] if 0 <= i < len(center.coeffs) else 0
 
-    def point(self, digits: list, upto: int, n: int) -> tuple:
+    def point(self, digits: list, n: int) -> tuple:
         """The digit point, completed by the centre's digits below the
         radius, at error order max(prec, the exponent past its digits)."""
-        digits = digits + [(self.fixed(k),) * n for k in range(upto, self.ball.radius)]
+        digits = digits + [(self.fixed(k),) * n for k in range(self.low + len(digits), self.ball.radius)]
         order = max(self.cap, self.low + len(digits))
         return tuple(self.field.make(self.low, [y[i] for y in digits], order) for i in range(n))
 
@@ -235,14 +236,25 @@ class _RingDigits:
     from 0 at j = 0 and from u_floor at each j >= 1, up to prec_u - 1; pair
     values, and one exact point past the last slot."""
 
-    low, read = 0, staticmethod(CompositeElement.read)
+    low, value = 0, staticmethod(lambda m: Value.rank2(*m))
     root, fixed = staticmethod(lambda terms: terms), staticmethod(lambda k: None)
-    value = staticmethod(lambda m: Value.rank2(*m))
 
     def __init__(self, field: CompositeField, u_floor: int):
         self.field, self.u_floor, self.width = field, u_floor, field.prec_u - u_floor
         self.last = self.horizon = field.prec_u + (field.prec_t - 1) * self.width
         self.cap = (field.prec_t, 0)
+
+    def read(self, c: CompositeElement, nu: tuple) -> Tuple[tuple, tuple, int]:
+        """c's read, with the u-horizon for the constant coefficient alone:
+        in any other, a t-level zero to O(u^k) is leading, since a later
+        digit moves it up a level, times u^(u_floor - prec_u + 1) or less."""
+        return c.read(math.inf if nu else self.field.prec_u)
+
+    def hidden(self, g: dict, m: tuple) -> tuple:
+        """The error order of g's constant coefficient at m's t-level if that
+        level has no digits: the read skips the level, yet loses m in it."""
+        level = g[()].coeffs.get(m[0]) if () in g else None
+        return (m[0], level.prec) if level is not None and not level.coeffs else self.cap
 
     @staticmethod
     def scale(c: CompositeElement, code: int) -> CompositeElement:
@@ -256,16 +268,15 @@ class _RingDigits:
             return c.times(0, e)
         return c.times(e, e * (self.u_floor - self.field.prec_u + 1))
 
-    def point(self, digits: list, upto: int, n: int) -> tuple:
-        """The exact digit point, level by level as far as its digits reach."""
-        inner, n0, w = self.field.inner, self.field.prec_u, self.width
-
-        def coordinate(codes: list) -> CompositeElement:
-            starts = enumerate(range(n0, len(codes), w), 1)
-            levels = {j: inner.make(self.u_floor, codes[a:a + w], math.inf) for j, a in starts}
-            return self.field.make({0: inner.make(0, codes[:n0], math.inf), **levels})
-
-        return tuple(coordinate([y[i] for y in digits]) for i in range(n))
+    def point(self, digits: list, n: int) -> tuple:
+        """The exact digit point, level by level as far as its digits reach;
+        t^0 gets zero digits below u^0, so that each level starts at u^u_floor."""
+        digits, w, make = [(0,) * n] * -self.u_floor + digits, self.width, self.field.inner.make
+        return tuple(
+            self.field.make({a // w: make(self.u_floor, [y[i] for y in digits[a:a + w]], math.inf)
+                             for a in range(0, len(digits), w)})
+            for i in range(n)
+        )
 
 
 class _DigitTree:
@@ -320,10 +331,11 @@ class _DigitTree:
 
     def floor(self, g: dict) -> tuple:
         """(m, R): g's least value m, and when m lies below every error
-        order the residue form R of g's terms of value m, else None."""
-        reads = [(nu, self.ring.read(c)) for nu, c in g.items()]
+        order, also one the ring hides, the residue form R of g's terms of
+        value m, else None."""
+        reads = [(nu, self.ring.read(c, nu)) for nu, c in g.items()]
         m = min((r[0] for _, r in reads), default=self.ring.cap)
-        if m >= min((r[1] for _, r in reads), default=self.ring.cap):
+        if m >= min((r[1] for _, r in reads), default=self.ring.cap) or m >= self.ring.hidden(g, m):
             return m, None
         return m, [(_reduced(nu, self.q), code) for nu, (v, _, code) in reads if v == m]
 
@@ -340,51 +352,45 @@ class _DigitTree:
             (decided if r else children).append(y)
         return decided, children
 
-    def search(self) -> SearchResult:
-        """The maximum of v(f) over the leaves in digit order.
-
-        A leaf is (its digits, newest first as nested pairs, and the depth
-        past them) with the value on its subtree; the leaves end at the first
-        one at the cap, since no later leaf can beat it.  A node past the
-        horizon whose residue form is unknown is a leaf at its floor, and a
-        node past the last slot is a leaf at its constant coefficient's
-        value.  The witness is the digit point of the best leaf.
-        """
+    def leaves(self) -> Iterator[Tuple[tuple, ValuationResult]]:
+        """The leaves in digit order, each (its digits, newest first as nested
+        pairs; the depth k past them; the digits at k it covers, None for all)
+        with the value on its subtree, up to the first at the cap, which no
+        later leaf can beat.  A node past the horizon with no residue form is
+        a leaf at its floor, and one past the last slot at f's value there."""
         ring = self.ring
-        capped = ValuationResult.at_least(ring.value(ring.cap))
+        stack = [(self.root, ring.low, None)]
+        while stack:
+            g, k, node = stack.pop()
+            if node is not None:
+                g = self.child(g, node[0], k)
+            if k == ring.last:  # one exact point, f(a) = g(0)
+                g = {nu: c for nu, c in g.items() if not nu}
+            m, lead = self.floor(g)
+            if m >= ring.cap:
+                yield (node, k, None), ValuationResult.at_least(ring.value(ring.cap))
+                return
+            if k == ring.last:
+                yield (node, k, None), ValuationResult(lead is not None, ring.value(m))
+                continue
+            digits = self.digits(k)
+            if lead is None and k >= ring.horizon:
+                yield (node, k, None), ValuationResult.at_least(ring.value(m))
+                continue
+            decided, children = self.split(lead, digits)
+            if decided:
+                yield (node, k, decided), ValuationResult.exactly(ring.value(m))
+            stack.extend((g, k + 1, (y, node)) for y in reversed(children))
 
-        def leaves() -> Iterator[Tuple[tuple, ValuationResult]]:
-            stack = [(self.root, ring.low, None)]
-            while stack:
-                g, k, node = stack.pop()
-                if node is not None:
-                    g = self.child(g, node[0], k)
-                if k == ring.last:  # one exact point, f(a) = g(0)
-                    g = {nu: c for nu, c in g.items() if not nu}
-                m, lead = self.floor(g)
-                if m >= ring.cap:
-                    yield (node, k), capped
-                    return
-                if k == ring.last:
-                    yield (node, k), ValuationResult(lead is not None, ring.value(m))
-                    continue
-                digits = self.digits(k)
-                if lead is None and k >= ring.horizon:
-                    yield (node, k), ValuationResult.at_least(ring.value(m))
-                    continue
-                decided, children = self.split(lead, digits)
-                if decided:
-                    yield ((decided[0], node), k + 1), ValuationResult.exactly(ring.value(m))
-                stack.extend((g, k + 1, (y, node)) for y in reversed(children))
-
-        result = search_max(leaves())
-        node, upto = result.witness
-        digits = []
+    def search(self) -> SearchResult:
+        """The best leaf, with the digit point through its first digit."""
+        result = search_max(self.leaves())
+        node, _, covered = result.witness
+        digits = list(covered or ())[:1]
         while node is not None:
             y, node = node
-            digits.append(y)
-        digits.reverse()
-        return SearchResult(ring.point(digits, upto, self.n), result.value, result.verdict)
+            digits.insert(0, y)
+        return SearchResult(self.ring.point(digits, self.n), result.value, result.verdict)
 
 
 def extremal_search(
@@ -521,17 +527,12 @@ def check_vexbarwex(
     inner_field = comp_field.inner
     f = g.map_coeffs(comp_field.from_inner)
     comp_result = composite_extremal_search(f, comp_field, u_floor, budget)
-    res_ball = Ball(inner_field.zero(comp_field.prec_u), 0)
-    res_result = extremal_search(
-        g, inner_field, res_ball, comp_field.prec_u, budget
-    )
+    res_result = extremal_search(g, inner_field, None, comp_field.prec_u, budget)
     if comp_result.verdict != MAX_ATTAINED:
         return CompositeCheckReport("Inconclusive", comp_result, res_result, None)
     # a witness's residue at w = 0 is its t^0 coefficient; a witness of
     # larger outer valuation has residue 0
-    pushed = tuple(
-        w.coeffs.get(0, inner_field.zero(comp_field.prec_u)) for w in comp_result.witness
-    )
+    pushed = tuple(w.coeffs.get(0, inner_field.zero(comp_field.prec_u)) for w in comp_result.witness)
     vr = g.evaluate(pushed).valuation()
     if not vr.exact or res_result.verdict != MAX_ATTAINED:
         conclusion = "Inconclusive"

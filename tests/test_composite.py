@@ -34,6 +34,22 @@ class TestValuation:
         assert not vr.exact
         assert vr.value == Value.rank2(C.prec_t, 0)
 
+    def test_zero_to_prec_is_a_bounded_read(self):
+        # one notion of zero: zero to precision exactly when the read value
+        # is only a bound, under the u-horizon (O(u)*t), past it (O(u^2) is
+        # read as zero) and with a lower level lost in its error (O(u))
+        C = CompositeField(prime_field(2), prec_t=2, prec_u=2)
+        u, ut = C.inner, C.inner.t_power(1, 2)
+        cases = [
+            ({1: u.zero(1)}, ">=(1,1)"),
+            ({0: u.zero(2), 1: ut}, "(1,1)"),
+            ({0: u.zero(1), 1: ut}, ">=(0,1)"),
+        ]
+        for coeffs, text in cases:
+            x = C.make(coeffs)
+            assert x.valuation().to_text() == text
+            assert x.is_zero_to_prec() == (not x.valuation().exact)
+
     def test_coarsening(self, C):
         x = C.make({1: C.inner.t_power(-2, 3), 2: C.inner.one(3)})
         w, res = x.coarsen()

@@ -12,6 +12,8 @@ from valfield.extremality import (
     INDETERMINATE,
     MAX_ATTAINED,
     Ball,
+    _DigitTree,
+    _RingDigits,
     ball_representatives,
     ball_transfer,
     ball_walk,
@@ -354,7 +356,12 @@ def _composite_instances():
     1-3 terms whose coefficients sum c*u^i*t^j over one or two i in [-1, 2]
     and j in {0, 1}, on windows prec_t, prec_u in 2..3 with u_floor 0 or -1,
     shrunk (prec_t, then u_floor, then prec_u) until the oracle walks at
-    most 512 tuples."""
+    most 512 tuples; after two fixed cases whose X coefficient is zero to
+    O(u^2) at t^0, past the u-horizon, which a later digit moves up a level
+    under it."""
+    C = CompositeField(prime_field(2), prec_t=2, prec_u=2)
+    yield parse_poly("u^2*X + t*u*X + t*u + t*X^2", C), C, -1
+    yield parse_poly("(u^2 + t*u)*X + t*u", C), C, 0
     rng = random.Random(20)
     for n in range(400):
         p, nvars = (2, 3)[n % 2], 1 + (n % 4 == 0)
@@ -378,13 +385,39 @@ def _composite_instances():
         yield parse_poly(" + ".join(terms), C), C, u_floor
 
 
+def _leaf_claims_hold(f, C, u_floor):
+    """Every leaf of the rank-2 tree holds on every exact digit point under
+    it: exactly its value when exact, at least it otherwise, and past the
+    t-window (no digit below t^prec_t) at the cap."""
+    ring = _RingDigits(C, u_floor)
+    digits = list(itertools.product(range(C.base.q), repeat=f.nvars))
+    cap = ring.value(ring.cap)
+    for (node, k, covered), vr in _DigitTree(f, ring, DEFAULT_BUDGET).leaves():
+        prefix = []
+        while node is not None:
+            y, node = node
+            prefix.insert(0, y)
+        heads = [[y] for y in covered or digits] if k < ring.last else [[]]
+        for head in heads:
+            for tail in itertools.product(digits, repeat=max(0, ring.last - k - 1)):
+                reached = f.evaluate(ring.point(prefix + head + list(tail), f.nvars)).valuation()
+                if vr.value >= cap:
+                    assert reached.value.first >= C.prec_t, (f, prefix, head, tail, reached)
+                elif vr.exact:
+                    assert reached == vr, (f, prefix, head, tail, vr, reached)
+                else:
+                    assert reached.value >= vr.value, (f, prefix, head, tail, vr, reached)
+
+
 def test_composite_tree_agrees_with_the_enumeration():
     # equal when both are exact; otherwise the tree only tightens (the walk
     # reads representatives known to O(u^prec_u), the tree exact digit
-    # points); every witness re-evaluates to its value, and wherever no
-    # coefficient has negative u-valuation the answers are identical
+    # points); every witness re-evaluates to its value, every leaf's claim
+    # holds on its whole subtree, and wherever no coefficient has negative
+    # u-valuation the answers are identical
     tightened = negative = 0
     for f, C, u_floor in _composite_instances():
+        _leaf_claims_hold(f, C, u_floor)
         tree = composite_extremal_search(f, C, u_floor)
         walked = enumerated_composite_max(f, C, u_floor)
         case = (f, C.prec_t, C.prec_u, u_floor, tree, walked.value)
