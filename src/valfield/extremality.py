@@ -240,6 +240,11 @@ class _RingDigits:
     root, fixed = staticmethod(lambda terms: terms), staticmethod(lambda k: None)
 
     def __init__(self, field: CompositeField, u_floor: int):
+        if u_floor > 0 or field.prec_t < 1 or field.prec_u < 1:
+            raise ValfieldError(
+                "the truncated valuation ring needs u_floor <= 0 and prec_t, prec_u >= 1, got "
+                f"u_floor={u_floor}, prec_t={field.prec_t}, prec_u={field.prec_u}"
+            )
         self.field, self.u_floor, self.width = field, u_floor, field.prec_u - u_floor
         self.last = self.horizon = field.prec_u + (field.prec_t - 1) * self.width
         self.cap = (field.prec_t, 0)

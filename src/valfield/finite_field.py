@@ -9,14 +9,17 @@ no factorization machinery beyond trial division at desk scale.
 An element is an int code, sum c_j p^j over its reduced coefficient vector
 (the residue itself for k = 1).  The descriptor's ``*_code(s)`` methods and
 ``fold`` are the only scalar arithmetic: the Laurent-series kernels run on
-them directly, and ``FFElement``, the public scalar type, is a descriptor
-and a code whose operators each call into them.
+them directly, and on the descriptor's tables for packed runs of codes
+(``mod_bytes`` and ``neg_bytes`` for ``bytes.translate``, ``slot_run``
+for the Kronecker slots of F_{p^k}); ``FFElement``, the public scalar
+type, is a descriptor and a code whose operators each call into them.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, DescriptorMismatchError, ParseError, ValfieldError, check_budget
@@ -93,6 +96,12 @@ def _pmod_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _byte_tables(p: int) -> Tuple[bytes, Optional[bytes]]:
+    """Each byte reduced mod p, and minus each byte mod p while that is a byte."""
+    return bytes([i % p for i in range(256)]), bytes([-i % p for i in range(256)]) if p < 256 else None
+
+
 class FiniteFieldDescriptor:
     """F_p (k = 1) or F_{p^k} given by a monic irreducible modulus."""
 
@@ -122,6 +131,11 @@ class FiniteFieldDescriptor:
             top = row[-1]
             row = [(r - top * m) % p for r, m in zip([0] + row[:-1], modulus)]
         self._frobenius: Dict[int, int] = {}  # code -> code of its p-th power, filled on use
+        self._slots: Dict[int, Tuple[int, ...]] = {}  # code -> its Kronecker slots, filled on use
+        # translate tables for packed codes: a byte reduced mod p, and over
+        # F_p with p < 256 the negative of a code
+        self.mod_bytes, neg_bytes = _byte_tables(p)
+        self.neg_bytes = neg_bytes if k == 1 else None
 
     @staticmethod
     def _find_modulus(p: int, k: int) -> Tuple[int, ...]:
@@ -165,6 +179,14 @@ class FiniteFieldDescriptor:
             code, c = divmod(code, self.p)
             out.append(c)
         return out
+
+    def slot_run(self, codes: Sequence[int]) -> Iterator[int]:
+        """The Kronecker slots of a code list in one run: each code's k
+        digits followed by k - 1 zeros, from a table filled per code met."""
+        table, pad = self._slots, (0,) * (self.k - 1)
+        for c in set(codes).difference(table):
+            table[c] = tuple(self.digits(c)) + pad
+        return chain.from_iterable(map(table.__getitem__, codes))
 
     def fold(self, vec: Sequence[int]) -> int:
         """The code of sum vec[j] x^j for any ints vec[j] and j <= 2k - 2,

@@ -13,11 +13,22 @@ branch on the two outcomes explicitly; an indeterminate valuation is never
 silently promoted to infinity.
 
 Coefficients are stored as the int codes of ``finite_field`` (over F_p a
-code is the residue itself), and the arithmetic works on the codes alone:
-a product packs both operands into one Python int each and multiplies
-once (Kronecker substitution), an inverse runs Newton's iteration with
-doubling precision on those products, and Frobenius re-spaces the
-exponents and maps each code through the descriptor's Frobenius table.
+code is the residue itself), and the arithmetic works on packed codes: a
+run of digits becomes one Python int with a slot of 1, 2, 4 or 8 bytes
+each, built and read back by ``bytes`` and ``array`` in C, so that one int
+operation acts on every coefficient.  A product packs both operands and
+multiplies once (Kronecker substitution); over F_p its slots are reduced
+mod p by one ``bytes.translate`` at 1-byte slots and by a remainder per
+slot otherwise, and over F_{p^k} the descriptor's slot table spreads each
+code into its digits and ``fold`` reduces each product coefficient.  A sum
+is an XOR of packed bytes in characteristic 2 (every code of F_{2^k} is a
+byte) and a packed sum reduced mod p over F_p; negation is the identity in
+characteristic 2 and a translate over F_p with p < 256.  F_{p^k} with odd p
+and k > 1 adds and negates code by code, and slots wider than 8 bytes (p
+near 2^31 and above) are packed and read with one int call each.  An
+inverse runs Newton's iteration with doubling precision on those products,
+and Frobenius re-spaces the exponents and maps each code through the
+descriptor's Frobenius table.
 ``coeff_at`` and ``residue`` hand a code out as an ``FFElement``;
 ``from_terms`` and ``scale`` take one (or an int or a coordinate list)
 and keep its code.  Code tuples are built from lists, not generators:
@@ -42,8 +53,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DescriptorMismatchError,
@@ -216,20 +229,13 @@ class LaurentSeries:
         if not other.coeffs:
             return self.truncate(prec)
         low = min(self.low, other.low)
-        hi = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        codes = [0] * (hi - low)
-        i = self.low - low
-        codes[i:i + len(self.coeffs)] = self.coeffs
-        add = self.field.base.add_codes
-        for j, c in enumerate(other.coeffs, other.low - low):
-            codes[j] = add(codes[j], c)
+        n = max(self.low + len(self.coeffs), other.low + len(other.coeffs)) - low
+        codes = _add_codes(self.field.base, self.coeffs, self.low - low, other.coeffs, other.low - low, n)
         return self.field.make(low, codes, prec)
 
     def __neg__(self) -> "LaurentSeries":
-        neg = self.field.base.neg_code
-        return LaurentSeries(
-            self.field, self.low, tuple([neg(c) for c in self.coeffs]), self.prec
-        )
+        codes = _neg_codes(self.field.base, self.coeffs)
+        return LaurentSeries(self.field, self.low, tuple(codes), self.prec)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -305,12 +311,11 @@ class LaurentSeries:
         # Newton: inv <- inv * (2 - unit * inv) doubles the known digits
         unit = self.coeffs
         inv = [base.inverse_code(unit[0])]
-        neg = base.neg_code
         while len(inv) < rel:
             m = len(inv)
             n = min(2 * m, rel)
             err = _mul_codes(base, unit[:n], inv, n)[m:]  # unit * inv = 1 + t^m * err
-            inv += _mul_codes(base, inv, [neg(c) for c in err], n - m)
+            inv += _mul_codes(base, inv, _neg_codes(base, err), n - m)
         return self.field.make(-v, inv, self.prec - 2 * v)
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -358,42 +363,119 @@ class LaurentSeries:
         return self.to_text()
 
 
+# -- packed code kernels ---------------------------------------------------
+#
+# A run of small ints is packed into one Python int, slot i at byte offset
+# i * w, so that one int operation acts on every slot at once.  Slots of 1,
+# 2, 4 or 8 bytes are converted by ``bytes`` and ``array`` in C (swapped on
+# a big-endian machine, whose arrays hold their items big-endian); a wider
+# slot, met only for p near 2^31 and above, takes one int call each.
+
+_FORMATS = {array(f).itemsize: f for f in "QLIHB"}  # slot bytes -> array typecode
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for ints up to bound: 1, 2, 4 or 8, or the exact
+    byte count when that is wider."""
+    size = bound.bit_length() + 7 >> 3
+    return size if size > 8 else 1 << (size - 1).bit_length()
+
+
+def _pack(slots: Iterable[int], w: int) -> int:
+    """One int with the i-th slot at byte offset i * w."""
+    if w == 1:
+        data = bytes(slots)
+    elif w in _FORMATS:
+        packed = array(_FORMATS[w], slots)
+        if _BIG_ENDIAN:
+            packed.byteswap()
+        data = packed.tobytes()
+    else:
+        data = b"".join([s.to_bytes(w, "little") for s in slots])
+    return int.from_bytes(data, "little")
+
+
+def _unpack(data: bytes, w: int) -> List[int]:
+    """The slots of little-endian data, w bytes each."""
+    if w in _FORMATS:
+        slots = array(_FORMATS[w])
+        slots.frombytes(data)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return slots.tolist()
+    return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
+
+
+def _reduce(base: FiniteFieldDescriptor, data: bytes, w: int) -> List[int]:
+    """Codes over F_p from slots of w bytes: one translate through the
+    descriptor's byte table at w = 1, a remainder per slot otherwise."""
+    if w == 1:
+        return list(data.translate(base.mod_bytes))
+    p = base.p
+    return [s % p for s in _unpack(data, w)]
+
+
 def _mul_codes(base: FiniteFieldDescriptor, a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
     """The first n coefficient codes of a(t) * b(t), by Kronecker substitution.
 
     Coefficient i becomes the 2k - 1 slots i*(2k-1) .. i*(2k-1) + 2k-2 of one
-    Python int, holding its k coordinates and k - 1 zeros; a slot is wide
-    enough for any coordinate sum of the product, so one int product gives
-    every product coefficient as 2k - 1 unreduced coordinates, which fold
-    reduces mod p and mod the modulus.
+    Python int, holding its k coordinates (from the descriptor's slot table)
+    and k - 1 zeros.  A slot is 1, 2, 4 or 8 bytes (wider only past that),
+    wide enough for any coordinate sum of the product, so one int product
+    gives every product coefficient as 2k - 1 unreduced coordinates.  Over
+    F_p, ``_reduce`` takes them mod p; over F_{p^k}, fold reduces each group
+    mod p and mod the modulus.
     """
     a, b = a[:n], b[:n]
     if not a or not b:
         return [0] * n
     k, p = base.k, base.p
     width = 2 * k - 1
-    size = (min(len(a), len(b)) * k * (p - 1) ** 2).bit_length() + 7 >> 3
-    if k == 1:
-        slots_a, slots_b = a, b
-    else:
-        pad = [0] * (k - 1)
-        slots_a = [x for c in a for x in base.digits(c) + pad]
-        slots_b = [x for c in b for x in base.digits(c) + pad]
-    data = (_pack(slots_a, size) * _pack(slots_b, size)).to_bytes(
-        (len(a) + len(b) - 1) * width * size, "little"
-    )
+    w = _slot_bytes(min(len(a), len(b)) * k * (p - 1) ** 2)
     m = min(n, len(a) + len(b) - 1)
-    slots = [int.from_bytes(data[i:i + size], "little") for i in range(0, m * width * size, size)]
+    slots_a, slots_b = (a, b) if k == 1 else (base.slot_run(a), base.slot_run(b))
+    data = (_pack(slots_a, w) * _pack(slots_b, w)).to_bytes((len(a) + len(b) - 1) * width * w, "little")
+    data = data[:m * width * w]
     if k == 1:
-        out = [s % p for s in slots]
+        out = _reduce(base, data, w)
     else:
+        slots = _unpack(data, w)
         out = [base.fold(slots[i:i + width]) for i in range(0, m * width, width)]
     return out + [0] * (n - m)
 
 
-def _pack(slots: Sequence[int], size: int) -> int:
-    """One int with slots[i] at byte offset i * size."""
-    return int.from_bytes(b"".join([s.to_bytes(size, "little") for s in slots]), "little")
+def _add_codes(
+    base: FiniteFieldDescriptor, a: Sequence[int], i: int, b: Sequence[int], j: int, n: int
+) -> List[int]:
+    """The n codes of t^i a(t) + t^j b(t).  In characteristic 2 every code
+    is one byte (k <= 8) and a sum is an XOR of the packed bytes; over F_p
+    it is one packed sum, reduced mod p; over F_{p^k} with odd p and k > 1
+    it adds code by code."""
+    p = base.p
+    if p == 2:
+        return list(((_pack(a, 1) << 8 * i) ^ (_pack(b, 1) << 8 * j)).to_bytes(n, "little"))
+    if base.k == 1:
+        w = _slot_bytes(2 * (p - 1))
+        total = (_pack(a, w) << 8 * w * i) + (_pack(b, w) << 8 * w * j)
+        return _reduce(base, total.to_bytes(n * w, "little"), w)
+    codes = [0] * n
+    codes[i:i + len(a)] = a
+    add = base.add_codes
+    for e, c in enumerate(b, j):
+        codes[e] = add(codes[e], c)
+    return codes
+
+
+def _neg_codes(base: FiniteFieldDescriptor, codes: Sequence[int]) -> Sequence[int]:
+    """The negated codes: the codes themselves in characteristic 2, one
+    translate over F_p with p < 256, and a code loop otherwise."""
+    if base.p == 2:
+        return codes
+    if base.neg_bytes is not None:
+        return list(bytes(codes).translate(base.neg_bytes))
+    neg = base.neg_code
+    return [neg(c) for c in codes]
 
 
 # -- univariate polynomials over series ------------------------------------

@@ -451,6 +451,19 @@ def test_a_sum_does_not_depend_on_the_order_of_its_terms(poly):
         assert (res.value.to_text(), res.verdict) == (">=(2,0)", INDETERMINATE)
 
 
+@pytest.mark.parametrize(
+    "prec_t, prec_u, u_floor",
+    [(2, 2, 2), (2, 2, 5), (0, 2, 0), (2, 0, 0)],
+    ids=["u-floor-at-prec-u", "u-floor-positive", "prec-t-zero", "prec-u-zero"],
+)
+def test_composite_search_refuses_a_window_outside_the_valuation_ring(prec_t, prec_u, u_floor):
+    # the CLI refuses these windows at parsing; a library caller gets the
+    # same refusal, not a ValueError or an answer over another window
+    C = CompositeField(prime_field(2), prec_t=prec_t, prec_u=prec_u)
+    with pytest.raises(ValfieldError, match="u_floor <= 0 and prec_t, prec_u >= 1"):
+        composite_extremal_search(parse_poly("X^2 + u", C), C, u_floor)
+
+
 class TestCompositeCheck:
     def test_confirmed_on_plain_poly(self, C2):
         inner = C2.inner

@@ -16,6 +16,8 @@ from valfield.finite_field import FFElement, FiniteFieldDescriptor, prime_field
 from valfield.laurent import (
     LaurentField,
     ValuationResult,
+    _mul_codes,
+    _slot_bytes,
     artin_schreier_solve,
     hensel_lift,
     parse_series,
@@ -422,6 +424,10 @@ def test_hensel_lift_of_an_empty_coefficient_list_is_an_error():
 KERNEL_FIELDS = [
     prime_field(2), prime_field(3), prime_field(5),
     FiniteFieldDescriptor(2, 2), FiniteFieldDescriptor(3, 2), FiniteFieldDescriptor(2, 4),
+    # product slots of 2 and 4 bytes (F_131), of 8 (F_65537), of 8 and
+    # wider than 8 (F_{2^31-1}), and of 1 and 2 bytes with one-byte codes
+    # (F_256)
+    prime_field(131), prime_field(65537), prime_field(2**31 - 1), FiniteFieldDescriptor(2, 8),
 ]
 
 
@@ -452,6 +458,17 @@ def _triple(s):
 
 def _ref_floor(r):
     return r[0] if r[1] else r[2]
+
+
+def _ref_add(base, a, b, negate=False):
+    """a + b, or a - b when negate, coefficient by coefficient."""
+    terms = {a[0] + i: c for i, c in enumerate(a[1])}
+    for i, c in enumerate(b[1]):
+        x = terms.get(b[0] + i, base.zero())
+        terms[b[0] + i] = x - c if negate else x + c
+    low = min(terms, default=0)
+    cs = [terms.get(e, base.zero()) for e in range(low, max(terms, default=low - 1) + 1)]
+    return _ref_norm(low, cs, min(a[2], b[2]))
 
 
 def _ref_mul(base, a, b):
@@ -533,7 +550,7 @@ def kernel_series(draw, max_len=300, field=None):
     return s, _ref_norm(low, cs, prec)
 
 
-KERNEL_IDS = ["F2", "F3", "F5", "F4", "F9", "F16"]
+KERNEL_IDS = ["F2", "F3", "F5", "F4", "F9", "F16", "F131", "F65537", "F2147483647", "F256"]
 
 
 @pytest.mark.parametrize("base", KERNEL_FIELDS, ids=KERNEL_IDS)
@@ -545,6 +562,29 @@ class TestPackedKernels:
         b, rb = data.draw(kernel_series(field=base))
         assert _triple(a) == _ref_codes(ra)
         assert _triple(a * b) == _ref_codes(_ref_mul(base, ra, rb))
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_add_matches_schoolbook(self, base, data):
+        a, ra = data.draw(kernel_series(field=base))
+        b, rb = data.draw(kernel_series(field=base))
+        assert _triple(a + b) == _ref_codes(_ref_add(base, ra, rb))
+        assert _triple(b + a) == _ref_codes(_ref_add(base, rb, ra))
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_sub_matches_schoolbook(self, base, data):
+        a, ra = data.draw(kernel_series(field=base))
+        b, rb = data.draw(kernel_series(field=base))
+        assert _triple(a - b) == _ref_codes(_ref_add(base, ra, rb, negate=True))
+        assert _triple(a - a) == _ref_codes(_ref_add(base, ra, ra, negate=True))
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_neg_matches_schoolbook(self, base, data):
+        a, ra = data.draw(kernel_series(field=base))
+        low, cs, prec = ra
+        assert _triple(-a) == _ref_codes((low, [-c for c in cs], prec))
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
@@ -561,7 +601,10 @@ class TestPackedKernels:
     @given(data=st.data(), times=st.integers(0, 3))
     @settings(max_examples=15, deadline=None)
     def test_frobenius_matches_schoolbook(self, base, data, times):
-        a, ra = data.draw(kernel_series(field=base))
+        # the result stores (len - 1) * p^times + 1 codes, so for p > 100
+        # a series has only as many digits as keep that near 10^4
+        max_len = 300 if base.p < 100 else 1 + 10**4 // base.p**times
+        a, ra = data.draw(kernel_series(max_len=max_len, field=base))
         assert _triple(a.frobenius(times)) == _ref_codes(_ref_frobenius(base, ra, times))
 
     @given(data=st.data(), e=st.integers(-3, 12))
@@ -581,6 +624,30 @@ class TestPackedKernels:
             naive = _ref_repeated(base, ra, e)
             assert naive[2] <= power.prec
             assert _triple(power.truncate(naive[2])) == _ref_codes(naive)
+
+
+# (p, length): a full product of two length-digit series over F_p needs
+# slots of this many bytes (9: wider than 8, one int call per slot)
+SLOT_WIDTH_PAIRS = {1: (3, 63), 2: (131, 3), 4: (131, 300), 8: (65537, 50), 9: (2**31 - 1, 40)}
+
+
+def test_mul_codes_slot_widths():
+    """``_mul_codes`` at every slot width against a plain integer
+    convolution mod p, on seeded digits and on all digits p - 1, whose
+    product fills each slot to its bound."""
+    for width, (p, length) in SLOT_WIDTH_PAIRS.items():
+        base = prime_field(p)
+        assert _slot_bytes(length * (p - 1) ** 2) == width
+        rng = random.Random(f"slots:{p}:{length}")
+        seeded = ([rng.randrange(p) for _ in range(length)], [rng.randrange(p) for _ in range(length)])
+        for a, b in (seeded, ([p - 1] * length,) * 2):
+            full = [0] * (2 * length - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    full[i + j] += x * y
+            expected = [c % p for c in full] + [0, 0]
+            for n in (1, length, 2 * length - 1, 2 * length + 1):
+                assert _mul_codes(base, a, b, n) == expected[:n], (width, p, length, n)
 
 
 class TestFrobeniusPowering:
