@@ -72,12 +72,11 @@ class CompositeField:
         return self.make({}, prec_t)
 
     def t_power(self, e: int) -> "CompositeElement":
-        return self.make({e: self.inner.one(self.prec_u)})
+        return self.make({e: self.inner.one(math.inf)})
 
     def from_inner(self, s: LaurentSeries) -> "CompositeElement":
-        """Embed a series in u at t^0, known to at most the u-horizon prec_u,
-        so that a coefficient zero below it reads as zero."""
-        return self.make({0: s.truncate(min(s.prec, self.prec_u))})
+        """Embed a series in u at t^0, as given."""
+        return self.make({0: s})
 
 
 class CompositeElement:
@@ -112,7 +111,9 @@ class CompositeElement:
         self._check(other)
         lo_a = min(self.coeffs, default=self.prec_t)
         lo_b = min(other.coeffs, default=other.prec_t)
-        nt = min(self.prec_t + lo_b, other.prec_t + lo_a)
+        # cut to the field's t-window too, so no value reads (prec_t, i) with
+        # i < 0, lex below the bound (prec_t, 0) of an element past the window
+        nt = min(self.prec_t + lo_b, other.prec_t + lo_a, self.field.prec_t)
         out: Dict[int, LaurentSeries] = {}
         for ea, ca in self.coeffs.items():
             for eb, cb in other.coeffs.items():
@@ -129,18 +130,16 @@ class CompositeElement:
 
     # -- valuation and coarsening -----------------------------------------
 
-    def read(self, horizon: Optional[float] = None) -> Tuple[tuple, tuple, int]:
+    def read(self) -> Tuple[tuple, tuple, int]:
         """(floor, error order, code at the floor), pairs (t-level, u-order)
-        read at the leading t-level.  One read-time rule, the u-horizon: a
-        level zero to O(u^k) with k >= horizon (prec_u unless given) reads
-        as zero, any other level zero to its order is leading, with its
-        floor at that order."""
-        horizon = self.field.prec_u if horizon is None else horizon
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if c.coeffs or c.prec < horizon:
-                return (e, c.valuation_floor()), (e, c.prec), c.coeffs[0] if c.coeffs else 0
-        return (self.prec_t, 0), (self.prec_t, 0), 0
+        read at the lowest t-level present: ``make`` drops only exact zeros,
+        so a level zero to O(u^k) is a bound at (e, k).  With no level, the
+        element is zero to the t-window, a bound at (prec_t, 0)."""
+        if not self.coeffs:
+            return (self.prec_t, 0), (self.prec_t, 0), 0
+        e = min(self.coeffs)
+        c = self.coeffs[e]
+        return (e, c.valuation_floor()), (e, c.prec), c.coeffs[0] if c.coeffs else 0
 
     def is_zero_to_prec(self) -> bool:
         """Zero to its read error order: the valuation is only a bound."""

@@ -202,8 +202,7 @@ class _BallDigits:
     last = math.inf
     scale, value = staticmethod(_scaled), staticmethod(Value.rank1)
     shift = staticmethod(lambda c, e, k: c.shift(e))
-    read = staticmethod(lambda c, nu: (c.valuation_floor(), c.prec, c.coeffs[0] if c.coeffs else 0))
-    hidden = staticmethod(lambda g, m: math.inf)
+    read = staticmethod(lambda c: (c.valuation_floor(), c.prec, c.coeffs[0] if c.coeffs else 0))
 
     def __init__(self, field: LaurentField, ball: Ball, prec: int):
         if ball.center.prec < ball.radius:
@@ -236,7 +235,7 @@ class _RingDigits:
     from 0 at j = 0 and from u_floor at each j >= 1, up to prec_u - 1; pair
     values, and one exact point past the last slot."""
 
-    low, value = 0, staticmethod(lambda m: Value.rank2(*m))
+    low, value, read = 0, staticmethod(lambda m: Value.rank2(*m)), staticmethod(CompositeElement.read)
     root, fixed = staticmethod(lambda terms: terms), staticmethod(lambda k: None)
 
     def __init__(self, field: CompositeField, u_floor: int):
@@ -248,18 +247,6 @@ class _RingDigits:
         self.field, self.u_floor, self.width = field, u_floor, field.prec_u - u_floor
         self.last = self.horizon = field.prec_u + (field.prec_t - 1) * self.width
         self.cap = (field.prec_t, 0)
-
-    def read(self, c: CompositeElement, nu: tuple) -> Tuple[tuple, tuple, int]:
-        """c's read, with the u-horizon for the constant coefficient alone:
-        in any other, a t-level zero to O(u^k) is leading, since a later
-        digit moves it up a level, times u^(u_floor - prec_u + 1) or less."""
-        return c.read(math.inf if nu else self.field.prec_u)
-
-    def hidden(self, g: dict, m: tuple) -> tuple:
-        """The error order of g's constant coefficient at m's t-level if that
-        level has no digits: the read skips the level, yet loses m in it."""
-        level = g[()].coeffs.get(m[0]) if () in g else None
-        return (m[0], level.prec) if level is not None and not level.coeffs else self.cap
 
     @staticmethod
     def scale(c: CompositeElement, code: int) -> CompositeElement:
@@ -336,11 +323,10 @@ class _DigitTree:
 
     def floor(self, g: dict) -> tuple:
         """(m, R): g's least value m, and when m lies below every error
-        order, also one the ring hides, the residue form R of g's terms of
-        value m, else None."""
-        reads = [(nu, self.ring.read(c, nu)) for nu, c in g.items()]
+        order, also the residue form R of g's terms of value m, else None."""
+        reads = [(nu, self.ring.read(c)) for nu, c in g.items()]
         m = min((r[0] for _, r in reads), default=self.ring.cap)
-        if m >= min((r[1] for _, r in reads), default=self.ring.cap) or m >= self.ring.hidden(g, m):
+        if m >= min((r[1] for _, r in reads), default=self.ring.cap):
             return m, None
         return m, [(_reduced(nu, self.q), code) for nu, (v, _, code) in reads if v == m]
 
@@ -419,7 +405,9 @@ def composite_extremal_search(
     budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
     """Max of v(f) over the truncated rank-2 valuation ring by the digit
-    tree, capped at (prec_t, 0)."""
+    tree, capped at (prec_t, 0).  With exact coefficients, MaxAttained is
+    the exact value at every exact digit point of the window, and a bound
+    comes from the cap alone, or else from a coefficient known to an order."""
     return _DigitTree(f, _RingDigits(field, u_floor), budget).search()
 
 
@@ -525,9 +513,11 @@ def check_vexbarwex(
     """Desk-scale check that an exact composite maximum pushes down.
 
     g has coefficients in F_q((u)); it is lifted coefficientwise to the
-    composite field.  When the composite search attains an exact maximum at
-    a witness, the witness's coarsening residues must attain a value for g
-    that the residue-level search cannot beat.
+    composite field as it is.  When the composite search attains an exact
+    maximum at a witness, the witness's coarsening residues must attain a
+    value for g that the residue-level search, capped at prec_u, cannot
+    beat.  Both searches are truncated, so neither conclusion certifies
+    anything about F_q((u))((t)) itself.
     """
     inner_field = comp_field.inner
     f = g.map_coeffs(comp_field.from_inner)
@@ -537,7 +527,7 @@ def check_vexbarwex(
         return CompositeCheckReport("Inconclusive", comp_result, res_result, None)
     # a witness's residue at w = 0 is its t^0 coefficient; a witness of
     # larger outer valuation has residue 0
-    pushed = tuple(w.coeffs.get(0, inner_field.zero(comp_field.prec_u)) for w in comp_result.witness)
+    pushed = tuple(w.coeffs.get(0, inner_field.zero(math.inf)) for w in comp_result.witness)
     vr = g.evaluate(pushed).valuation()
     if not vr.exact or res_result.verdict != MAX_ATTAINED:
         conclusion = "Inconclusive"

@@ -90,8 +90,8 @@ def parse_poly(
 
     Uniformizers take any exponent; ``X``/``Y`` (variable 1) and ``X<n>``/
     ``Y<n>`` (variable n) take exponents >= 0.  A coefficient c*t^j is
-    exact; over a composite field c*u^i*t^j is ``make({j: c*u^i})`` with
-    c*u^i known to ``prec_u``, the u-horizon of the truncated rank-2 ring."""
+    exact, and so over a composite field is c*u^i*t^j, which is
+    ``make({j: c*u^i})``."""
     composite = isinstance(field, CompositeField)
     series = field.inner if composite else field
     uniformizers = (series.var, field.outer_var) if composite else (series.var,)
@@ -110,10 +110,9 @@ def parse_poly(
             if var < 0:
                 raise ParseError(f"variables are numbered from 1: {name!r}")
             var_exps[var] = var_exps.get(var, 0) + e
+        coeff = series.from_terms({unif[0]: c}, math.inf)
         if composite:
-            coeff = field.make({unif[1]: series.from_terms({unif[0]: c}, field.prec_u)})
-        else:
-            coeff = field.from_terms({unif[0]: c}, math.inf)
+            coeff = field.make({unif[1]: coeff})
         rows.append((var_exps, coeff))
     n = max((var + 1 for var_exps, _ in rows for var in var_exps), default=0)
     if nvars is not None:

@@ -10,8 +10,8 @@
 * ``enumerated_multiset`` is the valuation multiset read off the walk over
   every tuple of ball representatives, the reference for the digit-tree
   count ``valuation_multiset``.
-* ``enumerated_composite_max`` walks every tuple of representatives of the
-  truncated rank-2 valuation ring (``integral_composite_representatives``,
+* ``enumerated_composite_max`` walks every tuple of exact digit points of
+  the truncated rank-2 valuation ring (``integral_composite_representatives``,
   ``integral_composite_count``), the reference for the digit tree of
   ``composite_extremal_search``.
 * ``full_precision_lift`` is Newton's iteration with every step worked at
@@ -117,19 +117,17 @@ def enumerated_multiset(
 def integral_composite_representatives(
     field: CompositeField, u_floor: int = 0
 ) -> Iterator[CompositeElement]:
-    """Representatives of the rank-2 valuation ring O_v in the truncation.
+    """The exact digit points of the rank-2 valuation ring O_v in the
+    truncation.
 
     The coefficient of t^0 ranges over u-digits in [0, prec_u); higher
-    t-coefficients may dip to u-level u_floor.  Every coefficient is known
-    to O(u^prec_u).
+    t-coefficients may dip to u-level u_floor.  Every coefficient is exact,
+    and ``make`` leaves out the exact zeros.
     """
     inner, n = field.inner, field.prec_u
-    lower = list(digit_window(inner, u_floor, n, n))
-    slot_options = [list(digit_window(inner, 0, n, n))] + [lower] * (field.prec_t - 1)
-    for combo in itertools.product(*slot_options):
-        yield field.make(
-            {e: c for e, c in enumerate(combo) if not c.is_zero_to_prec()}
-        )
+    lower = list(digit_window(inner, u_floor, n, math.inf))
+    for combo in itertools.product(digit_window(inner, 0, n, math.inf), *[lower] * (field.prec_t - 1)):
+        yield field.make(dict(enumerate(combo)))
 
 
 def integral_composite_count(field: CompositeField, u_floor: int = 0) -> int:
@@ -142,7 +140,7 @@ def integral_composite_count(field: CompositeField, u_floor: int = 0) -> int:
 def enumerated_composite_max(
     f: MultiPoly, field: CompositeField, u_floor: int = 0, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
-    """Exhaustive max of v(f) over every tuple of representatives of the
+    """Exhaustive max of v(f) over every tuple of exact digit points of the
     truncated rank-2 valuation ring, charged to the budget first, with one
     horizon rule at (prec_t, 0): a value below it keeps its kind, and every
     other value becomes ">= (prec_t, 0)"."""

@@ -168,6 +168,14 @@ def test_a_wide_composite_window_answers(command, window):
     assert proc.returncode == 0 and "(0,1)" in proc.stdout, proc.stdout
 
 
+def test_a_rank2_node_with_a_negative_u_power_decides_its_digits():
+    # exact coefficients give every node below the cap a residue form, so
+    # the tree does not branch blind down to the last slot of a wide window
+    proc = run(["extremal", "--field", "F(2)((u))((t))", "--poly", "X^2 + X + t*u^-2",
+                "--prec-t", "3", "--prec-u", "8", "--u-floor", "-4"])
+    assert proc.returncode == 3 and "max value: >=(3,0)" in proc.stdout, proc.stdout
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from valfield.composite import CompositeField
 from valfield.errors import IndeterminateValuationError
 from valfield.finite_field import prime_field
 from valfield.laurent import ValuationResult
+from valfield.parsing import parse_poly
 from valfield.sampling import Sampler
 from valfield.value_group import Value
 
@@ -36,13 +39,13 @@ class TestValuation:
 
     def test_zero_to_prec_is_a_bounded_read(self):
         # one notion of zero: zero to precision exactly when the read value
-        # is only a bound, under the u-horizon (O(u)*t), past it (O(u^2) is
-        # read as zero) and with a lower level lost in its error (O(u))
+        # is only a bound; the lowest level present leads, so a level zero
+        # to O(u^k) is a bound at (its t-level, k), also for k >= prec_u
         C = CompositeField(prime_field(2), prec_t=2, prec_u=2)
         u, ut = C.inner, C.inner.t_power(1, 2)
         cases = [
             ({1: u.zero(1)}, ">=(1,1)"),
-            ({0: u.zero(2), 1: ut}, "(1,1)"),
+            ({0: u.zero(2), 1: ut}, ">=(0,2)"),
             ({0: u.zero(1), 1: ut}, ">=(0,1)"),
         ]
         for coeffs, text in cases:
@@ -89,6 +92,15 @@ class TestArithmetic:
         assert diff.is_zero_to_prec()
         vr = diff.valuation()
         assert not vr.exact
+
+    def test_a_product_stays_inside_the_t_window(self):
+        # at X = t*u^-1 both terms lie past the window (2*X^2 is 2*t^2*u^-2),
+        # so f is zero to it: a bound at the cap (prec_t, 0), never a value
+        # (2, i) with i < 0, lex below that cap
+        C = CompositeField(prime_field(3), prec_t=2, prec_u=2)
+        f = parse_poly("2*X^2 + 2*u^2*t*X^4", C)
+        x = C.make({1: C.inner.t_power(-1, math.inf)})
+        assert f.evaluate((x,)).valuation().to_text() == ">=(2,0)"
 
     def test_text_mentions_windows(self, C):
         x = C.make({1: C.inner.t_power(0, 3)})
