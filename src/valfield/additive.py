@@ -150,7 +150,7 @@ class AdditivePolynomial:
         p = self.field.base.p
         terms = {}
         for (i, k), c in self.terms.items():
-            mono = tuple(p**k if j == i else 0 for j in range(self.nvars))
+            mono = ((i, p**k),)
             terms[mono] = terms[mono] + c if mono in terms else c
         return MultiPoly(self.nvars, terms)
 
@@ -200,13 +200,12 @@ def additive_from_multipoly(mp: MultiPoly, field: LaurentField) -> PPolynomial:
     terms: Dict[Tuple[int, int], LaurentSeries] = {}
     constant: Optional[LaurentSeries] = None
     for mono, c in mp.terms.items():
-        nz = [(i, e) for i, e in enumerate(mono) if e]
-        if not nz:
-            constant = c if constant is None else constant + c
+        if not mono:
+            constant = c
             continue
-        if len(nz) > 1:
+        if len(mono) > 1:
             raise ValfieldError("additive polynomials have single-variable monomials only")
-        i, e = nz[0]
+        ((i, e),) = mono
         k = 0
         while e % p == 0:
             e //= p

@@ -290,9 +290,10 @@ def cmd_fundeq(args) -> int:
         coeffs = parse_int_poly(args.poly)
     elif isinstance(field, LaurentField):
         mp = parse_poly(args.poly, field, nvars=1)
-        deg = max((e for (e,) in mp.terms), default=0)
+        by_degree = {sum(e for _, e in m): c for m, c in mp.terms.items()}
+        deg = max(by_degree, default=0)
         check_budget(deg + 1, DEFAULT_BUDGET)
-        coeffs = [mp.terms.get((i,)) for i in range(deg + 1)]
+        coeffs = [by_degree.get(i) for i in range(deg + 1)]
     else:
         raise ParseError(f"fundeq needs Q_p or a Laurent field, got {args.field!r}")
     if len(coeffs) < 2:

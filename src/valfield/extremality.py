@@ -280,15 +280,12 @@ class _DigitTree:
         base = ring.field.base
         self.n, self.q, self.ring, self.budget = f.nvars, base.q, ring, budget
         self.mul, self.add = base.mul_codes, base.add_codes
-        # monomials are read by their nonzero exponents from here on; only
-        # the digit tuples, charged q^n per node, hold every variable
-        terms = {tuple((i, e) for i, e in enumerate(nu) if e): c for nu, c in f.terms.items()}
-        self.spent = sum(math.prod(_chain_count(e, base.p) for _, e in nu) for nu in terms)
+        self.spent = sum(math.prod(_chain_count(e, base.p) for _, e in nu) for nu in f.terms)
         check_budget(self.spent, budget)
-        self.table = _shift_table(terms, base.p, base.q)
+        self.table = _shift_table(f.terms, base.p, base.q)
         # powers[y][e] = y^e
         self.powers = [list(itertools.accumulate([y] * (self.q - 1), self.mul, initial=1)) for y in range(self.q)]
-        self.root = ring.root(terms)
+        self.root = ring.root(f.terms)
         self.all_digits = None
 
     def digits(self, k: int) -> list:
@@ -430,14 +427,8 @@ def ball_transfer(
             f"scale has valuation {vc.to_text()}, expected {beta - alpha}"
         )
     shift = b - c * a
-    nv = f.nvars
-    inner = {}
-    for i in {i for nu in f.terms for i, e in enumerate(nu) if e}:
-        terms = {tuple(1 if j == i else 0 for j in range(nv)): c}
-        if not shift.is_zero_to_prec():
-            terms[(0,) * nv] = shift
-        inner[i] = MultiPoly(nv, terms)
-    return f.compose(inner)
+    occurring = {i for nu in f.terms for i, _ in nu}
+    return f.compose({i: MultiPoly(f.nvars, {((i, 1),): c, (): shift}) for i in occurring})
 
 
 def valuation_multiset(

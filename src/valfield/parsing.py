@@ -95,7 +95,7 @@ def parse_poly(
     composite = isinstance(field, CompositeField)
     series = field.inner if composite else field
     uniformizers = (series.var, field.outer_var) if composite else (series.var,)
-    rows = []
+    rows, n = [], 0
     for key, c in parse_sum(text, series.base.element).items():
         powers = dict(key)
         unif = [powers.pop(name, 0) for name in uniformizers]
@@ -109,21 +109,22 @@ def parse_poly(
             var = _integer(m.group(1) or "1", None) - 1
             if var < 0:
                 raise ParseError(f"variables are numbered from 1: {name!r}")
-            var_exps[var] = var_exps.get(var, 0) + e
+            n = max(n, var + 1)
+            if e:
+                var_exps[var] = var_exps.get(var, 0) + e
         coeff = series.from_terms({unif[0]: c}, math.inf)
         if composite:
             coeff = field.make({unif[1]: coeff})
-        rows.append((var_exps, coeff))
-    n = max((var + 1 for var_exps, _ in rows for var in var_exps), default=0)
+        rows.append((tuple(sorted(var_exps.items())), coeff))
     if nvars is not None:
         if n > nvars:
             raise ParseError(f"expression uses {n} variables, expected {nvars}")
         n = nvars
     n = max(n, 1)
-    check_budget(n * len(rows), DEFAULT_BUDGET)  # the monomial tuples' entries
+    check_budget(n, DEFAULT_BUDGET)  # every point and witness holds n entries
+    check_budget(sum(len(mono) for mono, _ in rows), DEFAULT_BUDGET)  # the monomials' pairs
     out: Dict[tuple, object] = {}
-    for var_exps, coeff in rows:
-        mono = tuple(var_exps.get(i, 0) for i in range(n))
+    for mono, coeff in rows:
         out[mono] = out[mono] + coeff if mono in out else coeff
     return MultiPoly(n, out)
 

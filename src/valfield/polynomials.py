@@ -5,8 +5,11 @@ Coefficients only need +, -, * and equality-with-zero via ``is_zero`` /
 code carries polynomials over truncated Laurent series, over composite
 (rank-2) elements, over finite fields, over Q_p and over the rationals.
 
-``MultiPoly`` is the sparse multivariate type.  The ``dense_*`` helpers work
-on plain coefficient lists indexed by degree; none of them needs a zero
+``MultiPoly`` is the sparse multivariate type.  It keys a term by its
+monomial, the sorted tuple of (variable index, exponent >= 1) pairs: the
+form in which ``parse_sum`` keys a term by names, and both multiply
+monomials by one merge (``_mul_sums``).  The ``dense_*`` helpers work on
+plain coefficient lists indexed by degree; none of them needs a zero
 element of the ring, so a coefficient that is zero only to some precision
 keeps its own error order instead of borrowing one from a made-up zero.
 
@@ -24,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, ParseError, ValfieldError, check_budget
 
-Monomial = Tuple[int, ...]
+Monomial = Tuple[Tuple[int, int], ...]
 
 
 def _coeff_is_zero(c) -> bool:
@@ -36,20 +39,25 @@ def _coeff_is_zero(c) -> bool:
 
 
 class MultiPoly:
-    """Sparse polynomial: map from exponent tuples to ring coefficients."""
+    """Sparse polynomial in nvars variables: map from monomials to ring
+    coefficients; the constant term is keyed ``()``."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Dict[Monomial, object]):
+        for m in terms:
+            if not all(0 <= i < nvars and e >= 1 for i, e in m) or any(
+                a >= b for (a, _), (b, _) in zip(m, m[1:])
+            ):
+                raise ValfieldError(
+                    f"monomial {m!r} is not sorted (variable < {nvars}, exponent >= 1) pairs"
+                )
         self.nvars = nvars
         self.terms = {m: c for m, c in terms.items() if not _coeff_is_zero(c)}
-        for m in self.terms:
-            if len(m) != nvars:
-                raise ValfieldError("monomial arity mismatch")
 
     @staticmethod
     def constant(nvars: int, c) -> "MultiPoly":
-        return MultiPoly(nvars, {(0,) * nvars: c})
+        return MultiPoly(nvars, {(): c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -61,8 +69,7 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
+        _add_into(out, other.terms)
         return MultiPoly(self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -73,13 +80,7 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: Dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly(self.nvars, _mul_sums(self.terms, other.terms))
 
     def map_coeffs(self, fn: Callable) -> "MultiPoly":
         return MultiPoly(self.nvars, {m: fn(c) for m, c in self.terms.items()})
@@ -93,9 +94,8 @@ class MultiPoly:
         acc = None
         for m, c in self.terms.items():
             term = c
-            for i, e in enumerate(m):
-                if e:
-                    term = term * _ring_pow(args[i], e)
+            for i, e in m:
+                term = term * _ring_pow(args[i], e)
             acc = term if acc is None else acc + term
         if acc is None:
             a = args[0]
@@ -109,9 +109,8 @@ class MultiPoly:
         acc = None
         for m, c in self.terms.items():
             term = MultiPoly.constant(nv, c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * _ring_pow(inner[i], e)
+            for i, e in m:
+                term = term * _ring_pow(inner[i], e)
             acc = term if acc is None else acc + term
         if acc is None:
             return MultiPoly(nv, {})
@@ -124,24 +123,16 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
-
-    def to_text(self, var_names: Sequence[str] = None) -> str:
+    def to_text(self) -> str:
+        """The terms in descending order of their dense exponent tuples."""
         if not self.terms:
             return "0"
-        names = var_names or [f"X{i + 1}" for i in range(self.nvars)]
-        if self.nvars == 1 and var_names is None:
-            names = ["X"]
         parts = []
-        for m in sorted(self.terms, reverse=True):
-            c = self.terms[m]
-            factors = [_coeff_text(c)]
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
+        for m in sorted(self.terms, key=lambda m: tuple((-i, e) for i, e in m), reverse=True):
+            factors = [_coeff_text(self.terms[m])]
+            for i, e in m:
+                name = "X" if self.nvars == 1 else f"X{i + 1}"
+                factors.append(name if e == 1 else f"{name}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
 
@@ -388,13 +379,16 @@ def _add_into(out: Dict, part: Dict) -> None:
 
 
 def _mul_sums(a: Dict, b: Dict) -> Dict:
+    """The product of two sums keyed by monomials, sorted (key, exponent)
+    pairs, whose exponents add over a key that occurs in both."""
     out: Dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            names = dict(ka)
+            merged = dict(ka)
             for n, e in kb:
-                names[n] = names.get(n, 0) + e
-            _add_into(out, {tuple(sorted(names.items())): ca * cb})
+                merged[n] = merged.get(n, 0) + e
+            k, c = tuple(sorted(merged.items())), ca * cb
+            out[k] = out[k] + c if k in out else c
     return out
 
 

@@ -123,10 +123,10 @@ class Sampler:
         prec = field.default_prec if prec is None else prec
         terms = {}
         for _ in range(max_terms):
-            mono = tuple(self.rng.randint(0, max_deg) for _ in range(nvars))
+            mono = tuple((i, e) for i in range(nvars) if (e := self.rng.randint(0, max_deg)))
             c = self.nonzero_series(field, coeff_lo, prec)
             terms[mono] = terms[mono] + c if mono in terms else c
         kept = {m: c for m, c in terms.items() if not c.is_zero_to_prec()}
         if not kept:
-            kept = {(0,) * nvars: field.one(prec)}
+            kept = {(): field.one(prec)}
         return MultiPoly(nvars, kept)

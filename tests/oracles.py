@@ -16,6 +16,8 @@
   ``composite_extremal_search``.
 * ``full_precision_lift`` is Newton's iteration with every step worked at
   the full precision of its operands, the reference for ``hensel_lift``.
+* ``sparse`` turns a seeded family's dense exponent tuple into the
+  ``MultiPoly`` monomial, so each instance keeps its draws.
 """
 
 import itertools
@@ -29,6 +31,12 @@ from valfield.extremality import Ball, SearchResult, ball_walk, digit_window, se
 from valfield.laurent import LaurentField, LaurentSeries, ValuationResult, poly_derivative
 from valfield.polynomials import MultiPoly, dense_eval
 from valfield.value_group import Value
+
+
+def sparse(dense: Sequence[int]) -> tuple:
+    """A dense exponent tuple as a ``MultiPoly`` monomial: the sorted
+    (variable, exponent) pairs of its nonzero exponents."""
+    return tuple((i, e) for i, e in enumerate(dense) if e)
 
 
 def _series_key(s: LaurentSeries, out_prec: int):

@@ -45,9 +45,9 @@ class TestConversion:
         mp = MultiPoly(
             2,
             {
-                (4, 0): K2.t_power(1, 12),
-                (0, 2): K2.one(12),
-                (0, 0): K2.t_power(-3, 12),
+                ((0, 4),): K2.t_power(1, 12),
+                ((1, 2),): K2.one(12),
+                (): K2.t_power(-3, 12),
             },
         )
         pp = additive_from_multipoly(mp, K2)
@@ -55,12 +55,12 @@ class TestConversion:
         assert set(pp.additive.terms) == {(0, 2), (1, 1)}
 
     def test_non_p_power_exponent_rejected(self, K2):
-        mp = MultiPoly(1, {(3,): K2.one(12)})
+        mp = MultiPoly(1, {((0, 3),): K2.one(12)})
         with pytest.raises(ValfieldError):
             additive_from_multipoly(mp, K2)
 
     def test_mixed_monomial_rejected(self, K2):
-        mp = MultiPoly(2, {(1, 1): K2.one(12)})
+        mp = MultiPoly(2, {((0, 1), (1, 1)): K2.one(12)})
         with pytest.raises(ValfieldError):
             additive_from_multipoly(mp, K2)
 

@@ -81,12 +81,12 @@ def argv(draw, command):
     return [command, *flags]
 
 
-def run(args):
+def run(args, timeout=30):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "valfield", *args],
-        capture_output=True, text=True, timeout=30, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
     assert "Traceback" not in proc.stderr, (args, proc.stderr)
     return proc
@@ -209,3 +209,11 @@ def test_a_typed_degree_over_q_p_reads_only_its_nonzero_coefficients():
     # a million zero coefficients are neither divided nor printed
     proc = run(["fundeq", "--field", "Q_3", "--poly", "X^1000000 + 3"])
     assert proc.returncode == 0 and "n = 1000000, e = 1000000" in proc.stdout
+
+
+def test_one_term_in_a_high_numbered_variable_answers_quickly():
+    # a monomial holds only the variables that occur, so nothing walks the
+    # nine million exponents of X9000000's arity
+    args = ["transfer", "--field", "F(3)((t))", "--poly", "X9000000", "--alpha", "1", "--beta", "1",
+            "--scale", "1", "--prec", "1"]
+    assert run(args, timeout=10).returncode == 0

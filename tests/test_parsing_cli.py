@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from valfield import cli
 from valfield.cli import main
 from valfield.composite import CompositeField
-from valfield.errors import ParseError, PrecisionError
+from valfield.errors import ParseError, PrecisionError, ValfieldError
 from valfield.finite_field import FiniteFieldDescriptor
 from valfield.laurent import LaurentField, parse_series
 from valfield.parsing import (
@@ -27,6 +27,8 @@ from valfield.parsing import (
     parse_poly,
 )
 from valfield.polynomials import MultiPoly
+
+from oracles import sparse
 
 
 class TestFieldParsing:
@@ -64,17 +66,34 @@ class TestPolyParsing:
         K = parse_any_field("F(2)((t))", prec=8)
         mp = parse_poly("X^2 + t*X + t^-1", K)
         assert mp.nvars == 1
-        assert set(mp.terms) == {(2,), (1,), (0,)}
+        assert set(mp.terms) == {((0, 2),), ((0, 1),), ()}
 
     def test_two_variables(self):
         K = parse_any_field("F(2)((t))", prec=8)
         mp = parse_poly("X1^2 + t*X2", K)
         assert mp.nvars == 2
 
+    def test_print_order_is_descending_in_the_dense_exponents(self):
+        K = parse_any_field("F(3)((t))")
+        assert parse_poly("X1 + X2^2 + X1*X3 + t*X3^2 + 2", K).to_text() == (
+            "t^0*X1*X3 + t^0*X1 + t^0*X2^2 + t^1*X3^2 + 2*t^0"
+        )
+        assert parse_poly("X3 + X1^2*X2", K).to_text() == "t^0*X1^2*X2 + t^0*X3"
+
+    @pytest.mark.parametrize(
+        "mono",
+        [((1, 1), (0, 2)), ((0, 1), (0, 2)), ((3, 1),), ((0, 0),)],
+        ids=["unsorted", "repeated-variable", "index-past-nvars", "zero-exponent"],
+    )
+    def test_a_malformed_monomial_is_rejected(self, mono):
+        K = parse_any_field("F(3)((t))")
+        with pytest.raises(ValfieldError):
+            MultiPoly(3, {mono: K.one(math.inf)})
+
     def test_leading_minus_matches_series(self):
         K = parse_any_field("F(3)((t))", prec=8)
         mp = parse_poly("-t^2*X", K)
-        assert mp.terms[(1,)] == parse_series(K, "-t^2")
+        assert mp.terms[((0, 1),)] == parse_series(K, "-t^2")
 
     def test_int_poly(self):
         assert parse_int_poly("X^2 - 3*X + 2") == [
@@ -136,7 +155,7 @@ class TestLiteralCoefficients:
         n = max(i for _, _, _, i, _ in terms)
         digits = {}
         for sign, c, j, i, e in terms:
-            mono = tuple(e if k == i - 1 else 0 for k in range(n))
+            mono = sparse(tuple(e if k == i - 1 else 0 for k in range(n)))
             c = K.base.element(c) if sign > 0 else -K.base.element(c)
             d = digits.setdefault(mono, {})
             d[j] = d[j] + c if j in d else c
@@ -560,7 +579,7 @@ class TestTypedText:
         assert parse_series(K, "t^5 - t^-1").prec == math.inf
         assert parse_series(K, "t^5 + O(t^4)").to_text() == "O(t^4)"
         assert parse_ball("v>=1 around t^-1 + t^9", K).center.to_text() == "t^-1 + t^9"
-        assert parse_poly("t^9*X", K).terms[(1,)].to_text() == "t^9"
+        assert parse_poly("t^9*X", K).terms[((0, 1),)].to_text() == "t^9"
 
     @pytest.mark.parametrize(
         "argv",
