@@ -8,18 +8,19 @@ no factorization machinery beyond trial division at desk scale.
 
 An element is an int code, sum c_j p^j over its reduced coefficient vector
 (the residue itself for k = 1).  The descriptor's ``*_code(s)`` methods and
-``fold`` are the only scalar arithmetic: the Laurent-series kernels run on
-them directly, and on the descriptor's tables for packed runs of codes
-(``mod_bytes`` and ``neg_bytes`` for ``bytes.translate``, ``slot_run``
-for the Kronecker slots of F_{p^k}); ``FFElement``, the public scalar
-type, is a descriptor and a code whose operators each call into them.
+``fold`` are the only scalar arithmetic, and ``FFElement``, the public
+scalar type, is a descriptor and a code whose operators each call into
+them.  Laurent series call them for a leading inverse and in ``scale``;
+their kernels run on the descriptor's tables instead: ``mod_bytes`` and
+``neg_bytes`` for ``bytes.translate``, ``slot_bytes`` for the Kronecker
+slots of F_{p^k}, and ``_fold_rows``, which the kernels apply to whole
+packed columns of coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, DescriptorMismatchError, ParseError, ValfieldError, check_budget
@@ -131,7 +132,8 @@ class FiniteFieldDescriptor:
             top = row[-1]
             row = [(r - top * m) % p for r, m in zip([0] + row[:-1], modulus)]
         self._frobenius: Dict[int, int] = {}  # code -> code of its p-th power, filled on use
-        self._slots: Dict[int, Tuple[int, ...]] = {}  # code -> its Kronecker slots, filled on use
+        self._inverse: Dict[int, int] = {}  # code -> code of its inverse over F_{p^k}, filled on use
+        self._slots: Dict[int, Dict[int, bytes]] = {}  # slot width -> code -> its Kronecker slots, filled on use
         # translate tables for packed codes: a byte reduced mod p, and over
         # F_p with p < 256 the negative of a code
         self.mod_bytes, neg_bytes = _byte_tables(p)
@@ -180,13 +182,15 @@ class FiniteFieldDescriptor:
             out.append(c)
         return out
 
-    def slot_run(self, codes: Sequence[int]) -> Iterator[int]:
-        """The Kronecker slots of a code list in one run: each code's k
-        digits followed by k - 1 zeros, from a table filled per code met."""
-        table, pad = self._slots, (0,) * (self.k - 1)
+    def slot_bytes(self, codes: Sequence[int], w: int) -> bytes:
+        """The Kronecker slots of a code list as little-endian bytes, w
+        bytes a slot: each code's k digits followed by k - 1 zeros, from a
+        table per slot width filled per code met."""
+        table = self._slots.setdefault(w, {})
+        pad = bytes((self.k - 1) * w)
         for c in set(codes).difference(table):
-            table[c] = tuple(self.digits(c)) + pad
-        return chain.from_iterable(map(table.__getitem__, codes))
+            table[c] = b"".join([d.to_bytes(w, "little") for d in self.digits(c)]) + pad
+        return b"".join(map(table.__getitem__, codes))
 
     def fold(self, vec: Sequence[int]) -> int:
         """The code of sum vec[j] x^j for any ints vec[j] and j <= 2k - 2,
@@ -237,9 +241,16 @@ class FiniteFieldDescriptor:
         return result
 
     def inverse_code(self, a: int) -> int:
+        """The inverse of a code: by ``pow`` over F_p, and over F_{p^k} as
+        a^(q-2), remembered per descriptor as it is met."""
         if a == 0:
             raise ValfieldError("inverse of zero in finite field")
-        return self.pow_code(a, self.q - 2)
+        if self.k == 1:
+            return pow(a, -1, self.p)
+        b = self._inverse.get(a)
+        if b is None:
+            b = self._inverse[a] = self.pow_code(a, self.q - 2)
+        return b
 
     def frobenius_code(self, a: int, times: int = 1) -> int:
         """The p^times-th power of a code; a negative times gives the root.

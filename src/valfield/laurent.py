@@ -16,18 +16,21 @@ Coefficients are stored as the int codes of ``finite_field`` (over F_p a
 code is the residue itself), and the arithmetic works on packed codes: a
 run of digits becomes one Python int with a slot of 1, 2, 4 or 8 bytes
 each, built and read back by ``bytes`` and ``array`` in C, so that one int
-operation acts on every coefficient.  A product packs both operands and
-multiplies once (Kronecker substitution); over F_p its slots are reduced
-mod p by one ``bytes.translate`` at 1-byte slots and by a remainder per
-slot otherwise, and over F_{p^k} the descriptor's slot table spreads each
-code into its digits and ``fold`` reduces each product coefficient.  A sum
-is an XOR of packed bytes in characteristic 2 (every code of F_{2^k} is a
-byte) and a packed sum reduced mod p over F_p; negation is the identity in
-characteristic 2 and a translate over F_p with p < 256.  F_{p^k} with odd p
-and k > 1 adds and negates code by code, and slots wider than 8 bytes (p
-near 2^31 and above) are packed and read with one int call each.  An
-inverse runs Newton's iteration with doubling precision on those products,
-and Frobenius re-spaces the exponents and maps each code through the
+operation acts on every coefficient.  Over F_{p^k} a code takes 2k - 1
+slots, its k digits and k - 1 zeros, from the descriptor's slot table.  A
+product packs both operands and multiplies once (Kronecker substitution),
+and a sum or a negation (times p - 1) is one packed operation too; the
+slots are then reduced mod p by one ``bytes.translate`` at 1-byte slots
+and in characteristic 2, and by a remainder per slot otherwise.  Over
+F_{p^k} the reduced coordinates are read back as 2k - 1 packed columns,
+the high ones folded into the low ones by the modulus and the low ones
+combined into codes, a few int operations per column, whatever the
+length.  In characteristic 2 a sum is an XOR of packed bytes (every code
+of F_{2^k} is a byte) and negation the identity, and over F_p with
+p < 256 negation is a translate.  Slots wider than 8 bytes (p near 2^31
+and above) are packed and read with one int call each.  An inverse runs
+Newton's iteration with doubling precision on those products, and
+Frobenius re-spaces the exponents and maps each code through the
 descriptor's Frobenius table.
 ``coeff_at`` and ``residue`` hand a code out as an ``FFElement``;
 ``from_terms`` and ``scale`` take one (or an int or a coordinate list)
@@ -56,6 +59,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -131,14 +135,13 @@ class LaurentField:
     def make(self, low: int, codes: Sequence[int], prec: ErrorOrder) -> "LaurentSeries":
         """Normalized series from int codes: leading/trailing zeros trimmed,
         clamped to prec."""
-        start = next((i for i, c in enumerate(codes) if c), len(codes))
+        n = len(codes)
+        start = next(compress(count(), codes), n)
         low += start
-        stop = len(codes)
-        if low + stop - start > prec:
-            stop = start + max(0, prec - low)
-        while stop > start and not codes[stop - 1]:
-            stop -= 1
-        if stop == start:
+        stop = n if low + n - start <= prec else start + max(0, prec - low)
+        if stop > start and not codes[stop - 1]:  # scan the zero tail down
+            stop = next(compress(count(stop - 1, -1), reversed(codes[start:stop - 1])), start)
+        if stop <= start:
             return LaurentSeries(self, prec, (), prec)
         return LaurentSeries(self, low, tuple(codes[start:stop]), prec)
 
@@ -253,9 +256,12 @@ class LaurentSeries:
         return self.field.make(low, _mul_codes(self.field.base, self.coeffs, other.coeffs, n), prec)
 
     def scale(self, c) -> "LaurentSeries":
-        """c * self, for c an FFElement, an int or a coordinate list."""
+        """c * self, for c an FFElement, an int or a coordinate list; self
+        itself when c is one, as series are immutable."""
         base = self.field.base
         code = base.element(c).code
+        if code == 1:
+            return self
         if not code:
             return self.field.zero(self.prec)
         return LaurentSeries(
@@ -407,13 +413,58 @@ def _unpack(data: bytes, w: int) -> List[int]:
     return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
 
 
-def _reduce(base: FiniteFieldDescriptor, data: bytes, w: int) -> List[int]:
-    """Codes over F_p from slots of w bytes: one translate through the
-    descriptor's byte table at w = 1, a remainder per slot otherwise."""
-    if w == 1:
-        return list(data.translate(base.mod_bytes))
+def _pack_codes(base: FiniteFieldDescriptor, codes: Sequence[int], w: int) -> int:
+    """One int holding each code in 2k - 1 slots of w bytes: the code itself
+    over F_p, and over F_{p^k} its k digits and k - 1 zeros, from the
+    descriptor's slot table."""
+    if base.k == 1:
+        return _pack(codes, w)
+    return int.from_bytes(base.slot_bytes(codes, w), "little")
+
+
+def _reduce(base: FiniteFieldDescriptor, data: bytes, w: int) -> Sequence[int]:
+    """Slots of w bytes reduced mod p: bytes by one translate through the
+    descriptor's byte table at w = 1, and in characteristic 2 on the low
+    byte of each slot (a slot is even when its low byte is); a list of
+    remainders per slot otherwise."""
+    if w == 1 or base.p == 2:
+        return data[::w].translate(base.mod_bytes)
     p = base.p
     return [s % p for s in _unpack(data, w)]
+
+
+def _codes(base: FiniteFieldDescriptor, data: bytes, w: int) -> List[int]:
+    """Codes from unreduced coordinate slots of w bytes.
+
+    Over F_p a slot is a code, and ``_reduce`` takes it mod p.  Over
+    F_{p^k} a code is a group of 2k - 1 slots, the coefficients of x^0 ..
+    x^(2k-2), and the groups are reduced column by column: each coordinate
+    column, reduced mod p, is packed into one int with a slot of
+    ``_slot_bytes(q - 1)`` bytes; the k - 1 high columns are folded into
+    the k low ones by the descriptor's ``_fold_rows`` (an XOR in
+    characteristic 2, a multiply-add and one more reduction mod p
+    otherwise, whose sums stay below q); and the codes sum col_i * p^i
+    in one int."""
+    digits = _reduce(base, data, w)
+    k, p = base.k, base.p
+    if k == 1:
+        return list(digits)
+    width, w = 2 * k - 1, _slot_bytes(base.q - 1)
+    if w > 1:
+        digits = list(digits)  # array() reads bytes as raw items
+    m = len(digits) // width
+    cols = [_pack(digits[j::width], w) for j in range(width)]
+    for c, row in zip(cols[k:], base._fold_rows):
+        for i, r in enumerate(row):
+            if r:
+                cols[i] = cols[i] ^ c if p == 2 else cols[i] + r * c
+    if p != 2:
+        digits = _reduce(base, b"".join([c.to_bytes(m * w, "little") for c in cols[:k]]), w)
+        cols = [_pack(digits[i * m:i * m + m], w) for i in range(k)]
+    code = 0
+    for c in reversed(cols[:k]):
+        code = code * p + c
+    return _unpack(code.to_bytes(m * w, "little"), w)
 
 
 def _mul_codes(base: FiniteFieldDescriptor, a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
@@ -423,9 +474,9 @@ def _mul_codes(base: FiniteFieldDescriptor, a: Sequence[int], b: Sequence[int], 
     Python int, holding its k coordinates (from the descriptor's slot table)
     and k - 1 zeros.  A slot is 1, 2, 4 or 8 bytes (wider only past that),
     wide enough for any coordinate sum of the product, so one int product
-    gives every product coefficient as 2k - 1 unreduced coordinates.  Over
-    F_p, ``_reduce`` takes them mod p; over F_{p^k}, fold reduces each group
-    mod p and mod the modulus.
+    gives every product coefficient as 2k - 1 unreduced coordinates, and
+    ``_codes`` reduces them mod p (and over F_{p^k} by the modulus, a whole
+    coordinate column at a time).
     """
     a, b = a[:n], b[:n]
     if not a or not b:
@@ -434,48 +485,37 @@ def _mul_codes(base: FiniteFieldDescriptor, a: Sequence[int], b: Sequence[int], 
     width = 2 * k - 1
     w = _slot_bytes(min(len(a), len(b)) * k * (p - 1) ** 2)
     m = min(n, len(a) + len(b) - 1)
-    slots_a, slots_b = (a, b) if k == 1 else (base.slot_run(a), base.slot_run(b))
-    data = (_pack(slots_a, w) * _pack(slots_b, w)).to_bytes((len(a) + len(b) - 1) * width * w, "little")
-    data = data[:m * width * w]
-    if k == 1:
-        out = _reduce(base, data, w)
-    else:
-        slots = _unpack(data, w)
-        out = [base.fold(slots[i:i + width]) for i in range(0, m * width, width)]
-    return out + [0] * (n - m)
+    data = (_pack_codes(base, a, w) * _pack_codes(base, b, w)).to_bytes((len(a) + len(b) - 1) * width * w, "little")
+    return _codes(base, data[:m * width * w], w) + [0] * (n - m)
 
 
 def _add_codes(
     base: FiniteFieldDescriptor, a: Sequence[int], i: int, b: Sequence[int], j: int, n: int
 ) -> List[int]:
     """The n codes of t^i a(t) + t^j b(t).  In characteristic 2 every code
-    is one byte (k <= 8) and a sum is an XOR of the packed bytes; over F_p
-    it is one packed sum, reduced mod p; over F_{p^k} with odd p and k > 1
-    it adds code by code."""
+    is one byte (k <= 8) and a sum is an XOR of the packed bytes; otherwise
+    it is one packed sum of the codes (over F_p) or of their slot runs
+    (over F_{p^k}), read back by ``_codes``."""
     p = base.p
     if p == 2:
         return list(((_pack(a, 1) << 8 * i) ^ (_pack(b, 1) << 8 * j)).to_bytes(n, "little"))
-    if base.k == 1:
-        w = _slot_bytes(2 * (p - 1))
-        total = (_pack(a, w) << 8 * w * i) + (_pack(b, w) << 8 * w * j)
-        return _reduce(base, total.to_bytes(n * w, "little"), w)
-    codes = [0] * n
-    codes[i:i + len(a)] = a
-    add = base.add_codes
-    for e, c in enumerate(b, j):
-        codes[e] = add(codes[e], c)
-    return codes
+    w, width = _slot_bytes(2 * (p - 1)), 2 * base.k - 1
+    total = (_pack_codes(base, a, w) << 8 * w * width * i) + (_pack_codes(base, b, w) << 8 * w * width * j)
+    return _codes(base, total.to_bytes(n * width * w, "little"), w)
 
 
 def _neg_codes(base: FiniteFieldDescriptor, codes: Sequence[int]) -> Sequence[int]:
     """The negated codes: the codes themselves in characteristic 2, one
-    translate over F_p with p < 256, and a code loop otherwise."""
-    if base.p == 2:
+    translate over F_p with p < 256, and otherwise the codes (over F_p) or
+    their slot runs (over F_{p^k}) packed and times p - 1, read back by
+    ``_codes``."""
+    p = base.p
+    if p == 2:
         return codes
     if base.neg_bytes is not None:
         return list(bytes(codes).translate(base.neg_bytes))
-    neg = base.neg_code
-    return [neg(c) for c in codes]
+    w, width = _slot_bytes((p - 1) ** 2), 2 * base.k - 1
+    return _codes(base, (_pack_codes(base, codes, w) * (p - 1)).to_bytes(len(codes) * width * w, "little"), w)
 
 
 # -- univariate polynomials over series ------------------------------------

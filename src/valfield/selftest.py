@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List
 
 from .composite import CompositeField
-from .finite_field import prime_field
+from .finite_field import FiniteFieldDescriptor, prime_field
 from .laurent import LaurentField, parse_series
 from .padic import PAdicExtRing
 from .polynomials import _coeff_is_zero
@@ -75,12 +75,14 @@ def _arith_laws(x, y, z, fails: List[str], label: str) -> None:
 def laurent_suite(seed: int = 0, samples: int = 1000) -> List[str]:
     s = Sampler(seed)
     fails: List[str] = []
+    # prime and extension fields of both characteristics, so the suite
+    # runs the packed series kernels over F_p and over F_{p^k}
     fields = [
-        LaurentField(prime_field(2), "t", default_prec=8),
-        LaurentField(prime_field(3), "t", default_prec=8),
+        LaurentField(base, "t", default_prec=8)
+        for base in (prime_field(2), prime_field(3), FiniteFieldDescriptor(2, 2), FiniteFieldDescriptor(3, 2))
     ]
     for i in range(samples):
-        K = fields[i % 2]
+        K = fields[i % len(fields)]
         x = s.series(K, -3)
         y = s.series(K, -3)
         z = s.series(K, -3)

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -426,8 +427,9 @@ KERNEL_FIELDS = [
     FiniteFieldDescriptor(2, 2), FiniteFieldDescriptor(3, 2), FiniteFieldDescriptor(2, 4),
     # product slots of 2 and 4 bytes (F_131), of 8 (F_65537), of 8 and
     # wider than 8 (F_{2^31-1}), and of 1 and 2 bytes with one-byte codes
-    # (F_256)
+    # (F_256), and odd p with codes wider than one byte (F_{3^6})
     prime_field(131), prime_field(65537), prime_field(2**31 - 1), FiniteFieldDescriptor(2, 8),
+    FiniteFieldDescriptor(3, 6),
 ]
 
 
@@ -550,7 +552,7 @@ def kernel_series(draw, max_len=300, field=None):
     return s, _ref_norm(low, cs, prec)
 
 
-KERNEL_IDS = ["F2", "F3", "F5", "F4", "F9", "F16", "F131", "F65537", "F2147483647", "F256"]
+KERNEL_IDS = ["F2", "F3", "F5", "F4", "F9", "F16", "F131", "F65537", "F2147483647", "F256", "F729"]
 
 
 @pytest.mark.parametrize("base", KERNEL_FIELDS, ids=KERNEL_IDS)
@@ -585,6 +587,15 @@ class TestPackedKernels:
         a, ra = data.draw(kernel_series(field=base))
         low, cs, prec = ra
         assert _triple(-a) == _ref_codes((low, [-c for c in cs], prec))
+
+    @given(data=st.data(), code=st.integers(0, 2**31))
+    @settings(max_examples=15, deadline=None)
+    def test_scale_matches_schoolbook(self, base, data, code):
+        a, ra = data.draw(kernel_series(field=base))
+        c = base.element(base.digits(code % base.q))
+        low, cs, prec = ra
+        assert _triple(a.scale(c)) == _ref_codes(_ref_norm(low, [x * c for x in cs], prec))
+        assert a.scale(1) is a
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
@@ -650,6 +661,50 @@ def test_mul_codes_slot_widths():
                 assert _mul_codes(base, a, b, n) == expected[:n], (width, p, length, n)
 
 
+# (p, k, length): a full product of two length-digit series over F_{p^k}
+# needs coordinate slots of this many bytes
+EXTENSION_SLOT_WIDTH_PAIRS = {1: (2, 4, 16), 2: (2, 4, 64), 4: (5, 4, 1024)}
+
+
+def _convolve_and_reduce(base, a, b):
+    """The codes of a(t) * b(t) by an integer convolution of digit vectors,
+    then each coordinate vector reduced mod p and by the modulus."""
+    p, k, modulus = base.p, base.k, base.modulus
+    cols_a = list(zip(*map(base.digits, a)))
+    rev_b = [col[::-1] for col in zip(*map(base.digits, b))]
+    codes = []
+    for i in range(len(a) + len(b) - 1):
+        # the pairs a[j] * b[i - j], j in lo .. hi - 1, coordinate by coordinate
+        lo, hi = max(0, i - len(b) + 1), min(i, len(a) - 1) + 1
+        at = len(b) - 1 - i
+        vec = [0] * (2 * k - 1)
+        for r in range(k):
+            for s in range(k):
+                vec[r + s] += sum(map(operator.mul, cols_a[r][lo:hi], rev_b[s][at + lo:at + hi]))
+        vec = [c % p for c in vec]
+        for d in range(2 * k - 2, k - 1, -1):  # x^d = x^(d-k) * (x^k - modulus)
+            top, vec[d] = vec[d], 0
+            for e, m in enumerate(modulus[:k]):
+                vec[d - k + e] = (vec[d - k + e] - top * m) % p
+        codes.append(sum(c * p**e for e, c in enumerate(vec[:k])))
+    return codes
+
+
+def test_mul_codes_extension_slot_widths():
+    """``_mul_codes`` over F_{p^k} at coordinate slots of 1, 2 and 4 bytes
+    against ``_convolve_and_reduce``, on seeded codes and on all codes
+    q - 1, whose digits p - 1 fill each slot to its bound."""
+    for width, (p, k, length) in EXTENSION_SLOT_WIDTH_PAIRS.items():
+        base = FiniteFieldDescriptor(p, k)
+        assert _slot_bytes(length * k * (p - 1) ** 2) == width
+        rng = random.Random(f"slots:{p}^{k}:{length}")
+        seeded = ([rng.randrange(base.q) for _ in range(length)], [rng.randrange(base.q) for _ in range(length)])
+        for a, b in (seeded, ([base.q - 1] * length,) * 2):
+            expected = _convolve_and_reduce(base, a, b) + [0, 0]
+            for n in (1, length, 2 * length - 1, 2 * length + 1):
+                assert _mul_codes(base, a, b, n) == expected[:n], (width, p, k, length, n)
+
+
 class TestFrobeniusPowering:
     def test_pth_power_keeps_relative_precision(self):
         a = parse_series(K3, "t^-1 + O(t^2)")
@@ -691,3 +746,27 @@ def test_no_per_coefficient_ffelement_arithmetic(base, monkeypatch):
     assert (root - r).is_zero_to_prec()
     y = artin_schreier_solve(as_input)
     assert y is not None and (y.frobenius() - y - as_input).is_zero_to_prec()
+
+
+@pytest.mark.parametrize("base", [FiniteFieldDescriptor(2, 4), FiniteFieldDescriptor(3, 2)], ids=["F16", "F9"])
+def test_fold_calls_do_not_grow_with_length(base, monkeypatch):
+    """Product, sum, negation and inverse over F_{p^k} reduce packed
+    columns: the scalar ``fold`` calls they make are as many at length 256
+    as at length 16."""
+    fold = FiniteFieldDescriptor.fold
+    counts = []
+    for prec in (16, 256):
+        desc = FiniteFieldDescriptor(base.p, base.k)  # no inverse remembered yet
+        K = LaurentField(desc, "t", default_prec=prec)
+        rng = random.Random(f"fold:{prec}")
+        a = K.from_int_terms({e: desc.digits(rng.randrange(desc.q)) for e in range(-2, prec)}, prec)
+        b = K.one(prec) + K.from_int_terms({e: desc.digits(rng.randrange(desc.q)) for e in range(1, prec)}, prec)
+        calls = []
+        # patched after the inputs are built: building an element folds it
+        monkeypatch.setattr(FiniteFieldDescriptor, "fold", lambda self, vec: calls.append(1) or fold(self, vec))
+        assert len((a * b).coeffs) > prec // 2
+        assert (a + b).prec == (-a).prec == prec
+        assert (b * b.inverse() - K.one(prec)).is_zero_to_prec()
+        monkeypatch.setattr(FiniteFieldDescriptor, "fold", fold)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
