@@ -17,6 +17,12 @@ cap, where nothing can beat it.  The multiset counts its leaves as in the
 usual recursion for points mod t^k (Denef, "Report on Igusa's local zeta
 function", Sem. Bourbaki 741).
 
+The core, ``_DigitTree``, handles the walk, the floor m, R, the split of a
+node's digits by R and the budget, and reads F_q only as ``ring.residue``.
+A ring adapter handles the slots, the reads and the shift step;
+``_BallDigits`` and ``_RingDigits`` share the characteristic-p step of
+``_LucasShift``, whose shift table is reduced by Lucas's theorem.
+
 Exhaustive enumeration is left to ``brute_force_max``, the oracle of
 ``oap --oracle``: ``ball_walk`` evaluates f on every tuple of ball
 representatives, with one horizon rule at the cap.
@@ -34,6 +40,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .composite import CompositeElement, CompositeField
@@ -166,41 +173,68 @@ def _times_monomial(code: int, y: tuple, monomial: tuple, powers, mul) -> int:
     return code
 
 
-def _shift_table(monomials: Iterable[tuple], p: int, q: int) -> Dict[tuple, list]:
-    """For the shift Y -> y + t*Y: coefficient mu of the result collects
-    C(nu, mu) y^(nu - mu) b_nu over every nu of the closure of the monomials
-    with C(nu, mu) prime to p.  Monomials are sparse, as in ``_reduced``;
-    an entry is (nu, C(nu, mu) mod p, nu - mu reduced)."""
-    closure = set()
-    for nu in monomials:
-        for ms in itertools.product(*([m for m, _ in _lucas(e, p)] for _, e in nu)):
-            closure.add(tuple((i, m) for (i, _), m in zip(nu, ms) if m))
-    table: Dict[tuple, list] = {}
-    for nu in closure:
-        for pairs in itertools.product(*(_lucas(e, p) for _, e in nu)):
-            mu = tuple((i, m) for (i, _), (m, _) in zip(nu, pairs) if m)
-            b = math.prod(c for _, c in pairs) % p
-            diff = _reduced([(i, e - m) for (i, e), (m, _) in zip(nu, pairs)], q)
-            table.setdefault(mu, []).append((nu, b, diff))
-    return table
+@lru_cache(maxsize=None)
+def _powers(residue) -> List[list]:
+    """powers[y][e] = y^e in the residue field F_q, for e <= q - 1."""
+    return [list(itertools.accumulate([y] * (residue.q - 1), residue.mul_codes, initial=1))
+            for y in range(residue.q)]
 
 
-def _scaled(c: LaurentSeries, code: int) -> LaurentSeries:
-    """The series times a nonzero F_q code (its codes built from a list,
-    as in ``laurent``)."""
-    if code == 1:
-        return c
-    mul = c.field.base.mul_codes
-    return LaurentSeries(c.field, c.low, tuple([mul(x, code) for x in c.coeffs]), c.prec)
+class _LucasShift:
+    """The shift step of a ring of characteristic p, shared by the adapters
+    below: digit powers are F_q codes, multiplied into a coefficient by the
+    adapter's ``scale``, and the binomial coefficients are reduced by
+    Lucas's theorem."""
+
+    def prepare(self, monomials: Iterable[tuple], budget: int) -> int:
+        """The table of the shift Y -> y + s*Y, charged its (nu, mu) pairs
+        before it is built; returns the charge.  Coefficient mu of the
+        result collects C(nu, mu) y^(nu - mu) b_nu over every nu of the
+        closure of the monomials with C(nu, mu) prime to p.  Monomials are
+        sparse, as in ``_reduced``; an entry is (nu, C(nu, mu) mod p, nu - mu
+        reduced)."""
+        p, q = self.residue.p, self.residue.q
+        spent = sum(math.prod(_chain_count(e, p) for _, e in nu) for nu in monomials)
+        check_budget(spent, budget)
+        closure = set()
+        for nu in monomials:
+            for ms in itertools.product(*([m for m, _ in _lucas(e, p)] for _, e in nu)):
+                closure.add(tuple((i, m) for (i, _), m in zip(nu, ms) if m))
+        self.table: Dict[tuple, list] = {}
+        for nu in closure:
+            for pairs in itertools.product(*(_lucas(e, p) for _, e in nu)):
+                mu = tuple((i, m) for (i, _), (m, _) in zip(nu, pairs) if m)
+                b = math.prod(c for _, c in pairs) % p
+                diff = _reduced([(i, e - m) for (i, e), (m, _) in zip(nu, pairs)], q)
+                self.table.setdefault(mu, []).append((nu, b, diff))
+        return spent
+
+    def child(self, g: dict, y: tuple, k: int) -> dict:
+        """The coefficients of g(y + (s_k / s_(k-1)) Y) at depth k, every one
+        kept, also when zero to its error order; one no term reaches is 0."""
+        powers, mul, out = _powers(self.residue), self.residue.mul_codes, {}
+        for mu, terms in self.table.items():
+            acc = None
+            for nu, code, diff in terms:
+                c = g.get(nu)
+                if c is None:
+                    continue
+                code = _times_monomial(code, y, diff, powers, mul)
+                if code:
+                    term = self.scale(c, code)
+                    acc = term if acc is None else acc + term
+            if acc is not None:
+                out[mu] = self.shift(acc, sum(e for _, e in mu), k)
+        return out
 
 
-class _BallDigits:
+class _BallDigits(_LucasShift):
     """The digit points of a ball of F_q((t)) for the tree: slot k is t^k,
     from the ball's lowest exponent low, and below the radius only the
     centre's digit; integer values, and a horizon at the cap."""
 
     last = math.inf
-    scale, value = staticmethod(_scaled), staticmethod(Value.rank1)
+    scale, value = staticmethod(LaurentSeries.times_code), staticmethod(Value.rank1)
     shift = staticmethod(lambda c, e, k: c.shift(e))
     read = staticmethod(lambda c: (c.valuation_floor(), c.prec, c.coeffs[0] if c.coeffs else 0))
 
@@ -209,7 +243,7 @@ class _BallDigits:
             raise PrecisionError(
                 f"ball centre known to O({field.var}^{ball.center.prec}), below its radius {ball.radius}"
             )
-        self.field, self.ball, self.cap, self.horizon = field, ball, prec, prec
+        self.field, self.residue, self.ball, self.cap, self.horizon = field, field.base, ball, prec, prec
         self.low = min(ball.radius, ball.center.valuation_floor())
 
     def root(self, terms: Dict[tuple, LaurentSeries]) -> Dict[tuple, LaurentSeries]:
@@ -229,7 +263,7 @@ class _BallDigits:
         return tuple(self.field.make(self.low, [y[i] for y in digits], order) for i in range(n))
 
 
-class _RingDigits:
+class _RingDigits(_LucasShift):
     """The digit points of the truncated valuation ring O_v of
     F_q((u))((t)) for the tree: slot k is u^i t^j in lex (j, i) order, i
     from 0 at j = 0 and from u_floor at each j >= 1, up to prec_u - 1; pair
@@ -244,13 +278,13 @@ class _RingDigits:
                 "the truncated valuation ring needs u_floor <= 0 and prec_t, prec_u >= 1, got "
                 f"u_floor={u_floor}, prec_t={field.prec_t}, prec_u={field.prec_u}"
             )
-        self.field, self.u_floor, self.width = field, u_floor, field.prec_u - u_floor
+        self.field, self.residue, self.u_floor, self.width = field, field.base, u_floor, field.prec_u - u_floor
         self.last = self.horizon = field.prec_u + (field.prec_t - 1) * self.width
         self.cap = (field.prec_t, 0)
 
     @staticmethod
     def scale(c: CompositeElement, code: int) -> CompositeElement:
-        return CompositeElement(c.field, {j: _scaled(s, code) for j, s in c.coeffs.items()}, c.prec_t)
+        return CompositeElement(c.field, {j: s.times_code(code) for j, s in c.coeffs.items()}, c.prec_t)
 
     def shift(self, c: CompositeElement, e: int, k: int) -> CompositeElement:
         """c times (slot k / slot k - 1)^e: u^e within a level, and
@@ -272,19 +306,13 @@ class _RingDigits:
 
 
 class _DigitTree:
-    """The digit tree of f over the digit points of a ring (``_BallDigits``,
-    ``_RingDigits``): the shift table is charged its (nu, mu) pairs before it
-    is built, and each expanded node its digits."""
+    """The digit tree of f over the digit points of a ring adapter: the
+    adapter's ``prepare`` charges what its shift step builds, the witness
+    its n entries before the walk, and each expanded node its digits."""
 
     def __init__(self, f: MultiPoly, ring, budget: int):
-        base = ring.field.base
-        self.n, self.q, self.ring, self.budget = f.nvars, base.q, ring, budget
-        self.mul, self.add = base.mul_codes, base.add_codes
-        self.spent = sum(math.prod(_chain_count(e, base.p) for _, e in nu) for nu in f.terms)
-        check_budget(self.spent, budget)
-        self.table = _shift_table(f.terms, base.p, base.q)
-        # powers[y][e] = y^e
-        self.powers = [list(itertools.accumulate([y] * (self.q - 1), self.mul, initial=1)) for y in range(self.q)]
+        self.n, self.q, self.ring, self.budget = f.nvars, ring.residue.q, ring, budget
+        self.spent = ring.prepare(f.terms, budget)
         self.root = ring.root(f.terms)
         self.all_digits = None
 
@@ -300,24 +328,6 @@ class _DigitTree:
             self.all_digits = list(itertools.product(range(self.q), repeat=self.n))
         return self.all_digits
 
-    def child(self, g: dict, y: tuple, k: int) -> dict:
-        """The coefficients of g(y + (s_k / s_(k-1)) Y) at depth k, every one
-        kept, also when zero to its error order; one no term reaches is 0."""
-        out = {}
-        for mu, terms in self.table.items():
-            acc = None
-            for nu, code, diff in terms:
-                c = g.get(nu)
-                if c is None:
-                    continue
-                code = _times_monomial(code, y, diff, self.powers, self.mul)
-                if code:
-                    term = self.ring.scale(c, code)
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                out[mu] = self.ring.shift(acc, sum(e for _, e in mu), k)
-        return out
-
     def floor(self, g: dict) -> tuple:
         """(m, R): g's least value m, and when m lies below every error
         order, also the residue form R of g's terms of value m, else None."""
@@ -332,11 +342,12 @@ class _DigitTree:
         of value m, so R(y) != 0 gives exactly m on y's subtree."""
         if lead is None:
             return [], digits
-        decided, children = [], []
+        residue, decided, children = self.ring.residue, [], []
+        powers, add, mul = _powers(residue), residue.add_codes, residue.mul_codes
         for y in digits:
             r = 0
             for nu, code in lead:
-                r = self.add(r, _times_monomial(code, y, nu, self.powers, self.mul))
+                r = add(r, _times_monomial(code, y, nu, powers, mul))
             (decided if r else children).append(y)
         return decided, children
 
@@ -351,7 +362,7 @@ class _DigitTree:
         while stack:
             g, k, node = stack.pop()
             if node is not None:
-                g = self.child(g, node[0], k)
+                g = ring.child(g, node[0], k)
             if k == ring.last:  # one exact point, f(a) = g(0)
                 g = {nu: c for nu, c in g.items() if not nu}
             m, lead = self.floor(g)
@@ -372,6 +383,8 @@ class _DigitTree:
 
     def search(self) -> SearchResult:
         """The best leaf, with the digit point through its first digit."""
+        self.spent += self.n
+        check_budget(self.spent, self.budget)
         result = search_max(self.leaves())
         node, _, covered = result.witness
         digits = list(covered or ())[:1]
@@ -461,7 +474,7 @@ def valuation_multiset(
     while stack:
         g, k, y = stack.pop()
         if y is not None:
-            g = tree.child(g, y, k)
+            g = tree.ring.child(g, y, k)
         m, lead = tree.floor(g)
         if m >= cap:
             counts[f">={cap}"] += classes(k)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, DescriptorMismatchError, ParseError, ValfieldError, check_budget
-from .polynomials import dense_eval, dense_trim
+from .polynomials import dense_eval, dense_trim, square_and_multiply
 
 MAX_SCAN_SIZE = 10**6
 
@@ -232,13 +232,7 @@ class FiniteFieldDescriptor:
         return self.fold(prod)
 
     def pow_code(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul_codes(result, a)
-            a = self.mul_codes(a, a)
-            e >>= 1
-        return result
+        return square_and_multiply(a, e, self.mul_codes, 1)
 
     def inverse_code(self, a: int) -> int:
         """The inverse of a code: by ``pow`` over F_p, and over F_{p^k} as

@@ -70,7 +70,7 @@ from .errors import (
     ValfieldError,
 )
 from .finite_field import FFElement, FiniteFieldDescriptor
-from .polynomials import _integer, dense_eval, parse_sum
+from .polynomials import _integer, dense_eval, parse_sum, square_and_multiply
 from .value_group import INFINITY, Value
 
 ErrorOrder = Union[int, float]  # an integer N, or math.inf for an exact series
@@ -168,8 +168,6 @@ class LaurentField:
 
     from_int_terms = from_terms
 
-    # -- parsing -----------------------------------------------------------
-
 
 class LaurentSeries:
     """An element of F_q((t)) known modulo t^prec; prec = inf is exact.
@@ -256,17 +254,18 @@ class LaurentSeries:
         return self.field.make(low, _mul_codes(self.field.base, self.coeffs, other.coeffs, n), prec)
 
     def scale(self, c) -> "LaurentSeries":
-        """c * self, for c an FFElement, an int or a coordinate list; self
-        itself when c is one, as series are immutable."""
-        base = self.field.base
-        code = base.element(c).code
+        """c * self, for c an FFElement, an int or a coordinate list."""
+        return self.times_code(self.field.base.element(c).code)
+
+    def times_code(self, code: int) -> "LaurentSeries":
+        """code * self for an F_q code; self itself when code is one, as
+        series are immutable."""
         if code == 1:
             return self
         if not code:
             return self.field.zero(self.prec)
-        return LaurentSeries(
-            self.field, self.low, tuple([base.mul_codes(x, code) for x in self.coeffs]), self.prec
-        )
+        mul = self.field.base.mul_codes
+        return LaurentSeries(self.field, self.low, tuple([mul(x, code) for x in self.coeffs]), self.prec)
 
     def shift(self, e: int) -> "LaurentSeries":
         """Exact multiplication by t^e."""
@@ -283,14 +282,7 @@ class LaurentSeries:
         while e % p == 0:
             e //= p
             a += 1
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
+        result = square_and_multiply(self, e, LaurentSeries.__mul__)
         return result.frobenius(a) if a else result
 
     def frobenius(self, times: int = 1) -> "LaurentSeries":

@@ -21,6 +21,7 @@ series fields, integer polynomials); the front ends in ``laurent`` and
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -147,20 +148,25 @@ def _coeff_text(c) -> str:
     return str(c)
 
 
+def square_and_multiply(x, e: int, mul: Callable, one=None):
+    """x^e by square-and-multiply with the product mul: one times x^e, or
+    x^e itself for e >= 1 when one is None."""
+    result = one
+    while e:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
 def _ring_pow(x, e: int):
     """x^e for e >= 1.  A ring with a Frobenius powers itself, so that the
     p-power part of e goes through Frobenius exactly; other rings multiply."""
     if hasattr(x, "frobenius"):
         return x**e
-    result = None
-    base = x
-    while e:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
+    return square_and_multiply(x, e, operator.mul)
 
 
 # -- dense univariate polynomials (index = degree) ---------------------------
@@ -404,11 +410,4 @@ def _power_sum(base: Dict, e: int, one) -> Dict:
     elif isinstance(c, Fraction):
         bits = c.numerator.bit_length() + c.denominator.bit_length() - 1
         check_budget(e * bits, DEFAULT_BUDGET)
-    result = {(): one}
-    while e:
-        if e & 1:
-            result = _mul_sums(result, base)
-        e >>= 1
-        if e:
-            base = _mul_sums(base, base)
-    return result
+    return square_and_multiply(base, e, _mul_sums, {(): one})

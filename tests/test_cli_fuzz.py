@@ -118,11 +118,15 @@ def test_cli_exits_with_a_documented_code(command, data):
         ["extremal", "--field", "F(2)((t))", "--poly", "X9999999", "--prec", "4"],
         ["transfer", "--field", "F(2)((t))", "--poly", "X9999999", "--alpha", "0", "--beta", "0",
          "--scale", "1"],
+        # the radius reaches the cap, so no node charges q^n digits; the
+        # witness's 100000 entries are charged before the tree walks
+        ["extremal", "--field", "F(3)((t))", "--poly", "X100000", "--prec", "2",
+         "--ball", "v>=2 around 1", "--budget", "1000"],
     ],
     ids=[
         "fundeq-Q_3", "fundeq-Q_5", "decompose-oracle", "oap-span", "fundeq-literal-power",
         "fundeq-group-power", "extremal-variable-count", "extremal-admitted-variable-count",
-        "transfer-admitted-variable-count",
+        "transfer-admitted-variable-count", "extremal-witness",
     ],
 )
 def test_a_budget_reached_through_a_valid_field_exits_4(args):

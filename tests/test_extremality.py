@@ -141,6 +141,16 @@ class TestExtremalSearch:
         with pytest.raises(BudgetExceededError):
             extremal_search(f, K2, prec=4)
 
+    def test_tree_budget_charges_the_witness(self, K3):
+        # the radius reaches the cap, so no node has a free digit to charge
+        # q^n for; the witness's 2000 series are charged before the walk
+        f = MultiPoly(2000, {((1999, 1),): K3.one(math.inf)})
+        ball = Ball(K3.one(math.inf), 2)
+        with pytest.raises(BudgetExceededError):
+            extremal_search(f, K3, ball, prec=2, budget=1000)
+        result = extremal_search(f, K3, ball, prec=2, budget=2100)
+        assert len(result.witness) == 2000 and result.value.to_text() == "0"
+
     def test_centre_known_below_the_radius_is_inconclusive(self, K2):
         f = MultiPoly(1, {((0, 1),): K2.one(8)})
         with pytest.raises(PrecisionError):

@@ -11,6 +11,11 @@ its own definition and the ``__init__`` re-export: in library code, in
 ``scripts/`` or ``perfbench/``, or among the names that the acceptance
 gate ``tests/test_acceptance.py`` imports.  Code that only the other
 tests call belongs beside them, in ``tests/oracles.py``.
+
+The digit tree's core, ``extremality._DigitTree``, owns no field
+arithmetic: its class body reads no ring field, base field, characteristic,
+scale or shift, and calls none of the Lucas shift helpers, which live
+behind the ring adapters.
 """
 
 import ast
@@ -149,4 +154,44 @@ def test_checker_flags_a_name_only_tests_call(tmp_path):
     assert uncalled_public_names([lib], [caller], gate) == [
         ("lib", "recursive"),
         ("lib", "Orphan"),
+    ]
+
+
+SEAM_ATTRIBUTES = {"field", "base", "p", "scale", "shift"}
+SEAM_NAMES = {"_lucas", "_chain_count", "_shift_table"}
+
+
+def seam_leaks(source: str, cls: str = "_DigitTree"):
+    """(line, name) for each attribute in SEAM_ATTRIBUTES and each name in
+    SEAM_NAMES that the body of class cls uses."""
+    body = next(n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == cls)
+    leaks = []
+    for node in ast.walk(body):
+        if isinstance(node, ast.Attribute) and node.attr in SEAM_ATTRIBUTES:
+            leaks.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in SEAM_NAMES:
+            leaks.append((node.lineno, node.id))
+    return sorted(leaks)
+
+
+def test_the_digit_tree_core_owns_no_field_arithmetic():
+    assert seam_leaks((PACKAGE / "extremality.py").read_text()) == []
+
+
+def test_checker_flags_field_arithmetic_in_the_core():
+    source = (
+        "class _Adapter:\n"
+        "    def child(self, g):\n"
+        "        return _shift_table(g, self.field.base.p)\n"
+        "class _DigitTree:\n"
+        "    def __init__(self, ring):\n"
+        "        self.q, self.p = ring.residue.q, ring.field.base.p\n"
+        "        self.table = _lucas(3, self.p)\n"
+        "    def child(self, c):\n"
+        "        return self.ring.shift(self.ring.scale(c, 2), 1)\n"
+    )
+    assert seam_leaks(source) == [
+        (6, "base"), (6, "field"), (6, "p"), (6, "p"),
+        (7, "_lucas"), (7, "p"),
+        (9, "scale"), (9, "shift"),
     ]
