@@ -31,7 +31,8 @@ coefficient; a p-polynomial adds a constant.  The central operations:
   most precise first, reduces z against it in one walk whose known order
   drops to the precision of each row used, and pulls the combination back
   through the sections.  Exhaustive enumeration stays only in
-  ``brute_force_max``, the oracle that ``oap --oracle`` compares against.
+  ``brute_force_max``, the oracle of the tests and the demo script;
+  ``oap --oracle`` compares against the digit tree instead.
 
 * ``decomposition_image_agrees`` checks that f and its decomposition have
   the same image in an output window by the ranks of the windowed F_p
@@ -50,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
 from .extremality import Ball, ball_walk, search_max
@@ -130,20 +131,32 @@ class AdditivePolynomial:
     def __sub__(self, other: "AdditivePolynomial") -> "AdditivePolynomial":
         return self + (-other)
 
-    def compose_monomial(self, mu: FFElement, shift: int, delta: int) -> "AdditivePolynomial":
-        """self(mu * t^shift * X^(p^delta)) for a one-variable polynomial.
-        The monomial is exact, so each coefficient is only rescaled and
-        shifted: c * (mu * t^shift)^(p^k) = mu^(p^k) * t^(shift * p^k) * c."""
+    def _monomial_terms(self, mu: FFElement, shift: int) -> Iterator[Tuple[int, LaurentSeries]]:
+        """(k, c * (mu * t^shift)^(p^k)) for each term c * X^(p^k) of a
+        one-variable polynomial.  The monomial is exact, so the coefficient
+        is only rescaled and shifted, mu^(p^k) * t^(shift * p^k) * c, and
+        keeps c's error order plus shift * p^k, as the product would."""
         if self.nvars != 1:
             raise ValfieldError("composition needs a one-variable polynomial")
         p = self.field.base.p
+        for (_, k), c in self.terms.items():
+            yield k, c.scale(mu.frobenius(k)).shift(shift * p**k)
+
+    def at_monomial(self, mu: FFElement, shift: int) -> LaurentSeries:
+        """self(mu * t^shift), the sum of the shifted and rescaled
+        coefficients of ``_monomial_terms``: ``evaluate`` at the exact
+        monomial without its series products and Frobenius."""
+        acc: Optional[LaurentSeries] = None
+        for _, term in self._monomial_terms(mu, shift):
+            acc = term if acc is None else acc + term
+        return self.field.zero(math.inf) if acc is None else acc
+
+    def compose_monomial(self, mu: FFElement, shift: int, delta: int) -> "AdditivePolynomial":
+        """self(mu * t^shift * X^(p^delta)) for a one-variable polynomial,
+        by the one shift-and-scale rule of ``_monomial_terms``:
+        c * (mu * t^shift)^(p^k) = mu^(p^k) * t^(shift * p^k) * c."""
         return AdditivePolynomial(
-            self.field,
-            1,
-            {
-                (0, k + delta): c.scale(mu.frobenius(k)).shift(shift * p**k)
-                for (_, k), c in self.terms.items()
-            },
+            self.field, 1, {(0, k + delta): c for k, c in self._monomial_terms(mu, shift)}
         )
 
     def to_multipoly(self) -> MultiPoly:
@@ -530,10 +543,12 @@ def _digit_generators(
     shifted valuation ring modulo t^out_prec is exactly the F_p-span of
     these over variables i, levels j in [in_low, max(horizon_i, in_low +
     min_width)) and lambda in an F_p-basis of the coefficient field.  The
-    digit monomials are exact.
+    digit monomials are exact, so each generator is built by
+    ``at_monomial`` with the one shift-and-scale rule of
+    ``_monomial_terms``: sum over k of c_k * lambda^(p^k) * t^(j * p^k),
+    with no series product.
     """
-    field = f.field
-    desc = field.base
+    desc = f.field.base
     basis = [FFElement(desc, desc.p**r) for r in range(desc.k)]
     gens = []
     for i in range(f.nvars):
@@ -543,8 +558,7 @@ def _digit_generators(
         hi = max(_digit_horizon(g, out_prec), in_low + min_width)
         for j in range(in_low, hi):
             for lam in basis:
-                mono = field.from_terms({j: lam}, math.inf)
-                gens.append((i, j, lam, g.evaluate([mono])))
+                gens.append((i, j, lam, g.at_monomial(lam, j)))
     return gens
 
 

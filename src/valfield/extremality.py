@@ -23,9 +23,9 @@ A ring adapter handles the slots, the reads and the shift step;
 ``_BallDigits`` and ``_RingDigits`` share the characteristic-p step of
 ``_LucasShift``, whose shift table is reduced by Lucas's theorem.
 
-Exhaustive enumeration is left to ``brute_force_max``, the oracle of
-``oap --oracle``: ``ball_walk`` evaluates f on every tuple of ball
-representatives, with one horizon rule at the cap.
+Exhaustive enumeration is left to ``brute_force_max``, the oracle of the
+tests and the demo script: ``ball_walk`` evaluates f on every tuple of
+ball representatives, with one horizon rule at the cap.
 
 A search over a truncated ring can never certify extremality of the
 infinite field; every search therefore returns an explicit verdict:

@@ -7,7 +7,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from contextlib import redirect_stdout
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -652,6 +653,35 @@ def test_cli_witnesses_show_the_value():
     assert checked == 435
 
 
+def test_cli_oracle_never_disagrees_on_sampler7():
+    """The same 435 instances through ``oap --prec 4 --oracle`` at a budget
+    of 10^5: the digit tree over the ball that holds the witness never
+    contradicts the solver.  It agrees on 310; the rest are inconclusive
+    (a decomposition at O(t^4) that shows only a bound, or that loses a
+    summand's degree), and one deep ball exceeds the budget."""
+    codes = Counter()
+    for lo in (-2, -1, -3):
+        s = Sampler(7)
+        for K in _SWEEP_FIELDS:
+            for _ in range(50):
+                f = s.additive(K, 2, max_k=2, prec=math.inf)
+                z = s.series(K, lo, 16)
+                if f.is_zero():
+                    continue
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    code = cli.main([
+                        "oap", "--field", K.to_text(), "--poly", f.to_text(),
+                        "--target", z.to_text(), "--prec", "4", "--oracle",
+                        "--budget", "100000",
+                    ])
+                assert code in (0, 3, 4), out.getvalue()
+                if code == 0:
+                    assert "(agrees)\n" in out.getvalue()
+                codes[code] += 1
+    assert sum(codes.values()) == 435 and codes[0] >= 310, codes
+
+
 def _per_bound_value(f, z, prec) -> str:
     """The per-bound span solver, kept as a reference for oap_solve's one
     pass.  For each bound B = min(generator precision, z.prec, prec), z is
@@ -730,3 +760,36 @@ def test_one_pass_matches_per_bound_reference_on_mixed_precisions():
         assert oap_solve(f, z, prec=prec).value.to_text() == want
         checked += 1
     assert checked == 275
+
+
+def test_digit_generators_match_evaluation_at_the_monomial():
+    """Each single-digit generator, built by shift and scale, has the same
+    (low, coeffs, prec) as g_i evaluated at the exact monomial lambda * t^j
+    by series products.  Seeded one- and two-variable inputs of height <= 2
+    over F_2, F_3, F_4 and F_9; coefficients of up to four terms from
+    valuation -3, exact or at O(t^6), O(t^10) or O(t^16); input levels
+    from -4 and min_width 0 and 1.  Over F_4 and F_9 the basis element
+    lambda != 1 scales every coefficient by lambda^(p^k)."""
+    fields = _SWEEP_FIELDS + [LaurentField(FiniteFieldDescriptor(3, 2), "t", 16)]
+    rng = random.Random(2026)
+    checked = {K.base.q: 0 for K in fields}
+    for n in range(240):
+        K = fields[n % 4]
+        nonzero = [c for c in K.base.elements() if not c.is_zero()]
+        order = rng.choice([math.inf, 6, 10, 16])
+        nvars = 1 + n % 2
+        terms = {}
+        for i in range(nvars):
+            for k in range(3):
+                if rng.random() < 0.6:
+                    low = rng.randint(-3, 2)
+                    coeffs = {e: rng.choice(nonzero) for e in range(low, low + rng.randint(1, 4))}
+                    terms[(i, k)] = K.from_terms(coeffs, order)
+        f = AdditivePolynomial(K, nvars, terms)
+        for min_width in (0, 1):
+            gens = _digit_generators(f, rng.randint(1, 8), rng.randint(-4, 1), min_width)
+            for i, j, lam, gen in gens:
+                want = f.restrict(i).evaluate([K.from_terms({j: lam}, math.inf)])
+                assert (gen.low, gen.coeffs, gen.prec) == (want.low, want.coeffs, want.prec)
+                checked[K.base.q] += 1
+    assert all(count >= 200 for count in checked.values()), checked

@@ -122,11 +122,16 @@ def test_cli_exits_with_a_documented_code(command, data):
         # witness's 100000 entries are charged before the tree walks
         ["extremal", "--field", "F(3)((t))", "--poly", "X100000", "--prec", "2",
          "--ball", "v>=2 around 1", "--budget", "1000"],
+        # the witness reaches t^-48, so the oracle's tree walks a deep ball,
+        # for seconds at the default budget
+        ["oap", "--field", "F(3)((t))", "--poly", "t^-2*X1^3 + 2*t*X1 + 2*t^-2*X2^9",
+         "--target", "t^-3 + t^-2 + t^-1 + 2 + 2*t + t^3 + 2*t^4 + t^6 + t^7 + 2*t^8 + 2*t^9"
+         " + t^10 + t^11 + 2*t^12 + O(t^16)", "--prec", "4", "--oracle", "--budget", "1000"],
     ],
     ids=[
         "fundeq-Q_3", "fundeq-Q_5", "decompose-oracle", "oap-span", "fundeq-literal-power",
         "fundeq-group-power", "extremal-variable-count", "extremal-admitted-variable-count",
-        "transfer-admitted-variable-count", "extremal-witness",
+        "transfer-admitted-variable-count", "extremal-witness", "oap-oracle-deep-ball",
     ],
 )
 def test_a_budget_reached_through_a_valid_field_exits_4(args):

@@ -16,6 +16,10 @@ The digit tree's core, ``extremality._DigitTree``, owns no field
 arithmetic: its class body reads no ring field, base field, characteristic,
 scale or shift, and calls none of the Lucas shift helpers, which live
 behind the ring adapters.
+
+The span solver's generator loop, ``additive._digit_generators``, builds
+each generator by shift and scale: it calls neither ``evaluate`` nor
+``from_terms``, so no series product per generator can come back unseen.
 """
 
 import ast
@@ -195,3 +199,35 @@ def test_checker_flags_field_arithmetic_in_the_core():
         (7, "_lucas"), (7, "p"),
         (9, "scale"), (9, "shift"),
     ]
+
+
+PRODUCT_CALLS = {"evaluate", "from_terms"}
+
+
+def product_calls(source: str, func: str = "_digit_generators"):
+    """(line, name) for each call of a name or method in PRODUCT_CALLS in
+    the body of the module-level function func."""
+    body = next(n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == func)
+    calls = []
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in PRODUCT_CALLS:
+                calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+def test_the_generator_loop_builds_no_series_product():
+    assert product_calls((PACKAGE / "additive.py").read_text()) == []
+
+
+def test_checker_flags_a_product_in_the_generator_loop():
+    source = (
+        "def evaluate_all(g, xs):\n"
+        "    return [g.evaluate([x]) for x in xs]\n"
+        "def _digit_generators(f, out_prec, in_low):\n"
+        "    mono = f.field.from_terms({in_low: 1}, inf)\n"
+        "    gens = [f.at_monomial(1, in_low), f.evaluate([mono])]\n"
+        "    return gens + [evaluate(f, mono)]\n"
+    )
+    assert product_calls(source) == [(4, "from_terms"), (5, "evaluate"), (6, "evaluate")]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from valfield.cli import main
 from valfield.composite import CompositeField
 from valfield.errors import ParseError, PrecisionError, ValfieldError
 from valfield.finite_field import FiniteFieldDescriptor
-from valfield.laurent import LaurentField, parse_series
+from valfield.laurent import LaurentField, ValuationResult, parse_series
 from valfield.parsing import (
     PAdicFieldRef,
     parse_any_field,
@@ -27,6 +28,7 @@ from valfield.parsing import (
     parse_poly,
 )
 from valfield.polynomials import MultiPoly
+from valfield.value_group import Value
 
 from oracles import sparse
 
@@ -205,6 +207,62 @@ class TestCliExitCodes:
         )
         assert code == 0
         assert "-1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field, poly, target",
+        [
+            ("F(2)((t))", "t^-2*X1^2 + t^-2*X1 + t^2*X2^2",
+             "t^-2 + t + t^5 + t^7 + t^8 + t^10 + t^11 + t^13 + t^15 + O(t^16)"),
+            ("F(3)((t))", "2*t*X1 + 2*t^-2*X2^9 + t^-1*X2",
+             "2*t^-1 + t^3 + 2*t^4 + t^5 + t^8 + t^9 + 2*t^12 + t^13 + O(t^16)"),
+        ],
+        ids=["F2", "F3"],
+    )
+    def test_oap_oracle_searches_a_ball_that_holds_the_witness(self, capsys, field, poly, target):
+        # the witnesses a_2 = t^-2 + t^4 over F_2 and a_1 = t^-3 + 2*t^33
+        # over F_3 lie below alpha = -1; an oracle over the alpha ball read
+        # -2 and -1 there and exited 2 although the solver is right
+        code = run_cli(
+            "oap", "--field", field, "--poly", poly, "--target", target, "--prec", "4", "--oracle"
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "max v(target - f(a)): >=4\n" in out
+        assert "oracle max: >=4 (agrees)\n" in out
+
+    def test_oap_oracle_is_inconclusive_on_a_weaker_bound(self, capsys):
+        # decomposed at O(t^4), the solver only shows >=0; the tree reads
+        # >=4 over the ball, which does not contradict it
+        code = run_cli(
+            "oap", "--field", "F(2)((t))", "--poly", "t^2*X1 + X2^4", "--target",
+            "t^-2 + t^-1 + 1 + t + t^6 + t^7 + t^8 + t^9 + t^10 + t^13 + t^15 + O(t^16)",
+            "--prec", "4", "--oracle",
+        )
+        out = capsys.readouterr().out
+        assert code == 3, out
+        assert "max v(target - f(a)): >=0\n" in out
+        assert "oracle max: >=4 (inconclusive)\n" in out
+
+    @pytest.mark.parametrize(
+        "value",
+        [ValuationResult.exactly(Value.rank1(0)), ValuationResult.at_least(Value.rank1(4))],
+        ids=["exact", "bound"],
+    )
+    def test_oap_oracle_catches_a_wrong_value(self, capsys, monkeypatch, value):
+        # the maximum for X^3 - X against t^-1 is exactly -1: an exact 0
+        # and a bound of 4 both contradict the tree's -1
+        solve = cli.oap_solve
+        monkeypatch.setattr(
+            cli, "oap_solve", lambda *a: dataclasses.replace(solve(*a), value=value)
+        )
+        code = run_cli(
+            "oap", "--field", "F(3)((t))", "--poly", "X^3 - X", "--target", "t^-1",
+            "--prec", "4", "--oracle",
+        )
+        out = capsys.readouterr().out
+        assert code == 2, out
+        assert f"max v(target - f(a)): {value.to_text()}\n" in out
+        assert "oracle max: -1 (DISAGREES)\n" in out
 
     def test_decompose_with_oracle(self, capsys):
         code = run_cli(
