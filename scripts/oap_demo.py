@@ -3,19 +3,16 @@
 
 For f = X^p - X over F_p((t)) and target z = t^-1 the image misses the
 target by exactly one valuation level; the script shows the decomposition,
-the alpha bound, the solver's answer, and the brute-force cross-check.
+the alpha bound, the solver's answer, and the cross-check by the digit
+tree of ``extremal_search`` over a ball that holds the witness, the ball
+that ``valfield oap --oracle`` searches.
 """
 
 import argparse
 import sys
 
-from valfield.additive import (
-    AdditivePolynomial,
-    brute_force_max,
-    decompose,
-    oap_solve,
-)
-from valfield.extremality import Ball
+from valfield.additive import AdditivePolynomial, decompose, oap_solve
+from valfield.extremality import Ball, extremal_search
 from valfield.finite_field import prime_field
 from valfield.laurent import LaurentField
 from valfield.polynomials import MultiPoly
@@ -41,12 +38,13 @@ def main() -> int:
     print(f"best v(z - f(a)): {res.value.to_text()}")
     print(f"best input:   {res.best_input[0].to_text()}")
 
+    # alpha bounds the decomposed inputs; the pulled-back input can lie below it
     alpha = int(res.alpha.first)
+    radius = min([alpha] + [a.low for a in res.best_input if a.coeffs])
     residual = MultiPoly.constant(1, z) - f.to_multipoly()
-    witness, oracle = brute_force_max(
-        residual, K, Ball(K.zero(), alpha), prec=args.prec
-    )
-    print(f"oracle max:   {oracle.to_text()} at a = {witness[0].to_text()}")
+    found = extremal_search(residual, K, Ball(K.zero(args.prec), radius), args.prec)
+    oracle = found.value
+    print(f"oracle max:   {oracle.to_text()} at a = {found.witness[0].to_text()}")
     agree = oracle.to_text() == res.value.to_text()
     print("solver and oracle agree" if agree else "MISMATCH")
     return 0 if agree else 2

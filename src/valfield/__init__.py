@@ -13,7 +13,6 @@ from .additive import (
     PPolynomial,
     additive_from_multipoly,
     alpha_bound,
-    brute_force_max,
     decompose,
     decomposition_image_agrees,
     oap_solve,

@@ -30,9 +30,9 @@ coefficient; a p-polynomial adds a constant.  The central operations:
   generators g_i(lambda * t^j); the solver inserts them into one echelon,
   most precise first, reduces z against it in one walk whose known order
   drops to the precision of each row used, and pulls the combination back
-  through the sections.  Exhaustive enumeration stays only in
-  ``brute_force_max``, the oracle of the tests and the demo script;
-  ``oap --oracle`` compares against the digit tree instead.
+  through the sections.  Nothing here enumerates a ball: ``oap --oracle``
+  and the demo script compare against the digit tree, and the exhaustive
+  oracle is left to the tests.
 
 * ``decomposition_image_agrees`` checks that f and its decomposition have
   the same image in an output window by the ranks of the windowed F_p
@@ -54,7 +54,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
-from .extremality import Ball, ball_walk, search_max
 from .finite_field import FFElement
 from .laurent import LaurentField, LaurentSeries, ValuationResult
 from .polynomials import MultiPoly
@@ -519,18 +518,6 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
         if shown.exact and (shown.value != value.value if exact else shown.value < value.value):
             value = ValuationResult.at_least(min(shown.value, Value.rank1(top)))
     return OapResult(best, tuple(ys), value, alpha_v)
-
-
-def brute_force_max(
-    f: MultiPoly,
-    field: LaurentField,
-    ball: Ball,
-    prec: int,
-    budget: int = DEFAULT_BUDGET,
-) -> Tuple[tuple, ValuationResult]:
-    """Independent oracle: plain exhaustive maximum over ball representatives."""
-    result = search_max(ball_walk(f, field, ball, prec, prec, budget))
-    return result.witness, result.value
 
 
 def _digit_generators(

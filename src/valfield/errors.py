@@ -22,7 +22,8 @@ class PrecisionError(ValfieldError):
 
 
 class BudgetExceededError(ValfieldError):
-    """An enumeration would exceed the configured budget."""
+    """A computation would exceed the configured budget: tree digits, table
+    entries, classes or matrix entries."""
 
 
 DEFAULT_BUDGET = 10**7
@@ -38,7 +39,7 @@ def check_budget(count: int, budget: int) -> None:
 def check_power(base: int, exponent: int, spent: int, budget: int) -> int:
     """spent + base ** exponent (base >= 2) charged, a power past the budget refused unbuilt."""
     if exponent > budget.bit_length() or spent + base**exponent > budget:
-        raise BudgetExceededError(f"{spent} + {base}^{exponent} candidates exceed budget {budget}")
+        raise BudgetExceededError(f"charge {spent} + {base}^{exponent} exceeds budget {budget}")
     return spent + base**exponent
 
 

@@ -13,19 +13,20 @@ the coefficients of value m form a residue polynomial R over F_q: a digit
 y with R(y) != 0 gives exactly m on its whole subtree, and only the zeros
 of R become children g(y + (s_(k+1) / s_k) Y).  Any other node above the
 horizon branches on all q^n digits, and a branch ends once m reaches the
-cap, where nothing can beat it.  The multiset counts its leaves as in the
-usual recursion for points mod t^k (Denef, "Report on Igusa's local zeta
-function", Sem. Bourbaki 741).
+cap, where nothing can beat it.
+
+One walk, ``_DigitTree.leaves``, yields the leaves of the tree.  The
+searches take their maximum, up to the first leaf at the cap; the multiset
+walks to depth upto, where a node is one class, and counts every leaf by
+the classes under it, as in the usual recursion for points mod t^k (Denef,
+"Report on Igusa's local zeta function", Sem. Bourbaki 741).
 
 The core, ``_DigitTree``, handles the walk, the floor m, R, the split of a
 node's digits by R and the budget, and reads F_q only as ``ring.residue``.
 A ring adapter handles the slots, the reads and the shift step;
 ``_BallDigits`` and ``_RingDigits`` share the characteristic-p step of
 ``_LucasShift``, whose shift table is reduced by Lucas's theorem.
-
-Exhaustive enumeration is left to ``brute_force_max``, the oracle of the
-tests and the demo script: ``ball_walk`` evaluates f on every tuple of
-ball representatives, with one horizon rule at the cap.
+Exhaustive enumeration is left to the oracles of the tests.
 
 A search over a truncated ring can never certify extremality of the
 infinite field; every search therefore returns an explicit verdict:
@@ -45,7 +46,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .composite import CompositeElement, CompositeField
 from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget, check_power
-from .laurent import ErrorOrder, LaurentField, LaurentSeries, ValuationResult
+from .laurent import LaurentField, LaurentSeries, ValuationResult
 from .polynomials import MultiPoly
 from .value_group import Value
 
@@ -78,32 +79,11 @@ class SearchResult:
         }
 
 
-# -- enumeration of truncated representatives ------------------------------
-
-
-def digit_window(
-    field: LaurentField, lo: int, hi: int, prec: ErrorOrder
-) -> Iterator[LaurentSeries]:
-    """Every sum of digits c_e t^e over lo <= e < hi, at error order prec,
-    with the digit codes counting up lexicographically, t^lo slowest."""
-    for codes in itertools.product(range(field.base.q), repeat=max(0, hi - lo)):
-        yield field.make(lo, codes, prec)
-
-
-def ball_representatives(
-    field: LaurentField, ball: Ball, upto: int
-) -> Iterator[LaurentSeries]:
-    """All representatives of the ball modulo t^upto, at precision upto."""
-    center = ball.center.truncate(min(ball.center.prec, upto))
-    for digits in digit_window(field, ball.radius, upto, upto):
-        yield center + digits
-
-
-# -- the enumerating walk --------------------------------------------------
+# -- the maximum over a walk ----------------------------------------------
 
 
 def search_max(walk: Iterator[Tuple[tuple, ValuationResult]]) -> SearchResult:
-    """Exhaustive maximum of v(f(a)) over a walk.
+    """The maximum of v(f(a)) over a walk of (a, value) pairs.
 
     The first maximum wins, and a bound beats an equal exact value.  Any
     bound on the walk makes the verdict Indeterminate; the reported value
@@ -118,22 +98,6 @@ def search_max(walk: Iterator[Tuple[tuple, ValuationResult]]) -> SearchResult:
     if bounded:
         return SearchResult(witness, ValuationResult.at_least(best.value), INDETERMINATE)
     return SearchResult(witness, best, MAX_ATTAINED)
-
-
-def ball_walk(
-    f: MultiPoly, field: LaurentField, ball: Ball, upto: int, cap: int, budget: int
-) -> Iterator[Tuple[tuple, ValuationResult]]:
-    """(args, v(f(args))) for every tuple of ball representatives modulo
-    t^upto, charged to the budget before the representatives are read, once,
-    into the product's pool.  One horizon rule: a value below the cap keeps
-    its kind, so an exact value stays exact and a bound stays the bound that
-    is known; every other value becomes ">= cap", because digits past the
-    enumeration window were never tried."""
-    check_power(field.base.q, f.nvars * max(0, upto - ball.radius), 0, budget)
-    capped = ValuationResult.at_least(Value.rank1(cap))
-    for args in itertools.product(ball_representatives(field, ball, upto), repeat=f.nvars):
-        vr = f.evaluate(args).valuation()
-        yield args, vr if vr.value < capped.value else capped
 
 
 # -- the Hensel digit tree -------------------------------------------------
@@ -246,6 +210,10 @@ class _BallDigits(_LucasShift):
         self.field, self.residue, self.ball, self.cap, self.horizon = field, field.base, ball, prec, prec
         self.low = min(ball.radius, ball.center.valuation_floor())
 
+    def free(self, k: int) -> int:
+        """The first slot at or past depth k whose digit is free."""
+        return max(k, self.ball.radius)
+
     def root(self, terms: Dict[tuple, LaurentSeries]) -> Dict[tuple, LaurentSeries]:
         return {nu: c.shift(self.low * sum(e for _, e in nu)) for nu, c in terms.items()}
 
@@ -351,13 +319,17 @@ class _DigitTree:
             (decided if r else children).append(y)
         return decided, children
 
-    def leaves(self) -> Iterator[Tuple[tuple, ValuationResult]]:
+    def leaves(self, upto: float = math.inf) -> Iterator[Tuple[tuple, ValuationResult]]:
         """The leaves in digit order, each (its digits, newest first as nested
         pairs; the depth k past them; the digits at k it covers, None for all)
-        with the value on its subtree, up to the first at the cap, which no
-        later leaf can beat.  A node past the horizon with no residue form is
-        a leaf at its floor, and one past the last slot at f's value there."""
+        with the value on its subtree.  A node whose floor m reaches the cap
+        is a leaf at the cap, and one past the last slot at f's value there.
+        Without upto, a node past the horizon with no residue form is a leaf
+        at its floor.  With upto (ball adapters only) the horizon is off, and
+        a node at depth upto or past it is one class: exactly m when its
+        residue form decides every digit of the first free slot, else ">=m"."""
         ring = self.ring
+        horizon = ring.horizon if upto == math.inf else math.inf
         stack = [(self.root, ring.low, None)]
         while stack:
             g, k, node = stack.pop()
@@ -368,12 +340,16 @@ class _DigitTree:
             m, lead = self.floor(g)
             if m >= ring.cap:
                 yield (node, k, None), ValuationResult.at_least(ring.value(ring.cap))
-                return
+                continue
             if k == ring.last:
                 yield (node, k, None), ValuationResult(lead is not None, ring.value(m))
                 continue
+            if k >= upto:
+                exact = lead is not None and not self.split(lead, self.digits(ring.free(k)))[1]
+                yield (node, k, None), ValuationResult(exact, ring.value(m))
+                continue
             digits = self.digits(k)
-            if lead is None and k >= ring.horizon:
+            if lead is None and k >= horizon:
                 yield (node, k, None), ValuationResult.at_least(ring.value(m))
                 continue
             decided, children = self.split(lead, digits)
@@ -382,10 +358,19 @@ class _DigitTree:
             stack.extend((g, k + 1, (y, node)) for y in reversed(children))
 
     def search(self) -> SearchResult:
-        """The best leaf, with the digit point through its first digit."""
+        """The best leaf, with the digit point through its first digit; the
+        walk ends at the first leaf at the cap, which no later leaf can beat."""
         self.spent += self.n
         check_budget(self.spent, self.budget)
-        result = search_max(self.leaves())
+        capped = ValuationResult.at_least(self.ring.value(self.ring.cap))
+
+        def walk():
+            for leaf in self.leaves():
+                yield leaf
+                if leaf[1] == capped:
+                    return
+
+        result = search_max(walk())
         node, _, covered = result.witness
         digits = list(covered or ())[:1]
         while node is not None:
@@ -453,39 +438,25 @@ def valuation_multiset(
     budget: int = DEFAULT_BUDGET,
 ) -> List[str]:
     """Sorted texts of v(f) over the classes of the ball mod t^upto, read
-    at ``cap``, from the leaves of the digit tree.
+    at ``cap``, counted over the leaves of the digit tree walked to depth
+    upto.
 
-    A node at depth k stands for q^(n*(upto - max(k, radius))) classes, all
-    ">=cap" once its floor m reaches the cap; a digit that the residue form
-    decides gives exactly m on all of its classes.  At depth upto a node is
-    one class, a + t^k O^n: exactly m when the residue form is known and
-    has no zero digit, else ">=m".  The entry count q^(n*(upto - radius))
-    is charged to the budget, together with the expanded digits.
+    A leaf at depth k stands for q^(n*(upto - max(k, radius))) classes, and
+    a digit that the residue form decides for q^(n*(upto - max(k + 1,
+    radius))); at depth upto a leaf is one class, a + t^k O^n.  The entry
+    count q^(n*(upto - radius)) is charged to the budget, together with
+    the walk's digits.
     """
     tree = _DigitTree(f, _BallDigits(field, ball, cap), budget)
-    n, q, radius = f.nvars, field.base.q, ball.radius
-    tree.spent = check_power(q, n * max(0, upto - radius), tree.spent, budget)
+    n, q = f.nvars, field.base.q
+    tree.spent = check_power(q, n * max(0, upto - ball.radius), tree.spent, budget)
 
     def classes(k: int) -> int:
-        return q ** (n * max(0, upto - max(k, radius)))
+        return q ** (n * max(0, upto - tree.ring.free(k)))
 
     counts: Counter = Counter()
-    stack = [(tree.root, tree.ring.low, None)]
-    while stack:
-        g, k, y = stack.pop()
-        if y is not None:
-            g = tree.ring.child(g, y, k)
-        m, lead = tree.floor(g)
-        if m >= cap:
-            counts[f">={cap}"] += classes(k)
-        elif k >= upto:
-            exact = lead is not None and not tree.split(lead, tree.digits(max(k, radius)))[1]
-            counts[str(m) if exact else f">={m}"] += 1
-        else:
-            decided, children = tree.split(lead, tree.digits(k))
-            if decided:
-                counts[str(m)] += len(decided) * classes(k + 1)
-            stack.extend((g, k + 1, y) for y in children)
+    for (_, k, covered), vr in tree.leaves(upto):
+        counts[vr.to_text()] += classes(k) if covered is None else len(covered) * classes(k + 1)
     return [text for text in sorted(counts) for _ in range(counts[text])]
 
 

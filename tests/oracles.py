@@ -1,19 +1,24 @@
 """Enumerating and canonical-form oracles that only the tests compare against.
 
+* ``digit_window`` yields every digit sum over an exponent window, on
+  codes; ``ball_representatives`` adds each one to a ball's centre, and
+  ``ball_count`` counts them.
+* ``ball_walk`` evaluates f on every tuple of ball representatives, and
+  ``brute_force_max`` takes its maximum: the reference for the digit tree
+  of ``extremal_search`` and for ``oap_solve``.
+* ``enumerated_multiset`` is the valuation multiset read off that walk,
+  the reference for the digit-tree count ``valuation_multiset``.
+* ``enumerated_composite_max`` walks every tuple of exact digit points of
+  the truncated rank-2 valuation ring (``integral_composite_representatives``,
+  ``integral_composite_count``), the reference for the digit tree of
+  ``composite_extremal_search``.  It and ``ball_walk`` share one capped
+  product walk, ``capped_walk``.
 * ``truncated_image`` and ``decomposition_image`` enumerate the image of an
   additive polynomial, and of its decomposition, at a truncation: every
   input digit combination is evaluated, so they share no span code with
   ``decomposition_image_agrees``.
 * ``_fp_echelon`` is the canonical reduced row-echelon form over F_p, for
   the per-bound reference of ``oap_solve`` in ``test_additive``.
-* ``ball_count`` counts the ball representatives that ``ball_walk`` reads.
-* ``enumerated_multiset`` is the valuation multiset read off the walk over
-  every tuple of ball representatives, the reference for the digit-tree
-  count ``valuation_multiset``.
-* ``enumerated_composite_max`` walks every tuple of exact digit points of
-  the truncated rank-2 valuation ring (``integral_composite_representatives``,
-  ``integral_composite_count``), the reference for the digit tree of
-  ``composite_extremal_search``.
 * ``full_precision_lift`` is Newton's iteration with every step worked at
   the full precision of its operands, the reference for ``hensel_lift``.
 * ``sparse`` turns a seeded family's dense exponent tuple into the
@@ -22,13 +27,13 @@
 
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon, _fp_insert
-from valfield.errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
+from valfield.errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget, check_power
 from valfield.composite import CompositeElement, CompositeField
-from valfield.extremality import Ball, SearchResult, ball_walk, digit_window, search_max
-from valfield.laurent import LaurentField, LaurentSeries, ValuationResult, poly_derivative
+from valfield.extremality import Ball, SearchResult, search_max
+from valfield.laurent import ErrorOrder, LaurentField, LaurentSeries, ValuationResult, poly_derivative
 from valfield.polynomials import MultiPoly, dense_eval
 from valfield.value_group import Value
 
@@ -37,6 +42,56 @@ def sparse(dense: Sequence[int]) -> tuple:
     """A dense exponent tuple as a ``MultiPoly`` monomial: the sorted
     (variable, exponent) pairs of its nonzero exponents."""
     return tuple((i, e) for i, e in enumerate(dense) if e)
+
+
+def digit_window(
+    field: LaurentField, lo: int, hi: int, prec: ErrorOrder
+) -> Iterator[LaurentSeries]:
+    """Every sum of digits c_e t^e over lo <= e < hi, at error order prec,
+    with the digit codes counting up lexicographically, t^lo slowest."""
+    for codes in itertools.product(range(field.base.q), repeat=max(0, hi - lo)):
+        yield field.make(lo, codes, prec)
+
+
+def ball_representatives(
+    field: LaurentField, ball: Ball, upto: int
+) -> Iterator[LaurentSeries]:
+    """All representatives of the ball modulo t^upto, at precision upto."""
+    center = ball.center.truncate(min(ball.center.prec, upto))
+    for digits in digit_window(field, ball.radius, upto, upto):
+        yield center + digits
+
+
+def capped_walk(
+    f: MultiPoly, points: Iterable, capped: ValuationResult
+) -> Iterator[Tuple[tuple, ValuationResult]]:
+    """(args, v(f(args))) for every tuple of points, read once into the
+    product's pool, with one horizon rule at the bound ``capped``: a value
+    below it keeps its kind, so an exact value stays exact and a bound
+    stays the bound that is known; every other value becomes ``capped``,
+    because digits past the enumeration window were never tried."""
+    for args in itertools.product(points, repeat=f.nvars):
+        vr = f.evaluate(args).valuation()
+        yield args, vr if vr.value < capped.value else capped
+
+
+def ball_walk(
+    f: MultiPoly, field: LaurentField, ball: Ball, upto: int, cap: int, budget: int
+) -> Iterator[Tuple[tuple, ValuationResult]]:
+    """The capped walk over every tuple of ball representatives modulo
+    t^upto, at the cap ">= cap", charged to the budget first."""
+    check_power(field.base.q, f.nvars * max(0, upto - ball.radius), 0, budget)
+    capped = ValuationResult.at_least(Value.rank1(cap))
+    return capped_walk(f, ball_representatives(field, ball, upto), capped)
+
+
+def brute_force_max(
+    f: MultiPoly, field: LaurentField, ball: Ball, prec: int, budget: int = DEFAULT_BUDGET
+) -> Tuple[tuple, ValuationResult]:
+    """(witness, value): the exhaustive maximum of v(f) over the ball's
+    representatives modulo t^prec, capped at prec."""
+    result = search_max(ball_walk(f, field, ball, prec, prec, budget))
+    return result.witness, result.value
 
 
 def _series_key(s: LaurentSeries, out_prec: int):
@@ -149,19 +204,11 @@ def enumerated_composite_max(
     f: MultiPoly, field: CompositeField, u_floor: int = 0, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
     """Exhaustive max of v(f) over every tuple of exact digit points of the
-    truncated rank-2 valuation ring, charged to the budget first, with one
-    horizon rule at (prec_t, 0): a value below it keeps its kind, and every
-    other value becomes ">= (prec_t, 0)"."""
+    truncated rank-2 valuation ring, charged to the budget first, by the
+    capped walk at ">= (prec_t, 0)"."""
     check_budget(integral_composite_count(field, u_floor) ** f.nvars, budget)
     capped = ValuationResult.at_least(Value.rank2(field.prec_t, 0))
-    reps = integral_composite_representatives(field, u_floor)
-
-    def walk():
-        for args in itertools.product(reps, repeat=f.nvars):
-            vr = f.evaluate(args).valuation()
-            yield args, vr if vr.value < capped.value else capped
-
-    return search_max(walk())
+    return search_max(capped_walk(f, integral_composite_representatives(field, u_floor), capped))
 
 
 def _fp_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[Tuple[int, ...], ...]:

@@ -11,7 +11,6 @@ from valfield.additive import (
     AdditivePolynomial,
     PPolynomial,
     alpha_bound,
-    brute_force_max,
     decompose,
     decomposition_image_agrees,
     oap_solve,
@@ -26,6 +25,8 @@ from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
 from valfield.selftest import run_all
 from valfield.value_group import Value
+
+from oracles import brute_force_max
 
 SEED = 2026
 

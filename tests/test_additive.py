@@ -21,7 +21,6 @@ from valfield.additive import (
     _fp_insert,
     additive_from_multipoly,
     alpha_bound,
-    brute_force_max,
     Decomposition,
     decompose,
     decomposition_image_agrees,
@@ -38,7 +37,7 @@ from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
 from valfield.value_group import Value
 
-from oracles import _fp_echelon, decomposition_image, truncated_image
+from oracles import _fp_echelon, brute_force_max, decomposition_image, truncated_image
 
 
 class TestConversion:

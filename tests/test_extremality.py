@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from valfield.additive import AdditivePolynomial, brute_force_max
+from valfield.additive import AdditivePolynomial
 from valfield.composite import CompositeField
 from valfield.errors import DEFAULT_BUDGET, BudgetExceededError, PrecisionError, ValfieldError
 from valfield.extremality import (
@@ -13,9 +13,7 @@ from valfield.extremality import (
     Ball,
     _DigitTree,
     _RingDigits,
-    ball_representatives,
     ball_transfer,
-    ball_walk,
     check_vexbarwex,
     composite_extremal_search,
     extremal_search,
@@ -31,6 +29,9 @@ from valfield.value_group import Value
 
 from oracles import (
     ball_count,
+    ball_representatives,
+    ball_walk,
+    brute_force_max,
     enumerated_composite_max,
     enumerated_multiset,
     integral_composite_count,
@@ -198,6 +199,43 @@ class TestBallTransfer:
                 f, K2, Ball(b, beta), prec + (beta - alpha), cap=prec
             )
             assert m_f == m_g
+
+    @pytest.mark.parametrize("instance", ["decided", "undecided", "past-the-horizon"])
+    def test_multiset_budget_is_charged_in_full(self, instance):
+        # the whole charge of a multiset whose window reaches past its cap,
+        # so the tree expands nodes past the cap: the shift table, the
+        # classes and the digits of every expanded node.  The first two are
+        # f's side of a transfer with beta - alpha = 1, drawn from a seeded
+        # family: the classes of B_1(b) mod t^4 read at cap 3, charging in
+        # the first also the digits of a depth-4 node with a residue form,
+        # and in the second those of depth-3 nodes without one.  In the
+        # third, f = t + t^-3*(X1 - 1)*X2 + O(t^-2)*X1*X2, and at X1 = 1,
+        # X2 = 0 mod t^2 the coefficient of Y2 is zero to its order: that
+        # node at depth 2 has no residue form at the horizon, and its nine
+        # classes read ">=1" at depth 3, where a leaf at the horizon would
+        # read ">=0"
+        K = LaurentField(prime_field(3), "t", default_prec=8)
+        S, inf = K.from_int_terms, math.inf
+        if instance == "decided":
+            f = MultiPoly(1, {((0, 3),): S({0: 2}, 4), ((0, 1),): S({-2: 2, 0: 2}, inf),
+                              (): S({0: 2, 1: 1, 2: 1}, inf)})
+            ball, upto, cap = Ball(S({1: 1, 2: 1}, inf), 1), 4, 3
+            charge, expected = 46, {"-1": 18, "0": 6, "1": 2, ">=2": 1}
+        elif instance == "undecided":
+            f = MultiPoly(1, {((0, 3),): S({1: 2, 3: 1}, 5), ((0, 1),): S({0: 1}, 3),
+                              (): S({0: 1, 1: 1}, 2)})
+            ball, upto, cap = Ball(S({0: 2, 1: 1}, inf), 1), 4, 3
+            charge, expected = 50, {"1": 18, ">=2": 9}
+        else:
+            f = MultiPoly(2, {(): S({1: 1}, inf), ((0, 1), (1, 1)): S({-3: 1}, -2),
+                              ((1, 1),): S({-3: 2}, inf)})
+            ball, upto, cap = Ball(K.zero(inf), 0), 3, 2
+            charge = 1255
+            expected = {"-1": 36, "-2": 108, "-3": 324, ">=-1": 54, ">=-2": 162, ">=0": 36, ">=1": 9}
+        m = valuation_multiset(f, K, ball, upto, cap, budget=charge)
+        assert m == [text for text, count in expected.items() for _ in range(count)]
+        with pytest.raises(BudgetExceededError):
+            valuation_multiset(f, K, ball, upto, cap, budget=charge - 1)
 
     def test_multiset_caps_exact_values(self, K2):
         f = MultiPoly(1, {(): K2.t_power(5, 12)})

@@ -15,7 +15,9 @@ tests call belongs beside them, in ``tests/oracles.py``.
 The digit tree's core, ``extremality._DigitTree``, owns no field
 arithmetic: its class body reads no ring field, base field, characteristic,
 scale or shift, and calls none of the Lucas shift helpers, which live
-behind the ring adapters.
+behind the ring adapters.  Its one leaf walk, ``_DigitTree.leaves``, is the
+only caller of an adapter's ``child`` step, so no second walk of the tree
+can come back beside it.
 
 The span solver's generator loop, ``additive._digit_generators``, builds
 each generator by shift and scale: it calls neither ``evaluate`` nor
@@ -199,6 +201,39 @@ def test_checker_flags_field_arithmetic_in_the_core():
         (7, "_lucas"), (7, "p"),
         (9, "scale"), (9, "shift"),
     ]
+
+
+def child_call_sites(source: str):
+    """Each call of a ``child`` method, named by the module-level function
+    or the class and method whose body holds it."""
+    sites = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            scopes = [(f"{stmt.name}.{f.name}", f) for f in stmt.body if isinstance(f, ast.FunctionDef)]
+        else:
+            scopes = [(getattr(stmt, "name", "<module>"), stmt)]
+        for name, scope in scopes:
+            sites += [name for node in ast.walk(scope)
+                      if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "child"]
+    return sorted(sites)
+
+
+def test_the_leaf_walk_is_the_one_caller_of_the_child_step():
+    assert child_call_sites((PACKAGE / "extremality.py").read_text()) == ["_DigitTree.leaves"]
+
+
+def test_checker_flags_a_second_walk_of_the_tree():
+    source = (
+        "class _DigitTree:\n"
+        "    def leaves(self):\n"
+        "        return self.ring.child(g, y, k)\n"
+        "def valuation_multiset(tree):\n"
+        "    def step(g, y, k):\n"
+        "        return tree.ring.child(g, y, k)\n"
+        "    return step\n"
+        "children = ring.child({}, (0,), 1)\n"
+    )
+    assert child_call_sites(source) == ["<module>", "_DigitTree.leaves", "valuation_multiset"]
 
 
 PRODUCT_CALLS = {"evaluate", "from_terms"}
