@@ -48,7 +48,6 @@ from .finite_field import FFElement, FiniteFieldDescriptor, parse_field, prime_f
 from .laurent import (
     LaurentField,
     LaurentSeries,
-    ValuationResult,
     artin_schreier_solve,
     hensel_lift,
     parse_series,
@@ -61,6 +60,6 @@ from .padic import (
 from .parsing import parse_any_field, parse_ball, parse_int_poly, parse_poly
 from .polygon import NewtonPolygon, newton_polygon_from_valuations
 from .polynomials import MultiPoly
-from .value_group import INFINITY, Value
+from .value_group import INFINITY, Value, ValuationResult
 
 __version__ = "0.1.0"

@@ -55,9 +55,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
 from .finite_field import FFElement
-from .laurent import LaurentField, LaurentSeries, ValuationResult
+from .laurent import LaurentField, LaurentSeries
 from .polynomials import MultiPoly
-from .value_group import Value
+from .value_group import Value, ValuationResult
 
 
 class AdditivePolynomial:
@@ -640,7 +640,6 @@ def decomposition_image_agrees(
     field: LaurentField,
     out_prec: int,
     out_low: int = 0,
-    min_in_low: int = MIN_IN_LOW,
 ) -> bool:
     """Whether f and its decomposition have the same image in the output
     window [out_low, out_prec).
@@ -651,7 +650,7 @@ def decomposition_image_agrees(
     such a level, W_f lies inside W_d exactly when inserting W_f's rows
     into W_d's echelon adds no pivot; a pivot added answers False, equal
     dimensions then answer True, and a smaller W_f may still grow, so the
-    descent goes on.  A window that does not settle above min_in_low raises
+    descent goes on.  A window that does not settle above MIN_IN_LOW raises
     PrecisionError.  Every span matrix is charged to the default budget,
     summed over both sides and all levels, before its generators are
     built."""
@@ -659,7 +658,7 @@ def decomposition_image_agrees(
     sides = (f, dec.summed(field))
     level = min(0, out_low)
     spent, dims = 0, None
-    while level >= min_in_low:
+    while level >= MIN_IN_LOW:
         spans = []
         for g in sides:
             rows, cols = _span_size(g, out_prec, out_low, level)

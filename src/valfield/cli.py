@@ -52,7 +52,7 @@ from .extremality import (
     extremal_search,
     valuation_multiset,
 )
-from .laurent import LaurentField, ValuationResult, parse_series
+from .laurent import LaurentField, parse_series
 from .parsing import (
     PAdicFieldRef,
     parse_any_field,
@@ -62,6 +62,7 @@ from .parsing import (
 )
 from .polynomials import MultiPoly
 from .selftest import run_all
+from .value_group import ValuationResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -14,8 +14,8 @@ from typing import Dict, Optional, Tuple
 
 from .errors import DescriptorMismatchError, IndeterminateValuationError
 from .finite_field import FiniteFieldDescriptor
-from .laurent import LaurentField, LaurentSeries, ValuationResult
-from .value_group import Value
+from .laurent import LaurentField, LaurentSeries
+from .value_group import Value, ValuationResult
 
 
 class CompositeField:

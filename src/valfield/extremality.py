@@ -46,9 +46,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .composite import CompositeElement, CompositeField
 from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget, check_power
-from .laurent import LaurentField, LaurentSeries, ValuationResult
+from .laurent import LaurentField, LaurentSeries
 from .polynomials import MultiPoly
-from .value_group import Value
+from .value_group import Value, ValuationResult
 
 MAX_ATTAINED = "MaxAttained"
 INDETERMINATE = "Indeterminate"
@@ -138,17 +138,18 @@ def _times_monomial(code: int, y: tuple, monomial: tuple, powers, mul) -> int:
 
 
 @lru_cache(maxsize=None)
-def _powers(residue) -> List[list]:
-    """powers[y][e] = y^e in the residue field F_q, for e <= q - 1."""
-    return [list(itertools.accumulate([y] * (residue.q - 1), residue.mul_codes, initial=1))
-            for y in range(residue.q)]
+def _powers(residue, top: int) -> List[list]:
+    """powers[y][e] = y^e in F_q for e <= top, charged its q * (top + 1) entries first."""
+    check_budget(residue.q * (top + 1), DEFAULT_BUDGET)
+    return [list(itertools.accumulate([y] * top, residue.mul_codes, initial=1)) for y in range(residue.q)]
 
 
 class _LucasShift:
     """The shift step of a ring of characteristic p, shared by the adapters
     below: digit powers are F_q codes, multiplied into a coefficient by the
     adapter's ``scale``, and the binomial coefficients are reduced by
-    Lucas's theorem."""
+    Lucas's theorem.  The digit powers are the tree's table, which the
+    tree sets as ``powers`` after ``prepare``."""
 
     def prepare(self, monomials: Iterable[tuple], budget: int) -> int:
         """The table of the shift Y -> y + s*Y, charged its (nu, mu) pairs
@@ -176,7 +177,7 @@ class _LucasShift:
     def child(self, g: dict, y: tuple, k: int) -> dict:
         """The coefficients of g(y + (s_k / s_(k-1)) Y) at depth k, every one
         kept, also when zero to its error order; one no term reaches is 0."""
-        powers, mul, out = _powers(self.residue), self.residue.mul_codes, {}
+        powers, mul, out = self.powers, self.residue.mul_codes, {}
         for mu, terms in self.table.items():
             acc = None
             for nu, code, diff in terms:
@@ -281,6 +282,10 @@ class _DigitTree:
     def __init__(self, f: MultiPoly, ring, budget: int):
         self.n, self.q, self.ring, self.budget = f.nvars, ring.residue.q, ring, budget
         self.spent = ring.prepare(f.terms, budget)
+        # one table of digit powers, for the residue forms and for a Lucas shift's child
+        # step: no reduced exponent of either exceeds min(q - 1, f's top exponent)
+        top = min(self.q - 1, max((e for nu in f.terms for _, e in nu), default=0))
+        self.powers = ring.powers = _powers(ring.residue, top)
         self.root = ring.root(f.terms)
         self.all_digits = None
 
@@ -311,7 +316,7 @@ class _DigitTree:
         if lead is None:
             return [], digits
         residue, decided, children = self.ring.residue, [], []
-        powers, add, mul = _powers(residue), residue.add_codes, residue.mul_codes
+        powers, add, mul = self.powers, residue.add_codes, residue.mul_codes
         for y in digits:
             r = 0
             for nu, code in lead:

@@ -83,14 +83,20 @@ def _monic_polys(p: int, d: int) -> Iterator[List[int]]:
 
 
 def _pmod_irreducible(f: Sequence[int], p: int) -> bool:
-    """Trial-division irreducibility test for a monic poly over F_p."""
+    """Trial-division irreducibility test for a monic poly over F_p.  Each
+    divisor degree d is charged to the default budget before its divisors
+    are tried, so a small factor ends the scan before a larger degree is
+    charged: p^d divisors, each (deg - d + 1) * (d + 1) coefficient steps."""
     f = _ptrim(f)
     deg = len(f) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
+    spent = 0
     for d in range(1, deg // 2 + 1):
+        spent += (deg - d + 1) * (d + 1) * p**d
+        check_budget(spent, DEFAULT_BUDGET)
         for g in _monic_polys(p, d):
             if not _pmod_rem(f, g, p):
                 return False
@@ -118,11 +124,12 @@ class FiniteFieldDescriptor:
         self.q = p**k
         if modulus is None:
             modulus = (0, 1) if k == 1 else self._find_modulus(p, k)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValfieldError("modulus must be monic of degree k")
-        if k > 1 and not _pmod_irreducible(modulus, p):
-            raise ValfieldError("modulus is reducible")
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise ValfieldError("modulus must be monic of degree k")
+            if k > 1 and not _pmod_irreducible(modulus, p):
+                raise ValfieldError("modulus is reducible")
         self.modulus = modulus
         # x^j mod the modulus for j = k .. 2k-2, as coefficient vectors
         self._fold_rows: List[List[int]] = []

@@ -58,7 +58,6 @@ import math
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import compress, count
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -71,39 +70,9 @@ from .errors import (
 )
 from .finite_field import FFElement, FiniteFieldDescriptor
 from .polynomials import _integer, dense_eval, parse_sum, square_and_multiply
-from .value_group import INFINITY, Value
+from .value_group import INFINITY, Value, ValuationResult
 
 ErrorOrder = Union[int, float]  # an integer N, or math.inf for an exact series
-
-
-@dataclass(frozen=True)
-class ValuationResult:
-    """Either an exact valuation or a lower bound carrying the error order."""
-
-    exact: bool
-    value: Value
-
-    @staticmethod
-    def exactly(v: Value) -> "ValuationResult":
-        return ValuationResult(True, v)
-
-    @staticmethod
-    def at_least(v: Value) -> "ValuationResult":
-        return ValuationResult(False, v)
-
-    def require_exact(self) -> Value:
-        if not self.exact:
-            raise IndeterminateValuationError(
-                f"valuation only known to be >= {self.value.to_text()}"
-            )
-        return self.value
-
-    def to_text(self) -> str:
-        return self.value.to_text() if self.exact else f">={self.value.to_text()}"
-
-    def __repr__(self) -> str:
-        kind = "Exact" if self.exact else "AtLeast"
-        return f"{kind}({self.value.to_text()})"
 
 
 class LaurentField:
@@ -517,9 +486,10 @@ def poly_derivative(coeffs: Sequence[LaurentSeries]) -> List[LaurentSeries]:
     return [c.scale(i) for i, c in enumerate(coeffs) if i]
 
 
-def hensel_lift(
-    coeffs: Sequence[LaurentSeries], x0: LaurentSeries, target_prec: int, max_iter: int = 64
-) -> LaurentSeries:
+MAX_NEWTON_STEPS = 64  # the iterations hensel_lift runs before it gives up
+
+
+def hensel_lift(coeffs: Sequence[LaurentSeries], x0: LaurentSeries, target_prec: int) -> LaurentSeries:
     """Newton iteration x -> x - f(x)/f'(x) up to f(x) = 0 mod t^target_prec.
 
     Requires the Hensel condition v(f(x0)) > 2 v(f'(x0)), with v(f'(x0))
@@ -540,7 +510,7 @@ def hensel_lift(
             f"Hensel condition fails: v(f(x0))={fx.valuation().to_text()} <= 2*v(f'(x0))={2 * b}"
         )
     field, x = x0.field, x0
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_STEPS):
         m = fx.valuation_floor()
         if m >= target_prec:
             return field.make(x.low, x.coeffs, m - b)

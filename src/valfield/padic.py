@@ -11,11 +11,13 @@ valuation infinity.  Valuations come from the valuation of a resultant:
 
 which is the norm route and needs no uniformizer towers.  The resultant
 is the determinant of the Sylvester matrix, found by plain elimination
-over Q.  Irreducibility over Q_p is certified by degree one or through the
-Newton polygon: a single segment whose slope denominator equals the
-degree, or a unit polynomial whose residue is irreducible over F_p.
-Anything else must carry an external irreducibility assertion, which is
-recorded downstream in certificates.
+over Q.  It needs f irreducible over Q_p, which one rule decides,
+:func:`valfield.polygon.certify_extension`: degree one, a single polygon
+segment whose slope denominator is the degree, a unit polynomial whose
+residue is irreducible over F_p, or an external assertion, which
+certificates record.  ``fundamental_equality_data`` asks it once per ring,
+and ``ext_valuation`` refuses a ring that it does not certify; an asserted
+ring is always certified, so ``ext_valuation`` skips its residue scan.
 
 Polynomial arithmetic on representatives (product, reduction modulo f,
 the extended-gcd inverse) runs on the dense helpers of
@@ -29,7 +31,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import CertificationError, DescriptorMismatchError, ValfieldError
 from .finite_field import _pmod_irreducible, is_prime
-from .laurent import ValuationResult
 from .polygon import (
     FundamentalEqualityData,
     NewtonPolygon,
@@ -37,7 +38,7 @@ from .polygon import (
     newton_polygon_from_valuations,
 )
 from .polynomials import _ring_pow, dense_divmod, dense_mul, dense_sub, dense_trim
-from .value_group import INFINITY, Value
+from .value_group import INFINITY, Value, ValuationResult
 
 
 def vp_int(n: int, p: int) -> Optional[int]:
@@ -88,6 +89,7 @@ class PAdicExtRing:
             raise ValfieldError("modulus must have degree >= 1")
         self.irreducible_asserted = irreducible_asserted
         self._polygon: Optional[NewtonPolygon] = None
+        self._data: Optional[FundamentalEqualityData] = None
 
     def polygon(self) -> NewtonPolygon:
         """Polygon of the modulus; a zero coefficient is passed as None."""
@@ -98,22 +100,6 @@ class PAdicExtRing:
                 for c in self.modulus
             ])
         return self._polygon
-
-    def irreducibility_certified(self) -> bool:
-        """Degree one, or the slope-denominator criterion (totally ramified case)."""
-        if self.degree == 1:
-            return True
-        slope = self.polygon().single_slope()
-        if slope is None or self.polygon().start != 0:
-            return False
-        return slope.denominator == self.degree
-
-    def _check_irreducible(self) -> None:
-        if not (self.irreducibility_certified() or self.irreducible_asserted):
-            raise CertificationError(
-                "irreducibility not certifiable by the slope criterion; "
-                "supply an external assertion"
-            )
 
     # -- elements ----------------------------------------------------------
 
@@ -238,9 +224,12 @@ def _sylvester_det(f: List[Fraction], g: List[Fraction]) -> Fraction:
 
 
 def ext_valuation(a: PAdicExtElement) -> Value:
-    """v(a) = v_p(Res(f, a)) / deg f, exact; infinity for the zero element."""
+    """v(a) = v_p(Res(f, a)) / deg f, exact; infinity for the zero element.
+    The ring must be certified by :func:`fundamental_equality_data`; an
+    asserted ring always is, so its residue scan is skipped."""
     ring = a.ring
-    ring._check_irreducible()
+    if not ring.irreducible_asserted:
+        fundamental_equality_data(ring)
     g = dense_trim(a.rep)
     if not g:
         return INFINITY
@@ -252,13 +241,16 @@ def ext_valuation(a: PAdicExtElement) -> Value:
 
 def fundamental_equality_data(ring: PAdicExtRing) -> FundamentalEqualityData:
     """Degree, ramification index and residue degree of Q_p[X]/(f), by the
-    routes of :func:`certify_extension`."""
-    p = ring.p
-    return certify_extension(
-        ring.degree,
-        ring.polygon(),
-        lambda: _pmod_irreducible(
-            tuple(c.numerator * pow(c.denominator, -1, p) % p for c in ring.modulus), p
-        ),
-        ring.irreducible_asserted,
-    )
+    routes of :func:`certify_extension`, found once per ring; raises
+    CertificationError when no route certifies f."""
+    if ring._data is None:
+        p = ring.p
+        ring._data = certify_extension(
+            ring.degree,
+            ring.polygon(),
+            lambda: _pmod_irreducible(
+                tuple(c.numerator * pow(c.denominator, -1, p) % p for c in ring.modulus), p
+            ),
+            ring.irreducible_asserted,
+        )
+    return ring._data

@@ -21,7 +21,7 @@ from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, IndeterminateValuationError, ValfieldError
-from .laurent import ValuationResult
+from .value_group import ValuationResult
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Elements are exact rationals; there is no floating point anywhere.  The top
 element ``inf`` absorbs under addition and is greater than every group
 element.  Rank-1 and rank-2 values never mix: cross-rank arithmetic or
-comparison is a hard error, not a coercion.
+comparison is a hard error, not a coercion.  A ``ValuationResult``, the
+value every layer reads, is an exact value or only a lower bound.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ParseError, RankMismatchError, ValfieldError
+from .errors import IndeterminateValuationError, ParseError, RankMismatchError, ValfieldError
 
 Rational = Union[int, Fraction]
 
@@ -134,3 +135,31 @@ class Value:
 
 
 INFINITY = Value(_INF)
+
+
+@dataclass(frozen=True)
+class ValuationResult:
+    """Either an exact valuation or a lower bound carrying the error order."""
+
+    exact: bool
+    value: Value
+
+    @staticmethod
+    def exactly(v: Value) -> "ValuationResult":
+        return ValuationResult(True, v)
+
+    @staticmethod
+    def at_least(v: Value) -> "ValuationResult":
+        return ValuationResult(False, v)
+
+    def require_exact(self) -> Value:
+        if not self.exact:
+            raise IndeterminateValuationError(f"valuation only known to be >= {self.value.to_text()}")
+        return self.value
+
+    def to_text(self) -> str:
+        return self.value.to_text() if self.exact else f">={self.value.to_text()}"
+
+    def __repr__(self) -> str:
+        kind = "Exact" if self.exact else "AtLeast"
+        return f"{kind}({self.value.to_text()})"

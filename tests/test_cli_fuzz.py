@@ -214,6 +214,33 @@ def test_a_huge_prime_ends_within_the_timeout(args, code):
     assert run(args).returncode == code
 
 
+# unbounded, trial division by every monic polynomial of degree <= 12 (or
+# 14) over F_3 and a table of y^e for every y in F_q and e <= q - 1 take
+# seconds to minutes; each divisor degree is charged to the budget before its
+# divisors are tried, and the table holds only the exponents that f reaches
+@pytest.mark.parametrize(
+    "args, codes",
+    [
+        (["fundeq", "--field", "Q_3", "--poly", "X^24 + X^4 + 2"], (4,)),
+        (["fundeq", "--field", "Q_3", "--poly", "X^28 + X^2 + 2"], (4,)),
+    ] + [
+        (["extremal", "--field", f"F({p}^2)((t))", "--poly", "X + t", "--prec", "2"], (0, 3, 4))
+        for p in (31, 53, 71)
+    ],
+    ids=["fundeq-degree-24", "fundeq-degree-28", "extremal-F_961", "extremal-F_2809", "extremal-F_5041"],
+)
+def test_a_large_residue_scan_ends_within_seconds(args, codes):
+    assert run(args, timeout=10).returncode in codes
+
+
+@pytest.mark.parametrize("asserted, code", [([], 3), (["--asserted"], 0)])
+def test_a_small_residue_factor_ends_the_scan_before_a_large_degree_is_charged(asserted, code):
+    # the residue X^24 - 1 of X^24 + 2 over F_3 has the factor X + 1, found at
+    # degree 1, far below the degree-12 divisors whose charge exceeds the budget
+    args = ["fundeq", "--field", "Q_3", "--poly", "X^24 + 2", *asserted]
+    assert run(args, timeout=10).returncode == code
+
+
 def test_a_typed_degree_over_q_p_reads_only_its_nonzero_coefficients():
     # a million zero coefficients are neither divided nor printed
     proc = run(["fundeq", "--field", "Q_3", "--poly", "X^1000000 + 3"])

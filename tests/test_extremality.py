@@ -13,6 +13,7 @@ from valfield.extremality import (
     Ball,
     _DigitTree,
     _RingDigits,
+    _powers,
     ball_transfer,
     check_vexbarwex,
     composite_extremal_search,
@@ -583,3 +584,15 @@ def test_enumerations_build_no_ffelement(C2, K2, monkeypatch):
 
     monkeypatch.setattr(FFElement, "__init__", boom)
     assert run() == expected
+
+
+def test_the_power_table_holds_only_the_exponents_f_reaches():
+    # y^e for e up to f's top exponent 3, not up to q - 1 = 5040, and a
+    # table that would reach q - 1 is refused before it is built
+    F = FiniteFieldDescriptor(71, 2)
+    C = CompositeField(F, prec_t=1, prec_u=1)
+    table = _DigitTree(parse_poly("X1^3 + X1*X2^2", C), _RingDigits(C, 0), DEFAULT_BUDGET).powers
+    assert len(table) == F.q and {len(row) for row in table} == {4}
+    assert table[75][3] == F.mul_codes(75, F.mul_codes(75, 75))
+    with pytest.raises(BudgetExceededError):
+        _powers(F, F.q - 1)

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valfield.errors import ParseError, ValfieldError
+from valfield.errors import BudgetExceededError, ParseError, ValfieldError
 from valfield.finite_field import (
     FFElement,
     FiniteFieldDescriptor,
+    _pmod_irreducible,
     artin_schreier_irreducible,
     has_root,
     parse_field,
@@ -194,6 +195,20 @@ class TestModulusSelection:
     def test_k_bound(self):
         with pytest.raises(ValfieldError):
             FiniteFieldDescriptor(2, 9)
+
+    def test_a_supplied_modulus_is_tested(self):
+        with pytest.raises(ValfieldError, match="reducible"):
+            FiniteFieldDescriptor(3, 2, (2, 0, 1))  # X^2 - 1
+
+    def test_trial_division_is_charged_one_divisor_degree_at_a_time(self):
+        # degree d costs 3^d divisors of (deg - d + 1) * (d + 1) steps: a
+        # degree-12 residue is scanned in full, a degree-24 one with no factor
+        # of degree <= 9 is refused at degree 10, and X^24 - 1 = (X + 1) * ...
+        # is found reducible at degree 1, before any large degree is charged
+        assert isinstance(_pmod_irreducible((2, 0, 0, 0, 1) + (0,) * 7 + (1,), 3), bool)
+        with pytest.raises(BudgetExceededError, match="14348889 "):
+            _pmod_irreducible((2, 0, 0, 0, 1) + (0,) * 19 + (1,), 3)
+        assert _pmod_irreducible((2,) + (0,) * 23 + (1,), 3) is False
 
 
 class TestTextForms:

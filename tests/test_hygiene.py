@@ -19,6 +19,10 @@ behind the ring adapters.  Its one leaf walk, ``_DigitTree.leaves``, is the
 only caller of an adapter's ``child`` step, so no second walk of the tree
 can come back beside it.
 
+The p-adic layer and the Newton polygons, ``padic.py`` and ``polygon.py``,
+import nothing from the series layer ``laurent``: a valuation result is a
+``value_group`` type, and Q_p[X]/(f) needs no Laurent series.
+
 The span solver's generator loop, ``additive._digit_generators``, builds
 each generator by shift and scale: it calls neither ``evaluate`` nor
 ``from_terms``, so no series product per generator can come back unseen.
@@ -266,3 +270,37 @@ def test_checker_flags_a_product_in_the_generator_loop():
         "    return gens + [evaluate(f, mono)]\n"
     )
     assert product_calls(source) == [(4, "from_terms"), (5, "evaluate"), (6, "evaluate")]
+
+
+def series_imports(source: str):
+    """(line, name) for each name imported from the series layer, by
+    ``from .laurent import`` (or ``valfield.laurent``) or ``import`` of it,
+    anywhere in the module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            whole = (node.module or "").split(".")[-1] == "laurent"
+            found += [(node.lineno, alias.name) for alias in node.names if whole or alias.name == "laurent"]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.endswith(".laurent")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["padic.py", "polygon.py"])
+def test_the_p_adic_layer_imports_nothing_from_the_series_layer(name):
+    assert series_imports((PACKAGE / name).read_text()) == []
+
+
+def test_checker_flags_an_import_from_the_series_layer():
+    source = (
+        "from .laurent import ValuationResult\n"
+        "from . import laurent\n"
+        "from .value_group import Value\n"
+        "import valfield.laurent\n"
+        "def f():\n"
+        "    from valfield.laurent import LaurentSeries\n"
+        "    return LaurentSeries\n"
+    )
+    assert series_imports(source) == [
+        (1, "ValuationResult"), (2, "laurent"), (4, "valfield.laurent"), (6, "LaurentSeries"),
+    ]

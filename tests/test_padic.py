@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valfield.errors import CertificationError, ValfieldError
+from valfield.errors import BudgetExceededError, CertificationError, ValfieldError
 from valfield.finite_field import _pmod_irreducible
 from valfield.padic import (
     PAdicExtRing,
@@ -49,7 +49,7 @@ class TestExtensionRing:
     def test_polygon_and_certified_irreducibility(self):
         ring = counterexample_ring(3)
         assert ring.polygon().segments == ((Fraction(1, 6), 6),)
-        assert ring.irreducibility_certified()
+        assert fundamental_equality_data(ring).certified_by == "slope-denominator"
 
     def test_generator_valuation(self):
         ring = counterexample_ring(3)
@@ -242,6 +242,47 @@ class TestExactOracle:
         assert (x * y) * z == x * (y * z)
 
 
+class TestResidueRoute:
+    """Rings certified by an irreducible residue alone, with no assertion.
+    A monic integral lift f of an irreducible residue of degree n gives an
+    unramified extension whose residue field has basis 1, a, ..., a^(n-1)
+    for a the class of X, so v(sum c_i X^i) = min v_p(c_i)."""
+
+    def test_an_unramified_ring_needs_no_assertion(self):
+        ring = PAdicExtRing(3, [-2, 0, 1])
+        assert fundamental_equality_data(ring).certified_by == "residue-irreducible"
+        assert ext_valuation(ring.gen()) == Value.rank1(0)
+        assert ext_valuation(ring.element([3])) == Value.rank1(1)
+        with pytest.raises(CertificationError):
+            ext_valuation(PAdicExtRing(3, [-1, 0, 1]).gen())
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_valuation_is_the_least_coefficient_valuation(self, p):
+        rng = random.Random(f"residue route {p}")
+        for n in (2, 3, 4):
+            for _ in range(5):
+                modulus = _unit_modulus(rng, p, n)
+                ring = PAdicExtRing(p, modulus)
+                asserted = PAdicExtRing(p, modulus, irreducible_asserted=True)
+                assert fundamental_equality_data(ring).certified_by == "residue-irreducible"
+                for _ in range(4):
+                    cs = [_rational(rng, p) if rng.random() < 0.7 else 0 for _ in range(n)]
+                    cs[rng.randrange(n)] = _rational(rng, p)
+                    expected = Value.rank1(min(vp_fraction(c, p) for c in cs if c))
+                    assert ext_valuation(ring.element(cs)) == expected, (modulus, cs)
+                    assert ext_valuation(asserted.element(cs)) == expected, (modulus, cs)
+
+    def test_an_asserted_ring_skips_the_residue_scan(self):
+        # X^24 + X^4 + 2 over Q_3: its residue scan exceeds the default
+        # budget, but an asserted ring needs no certification to value
+        modulus = [2, 0, 0, 0, 1] + [0] * 19 + [1]
+        with pytest.raises(BudgetExceededError):
+            fundamental_equality_data(PAdicExtRing(3, modulus))
+        ring = PAdicExtRing(3, modulus, irreducible_asserted=True)
+        assert ext_valuation(ring.gen()) == Value.rank1(0)
+        assert ext_valuation(ring.element([3])) == Value.rank1(1)
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -269,5 +310,5 @@ class TestRingGuards:
 
     def test_degree_one_modulus_is_irreducible(self):
         ring = PAdicExtRing(3, [0, 1])
-        assert ring.irreducibility_certified()
+        assert fundamental_equality_data(ring).certified_by == "degree-one"
         assert ext_valuation(ring.element([3])) == Value.rank1(1)
