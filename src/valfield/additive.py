@@ -395,10 +395,9 @@ def _truncate_poly(g: AdditivePolynomial, prec: int) -> AdditivePolynomial:
 # -- alpha bound -----------------------------------------------------------
 
 
-def alpha_bound(
-    h: PPolynomial, d: Decomposition, grain: Fraction = Fraction(1)
-) -> Value:
-    """Strict ball radius from the coefficient-gap minimum, minus one grain."""
+def alpha_bound(h: PPolynomial, d: Decomposition) -> Value:
+    """Strict ball radius from the coefficient-gap minimum, minus one grain
+    of the value group Z."""
     gaps = [Fraction(0)]
     vc = None
     if h.constant is not None and not h.constant.is_zero_to_prec():
@@ -414,7 +413,7 @@ def alpha_bound(
             if c is not None:
                 vck = Fraction(c.valuation().require_exact().first)
                 gaps.append(vck - vb)
-    return Value.rank1(min(gaps) - grain)
+    return Value.rank1(min(gaps) - 1)
 
 
 # -- the OAP solver and its oracle -----------------------------------------

@@ -203,6 +203,7 @@ def verify_tmcne(p: int) -> TmcneCertificate:
             data.n == 2 * p
             and data.e == 2 * p
             and data.f_res == 1
+            and data.certified_by == "slope-denominator"
             and data.equality_holds is True
         )
     except CertificationError as exc:

@@ -9,9 +9,11 @@ valuation infinity.  Valuations come from the valuation of a resultant:
 
     v(g(gen)) = v_p(Res(f, g)) / deg f
 
-which is the norm route and needs no uniformizer towers.  The resultant
-is the determinant of the Sylvester matrix, found by plain elimination
-over Q.  It needs f irreducible over Q_p, which one rule decides,
+which is the norm route and needs no uniformizer towers.  It is read off
+the Euclidean remainder sequence of (f, g), which ``inverse`` also walks:
+Res(a, b) = +-lc(b)^(deg a - deg r) Res(b, r) for a = q*b + r, and
+Res(b, c) = c^(deg b) for a constant c (Cohen, GTM 138, 3.3).  The
+valuation needs f irreducible over Q_p, which one rule decides,
 :func:`valfield.polygon.certify_extension`: degree one, a single polygon
 segment whose slope denominator is the degree, a unit polynomial whose
 residue is irreducible over F_p, or an external assertion, which
@@ -20,7 +22,7 @@ and ``ext_valuation`` refuses a ring that it does not certify; an asserted
 ring is always certified, so ``ext_valuation`` skips its residue scan.
 
 Polynomial arithmetic on representatives (product, reduction modulo f,
-the extended-gcd inverse) runs on the dense helpers of
+the remainder walk) runs on the dense helpers of
 :mod:`valfield.polynomials`.
 """
 
@@ -163,16 +165,14 @@ class PAdicExtElement:
 
     def inverse(self) -> "PAdicExtElement":
         """Extended-gcd inverse against the modulus."""
-        # (r0, s0) and (r1, s1) with ri = si * g (mod f); s0 = [] is zero
-        r0, s0 = list(self.ring.modulus), []
-        r1, s1 = dense_trim(self.rep), [Fraction(1)]
-        while len(r1) > 1:
-            q, r = dense_divmod(r0, r1)
-            r0, r1 = r1, dense_trim(r)
+        # each remainder r_i = s_i * g (mod f); s_0 = [] is zero
+        g = dense_trim(self.rep)
+        last, s0, s1 = g, [], [Fraction(1)]
+        for q, _, last in _remainder_walk(self.ring.modulus, g):
             s0, s1 = s1, dense_sub(s0, dense_mul(q, s1))
-        if not r1:
+        if not last:
             raise ValfieldError("element is zero or not invertible modulo f")
-        return self.ring.element([c / r1[0] for c in s1])
+        return self.ring.element([c / last[0] for c in s1])
 
     def is_zero(self) -> bool:
         return not any(self.rep)
@@ -200,27 +200,15 @@ class PAdicExtElement:
 # -- resultant-based valuation ---------------------------------------------
 
 
-def _sylvester_det(f: List[Fraction], g: List[Fraction]) -> Fraction:
-    """det Sylvester(f, g), up to sign, by exact elimination; g is trimmed
-    and nonzero."""
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = [[Fraction(0)] * i + f[::-1] + [Fraction(0)] * (n - 1 - i) for i in range(n)]
-    rows += [[Fraction(0)] * i + g[::-1] + [Fraction(0)] * (m - 1 - i) for i in range(m)]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        det *= top[col]
-        for row in rows[col + 1:]:
-            if row[col]:
-                factor = row[col] / top[col]
-                for c in range(col, size):
-                    row[c] -= factor * top[c]
-    return det
+def _remainder_walk(a: List[Fraction], b: List[Fraction]):
+    """The Euclidean remainder sequence of a and b, b trimmed: each step
+    yields (q, b, r) with a = q*b + r and r trimmed, then divides b by r,
+    until the remainder is a constant or zero."""
+    while len(b) > 1:
+        q, r = dense_divmod(a, b)
+        r = dense_trim(r)
+        yield q, b, r
+        a, b = b, r
 
 
 def ext_valuation(a: PAdicExtElement) -> Value:
@@ -233,10 +221,14 @@ def ext_valuation(a: PAdicExtElement) -> Value:
     g = dense_trim(a.rep)
     if not g:
         return INFINITY
-    res = _sylvester_det(ring.modulus, g)
-    if res == 0:
+    # each step adds (deg a - deg r) v_p(lc b), deg a being deg q + deg b
+    v, last, c = 0, ring.modulus, g
+    for q, last, c in _remainder_walk(ring.modulus, g):
+        v += (len(q) + len(last) - 1 - len(c)) * vp_fraction(last[-1], ring.p)
+    if not c:
         raise CertificationError("the element shares a factor with the modulus, which is reducible")
-    return Value.rank1(Fraction(vp_fraction(res, ring.p), ring.degree))
+    v += (len(last) - 1) * vp_fraction(c[0], ring.p)
+    return Value.rank1(Fraction(v, ring.degree))
 
 
 def fundamental_equality_data(ring: PAdicExtRing) -> FundamentalEqualityData:

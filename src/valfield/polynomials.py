@@ -401,13 +401,17 @@ def _mul_sums(a: Dict, b: Dict) -> Dict:
 def _power_sum(base: Dict, e: int, one) -> Dict:
     """base^e by square-and-multiply, its cost charged to the default budget
     first: an m-term sum's power has at most C(e + m - 1, m - 1) monomials
-    and each product pairs at most that many with as many; a rational
-    scalar's power has at most e times its bit length; a power of one F_q
-    scalar or monomial is O(log e) products and free."""
-    m, c = len(base), next(iter(base.values()))
+    and each product pairs at most that many with as many; over Q a pair
+    is charged once per 64 bits of the power's coefficients, which have at
+    most e * (b + log2 m) bits for b the widest of the base's.  A rational
+    scalar's power has at most e * b bits; a power of one F_q scalar or
+    monomial is O(log e) products and free."""
+    m, words = len(base), 1
+    if isinstance(next(iter(base.values())), Fraction):
+        b = max(c.numerator.bit_length() + c.denominator.bit_length() for c in base.values()) - 1
+        if m == 1:
+            check_budget(e * b, DEFAULT_BUDGET)
+        words += e * (b + (m - 1).bit_length()) // 64
     if m > 1 and e > 1:
-        check_budget(math.comb(e + m - 1, m - 1) ** 2, DEFAULT_BUDGET)
-    elif isinstance(c, Fraction):
-        bits = c.numerator.bit_length() + c.denominator.bit_length() - 1
-        check_budget(e * bits, DEFAULT_BUDGET)
+        check_budget(math.comb(e + m - 1, m - 1) ** 2 * words, DEFAULT_BUDGET)
     return square_and_multiply(base, e, _mul_sums, {(): one})

@@ -21,12 +21,16 @@
   the per-bound reference of ``oap_solve`` in ``test_additive``.
 * ``full_precision_lift`` is Newton's iteration with every step worked at
   the full precision of its operands, the reference for ``hensel_lift``.
+* ``sylvester_det`` is the resultant as the determinant of the Sylvester
+  matrix, by exact elimination over Q: the reference for the remainder
+  walk behind ``padic.ext_valuation``.
 * ``sparse`` turns a seeded family's dense exponent tuple into the
   ``MultiPoly`` monomial, so each instance keeps its draws.
 """
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon, _fp_insert
@@ -254,3 +258,26 @@ def full_precision_lift(
             return x
         x = x - fx / dense_eval(deriv, x)
     raise PrecisionError("Newton iteration did not reach the target precision")
+
+
+def sylvester_det(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fraction:
+    """det Sylvester(f, g), up to sign, by exact elimination; f and g are
+    trimmed and nonzero."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = [[Fraction(0)] * i + list(f[::-1]) + [Fraction(0)] * (n - 1 - i) for i in range(n)]
+    rows += [[Fraction(0)] * i + list(g[::-1]) + [Fraction(0)] * (m - 1 - i) for i in range(m)]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        det *= top[col]
+        for row in rows[col + 1:]:
+            if row[col]:
+                factor = row[col] / top[col]
+                for c in range(col, size):
+                    row[c] -= factor * top[c]
+    return det

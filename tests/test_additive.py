@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -294,14 +293,6 @@ class TestAlphaBound:
         dec = decompose(f)
         h = PPolynomial(f, None)
         assert alpha_bound(h, dec) == Value.rank1(-1)
-
-    def test_grain_parameter(self, K2):
-        f = AdditivePolynomial(K2, 1, {(0, 1): K2.one(16)})
-        dec = decompose(f)
-        h = PPolynomial(f, None)
-        assert alpha_bound(h, dec, grain=Fraction(1, 2)) == Value.rank1(
-            Fraction(-1, 2)
-        )
 
 
 class TestOapSolve:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from valfield import certificates
 from valfield.certificates import (
     FAIL,
     INCONCLUSIVE,
@@ -20,6 +21,7 @@ from valfield.cli import main
 from valfield.errors import CertificationError
 from valfield.laurent import LaurentField
 from valfield.finite_field import prime_field
+from valfield.polygon import FundamentalEqualityData
 
 
 class TestArithmeticHelpers:
@@ -100,6 +102,19 @@ class TestTmcne:
 
     def test_deterministic_across_runs(self):
         assert verify_tmcne(3).to_json() == verify_tmcne(3).to_json()
+
+    def test_s2_checks_the_certifying_route(self, monkeypatch):
+        # the same (n, e, fRes) by another route than the one S2 expects
+        def asserted(ring):
+            n = ring.degree
+            return FundamentalEqualityData(n, n, 1, "asserted", True)
+
+        monkeypatch.setattr(certificates, "fundamental_equality_data", asserted)
+        cert = verify_tmcne(3)
+        s2 = next(s for s in cert.steps if s.name == "S2-fundamental-equality")
+        assert s2.computed["certifiedBy"] == "asserted"
+        assert not s2.passed
+        assert cert.verdict == FAIL
 
 
 class TestStepRecord:

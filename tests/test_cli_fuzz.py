@@ -154,6 +154,14 @@ def test_a_charge_too_long_to_print_exits_4(args):
     assert run(args).returncode == 4
 
 
+# the pairs of these powers pass the budget alone; their coefficients,
+# charged at up to 4000 and 3000 bits, refuse them before they are built
+@pytest.mark.parametrize("poly", ["(X+1)^2000", "(3*X+3)^1000"])
+def test_a_literal_power_with_growing_coefficients_ends_in_seconds(poly):
+    proc = run(["fundeq", "--field", "Q_3", "--poly", poly], timeout=5)
+    assert proc.returncode in (3, 4), proc.stderr
+
+
 @pytest.mark.parametrize("command", ["extremal", "compose"])
 @pytest.mark.parametrize(
     "window",

@@ -17,7 +17,10 @@ arithmetic: its class body reads no ring field, base field, characteristic,
 scale or shift, and calls none of the Lucas shift helpers, which live
 behind the ring adapters.  Its one leaf walk, ``_DigitTree.leaves``, is the
 only caller of an adapter's ``child`` step, so no second walk of the tree
-can come back beside it.
+can come back beside it.  In the same way ``padic._remainder_walk`` is the
+one Euclidean loop of the p-adic layer: besides it only the reduction
+``PAdicExtRing._reduce`` calls ``dense_divmod``, so ``inverse`` and
+``ext_valuation`` share the walk.
 
 The p-adic layer and the Newton polygons, ``padic.py`` and ``polygon.py``,
 import nothing from the series layer ``laurent``: a valuation result is a
@@ -207,9 +210,9 @@ def test_checker_flags_field_arithmetic_in_the_core():
     ]
 
 
-def child_call_sites(source: str):
-    """Each call of a ``child`` method, named by the module-level function
-    or the class and method whose body holds it."""
+def call_sites(source: str, callee: str):
+    """Each call of a function or method named callee, named by the
+    module-level function or the class and method whose body holds it."""
     sites = []
     for stmt in ast.parse(source).body:
         if isinstance(stmt, ast.ClassDef):
@@ -217,13 +220,13 @@ def child_call_sites(source: str):
         else:
             scopes = [(getattr(stmt, "name", "<module>"), stmt)]
         for name, scope in scopes:
-            sites += [name for node in ast.walk(scope)
-                      if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "child"]
+            sites += [name for node in ast.walk(scope) if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", getattr(node.func, "id", None)) == callee]
     return sorted(sites)
 
 
 def test_the_leaf_walk_is_the_one_caller_of_the_child_step():
-    assert child_call_sites((PACKAGE / "extremality.py").read_text()) == ["_DigitTree.leaves"]
+    assert call_sites((PACKAGE / "extremality.py").read_text(), "child") == ["_DigitTree.leaves"]
 
 
 def test_checker_flags_a_second_walk_of_the_tree():
@@ -237,7 +240,32 @@ def test_checker_flags_a_second_walk_of_the_tree():
         "    return step\n"
         "children = ring.child({}, (0,), 1)\n"
     )
-    assert child_call_sites(source) == ["<module>", "_DigitTree.leaves", "valuation_multiset"]
+    assert call_sites(source, "child") == ["<module>", "_DigitTree.leaves", "valuation_multiset"]
+
+
+def test_the_remainder_walk_is_the_one_euclidean_loop_in_padic():
+    assert call_sites((PACKAGE / "padic.py").read_text(), "dense_divmod") == [
+        "PAdicExtRing._reduce", "_remainder_walk",
+    ]
+
+
+def test_checker_flags_a_second_remainder_loop():
+    source = (
+        "class PAdicExtRing:\n"
+        "    def _reduce(self, coeffs):\n"
+        "        return dense_divmod(coeffs, self.modulus)[1]\n"
+        "def _remainder_walk(a, b):\n"
+        "    while len(b) > 1:\n"
+        "        q, r = dense_divmod(a, b)\n"
+        "        yield q, b, r\n"
+        "        a, b = b, r\n"
+        "def _second_loop(f, g):\n"
+        "    while len(g) > 1:\n"
+        "        f, g = g, polynomials.dense_divmod(f, g)[1]\n"
+    )
+    assert call_sites(source, "dense_divmod") == [
+        "PAdicExtRing._reduce", "_remainder_walk", "_second_loop",
+    ]
 
 
 PRODUCT_CALLS = {"evaluate", "from_terms"}

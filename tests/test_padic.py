@@ -20,7 +20,10 @@ from valfield.padic import (
     vp_fraction,
     vp_int,
 )
+from valfield.polynomials import dense_mul, dense_trim
 from valfield.value_group import INFINITY, Value
+
+from oracles import sylvester_det
 
 
 class TestIntegerValuations:
@@ -281,6 +284,68 @@ class TestResidueRoute:
         ring = PAdicExtRing(3, modulus, irreducible_asserted=True)
         assert ext_valuation(ring.gen()) == Value.rank1(0)
         assert ext_valuation(ring.element([3])) == Value.rank1(1)
+
+
+def _sylvester_valuation(x):
+    """v_p(det Sylvester(f, x)) / deg f, or None when the determinant is 0."""
+    det = sylvester_det(x.ring.modulus, dense_trim(x.rep))
+    if det == 0:
+        return None
+    return Value.rank1(Fraction(vp_fraction(det, x.ring.p), x.ring.degree))
+
+
+def _monic(rng, p, n):
+    """A monic rational polynomial of degree n whose lower coefficients
+    carry p-powers, some of them zero."""
+    return [_rational(rng, p) if rng.random() < 0.8 else 0 for _ in range(n)] + [1]
+
+
+def _several_segments(rng, p, n):
+    """A monic rational modulus of degree n whose polygon has at least two
+    segments (one for n = 1)."""
+    while True:
+        modulus = _monic(rng, p, n)
+        if n == 1 or len(PAdicExtRing(p, modulus).polygon().segments) > 1:
+            return modulus
+
+
+class TestRemainderWalk:
+    """The valuation read off the Euclidean remainder sequence against the
+    Sylvester determinant of the oracles."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_asserted_moduli_with_several_segments(self, p):
+        rng = random.Random(f"remainder walk {p}")
+        for n in range(1, 11):
+            ring = PAdicExtRing(p, _several_segments(rng, p, n), irreducible_asserted=True)
+            for _ in range(4):
+                x = _element(rng, ring)
+                if x.is_zero():
+                    continue
+                expected = _sylvester_valuation(x)
+                if expected is None:
+                    with pytest.raises(CertificationError):
+                        ext_valuation(x)
+                else:
+                    assert ext_valuation(x) == expected, (ring.modulus, x.rep)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_shared_factor_is_refused(self, p):
+        rng = random.Random(f"shared factor {p}")
+        for n in range(2, 11):
+            d = rng.randint(1, n - 1)
+            h, k = _monic(rng, p, d), _monic(rng, p, n - d)
+            ring = PAdicExtRing(p, dense_mul(h, k), irreducible_asserted=True)
+            x = ring.element(h) * ring.element(_monic(rng, p, rng.randrange(n - d)))
+            assert _sylvester_valuation(x) is None
+            with pytest.raises(CertificationError, match="shares a factor"):
+                ext_valuation(x)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_the_tmcne_s3_element(self, p):
+        gen = counterexample_ring(p).gen()
+        s = gen**p - gen
+        assert ext_valuation(s) == _sylvester_valuation(s) == Value.rank1(Fraction(-1, 2))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from valfield import cli
 from valfield.cli import main
 from valfield.composite import CompositeField
-from valfield.errors import ParseError, PrecisionError, ValfieldError
+from valfield.errors import BudgetExceededError, ParseError, PrecisionError, ValfieldError
 from valfield.finite_field import FiniteFieldDescriptor
 from valfield.laurent import LaurentField, ValuationResult, parse_series
 from valfield.parsing import (
@@ -104,6 +104,16 @@ class TestPolyParsing:
             Fraction(1),
         ]
         assert parse_int_poly("3*(X^3 - X)^2 - 1")[0] == Fraction(-1)
+
+    def test_a_literal_power_is_charged_for_its_coefficient_growth(self):
+        # (X+1)^2000 pairs about 4e6 monomials, each a product of ~2000-bit
+        # binomials; (X+1)^200 pairs 4e4 of at most 7 words
+        with pytest.raises(BudgetExceededError):
+            parse_int_poly("(X+1)^2000")
+        with pytest.raises(BudgetExceededError):
+            parse_int_poly("(3*X+3)^1000")
+        coeffs = parse_int_poly("(X+1)^200")
+        assert coeffs == [Fraction(math.comb(200, i)) for i in range(201)]
 
     def test_int_poly_rejects_garbage(self):
         with pytest.raises(ParseError):
