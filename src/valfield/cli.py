@@ -62,7 +62,7 @@ from .parsing import (
 )
 from .polynomials import MultiPoly
 from .selftest import run_all
-from .value_group import ValuationResult
+from .value_group import Value, ValuationResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -234,9 +234,15 @@ def cmd_transfer(args) -> int:
     b = parse_series(field, args.center_b)
     c = parse_series(field, args.scale)
     # the bijection x = c*(y-a)+b maps B_alpha(a) classes mod t^N to
-    # B_beta(b) classes mod t^(N + beta - alpha); cap both at N.  f's
-    # multiset is charged before g is built.
+    # B_beta(b) classes mod t^(N + beta - alpha); cap both at N.  The scale
+    # is checked before any multiset, and f's multiset is charged before g
+    # is built.
     shift = args.beta - args.alpha
+    vc = c.valuation()
+    if not vc.exact:
+        raise PrecisionError(f"scale valuation only known to be {vc.to_text()}, expected {shift}")
+    if vc.value != Value.rank1(shift):
+        raise ParseError(f"scale has valuation {vc.to_text()}, expected beta - alpha = {shift}")
     m_f = valuation_multiset(
         mp, field, Ball(b, args.beta), args.prec + shift,
         cap=args.prec, budget=args.budget,
@@ -356,6 +362,14 @@ def _error_order(text: str) -> int:
     return n
 
 
+def _sample_count(text: str) -> int:
+    """A --samples value: at least 1, so that every suite checks something."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"sample count must be >= 1, got {n}")
+    return n
+
+
 def _u_floor(text: str) -> int:
     """A --u-floor value: at most 0, so that the window keeps t*u^0 in O_v."""
     n = int(text)
@@ -448,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("selftest", help="seeded invariant suites for all layers")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--samples", type=int, default=300)
+    s.add_argument("--samples", type=_sample_count, default=300)
     s.add_argument("--json", metavar="PATH")
 
     return parser

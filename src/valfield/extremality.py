@@ -25,7 +25,8 @@ The core, ``_DigitTree``, handles the walk, the floor m, R, the split of a
 node's digits by R and the budget, and reads F_q only as ``ring.residue``.
 A ring adapter handles the slots, the reads and the shift step;
 ``_BallDigits`` and ``_RingDigits`` share the characteristic-p step of
-``_LucasShift``, whose shift table is reduced by Lucas's theorem.
+``_LucasShift``, which expands each monomial of a node by one cached
+``_expansion``, its terms reduced by Lucas's theorem.
 Exhaustive enumeration is left to the oracles of the tests.
 
 A search over a truncated ring can never certify extremality of the
@@ -144,53 +145,46 @@ def _powers(residue, top: int) -> List[list]:
     return [list(itertools.accumulate([y] * top, residue.mul_codes, initial=1)) for y in range(residue.q)]
 
 
+@lru_cache(maxsize=None)
+def _expansion(nu: tuple, p: int, q: int) -> tuple:
+    """The terms of (y + s*Y)^nu that survive in characteristic p: (mu,
+    C(nu, mu) mod p, nu - mu reduced) for every mu <= nu digitwise in base
+    p, the only mu with C(nu, mu) prime to p by Lucas's theorem.  Monomials
+    are sparse, as in ``_reduced``."""
+    out = []
+    for pairs in itertools.product(*(_lucas(e, p) for _, e in nu)):
+        mu = tuple((i, m) for (i, _), (m, _) in zip(nu, pairs) if m)
+        diff = _reduced([(i, e - m) for (i, e), (m, _) in zip(nu, pairs)], q)
+        out.append((mu, math.prod(c for _, c in pairs) % p, diff))
+    return tuple(out)
+
+
 class _LucasShift:
     """The shift step of a ring of characteristic p, shared by the adapters
-    below: digit powers are F_q codes, multiplied into a coefficient by the
-    adapter's ``scale``, and the binomial coefficients are reduced by
-    Lucas's theorem.  The digit powers are the tree's table, which the
-    tree sets as ``powers`` after ``prepare``."""
+    below: each monomial expands by its cached ``_expansion``, and digit
+    powers are F_q codes, multiplied into a coefficient by the adapter's
+    ``scale``.  The digit powers are the tree's table, which the tree sets
+    as ``powers`` after ``prepare``."""
 
     def prepare(self, monomials: Iterable[tuple], budget: int) -> int:
-        """The table of the shift Y -> y + s*Y, charged its (nu, mu) pairs
-        before it is built; returns the charge.  Coefficient mu of the
-        result collects C(nu, mu) y^(nu - mu) b_nu over every nu of the
-        closure of the monomials with C(nu, mu) prime to p.  Monomials are
-        sparse, as in ``_reduced``; an entry is (nu, C(nu, mu) mod p, nu - mu
-        reduced)."""
-        p, q = self.residue.p, self.residue.q
+        """The charge of the shift Y -> y + s*Y: the (nu, mu) pairs of every
+        expansion the tree can read, below f's monomials; returns it."""
+        p = self.residue.p
         spent = sum(math.prod(_chain_count(e, p) for _, e in nu) for nu in monomials)
         check_budget(spent, budget)
-        closure = set()
-        for nu in monomials:
-            for ms in itertools.product(*([m for m, _ in _lucas(e, p)] for _, e in nu)):
-                closure.add(tuple((i, m) for (i, _), m in zip(nu, ms) if m))
-        self.table: Dict[tuple, list] = {}
-        for nu in closure:
-            for pairs in itertools.product(*(_lucas(e, p) for _, e in nu)):
-                mu = tuple((i, m) for (i, _), (m, _) in zip(nu, pairs) if m)
-                b = math.prod(c for _, c in pairs) % p
-                diff = _reduced([(i, e - m) for (i, e), (m, _) in zip(nu, pairs)], q)
-                self.table.setdefault(mu, []).append((nu, b, diff))
         return spent
 
     def child(self, g: dict, y: tuple, k: int) -> dict:
         """The coefficients of g(y + (s_k / s_(k-1)) Y) at depth k, every one
         kept, also when zero to its error order; one no term reaches is 0."""
-        powers, mul, out = self.powers, self.residue.mul_codes, {}
-        for mu, terms in self.table.items():
-            acc = None
-            for nu, code, diff in terms:
-                c = g.get(nu)
-                if c is None:
-                    continue
-                code = _times_monomial(code, y, diff, powers, mul)
+        powers, residue, sums = self.powers, self.residue, {}
+        for nu, c in g.items():
+            for mu, code, diff in _expansion(nu, residue.p, residue.q):
+                code = _times_monomial(code, y, diff, powers, residue.mul_codes)
                 if code:
                     term = self.scale(c, code)
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                out[mu] = self.shift(acc, sum(e for _, e in mu), k)
-        return out
+                    sums[mu] = sums[mu] + term if mu in sums else term
+        return {mu: self.shift(acc, sum(e for _, e in mu), k) for mu, acc in sums.items()}
 
 
 class _BallDigits(_LucasShift):
@@ -276,7 +270,7 @@ class _RingDigits(_LucasShift):
 
 class _DigitTree:
     """The digit tree of f over the digit points of a ring adapter: the
-    adapter's ``prepare`` charges what its shift step builds, the witness
+    adapter's ``prepare`` charges what its shift step can read, the witness
     its n entries before the walk, and each expanded node its digits."""
 
     def __init__(self, f: MultiPoly, ring, budget: int):

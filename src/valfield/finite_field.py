@@ -1,10 +1,11 @@
-"""Arithmetic in F_p and F_{p^k}, with exhaustive root scans.
+"""Arithmetic in F_p and F_{p^k}, with one exhaustive root scan.
 
 Extensions are carried by explicit monic irreducible modulus polynomials.
 When no modulus is supplied, one is found by trial search over monic
 polynomials in lexicographic coefficient order, so the choice is
-deterministic.  Root-finding is an exhaustive scan over the field; there is
-no factorization machinery beyond trial division at desk scale.
+deterministic.  The one root scan, ``artin_schreier_root``, solves
+y^p - y = c over all q codes; there is no factorization machinery beyond
+trial division at desk scale.
 
 An element is an int code, sum c_j p^j over its reduced coefficient vector
 (the residue itself for k = 1).  The descriptor's ``*_code(s)`` methods and
@@ -24,9 +25,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, DescriptorMismatchError, ParseError, ValfieldError, check_budget
-from .polynomials import dense_eval, dense_trim, square_and_multiply
-
-MAX_SCAN_SIZE = 10**6
+from .polynomials import square_and_multiply
 
 
 def is_prime(n: int) -> bool:
@@ -264,6 +263,13 @@ class FiniteFieldDescriptor:
             a = b
         return a
 
+    def artin_schreier_root(self, c: int) -> Optional[int]:
+        """The least code y with y^p - y = c, or None: the one root scan,
+        over all q codes, charged to the default budget first."""
+        check_budget(self.q, DEFAULT_BUDGET)
+        roots = (y for y in range(self.q) if self.add_codes(self.frobenius_code(y), self.neg_code(y)) == c)
+        return next(roots, None)
+
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -359,32 +365,15 @@ class FFElement:
         return f"FF({self.to_text()} in {self.desc.to_text()})"
 
 
-def has_root(coeffs: Sequence[FFElement], desc: FiniteFieldDescriptor) -> Optional[FFElement]:
-    """Some root of the polynomial in the field, by exhaustive scan."""
-    cs = list(coeffs)
-    if len(dense_trim(cs)) <= 1:
-        raise ValfieldError("root scan needs degree >= 1")
-    if desc.q > MAX_SCAN_SIZE:
-        raise ValfieldError("field too large for exhaustive root scan")
-    for x in desc.elements():
-        if dense_eval(cs, x).is_zero():
-            return x
-    return None
-
-
 def artin_schreier_irreducible(c: FFElement) -> bool:
     """Whether X^p - X - c is irreducible over the prime field F_p.
 
     For prime fields the polynomial either splits completely or is
     irreducible, so a root scan decides.
     """
-    desc = c.desc
-    if desc.k != 1:
+    if c.desc.k != 1:
         raise ValfieldError("criterion only stated for prime fields (k = 1)")
-    p = desc.p
-    poly = [-c] + [desc.zero()] * (p - 1) + [desc.one()]
-    poly[1] = poly[1] - desc.one()
-    return has_root(poly, desc) is None
+    return c.desc.artin_schreier_root(c.code) is None
 
 
 @lru_cache(maxsize=None)

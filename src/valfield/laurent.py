@@ -551,12 +551,7 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
         m = field.make(v // p, [root], current.prec)
         peeled, current = peeled + m, current - (m.frobenius() - m)
     if current.coeffs and current.low == 0:
-        r = current.coeffs[0]
-        y = next(
-            (c for c in range(base.q)
-             if base.add_codes(base.frobenius_code(c), base.neg_code(c)) == r),
-            None,
-        )
+        y = base.artin_schreier_root(current.coeffs[0])
         if y is None:
             return None
         m = field.make(0, [y], current.prec)

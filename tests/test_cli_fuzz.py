@@ -138,6 +138,24 @@ def test_a_budget_reached_through_a_valid_field_exits_4(args):
     assert run(args).returncode == 4
 
 
+# the scale is checked before either multiset is walked: another exact
+# valuation, zero's too, is a usage error, and a valuation known only as a
+# bound is inconclusive; X9999999's multiset would exceed the budget
+@pytest.mark.parametrize(
+    "extra, code, message",
+    [
+        (["--poly", "X", "--beta", "0", "--scale", "t"], 1, "scale has valuation 1, expected beta - alpha = 0"),
+        (["--poly", "X", "--beta", "0", "--scale", "0"], 1, "scale has valuation inf"),
+        (["--poly", "X", "--beta", "1", "--scale", "O(t^3)"], 3, "only known to be >=3"),
+        (["--poly", "X9999999", "--beta", "0", "--scale", "t"], 1, "scale has valuation 1"),
+    ],
+    ids=["other-valuation", "zero", "bound", "before-the-multiset-budget"],
+)
+def test_transfer_checks_the_scale_first(extra, code, message):
+    proc = run(["transfer", "--field", "F(2)((t))", "--alpha", "0", *extra])
+    assert proc.returncode == code and message in proc.stderr and proc.stdout == ""
+
+
 LONG = "9" * 5000  # more digits than Python reads into an int
 NINES = "9" * 4000  # read, but its power's cost has more digits than Python prints
 

@@ -13,7 +13,9 @@ from valfield.extremality import (
     Ball,
     _DigitTree,
     _RingDigits,
+    _expansion,
     _powers,
+    _reduced,
     ball_transfer,
     check_vexbarwex,
     composite_extremal_search,
@@ -596,3 +598,42 @@ def test_the_power_table_holds_only_the_exponents_f_reaches():
     assert table[75][3] == F.mul_codes(75, F.mul_codes(75, 75))
     with pytest.raises(BudgetExceededError):
         _powers(F, F.q - 1)
+
+
+def _binomial_expansion(nu, p, q):
+    """The terms of (y + s*Y)^nu by the binomial theorem: (mu, the product
+    of C(e_i, m_i) mod p, nu - mu reduced) for every mu <= nu exponentwise
+    whose product is nonzero mod p."""
+    out = set()
+    for ms in itertools.product(*(range(e + 1) for _, e in nu)):
+        b = math.prod(math.comb(e, m) for (_, e), m in zip(nu, ms)) % p
+        if b:
+            mu = tuple((i, m) for (i, _), m in zip(nu, ms) if m)
+            out.add((mu, b, _reduced([(i, e - m) for (i, e), m in zip(nu, ms)], q)))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_expansion_agrees_with_the_binomial_expansion(p, k):
+    rng = random.Random(f"expansion:{p}:{k}")
+    for _ in range(40):
+        variables = sorted(rng.sample(range(4), rng.randint(1, 3)))
+        nu = tuple((i, rng.randint(1, 3 * p)) for i in variables)
+        terms = _expansion(nu, p, p**k)
+        assert len(set(terms)) == len(terms)
+        assert set(terms) == _binomial_expansion(nu, p, p**k), nu
+
+
+def test_a_second_search_over_the_same_monomials_expands_nothing_new(K3):
+    # the expansions are cached per monomial, not rebuilt per tree: g = 2f
+    # has f's monomials and f's tree, whose residue forms differ by the
+    # unit 2, so its tree reads only the expansions that f's has read
+    S = K3.from_int_terms
+    f = MultiPoly(2, {((0, 3), (1, 1)): S({0: 1}, 8), ((1, 2),): S({0: 1}, 8), (): S({1: 2}, 8)})
+    g = MultiPoly(2, {nu: c.times_code(2) for nu, c in f.terms.items()})
+    _expansion.cache_clear()
+    extremal_search(f, K3, prec=4)
+    misses = _expansion.cache_info().misses
+    extremal_search(g, K3, prec=4)
+    assert misses > 0 and _expansion.cache_info().misses == misses

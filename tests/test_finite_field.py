@@ -8,7 +8,6 @@ from valfield.finite_field import (
     FiniteFieldDescriptor,
     _pmod_irreducible,
     artin_schreier_irreducible,
-    has_root,
     parse_field,
     prime_field,
 )
@@ -223,13 +222,6 @@ class TestTextForms:
 
 
 class TestRootScans:
-    def test_has_root_finds_known_root(self):
-        F3 = prime_field(3)
-        # X^2 + 1 has no root mod 3; X^2 - 1 has roots 1 and 2
-        assert has_root([F3.one(), F3.zero(), F3.one()], F3) is None
-        r = has_root([-F3.one(), F3.zero(), F3.one()], F3)
-        assert r is not None and r * r == F3.one()
-
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_artin_schreier_xp_minus_x_minus_one_irreducible(self, p):
         # X^p - X - 1 never has a root in F_p (its roots generate a
@@ -239,3 +231,17 @@ class TestRootScans:
     def test_artin_schreier_zero_splits(self):
         # X^p - X factors completely over F_p
         assert not artin_schreier_irreducible(prime_field(3).zero())
+
+    @pytest.mark.parametrize("desc", FIELDS, ids=lambda d: d.to_text())
+    def test_artin_schreier_root_is_the_least_root(self, desc):
+        # y^p - y is additive with kernel F_p, so c has p roots or none
+        for c in desc.elements():
+            roots = [y for y in desc.elements() if y ** desc.p - y == c]
+            found = desc.artin_schreier_root(c.code)
+            assert found == (roots[0].code if roots else None), c
+            assert len(roots) in (0, desc.p)
+
+    def test_artin_schreier_root_charges_the_whole_scan_first(self):
+        # F_p for a prime p past the default budget: refused before any code is tried
+        with pytest.raises(BudgetExceededError):
+            FiniteFieldDescriptor(10**7 + 19).artin_schreier_root(1)

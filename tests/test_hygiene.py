@@ -15,7 +15,9 @@ tests call belongs beside them, in ``tests/oracles.py``.
 The digit tree's core, ``extremality._DigitTree``, owns no field
 arithmetic: its class body reads no ring field, base field, characteristic,
 scale or shift, and calls none of the Lucas shift helpers, which live
-behind the ring adapters.  Its one leaf walk, ``_DigitTree.leaves``, is the
+behind the ring adapters.  The adapters' shift step reads one cached
+expansion per monomial: ``_LucasShift.prepare`` only charges, and assigns
+no attribute of ``self``, so no per-tree table can come back.  Its one leaf walk, ``_DigitTree.leaves``, is the
 only caller of an adapter's ``child`` step, so no second walk of the tree
 can come back beside it.  In the same way ``padic._remainder_walk`` is the
 one Euclidean loop of the p-adic layer: besides it only the reduction
@@ -171,7 +173,7 @@ def test_checker_flags_a_name_only_tests_call(tmp_path):
 
 
 SEAM_ATTRIBUTES = {"field", "base", "p", "scale", "shift"}
-SEAM_NAMES = {"_lucas", "_chain_count", "_shift_table"}
+SEAM_NAMES = {"_lucas", "_chain_count", "_expansion"}
 
 
 def seam_leaks(source: str, cls: str = "_DigitTree"):
@@ -194,20 +196,52 @@ def test_the_digit_tree_core_owns_no_field_arithmetic():
 def test_checker_flags_field_arithmetic_in_the_core():
     source = (
         "class _Adapter:\n"
-        "    def child(self, g):\n"
-        "        return _shift_table(g, self.field.base.p)\n"
+        "    def child(self, g, nu):\n"
+        "        return _expansion(nu, self.field.base.p, 4)\n"
         "class _DigitTree:\n"
         "    def __init__(self, ring):\n"
         "        self.q, self.p = ring.residue.q, ring.field.base.p\n"
-        "        self.table = _lucas(3, self.p)\n"
+        "        self.table = _lucas(3, self.p) + _expansion((), self.p, self.q)\n"
         "    def child(self, c):\n"
         "        return self.ring.shift(self.ring.scale(c, 2), 1)\n"
     )
     assert seam_leaks(source) == [
         (6, "base"), (6, "field"), (6, "p"), (6, "p"),
-        (7, "_lucas"), (7, "p"),
+        (7, "_expansion"), (7, "_lucas"), (7, "p"), (7, "p"),
         (9, "scale"), (9, "shift"),
     ]
+
+
+def self_stores(source: str, cls: str = "_LucasShift", method: str = "prepare"):
+    """(line, name) for each attribute of self that the method of class cls
+    assigns, augments or deletes."""
+    body = next(n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == cls)
+    func = next(n for n in body.body if isinstance(n, ast.FunctionDef) and n.name == method)
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    )
+
+
+def test_the_shift_step_builds_no_per_tree_table():
+    assert self_stores((PACKAGE / "extremality.py").read_text()) == []
+
+
+def test_checker_flags_a_table_built_in_prepare():
+    source = (
+        "class _LucasShift:\n"
+        "    def prepare(self, monomials, budget):\n"
+        "        self.table, other.x = {}, 1\n"
+        "        self.spent += 1\n"
+        "        for nu in monomials:\n"
+        "            self.table[nu] = _expansion(nu, self.residue.p, 4)\n"
+        "        del self.cache\n"
+        "        return self.spent\n"
+        "    def child(self, g, y, k):\n"
+        "        self.last = k\n"
+    )
+    assert self_stores(source) == [(3, "table"), (4, "spent"), (7, "cache")]
 
 
 def call_sites(source: str, callee: str):

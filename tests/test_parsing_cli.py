@@ -715,3 +715,14 @@ class TestPrecOption:
     def test_error_order_below_one_is_a_usage_error(self, capsys, argv):
         assert run_cli(*argv) == 1
         assert "error order must be >= 1" in capsys.readouterr().err
+
+
+class TestSamplesOption:
+    """selftest --samples is a count of at least 1, checked when parsed:
+    a suite run on no samples would print "ok" after checking nothing."""
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_a_sample_count_below_one_is_a_usage_error(self, capsys, samples):
+        assert run_cli("selftest", "--samples", samples) == 1
+        captured = capsys.readouterr()
+        assert "sample count must be >= 1" in captured.err and "ok" not in captured.out
