@@ -12,13 +12,14 @@ coefficient; a p-polynomial adds a constant.  The central operations:
   division on leading terms).  Each step raises a leading valuation or
   lowers a height, so at a fixed error order the loop ends; the summands
   are then expanded once over the basis 1, t, ..., t^(p^delta - 1) of K
-  over K^(p^delta) to the common height.  A decomposition that rewrites
-  f's summands is claimed modulo a working order.  Alongside each g_j the
-  decomposition carries a section: single-variable additive maps back into
-  the original variables with f(section_j(y)) = g_j(y), so any point of the
-  decomposed image pulls back to an explicit input of f.  Sections are
-  built from the exact identity by exact monomial substitutions, so they
-  are exact.
+  over K^(p^delta) to the common height.  Only a summand the loop
+  rewrites is claimed modulo a working order; the expansion is an exact
+  identity whose piece count is charged to the default budget before it
+  is built.  Alongside each g_j the decomposition carries a section:
+  single-variable additive maps back into the original variables with
+  f(section_j(y)) = g_j(y), so any point of the decomposed image pulls
+  back to an explicit input of f.  Sections are built from the exact
+  identity by exact monomial substitutions, so they are exact.
 
 * ``alpha_bound`` computes the ball radius below which inputs can only
   make things worse: the minimum of 0 and all coefficient-gap valuations,
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget
+from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget, check_power
 from .finite_field import FFElement
 from .laurent import LaurentField, LaurentSeries
 from .polynomials import MultiPoly
@@ -240,8 +241,9 @@ class Decomposition:
 
     sections[j] maps an input y of g_j to the tuple of original arguments:
     f(sections[j][0](y), ..., sections[j][n-1](y)) = g_j(y).  working_prec
-    is the order the summands are claimed modulo when the decomposition
-    rewrote f's own summands, and None when it did not.
+    is the order the summands are claimed modulo when the clash loop
+    rewrote one of f's own summands, and None when it did not; the
+    expansion to the common height is exact and claims nothing.
     """
 
     nu: int
@@ -305,11 +307,13 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
     summand is expanded once to the largest height nu, which puts the
     leaders in pairwise distinct classes mod p^nu.
 
-    A decomposition that rewrites anything, by the loop or the expansion,
-    is claimed modulo the working order: f's largest finite coefficient
-    order or, when every coefficient is exact, the larger of the field's
-    default order and the order just past f's own terms.  One that
-    rewrites nothing is f's own summands, exact ones exact.
+    Only the loop makes a precision claim: a summand it rewrites is cut at
+    the working order, f's largest finite coefficient order or, when every
+    coefficient is exact, the larger of the field's default order and the
+    order just past f's own terms.  The expansion is exact: it turns each
+    coefficient c into c * t^(j * p^k) and shifts c's error order by the
+    same amount.  Its piece count, the sum of p^(nu - h_i), is charged to
+    the default budget before any piece is built.
     """
     field = f.field
     p = field.base.p
@@ -341,7 +345,12 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
         mu = (la.coeff_at(la.low) / lb.coeff_at(lb.low)).frobenius(-hb)
         shift = (la.low - lb.low) // (p**hb)
         delta = ga.height() - hb
-        g = _truncate_poly(ga - gb.compose_monomial(mu, shift, delta), work_prec)
+        # a rewritten summand is claimed to the working order; a term zero
+        # to that order drops out
+        diff = ga - gb.compose_monomial(mu, shift, delta)
+        g = AdditivePolynomial(
+            field, 1, {key: c.truncate(min(c.prec, work_prec)) for key, c in diff.terms.items()}
+        )
         section = [x - y.compose_monomial(mu, shift, delta) for x, y in zip(sa, sb)]
         rewritten = True
         if g.is_zero():
@@ -350,16 +359,10 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
             work[a] = (g, section)
 
     nu = max(g.height() for g, _ in work)
+    spent = 0
+    for g, _ in work:
+        spent = check_power(p, nu - g.height(), spent, DEFAULT_BUDGET)
     expanded = [gs for g, section in work for gs in _expand_to_height(g, section, nu)]
-    rewritten = rewritten or len(expanded) > len(work)
-    if rewritten:
-        expanded = [(_truncate_poly(g, work_prec), s) for g, s in expanded]
-    if any(g.height() != nu for g, _ in expanded):
-        # a shifted coefficient fell past the working order: the summand's
-        # leader, or all of it, is unknown there
-        raise PrecisionError(
-            f"an expanded summand loses its degree-p^{nu} term at O(t^{work_prec})"
-        )
     expanded.sort(key=lambda gs: gs[0].leading_coefficient().low)
     return Decomposition(
         nu, [g for g, _ in expanded], [s for _, s in expanded], f.nvars,
@@ -380,16 +383,6 @@ def _find_clash(
             if kb < ka and (ka[1] - kb[1]) % (p ** kb[0]) == 0:
                 return ka[2], kb[2]
     return None
-
-
-def _truncate_poly(g: AdditivePolynomial, prec: int) -> AdditivePolynomial:
-    """Cap every coefficient at the working precision; coefficients that
-    become zero to precision drop out of the term dictionary."""
-    return AdditivePolynomial(
-        g.field,
-        g.nvars,
-        {key: c.truncate(min(c.prec, prec)) for key, c in g.terms.items()},
-    )
 
 
 # -- alpha bound -----------------------------------------------------------

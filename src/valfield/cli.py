@@ -155,11 +155,14 @@ def cmd_decompose(args) -> int:
     print(f"field: {field.to_text()}")
     print(f"additive polynomial: {pp.additive.to_text()}")
     print(f"nu: {dec.nu}   summands: {len(dec.polys)}")
+    if dec.working_prec is not None:
+        print(f"working order: O(t^{dec.working_prec})")
     for j, g in enumerate(dec.polys):
         lead = g.leading_coefficient()
         print(f"g_{j + 1}: {g.to_text()}   v(lead) = {lead.valuation().to_text()}")
     report = {
         "nu": dec.nu,
+        "workingOrder": dec.working_prec,
         "summands": [g.to_text() for g in dec.polys],
         "leadingValuations": [
             g.leading_coefficient().valuation().to_text() for g in dec.polys
@@ -496,6 +499,9 @@ def main(argv=None) -> int:
     except ValfieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    except OSError as exc:
+        print(f"error: cannot write the JSON report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -24,22 +24,15 @@ import math
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DEFAULT_BUDGET, DescriptorMismatchError, ParseError, ValfieldError, check_budget
+from .errors import (
+    DEFAULT_BUDGET, BudgetExceededError, DescriptorMismatchError, ParseError, ValfieldError, check_budget,
+)
 from .polynomials import square_and_multiply
 
 
 def is_prime(n: int) -> bool:
-    """Trial division up to sqrt(n), whose divisions are charged to the
-    default budget first."""
-    if n < 2:
-        return False
-    check_budget(math.isqrt(n), DEFAULT_BUDGET)
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Whether n is prime, by the trial division of ``_prime_power``."""
+    return _prime_power(n) == (n, 1)
 
 
 # -- dense polynomials over Z/p as int tuples (index = degree) -------------
@@ -412,7 +405,12 @@ def parse_field(text: str) -> FiniteFieldDescriptor:
                 raise ParseError(f"{q} is not a prime power in {text!r}")
     except ValueError:
         raise ParseError(f"bad field size in {text!r}") from None
-    return FiniteFieldDescriptor(p, k, mod)
+    try:
+        return FiniteFieldDescriptor(p, k, mod)
+    except BudgetExceededError:
+        raise
+    except ValfieldError as exc:
+        raise ParseError(f"{exc} in {text!r}") from None
 
 
 def _prime_power(q: int):

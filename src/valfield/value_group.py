@@ -50,10 +50,6 @@ class Value:
     def is_infinity(self) -> bool:
         return self.tag == _INF
 
-    @property
-    def rank(self) -> Optional[int]:
-        return None if self.tag == _INF else self.tag
-
     def _require_compatible(self, other: "Value") -> None:
         if self.tag == _INF or other.tag == _INF:
             return

@@ -16,6 +16,7 @@ from valfield.additive import (
     AdditivePolynomial,
     PPolynomial,
     _digit_generators,
+    _find_clash,
     _fp_coordinates,
     _fp_insert,
     additive_from_multipoly,
@@ -82,17 +83,20 @@ class TestDecompose:
         assert dec.nu == 2
         assert [g.leading_coefficient().low for g in dec.polys] == [0, 1, 2]
 
-    def test_summand_below_height_nu_is_a_precision_error(self, K3):
+    def test_expansion_shifts_error_orders_with_the_coefficients(self, K3):
         # nu = 2; raising 2*X1^3 + t^-2*X1 over the basis 1, t, t^2 turns
-        # the X1^3 coefficient 2 into 2*t^6 in the summand for t^2, past
-        # O(t^6), so that summand would keep only degree 3 < 9
+        # the X1^3 coefficient 2 + O(t^6) into 2*t^6 + O(t^12) in the
+        # summand for t^2: the expansion is exact, so nothing is cut at
+        # O(t^6) and no working order is claimed
         f = AdditivePolynomial(K3, 2, {
             (0, 1): K3.from_terms({0: 2}, 6),
             (0, 0): K3.from_terms({-2: 1}, 6),
             (1, 2): K3.from_terms({1: 2}, 6),
         })
-        with pytest.raises(PrecisionError):
-            decompose(f)
+        dec = decompose(f)
+        assert dec.nu == 2 and len(dec.polys) == 4
+        assert dec.working_prec is None
+        assert "(2*t^6 + O(t^12))*X^9 + (t^0 + O(t^8))*X^3" in [g.to_text() for g in dec.polys]
 
     def test_merging_same_class(self, K3):
         # X1^3 + t^3*X2^3: leaders t^0 and t^3 share the class 0 mod 3,
@@ -519,8 +523,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_decompose_of_exact_coefficients_terminates():
     """(1 + t)*X1 + (1 + t^2)*X2 over F_3 with exact coefficients: the
     reduction of one linear summand by the other never reaches an exact
-    zero, so the summands are capped at the default error order.  Run in a
-    child process, which is killed if it outlives the timeout."""
+    zero, so the rewritten summand is capped at the default error order and
+    drops out there; the survivor is f's own, never rewritten, and stays
+    exact.  Run in a child process, which is killed if it outlives the
+    timeout."""
     code = (
         "import math\n"
         "from valfield.additive import AdditivePolynomial, decompose\n"
@@ -540,7 +546,7 @@ def test_decompose_of_exact_coefficients_terminates():
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 ['(t^0 + t^1 + O(t^16))*X^1']"
+    assert proc.stdout.strip() == "0 ['(t^0 + t^1)*X^1']"
 
 
 def _oap_cli(poly: str, target: str, prec: int) -> subprocess.CompletedProcess:
@@ -646,9 +652,9 @@ def test_cli_witnesses_show_the_value():
 def test_cli_oracle_never_disagrees_on_sampler7():
     """The same 435 instances through ``oap --prec 4 --oracle`` at a budget
     of 10^5: the digit tree over the ball that holds the witness never
-    contradicts the solver.  It agrees on 310; the rest are inconclusive
-    (a decomposition at O(t^4) that shows only a bound, or that loses a
-    summand's degree), and one deep ball exceeds the budget."""
+    contradicts the solver.  It agrees on 398; the rest are inconclusive
+    (a summand the clash loop rewrote at O(t^4) shows only a bound), or a
+    deep ball exceeds the budget."""
     codes = Counter()
     for lo in (-2, -1, -3):
         s = Sampler(7)
@@ -669,7 +675,7 @@ def test_cli_oracle_never_disagrees_on_sampler7():
                 if code == 0:
                     assert "(agrees)\n" in out.getvalue()
                 codes[code] += 1
-    assert sum(codes.values()) == 435 and codes[0] >= 310, codes
+    assert sum(codes.values()) == 435 and codes[0] >= 398, codes
 
 
 def _per_bound_value(f, z, prec) -> str:
@@ -695,6 +701,30 @@ def _per_bound_value(f, z, prec) -> str:
         key = (bound, False) if lead is None else (low + lead // k, True)
         best = key if best is None else max(best, key)
     return Value.rank1(best[0]).to_text() if best[1] else f">={best[0]}"
+
+
+def test_decompose_without_a_clash_claims_no_working_order():
+    """Seeded exact two- and three-variable inputs over F_2, F_3 and F_4
+    whose summands' leaders lie in distinct classes, so the clash loop
+    rewrites nothing: the expansion to the common height (9 of the 50
+    inputs have mixed heights) is exact, so the decomposition claims no
+    working order and every summand coefficient is exact."""
+    s = Sampler(31)
+    checked = expanded = 0
+    for n in range(120):
+        K = _SWEEP_FIELDS[n % 3]
+        f = s.additive(K, 2 + n % 2, max_k=2, prec=math.inf)
+        if f.is_zero():
+            continue
+        summands = [f.restrict(i) for i in range(f.nvars) if not f.restrict(i).is_zero()]
+        if _find_clash([(g, []) for g in summands], K.base.p) is not None:
+            continue
+        dec = decompose(f)
+        assert dec.working_prec is None
+        assert all(c.prec == math.inf for g in dec.polys for c in g.terms.values())
+        checked += 1
+        expanded += len(dec.polys) > len(summands)
+    assert (checked, expanded) == (50, 9)
 
 
 def test_one_pass_matches_per_bound_reference_on_sampler7():
@@ -723,9 +753,7 @@ def test_one_pass_matches_per_bound_reference_on_mixed_precisions():
     classes, and z is the exact polynomial's value at a random input plus
     noise from valuation -3..12, so that most walks go deep enough for
     those classes to matter.  oap_solve's value text equals the per-bound
-    reference's.  Where the reference's own decompose raises (an expanded
-    summand truncated to zero, or below height nu, at a low coefficient
-    order: 7 of the inputs), oap_solve raises too."""
+    reference's on every nonzero input."""
     fields = _SWEEP_FIELDS + [LaurentField(prime_field(5), "t", 16)]
     rng = random.Random(2031)
     s = Sampler(2031)
@@ -741,15 +769,9 @@ def test_one_pass_matches_per_bound_reference_on_mixed_precisions():
         z = exact.evaluate([s.series(K, 0, 16) for _ in range(nvars)])
         z = z + s.series(K, rng.randint(-3, 12), 16)
         prec = rng.randint(2, 10)
-        try:
-            want = _per_bound_value(f, z, prec)
-        except ValfieldError:
-            with pytest.raises(ValfieldError):
-                oap_solve(f, z, prec=prec)
-            continue
-        assert oap_solve(f, z, prec=prec).value.to_text() == want
+        assert oap_solve(f, z, prec=prec).value.to_text() == _per_bound_value(f, z, prec)
         checked += 1
-    assert checked == 275
+    assert checked == 282
 
 
 def test_digit_generators_match_evaluation_at_the_monomial():

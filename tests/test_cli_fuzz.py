@@ -19,12 +19,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 junk = st.text(alphabet="Xt^*+-()[]0123456789,;_O ", max_size=12) | st.just("(" * 2000 + "X")
 
-# field -> exponents that are powers of its characteristic
+# field -> exponents that are powers of its characteristic; 2^40 and 3^25
+# give mixed heights whose expansion to a common height the budget refuses
 LAURENT = {
-    "F(2)((t))": ["", "^2", "^4"],
-    "F(3)((t))": ["", "^3", "^9"],
-    "F(4)((t))": ["", "^2", "^4"],
-    "F(2^2; modulus=[1,1,1])((t))": ["", "^2"],
+    "F(2)((t))": ["", "^2", "^4", "^1099511627776"],
+    "F(3)((t))": ["", "^3", "^9", "^847288609443"],
+    "F(4)((t))": ["", "^2", "^4", "^1099511627776"],
+    "F(2^2; modulus=[1,1,1])((t))": ["", "^2", "^1099511627776"],
 }
 F4 = {"F(4)((t))", "F(2^2; modulus=[1,1,1])((t))"}
 PADIC = ["Q_3", "Q_5"]
@@ -279,3 +280,29 @@ def test_one_term_in_a_high_numbered_variable_answers_quickly():
     args = ["transfer", "--field", "F(3)((t))", "--poly", "X9000000", "--alpha", "1", "--beta", "1",
             "--scale", "1", "--prec", "1"]
     assert run(args, timeout=10).returncode == 0
+
+
+# the descriptor's own checks (a prime p, 1 <= k <= 8, a monic irreducible
+# modulus of degree k) are parse errors of the field text
+@pytest.mark.parametrize(
+    "field",
+    ["F(4^1)((t))", "F(2^9)((t))", "F(2^0)((t))", "F(0^2)((t))",
+     "F(3^2; modulus=[1,1,1])((t))", "F(3^2; modulus=[1,0,1,0])((t))"],
+    ids=["composite-p", "k-past-desk-scale", "k-zero", "p-zero", "reducible-modulus",
+         "modulus-of-the-wrong-degree"],
+)
+def test_a_malformed_field_descriptor_is_a_parse_error(field):
+    proc = run(["extremal", "--field", field, "--poly", "X", "--prec", "1"])
+    assert proc.returncode == 1 and "parse error" in proc.stderr, proc.stderr
+
+
+# Σ_i p^(nu - h_i) = 2^39 + 1 pieces, refused before any is built
+@pytest.mark.parametrize(
+    "extra",
+    [["decompose"], ["alpha"], ["oap", "--target", "t^-1"]],
+    ids=["decompose", "alpha", "oap"],
+)
+def test_an_expansion_to_a_huge_height_exits_4(extra):
+    proc = run([extra[0], "--field", "F(2)((t))", "--poly", "X1^1099511627776 + t*X2^2",
+                "--prec", "4", *extra[1:]], timeout=10)
+    assert proc.returncode == 4 and "2^39" in proc.stderr, proc.stderr

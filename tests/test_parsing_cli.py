@@ -241,17 +241,30 @@ class TestCliExitCodes:
         assert "oracle max: >=4 (agrees)\n" in out
 
     def test_oap_oracle_is_inconclusive_on_a_weaker_bound(self, capsys):
-        # decomposed at O(t^4), the solver only shows >=0; the tree reads
-        # >=4 over the ball, which does not contradict it
+        # the clash loop rewrites a summand at O(t^4), so the solver only
+        # shows >=2; the tree reads >=4 over the ball, which does not
+        # contradict it
         code = run_cli(
-            "oap", "--field", "F(2)((t))", "--poly", "t^2*X1 + X2^4", "--target",
-            "t^-2 + t^-1 + 1 + t + t^6 + t^7 + t^8 + t^9 + t^10 + t^13 + t^15 + O(t^16)",
-            "--prec", "4", "--oracle",
+            "oap", "--field", "F(2)((t))", "--poly", "X1^2 + t^2*X1 + t^2*X2^2 + t*X2",
+            "--target", "t^-1 + t^5 + t^8 + t^9 + t^14 + O(t^16)", "--prec", "4", "--oracle",
         )
         out = capsys.readouterr().out
         assert code == 3, out
-        assert "max v(target - f(a)): >=0\n" in out
+        assert "max v(target - f(a)): >=2\n" in out
         assert "oracle max: >=4 (inconclusive)\n" in out
+
+    def test_oap_oracle_agrees_where_only_the_expansion_rewrote(self, capsys):
+        # t^2*X1^2 + t*X1 is raised to height 2 over the basis 1, t; that
+        # expansion is exact, so its t-piece keeps its leader t^4*X^4 past
+        # O(t^4), no summand is rewritten and the solver reads >=4
+        code = run_cli(
+            "oap", "--field", "F(2)((t))",
+            "--poly", "(t^2)*X1^2 + (t^1)*X1^1 + (t^-1)*X2^4 + (t^2)*X2^2",
+            "--target", "t^3 + t^4 + O(t^16)", "--prec", "4", "--oracle",
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "oracle max: >=4 (agrees)\n" in out
 
     @pytest.mark.parametrize(
         "value",
@@ -286,6 +299,36 @@ class TestCliExitCodes:
             "4",
         )
         assert code == 0
+        # the README's example: no summand is rewritten, so no working order
+        assert "working order" not in capsys.readouterr().out
+
+    def test_decompose_states_the_working_order_of_a_rewritten_summand(self, capsys, tmp_path):
+        # X1^2 + t^2*X1 and t^2*X2^2 + t*X2 clash, and the loop rewrites the
+        # second summand at O(t^4)
+        out = tmp_path / "dec.json"
+        code = run_cli(
+            "decompose", "--field", "F(2)((t))", "--poly", "X1^2 + t^2*X1 + t^2*X2^2 + t*X2",
+            "--prec", "4", "--json", str(out),
+        )
+        assert code == 0
+        assert "summands: 1\nworking order: O(t^4)\n" in capsys.readouterr().out
+        assert json.loads(out.read_text())["workingOrder"] == 4
+        assert run_cli("decompose", "--field", "F(2)((t))", "--poly", "X1^2 + t*X2^2",
+                       "--json", str(out)) == 0
+        assert json.loads(out.read_text())["workingOrder"] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["tmcne", "-p", "3"], ["extremal", "--field", "F(2)((t))", "--poly", "X^2+t"]],
+        ids=["tmcne", "extremal"],
+    )
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_an_unwritable_json_path_is_a_usage_error(self, tmp_path, argv, where):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+        proc = run_cli_process(*argv, "--json", str(path))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: cannot write the JSON report" in proc.stderr
 
     def test_alpha(self, capsys):
         code = run_cli(
@@ -481,8 +524,9 @@ class TestCliExitCodes:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "max v(target - f(a)): >=0\n" in out
-        assert "best input a_1: 0\nbest input a_2: t^-2\n" in out
+        # f(t, t^-2) = t^-3 + t + t^4
+        assert "max v(target - f(a)): >=4\n" in out
+        assert "best input a_1: t^1\nbest input a_2: t^-2\n" in out
 
     def test_fundeq_laurent_degree_one(self, capsys):
         # the p-adic and Laurent sides share one set of routes
@@ -541,15 +585,24 @@ class TestCliExitCodes:
         assert "identical" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["decompose", "oap"])
-    def test_summand_truncated_past_the_working_order_is_inconclusive(self, capsys, command):
+    def test_summand_shifted_past_the_working_order_stays_exact(self, capsys, command):
         # expanded to height 2, the summand from t^2*X2^3 has every
-        # coefficient shifted past O(t^6) and would be the zero polynomial
-        argv = [command, "--field", "F(3)((t))", "--prec", "6",
+        # coefficient shifted past O(t^6); the expansion is exact, so its
+        # three pieces keep their degree-9 terms
+        argv = [command, "--field", "F(3)((t))", "--prec", "6", "--oracle",
                 "--poly", "t^-2*X1^9 + t^2*X2^3 + X3^9 + t*X3^3"]
         if command == "oap":
             argv += ["--target", "t^-1"]
-        assert run_cli(*argv) == 3
-        assert "loses its degree-p^2 term" in capsys.readouterr().err
+        code = run_cli(*argv)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        if command == "decompose":
+            assert "nu: 2   summands: 5\n" in out
+            assert "working order" not in out
+            assert "image check on the window [0, 6): identical\n" in out
+        else:
+            assert "max v(target - f(a)): >=6\n" in out
+            assert "oracle max: >=6 (agrees)\n" in out
 
     @pytest.mark.parametrize("field", ["Q_3", "F(3)((t))"])
     def test_fundeq_typed_degree_is_charged_to_the_budget(self, field):
