@@ -525,17 +525,29 @@ def _digit_generators(
     digit monomials are exact, so each generator is built by
     ``at_monomial`` with the one shift-and-scale rule of
     ``_monomial_terms``: sum over k of c_k * lambda^(p^k) * t^(j * p^k),
-    with no series product.
+    with no series product.  The sums span each level's shifted terms, so
+    that width, times the field degree, is charged to the default budget,
+    summed over all levels, before the level is built.
     """
     desc = f.field.base
     basis = [FFElement(desc, desc.p**r) for r in range(desc.k)]
     gens = []
+    spent = 0
     for i in range(f.nvars):
         g = f.restrict(i)
         if g.is_zero():
             continue
         hi = max(_digit_horizon(g, out_prec), in_low + min_width)
+        # (start, end, p^k) of each nonzero term c * X^(p^k): at level j it
+        # spans [start + j * p^k, end + j * p^k)
+        supports = [
+            (c.low, c.low + len(c.coeffs), desc.p**k) for (_, k), c in g.terms.items() if c.coeffs
+        ]
         for j in range(in_low, hi):
+            if supports:
+                low = min(start + j * q for start, _, q in supports)
+                spent += desc.k * (max(end + j * q for _, end, q in supports) - low)
+                check_budget(spent, DEFAULT_BUDGET)
             for lam in basis:
                 gens.append((i, j, lam, g.at_monomial(lam, j)))
     return gens

@@ -27,6 +27,7 @@ from .additive import (
     oap_solve,
 )
 from .certificates import (
+    FAIL,
     INCONCLUSIVE,
     PASS,
     fundeq_laurent,
@@ -69,6 +70,7 @@ EXIT_USAGE = 1
 EXIT_FAILED = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_BUDGET = 4
+VERDICT_EXIT = {PASS: EXIT_OK, INCONCLUSIVE: EXIT_INCONCLUSIVE, FAIL: EXIT_FAILED}
 
 
 def _emit(report: dict, json_path: Optional[str]) -> None:
@@ -305,7 +307,7 @@ def cmd_tmcne(args) -> int:
         print(f"  {step.name}: {'pass' if step.passed else 'FAIL'}")
     print(f"verdict: {cert.verdict}")
     _emit(cert.to_dict(), args.json)
-    return EXIT_OK if cert.verdict == PASS else EXIT_FAILED
+    return VERDICT_EXIT[cert.verdict]
 
 
 def cmd_fundeq(args) -> int:
@@ -331,11 +333,7 @@ def cmd_fundeq(args) -> int:
     print(f"certified by: {cert.certified_by}")
     print(f"n = e*fRes holds: {cert.equality_holds}")
     _emit(cert.to_dict(), args.json)
-    if cert.verdict == PASS:
-        return EXIT_OK
-    if cert.verdict == INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAILED
+    return VERDICT_EXIT[cert.verdict]
 
 
 def cmd_selftest(args) -> int:

@@ -374,7 +374,8 @@ class _DigitTree:
         digits = list(covered or ())[:1]
         while node is not None:
             y, node = node
-            digits.insert(0, y)
+            digits.append(y)
+        digits.reverse()
         return SearchResult(self.ring.point(digits, self.n), result.value, result.verdict)
 
 

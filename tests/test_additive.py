@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -584,6 +585,30 @@ def test_span_matrix_is_charged_before_any_generator_is_built(monkeypatch):
     f = AdditivePolynomial(K, 1, {(0, 1): K.one(5000), (0, 0): K.t_power(1, 5000)})
     with pytest.raises(BudgetExceededError):
         oap_solve(f, parse_series(K, "t^-3 + t"), 5000)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "X^1099511627776 + t*X"],
+    ["--poly", "X1^1099511627776 + X2^1099511627776 + t*X1", "--prec", "3"],
+])
+def test_image_oracle_charges_a_generator_before_building_it(argv):
+    """At input level -1 the generator of X^(2^40) + t*X spans 2^40
+    coefficients, from t^(-2^40) up to t^0; the image oracle charges that
+    width before the sum is built and exits 4, where the sum ended in a
+    MemoryError.  Each run is a child process under a 2 GB address-space
+    limit."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "valfield", "decompose", "--field", "F(2)((t))", *argv, "--oracle"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_exact_two_variable_witnesses_show_the_value():

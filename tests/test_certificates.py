@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +11,6 @@ from valfield.certificates import (
     PASS,
     StepRecord,
     TmcneCertificate,
-    binomial_valuation,
-    factorial_valuation,
     fundeq_laurent,
     fundeq_padic,
     poly_text_from_coeffs,
@@ -23,21 +22,10 @@ from valfield.laurent import LaurentField
 from valfield.finite_field import prime_field
 from valfield.polygon import FundamentalEqualityData
 
+DATA = Path(__file__).parent / "data"
+
 
 class TestArithmeticHelpers:
-    def test_factorial_valuation(self):
-        # Legendre: v_3(6!) = 2, v_2(10!) = 8
-        assert factorial_valuation(6, 3) == 2
-        assert factorial_valuation(10, 2) == 8
-        assert factorial_valuation(0, 5) == 0
-
-    def test_binomial_valuation(self):
-        # C(6,3) = 20, C(6,2) = 15, C(4,2) = 6, C(5,2) = 10
-        assert binomial_valuation(6, 3, 3) == 0
-        assert binomial_valuation(6, 2, 3) == 1
-        assert binomial_valuation(4, 2, 2) == 1
-        assert binomial_valuation(5, 2, 3) == 0
-
     def test_poly_text(self):
         text = poly_text_from_coeffs([Fraction(-1), 0, Fraction(3)])
         assert "X^2" in text and "-1" in text
@@ -100,6 +88,48 @@ class TestTmcne:
         for s in data["steps"]:
             assert set(s) == {"name", "inputs", "computed", "expected", "pass"}
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_golden_file(self, p):
+        # the bytes scripts/tmcne_report.py writes; they pin every step's
+        # values, S4's binomial valuations among them
+        golden = (DATA / f"tmcne_p{p}.json").read_text()
+        assert verify_tmcne(p).to_json() + "\n" == golden
+
+    @staticmethod
+    def _tampered(edit) -> str:
+        data = json.loads(verify_tmcne(3).to_json())
+        edit(data)
+        return json.dumps(data, indent=2, sort_keys=True)
+
+    def test_flipped_pass_reads_back_true(self):
+        def flip(data):
+            data["steps"][1]["pass"] = False
+
+        text = self._tampered(flip)
+        cert = TmcneCertificate.from_json(text)
+        assert cert.steps[1].passed
+        assert cert.verdict == PASS
+        assert cert.to_json() != text
+
+    def test_flipped_verdict_reads_back_true(self):
+        def flip(data):
+            data["verdict"] = FAIL
+
+        text = self._tampered(flip)
+        cert = TmcneCertificate.from_json(text)
+        assert cert.verdict == PASS
+        assert cert.to_json() != text
+
+    def test_changed_computed_value_fails_step_and_verdict(self):
+        def change(data):
+            data["steps"][2]["computed"]["vS"] = "-1/3"
+
+        text = self._tampered(change)
+        cert = TmcneCertificate.from_json(text)
+        assert [s.passed for s in cert.steps] == [True, True, False, True, True]
+        assert cert.verdict == FAIL
+        assert cert.to_json() != text
+
     def test_deterministic_across_runs(self):
         assert verify_tmcne(3).to_json() == verify_tmcne(3).to_json()
 
@@ -119,9 +149,20 @@ class TestTmcne:
 
 class TestStepRecord:
     def test_dict_round_trip(self):
-        r = StepRecord("demo", {"a": 1}, {"b": 2}, {"b": 2}, True)
+        r = StepRecord("demo", {"a": 1}, {"b": 2}, {"b": 2})
         assert StepRecord.from_dict(r.to_dict()) == r
         assert r.to_dict()["pass"] is True
+
+    def test_extra_computed_keys_pass(self):
+        assert StepRecord("demo", {}, {"b": 2, "c": [1]}, {"b": 2}).passed
+
+    def test_missing_expected_key_fails(self):
+        assert not StepRecord("demo", {}, {"c": 2}, {"b": 2, "c": 2}).passed
+
+    def test_error_computed_fails(self):
+        r = StepRecord("demo", {}, {"error": "not certified"}, {"n": 6})
+        assert not r.passed
+        assert r.to_dict()["pass"] is False
 
 
 class TestFundamentalEquality:

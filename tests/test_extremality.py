@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,19 @@ class TestExtremalSearch:
             extremal_search(f, K3, ball, prec=2, budget=1000)
         result = extremal_search(f, K3, ball, prec=2, budget=2100)
         assert len(result.witness) == 2000 and result.value.to_text() == "0"
+
+    def test_deep_witness_is_rebuilt_in_linear_time(self):
+        # the ball v >= -400000 puts some 400000 digits on the witness's branch;
+        # prepending each ancestor made the rebuild quadratic in the depth.
+        # A child process, killed if it outlives 20 s.
+        proc = subprocess.run(
+            [sys.executable, "-m", "valfield", "extremal", "--field", "F(2)((t))",
+             "--poly", "X^2+t", "--ball", "v>=-400000 around 0", "--prec", "2"],
+            capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "max value: 1\nverdict: MaxAttained\nwitness a_1: O(t^2)" in proc.stdout
 
     def test_centre_known_below_the_radius_is_inconclusive(self, K2):
         f = MultiPoly(1, {((0, 1),): K2.one(8)})

@@ -30,4 +30,8 @@ def test_tmcne_report(tmp_path):
     proc = run_script("tmcne_report.py", "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     for p in (3, 5, 7):
-        assert json.loads((out / f"tmcne_p{p}.json").read_text())["verdict"] == "pass"
+        name = f"tmcne_p{p}.json"
+        text = (out / name).read_text()
+        assert json.loads(text)["verdict"] == "pass"
+        # the committed golden files pin the certificate format too
+        assert text == (ROOT / "tests" / "data" / name).read_text()
