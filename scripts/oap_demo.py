@@ -38,11 +38,8 @@ def main() -> int:
     print(f"best v(z - f(a)): {res.value.to_text()}")
     print(f"best input:   {res.best_input[0].to_text()}")
 
-    # alpha bounds the decomposed inputs; the pulled-back input can lie below it
-    alpha = int(res.alpha.first)
-    radius = min([alpha] + [a.low for a in res.best_input if a.coeffs])
     residual = MultiPoly.constant(1, z) - f.to_multipoly()
-    found = extremal_search(residual, K, Ball(K.zero(args.prec), radius), args.prec)
+    found = extremal_search(residual, K, Ball(K.zero(args.prec), res.witness_radius), args.prec)
     oracle = found.value
     print(f"oracle max:   {oracle.to_text()} at a = {found.witness[0].to_text()}")
     agree = oracle.to_text() == res.value.to_text()

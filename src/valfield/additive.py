@@ -181,12 +181,6 @@ class PPolynomial:
     additive: AdditivePolynomial
     constant: Optional[LaurentSeries] = None
 
-    def evaluate(self, args: Sequence[LaurentSeries]) -> LaurentSeries:
-        v = self.additive.evaluate(args)
-        if self.constant is not None:
-            v = v + self.constant
-        return v
-
     def to_text(self) -> str:
         return ppolynomial_text(self.additive, self.constant)
 
@@ -418,6 +412,14 @@ class OapResult:
     best_decomposed: Tuple[LaurentSeries, ...]
     value: ValuationResult
     alpha: Optional[Value]
+
+    @property
+    def witness_radius(self) -> int:
+        """The lowest exponent of a ball that holds the witness: alpha (0
+        when there is none) bounds the decomposed inputs, and the
+        pulled-back witness can lie below it."""
+        alpha = int(self.alpha.first) if self.alpha is not None else 0
+        return min([alpha] + [a.low for a in self.best_input if a.coeffs])
 
     def to_dict(self) -> dict:
         return {

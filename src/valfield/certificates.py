@@ -65,10 +65,11 @@ class StepRecord:
 
     @property
     def passed(self) -> bool:
-        """Every expected key is computed, with an equal value; extra
-        computed keys are allowed."""
+        """Every expected key is computed, with an equal value of the same
+        type, so a JSON ``true`` or ``6.0`` read back does not pass for an
+        expected ``1`` or ``6``; extra computed keys are allowed."""
         return all(
-            k in self.computed and self.computed[k] == v
+            k in self.computed and type(self.computed[k]) is type(v) and self.computed[k] == v
             for k, v in self.expected.items()
         )
 

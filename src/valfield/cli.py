@@ -129,14 +129,10 @@ def cmd_oap(args) -> int:
     code = EXIT_OK
     if args.oracle:
         # the digit tree, which shares no code with decompose or the span,
-        # over a ball that holds the witness: alpha bounds the decomposed
-        # inputs, and the pulled-back witness can lie below it
-        alpha = int(result.alpha.first) if result.alpha is not None else 0
-        radius = min([alpha] + [a.low for a in result.best_input if a.coeffs])
+        # over a ball that holds the witness
         residual = MultiPoly.constant(mp.nvars, z) - mp
-        oracle_val = extremal_search(
-            residual, field, Ball(field.zero(args.prec), radius), args.prec, args.budget
-        ).value
+        ball = Ball(field.zero(args.prec), result.witness_radius)
+        oracle_val = extremal_search(residual, field, ball, args.prec, args.budget).value
         agree = oracle_val.to_text() == result.value.to_text()
         if agree:
             verdict = "agrees"

@@ -5,7 +5,8 @@ When no modulus is supplied, one is found by trial search over monic
 polynomials in lexicographic coefficient order, so the choice is
 deterministic.  The one root scan, ``artin_schreier_root``, solves
 y^p - y = c over all q codes; there is no factorization machinery beyond
-trial division at desk scale.
+trial division at desk scale, which divides on the dense core of
+``polynomials`` over the integers.
 
 An element is an int code, sum c_j p^j over its reduced coefficient vector
 (the residue itself for k = 1).  The descriptor's ``*_code(s)`` methods and
@@ -20,6 +21,7 @@ packed columns of coordinates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -27,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .errors import (
     DEFAULT_BUDGET, BudgetExceededError, DescriptorMismatchError, ParseError, ValfieldError, check_budget,
 )
-from .polynomials import square_and_multiply
+from .polynomials import dense_divmod, dense_mul, dense_trim, square_and_multiply
 
 
 def is_prime(n: int) -> bool:
@@ -35,51 +37,19 @@ def is_prime(n: int) -> bool:
     return _prime_power(n) == (n, 1)
 
 
-# -- dense polynomials over Z/p as int tuples (index = degree) -------------
-
-
-def _ptrim(c: Sequence[int]) -> Tuple[int, ...]:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmod_rem(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
-    """Remainder of a by b (b monic up to a unit) over Z/p."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    while len(a) - 1 >= db and _ptrim(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = a[-1] * inv_lb % p
-        shift = da - db
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * bi) % p
-        a.pop()
-    return _ptrim(a)
-
-
 def _monic_polys(p: int, d: int) -> Iterator[List[int]]:
     """All monic degree-d polynomials over F_p, lexicographic in (c0,...,c_{d-1})."""
-    for code in range(p**d):
-        g = []
-        for _ in range(d):
-            g.append(code % p)
-            code //= p
-        g.append(1)
-        yield g
+    return ([*reversed(c), 1] for c in itertools.product(range(p), repeat=d))
 
 
 def _pmod_irreducible(f: Sequence[int], p: int) -> bool:
     """Trial-division irreducibility test for a monic poly over F_p.  Each
     divisor degree d is charged to the default budget before its divisors
     are tried, so a small factor ends the scan before a larger degree is
-    charged: p^d divisors, each (deg - d + 1) * (d + 1) coefficient steps."""
-    f = _ptrim(f)
+    charged: p^d divisors, each (deg - d + 1) * (d + 1) coefficient steps.
+    A monic divisor needs no inverse, so each division runs over the
+    integers and its remainder is read mod p."""
+    f = dense_trim(f)
     deg = len(f) - 1
     if deg <= 0:
         return False
@@ -90,7 +60,7 @@ def _pmod_irreducible(f: Sequence[int], p: int) -> bool:
         spent += (deg - d + 1) * (d + 1) * p**d
         check_budget(spent, DEFAULT_BUDGET)
         for g in _monic_polys(p, d):
-            if not _pmod_rem(f, g, p):
+            if not any(c % p for c in dense_divmod(f, g)[1]):
                 return False
     return True
 
@@ -124,12 +94,9 @@ class FiniteFieldDescriptor:
                 raise ValfieldError("modulus is reducible")
         self.modulus = modulus
         # x^j mod the modulus for j = k .. 2k-2, as coefficient vectors
-        self._fold_rows: List[List[int]] = []
-        row = [(-c) % p for c in modulus[:k]]
-        for _ in range(k - 1):
-            self._fold_rows.append(row)
-            top = row[-1]
-            row = [(r - top * m) % p for r, m in zip([0] + row[:-1], modulus)]
+        self._fold_rows: List[List[int]] = [
+            [c % p for c in dense_divmod([0] * j + [1], modulus)[1]] for j in range(k, 2 * k - 1)
+        ]
         self._frobenius: Dict[int, int] = {}  # code -> code of its p-th power, filled on use
         self._inverse: Dict[int, int] = {}  # code -> code of its inverse over F_{p^k}, filled on use
         self._slots: Dict[int, Dict[int, bytes]] = {}  # slot width -> code -> its Kronecker slots, filled on use
@@ -222,13 +189,7 @@ class FiniteFieldDescriptor:
     def mul_codes(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        prod = [0] * (2 * self.k - 1)
-        db = self.digits(b)
-        for i, x in enumerate(self.digits(a)):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        return self.fold(prod)
+        return self.fold(dense_mul(self.digits(a), self.digits(b)))
 
     def pow_code(self, a: int, e: int) -> int:
         return square_and_multiply(a, e, self.mul_codes, 1)

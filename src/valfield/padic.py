@@ -64,9 +64,7 @@ def monicize(coeffs: Sequence[Fraction]) -> List[Fraction]:
     """coeffs over the last nonzero one; the zeros, which a typed degree
     leaves many of, are one shared Fraction and divide nothing."""
     zero = Fraction(0)
-    cs = [Fraction(c) if c else zero for c in coeffs]
-    while cs and not cs[-1]:
-        cs.pop()
+    cs = dense_trim([Fraction(c) if c else zero for c in coeffs])
     if not cs:
         raise ValfieldError("cannot monicize the zero polynomial")
     lead = cs[-1]

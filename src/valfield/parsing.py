@@ -38,9 +38,6 @@ class PAdicFieldRef:
 
     p: int
 
-    def to_text(self) -> str:
-        return f"Q_{self.p}"
-
 
 FieldRef = Union[FiniteFieldDescriptor, LaurentField, CompositeField, PAdicFieldRef]
 

@@ -36,14 +36,6 @@ class NewtonPolygon:
             return self.segments[0][0]
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "segments": [
-                {"slope": str(s), "length": n} for s, n in self.segments
-            ],
-        }
-
 
 def newton_polygon_from_valuations(
     vals: Sequence[Optional[ValuationResult]],

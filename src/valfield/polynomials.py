@@ -208,18 +208,20 @@ def dense_mul(a: Sequence, b: Sequence) -> List:
 def dense_divmod(a: Sequence, b: Sequence) -> Tuple[List, List]:
     """(q, r) with a = q*b + r and len(r) < len(dense_trim(b)).
 
-    Coefficients must come from a field.  The remainder is not trimmed:
-    it has min(len(a), deg b) entries, each carrying its own precision.
+    Coefficients must come from a field unless b is monic: a leading 1
+    takes no inverse, so the division is exact over any commutative ring,
+    the integers included.  The remainder is not trimmed: it has
+    min(len(a), deg b) entries, each carrying its own precision.
     """
     b = dense_trim(b)
     if not b:
         raise ValfieldError("division by the zero polynomial")
-    inv_lead = _coeff_inverse(b[-1])
+    inv_lead = None if b[-1] == 1 else _coeff_inverse(b[-1])
     db = len(b) - 1
     r = list(a)
     q = []
     for shift in range(len(r) - 1 - db, -1, -1):
-        c = r[shift + db] * inv_lead
+        c = r[shift + db] if inv_lead is None else r[shift + db] * inv_lead
         q.append(c)
         for i in range(db):
             r[shift + i] = r[shift + i] - c * b[i]

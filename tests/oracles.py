@@ -19,6 +19,11 @@
   ``decomposition_image_agrees``.
 * ``_fp_echelon`` is the canonical reduced row-echelon form over F_p, for
   the per-bound reference of ``oap_solve`` in ``test_additive``.
+* ``trial_division_irreducible`` divides by every monic polynomial of
+  degree <= half over F_p, reducing mod p at each step (``fp_remainder``):
+  the reference for ``_pmod_irreducible``, which divides on the dense core
+  over the integers.  ``schoolbook_mul_code`` is the schoolbook product of
+  two F_{p^k} codes, the reference for ``mul_codes``.
 * ``full_precision_lift`` is Newton's iteration with every step worked at
   the full precision of its operands, the reference for ``hensel_lift``.
 * ``sylvester_det`` is the resultant as the determinant of the Sylvester
@@ -230,6 +235,59 @@ def _fp_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[Tuple[int, ...],
             if x:
                 row[c:] = [(y - x * w) % p for y, w in zip(row[c:], piv[c:])]
     return tuple(tuple(pivots[c]) for c in cols)
+
+
+def _fp_trim(c: Sequence[int]) -> Tuple[int, ...]:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def fp_remainder(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
+    """Remainder of a by b (b monic up to a unit) over F_p, reduced mod p
+    at every step."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    inv_lb = pow(lb, p - 2, p)
+    while len(a) - 1 >= db and _fp_trim(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        q = a[-1] * inv_lb % p
+        shift = len(a) - 1 - db
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - q * bi) % p
+        a.pop()
+    return _fp_trim(a)
+
+
+def trial_division_irreducible(f: Sequence[int], p: int) -> bool:
+    """Whether f is irreducible over F_p: no monic divisor of degree 1 to
+    deg/2 leaves a zero remainder, each divisor read off the base-p digits
+    of a counter."""
+    f = _fp_trim(f)
+    deg = len(f) - 1
+    if deg <= 1:
+        return deg == 1
+    for d in range(1, deg // 2 + 1):
+        for code in range(p**d):
+            g = [code // p**i % p for i in range(d)] + [1]
+            if not fp_remainder(f, g, p):
+                return False
+    return True
+
+
+def schoolbook_mul_code(desc, a: int, b: int) -> int:
+    """The product of two codes of F_{p^k}: the digit products summed into
+    2k - 1 slots, then folded by the descriptor."""
+    prod = [0] * (2 * desc.k - 1)
+    db = desc.digits(b)
+    for i, x in enumerate(desc.digits(a)):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] += x * y
+    return desc.fold(prod)
 
 
 def full_precision_lift(

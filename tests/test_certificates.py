@@ -130,6 +130,17 @@ class TestTmcne:
         assert cert.verdict == FAIL
         assert cert.to_json() != text
 
+    def test_value_of_another_json_type_fails_step_and_verdict(self):
+        # true == 1 and 6.0 == 6 in Python, but not as certificate values
+        def retype(data):
+            data["steps"][1]["computed"]["n"] = 6.0
+            data["steps"][3]["computed"]["residueOfExpansion"] = True
+
+        text = self._tampered(retype)
+        cert = TmcneCertificate.from_json(text)
+        assert [s.passed for s in cert.steps] == [True, False, True, False, True]
+        assert cert.verdict == FAIL
+
     def test_deterministic_across_runs(self):
         assert verify_tmcne(3).to_json() == verify_tmcne(3).to_json()
 
@@ -202,6 +213,20 @@ class TestFundamentalEquality:
         K = LaurentField(prime_field(3), "t", default_prec=8)
         with pytest.raises(CertificationError):
             fundeq_laurent(K, [-K.one(8), K.zero(8), K.one(8)])
+
+    def test_asserted_route_when_e_does_not_divide_n(self, capsys):
+        # X^3 + X^2 + 2 over Q_2: slopes 1/2 and 0 give e = 2, which does not
+        # divide n = 3, so the asserted route leaves fRes and the equality
+        # open; unasserted, the reducible residue X^2 (X + 1) certifies nothing
+        argv = ["fundeq", "--field", "Q_2", "--poly", "X^3 + X^2 + 2"]
+        assert main([*argv, "--asserted", "--json", "-"]) == 3
+        out = capsys.readouterr().out
+        data = json.loads(out[out.index("{"):])
+        assert (data["n"], data["e"], data["fRes"]) == (3, 2, None)
+        assert data["certifiedBy"] == "asserted"
+        assert data["equalityHolds"] is None
+        assert data["verdict"] == INCONCLUSIVE
+        assert main(argv) == 3
 
     def test_dispatcher(self, capsys):
         # the CLI's fundeq dispatches on the base: fundeq_padic over Q_p,

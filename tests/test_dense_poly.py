@@ -2,7 +2,8 @@
 
 sub, mul and eval are checked against a direct sum of c_i * x^i at
 integer points, so the oracle shares no code with the helpers; divmod is
-checked through a = q*b + r with deg r < deg b.
+checked through a = q*b + r with deg r < deg b, and over the integers
+for a monic divisor.
 """
 
 from fractions import Fraction
@@ -63,6 +64,17 @@ def test_divmod_is_division_with_remainder(a, b):
     q, r = dense_divmod(a, b)
     assert dense_trim(dense_sub(dense_sub(a, r), dense_mul(q, b))) == []
     assert len(dense_trim(r)) < len(dense_trim(b))
+
+
+@given(st.lists(st.integers(-50, 50), max_size=8), st.lists(st.integers(-9, 9), max_size=4))
+@settings(max_examples=300)
+def test_divmod_by_a_monic_divisor_is_exact_over_the_integers(a, low):
+    # a leading 1 takes no inverse, so no entry leaves Z
+    b = low + [1]
+    q, r = dense_divmod(a, b)
+    assert all(type(c) is int for c in q + r)
+    assert dense_trim(dense_sub(dense_sub(a, r), dense_mul(q, b))) == []
+    assert len(r) == min(len(a), len(b) - 1)
 
 
 def test_trim_drops_only_trailing_zeros():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from valfield.finite_field import (
     parse_field,
     prime_field,
 )
+
+from oracles import schoolbook_mul_code, trial_division_irreducible
 
 FIELDS = [
     prime_field(2),
@@ -208,6 +212,30 @@ class TestModulusSelection:
         with pytest.raises(BudgetExceededError, match="14348889 "):
             _pmod_irreducible((2, 0, 0, 0, 1) + (0,) * 19 + (1,), 3)
         assert _pmod_irreducible((2,) + (0,) * 23 + (1,), 3) is False
+
+
+class TestDenseCoreAgainstReference:
+    def test_irreducibility_matches_trial_division_mod_p(self):
+        # divisions on the dense core over Z against trial division that
+        # reduces mod p at every step; leading coefficients any unit, and
+        # some inputs carry trailing zeros
+        rng = random.Random(20)
+        decided = []
+        for _ in range(1200):
+            p = rng.choice((2, 3, 5, 7))
+            deg = rng.randint(0, 8 if p < 5 else 6)
+            f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)] + [0] * rng.randint(0, 2)
+            expected = trial_division_irreducible(f, p)
+            assert _pmod_irreducible(f, p) is expected, (f, p)
+            decided.append(expected)
+        assert 100 < sum(decided) < 1100
+
+    @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (2, 4)], ids=["F4", "F8", "F9", "F16"])
+    def test_mul_codes_matches_the_schoolbook_product(self, p, k):
+        desc = FiniteFieldDescriptor(p, k)
+        for a in range(desc.q):
+            for b in range(desc.q):
+                assert desc.mul_codes(a, b) == schoolbook_mul_code(desc, a, b), (a, b)
 
 
 class TestTextForms:

@@ -31,6 +31,11 @@ import nothing from the series layer ``laurent``: a valuation result is a
 The span solver's generator loop, ``additive._digit_generators``, builds
 each generator by shift and scale: it calls neither ``evaluate`` nor
 ``from_terms``, so no series product per generator can come back unseen.
+
+Dense polynomials have one core, the ``dense_*`` helpers of
+``polynomials.py``: no other module holds a loop that pops a list after
+testing its last element for zero, the hand-written trailing-zero trim
+that ``dense_trim`` owns.
 """
 
 import ast
@@ -366,3 +371,70 @@ def test_checker_flags_an_import_from_the_series_layer():
     assert series_imports(source) == [
         (1, "ValuationResult"), (2, "laurent"), (4, "valfield.laurent"), (6, "LaurentSeries"),
     ]
+
+
+def _zero_tested_tail(node):
+    """The list whose last element node tests for zero (``x[-1] == 0``,
+    ``0 == x[-1]`` or ``not x[-1]``), as source text, or None."""
+    def last_of(sub):
+        if isinstance(sub, ast.Subscript) and ast.unparse(sub.slice) == "-1":
+            return ast.unparse(sub.value)
+        return None
+
+    def is_zero(sub):
+        return isinstance(sub, ast.Constant) and sub.value == 0
+
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        return last_of(node.operand)
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 and isinstance(node.ops[0], ast.Eq):
+        left, right = node.left, node.comparators[0]
+        if is_zero(right):
+            return last_of(left)
+        if is_zero(left):
+            return last_of(right)
+    return None
+
+
+def hand_trims(source: str):
+    """(line, list) for each loop that pops a list and tests that list's
+    last element for zero, in its condition or its body."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, (ast.While, ast.For)):
+            continue
+        tested = {_zero_tested_tail(node) for node in ast.walk(loop)} - {None}
+        popped = {
+            ast.unparse(node.func.value) for node in ast.walk(loop)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "pop"
+        }
+        found |= {(loop.lineno, name) for name in tested & popped}
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "polynomials.py"], ids=lambda p: p.name)
+def test_no_trailing_zero_trim_outside_the_dense_core(path):
+    assert hand_trims(path.read_text()) == []
+
+
+def test_checker_flags_a_hand_written_trim():
+    source = (
+        "def trim(c):\n"
+        "    while c and c[-1] == 0:\n"
+        "        c.pop()\n"
+        "def rem(a, b):\n"
+        "    while len(a) >= len(b):\n"
+        "        if 0 == a[-1]:\n"
+        "            a.pop()\n"
+        "            continue\n"
+        "        a.pop()\n"
+        "def monic(self):\n"
+        "    while self.cs and not self.cs[-1]:\n"
+        "        self.cs.pop()\n"
+        "def hull(points, hull):\n"
+        "    for pt in points:\n"
+        "        while len(hull) >= 2 and cross(hull[-2], hull[-1], pt) <= 0:\n"
+        "            hull.pop()\n"
+        "        if not points[-1]:\n"
+        "            stack.pop()\n"
+    )
+    assert hand_trims(source) == [(2, "c"), (5, "a"), (11, "self.cs")]

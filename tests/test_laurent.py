@@ -366,6 +366,17 @@ class TestArtinSchreier:
         # has a root; c = 1 over F_3 does not
         assert artin_schreier_solve(K3.one(8)) is None
 
+    @pytest.mark.parametrize("k", [2, 4], ids=["F4", "F16"])
+    def test_residue_root(self, k):
+        # 1 has trace 0 over F_4 and F_16, so y^2 - y = 1 has a root there
+        # and the residue step adds it: no root over F_2, one here
+        K = LaurentField(FiniteFieldDescriptor(2, k), "t", default_prec=8)
+        a = K.from_int_terms({0: 1, 1: 1}, 8)
+        x = artin_schreier_solve(a)
+        assert x is not None and x.low == 0
+        residual = x.frobenius() - x - a
+        assert residual.prec >= a.prec and residual.is_zero_to_prec()
+
     @given(series(field=K2, lo=0))
     @settings(max_examples=40)
     def test_solution_validates(self, a):
