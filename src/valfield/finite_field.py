@@ -5,8 +5,7 @@ When no modulus is supplied, one is found by trial search over monic
 polynomials in lexicographic coefficient order, so the choice is
 deterministic.  The one root scan, ``artin_schreier_root``, solves
 y^p - y = c over all q codes; there is no factorization machinery beyond
-trial division at desk scale, which divides on the dense core of
-``polynomials`` over the integers.
+trial division at desk scale, on the dense core of ``polynomials``.
 
 An element is an int code, sum c_j p^j over its reduced coefficient vector
 (the residue itself for k = 1).  The descriptor's ``*_code(s)`` methods and
@@ -29,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .errors import (
     DEFAULT_BUDGET, BudgetExceededError, DescriptorMismatchError, ParseError, ValfieldError, check_budget,
 )
-from .polynomials import dense_divmod, dense_mul, dense_trim, square_and_multiply
+from .polynomials import dense_mul, dense_rem_mod, dense_trim, square_and_multiply
 
 
 def is_prime(n: int) -> bool:
@@ -46,9 +45,8 @@ def _pmod_irreducible(f: Sequence[int], p: int) -> bool:
     """Trial-division irreducibility test for a monic poly over F_p.  Each
     divisor degree d is charged to the default budget before its divisors
     are tried, so a small factor ends the scan before a larger degree is
-    charged: p^d divisors, each (deg - d + 1) * (d + 1) coefficient steps.
-    A monic divisor needs no inverse, so each division runs over the
-    integers and its remainder is read mod p."""
+    charged: p^d divisors, each (deg - d + 1) * (d + 1) coefficient steps
+    of ``dense_rem_mod``, which reduces mod p as it goes."""
     f = dense_trim(f)
     deg = len(f) - 1
     if deg <= 0:
@@ -60,7 +58,7 @@ def _pmod_irreducible(f: Sequence[int], p: int) -> bool:
         spent += (deg - d + 1) * (d + 1) * p**d
         check_budget(spent, DEFAULT_BUDGET)
         for g in _monic_polys(p, d):
-            if not any(c % p for c in dense_divmod(f, g)[1]):
+            if not any(dense_rem_mod(f, g, p)):
                 return False
     return True
 
@@ -94,9 +92,7 @@ class FiniteFieldDescriptor:
                 raise ValfieldError("modulus is reducible")
         self.modulus = modulus
         # x^j mod the modulus for j = k .. 2k-2, as coefficient vectors
-        self._fold_rows: List[List[int]] = [
-            [c % p for c in dense_divmod([0] * j + [1], modulus)[1]] for j in range(k, 2 * k - 1)
-        ]
+        self._fold_rows: List[List[int]] = [dense_rem_mod([0] * j + [1], modulus, p) for j in range(k, 2 * k - 1)]
         self._frobenius: Dict[int, int] = {}  # code -> code of its p-th power, filled on use
         self._inverse: Dict[int, int] = {}  # code -> code of its inverse over F_{p^k}, filled on use
         self._slots: Dict[int, Dict[int, bytes]] = {}  # slot width -> code -> its Kronecker slots, filled on use

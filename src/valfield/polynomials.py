@@ -216,17 +216,35 @@ def dense_divmod(a: Sequence, b: Sequence) -> Tuple[List, List]:
     b = dense_trim(b)
     if not b:
         raise ValfieldError("division by the zero polynomial")
-    inv_lead = None if b[-1] == 1 else _coeff_inverse(b[-1])
+    inv_lead = 1 if b[-1] == 1 else _coeff_inverse(b[-1])
     db = len(b) - 1
     r = list(a)
     q = []
     for shift in range(len(r) - 1 - db, -1, -1):
-        c = r[shift + db] if inv_lead is None else r[shift + db] * inv_lead
+        c = r[shift + db] * inv_lead
         q.append(c)
         for i in range(db):
             r[shift + i] = r[shift + i] - c * b[i]
     q.reverse()
     return q, r[:db]
+
+
+def dense_rem_mod(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    """The remainder of a by a monic b over Z/p, each entry in range(p),
+    with min(len(a), deg b) entries.
+
+    Each quotient digit is reduced mod p as it is taken and then dropped,
+    so an entry never grows past |a_i| + deg(b) * p * max|b_i| however
+    long a is; over Z the digits of ``dense_divmod`` grow without bound.
+    """
+    db = len(b) - 1
+    r = list(a)
+    for shift in range(len(r) - 1 - db, -1, -1):
+        c = r[shift + db] % p
+        if c:
+            for i in range(db):
+                r[shift + i] -= c * b[i]
+    return [c % p for c in r[:db]]
 
 
 def dense_eval(a: Sequence, x):

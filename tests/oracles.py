@@ -21,8 +21,8 @@
   the per-bound reference of ``oap_solve`` in ``test_additive``.
 * ``trial_division_irreducible`` divides by every monic polynomial of
   degree <= half over F_p, reducing mod p at each step (``fp_remainder``):
-  the reference for ``_pmod_irreducible``, which divides on the dense core
-  over the integers.  ``schoolbook_mul_code`` is the schoolbook product of
+  the reference for ``_pmod_irreducible``, which divides by
+  ``polynomials.dense_rem_mod``.  ``schoolbook_mul_code`` is the schoolbook product of
   two F_{p^k} codes, the reference for ``mul_codes``.
 * ``full_precision_lift`` is Newton's iteration with every step worked at
   the full precision of its operands, the reference for ``hensel_lift``.

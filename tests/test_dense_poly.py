@@ -3,7 +3,8 @@
 sub, mul and eval are checked against a direct sum of c_i * x^i at
 integer points, so the oracle shares no code with the helpers; divmod is
 checked through a = q*b + r with deg r < deg b, and over the integers
-for a monic divisor.
+for a monic divisor.  rem_mod is checked against that integer remainder
+read mod p.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from valfield.polynomials import (
     dense_divmod,
     dense_eval,
     dense_mul,
+    dense_rem_mod,
     dense_sub,
     dense_trim,
 )
@@ -75,6 +77,16 @@ def test_divmod_by_a_monic_divisor_is_exact_over_the_integers(a, low):
     assert all(type(c) is int for c in q + r)
     assert dense_trim(dense_sub(dense_sub(a, r), dense_mul(q, b))) == []
     assert len(r) == min(len(a), len(b) - 1)
+
+
+@given(
+    st.lists(st.integers(-50, 50), max_size=8), st.lists(st.integers(0, 6), max_size=4),
+    st.sampled_from([2, 3, 5, 7]),
+)
+@settings(max_examples=300)
+def test_rem_mod_is_the_integer_remainder_read_mod_p(a, low, p):
+    b = low + [1]
+    assert dense_rem_mod(a, b, p) == [c % p for c in dense_divmod(a, b)[1]]
 
 
 def test_trim_drops_only_trailing_zeros():

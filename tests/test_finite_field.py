@@ -1,4 +1,9 @@
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,13 @@ from valfield.finite_field import (
 )
 
 from oracles import schoolbook_mul_code, trial_division_irreducible
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
 
 FIELDS = [
     prime_field(2),
@@ -213,12 +225,25 @@ class TestModulusSelection:
             _pmod_irreducible((2, 0, 0, 0, 1) + (0,) * 19 + (1,), 3)
         assert _pmod_irreducible((2,) + (0,) * 23 + (1,), 3) is False
 
+    def test_a_long_reducible_residue_is_decided_in_bounded_memory(self):
+        # X^300000 + X + 1 has the root 5 over F_7, so the scan stops at
+        # its first divisor degree; the quotient by X + 2 over Z would hold
+        # about 4.5 * 10^10 bits.  The child runs under a 2 GB address-space
+        # limit, and no route certifies the reducible residue (exit 3).
+        proc = subprocess.run(
+            [sys.executable, "-m", "valfield", "fundeq", "--field", "F(7)((t))", "--poly", "X^300000 + X + 1"],
+            capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestDenseCoreAgainstReference:
     def test_irreducibility_matches_trial_division_mod_p(self):
-        # divisions on the dense core over Z against trial division that
-        # reduces mod p at every step; leading coefficients any unit, and
-        # some inputs carry trailing zeros
+        # remainders of the dense core against the old trial division and
+        # its own remainder loop; leading coefficients any unit, and some
+        # inputs carry trailing zeros
         rng = random.Random(20)
         decided = []
         for _ in range(1200):
