@@ -51,11 +51,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget, check_power
-from .finite_field import FFElement
+from .finite_field import FFElement, FiniteFieldDescriptor
 from .laurent import LaurentField, LaurentSeries
 from .polynomials import MultiPoly
 from .value_group import Value, ValuationResult
@@ -84,17 +83,13 @@ class AdditivePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def height(self, var: Optional[int] = None) -> Optional[int]:
-        ks = [k for (i, k) in self.terms if var is None or i == var]
-        return max(ks) if ks else None
+    def height(self) -> Optional[int]:
+        return max((k for _, k in self.terms), default=None)
 
     def leading_coefficient(self) -> LaurentSeries:
         if self.nvars != 1 or self.is_zero():
             raise ValfieldError("leading coefficient needs a nonzero one-variable polynomial")
         return self.terms[(0, self.height())]
-
-    def coefficient(self, var: int, k: int) -> Optional[LaurentSeries]:
-        return self.terms.get((var, k))
 
     def evaluate(self, args: Sequence[LaurentSeries]) -> LaurentSeries:
         if len(args) != self.nvars:
@@ -234,42 +229,35 @@ class Decomposition:
     """f(K^n) = g_1(K) + ... + g_m(K) with common degree p^nu.
 
     sections[j] maps an input y of g_j to the tuple of original arguments:
-    f(sections[j][0](y), ..., sections[j][n-1](y)) = g_j(y).  working_prec
-    is the order the summands are claimed modulo when the clash loop
-    rewrote one of f's own summands, and None when it did not; the
-    expansion to the common height is exact and claims nothing.
+    f(sections[j][0](y), ..., sections[j][n-1](y)) = g_j(y).  field is f's
+    field.  working_prec is the order the summands are claimed modulo when
+    the clash loop rewrote one of f's own summands, and None when it did
+    not; the expansion to the common height is exact and claims nothing.
     """
 
     nu: int
     polys: List[AdditivePolynomial]
     sections: List[List[AdditivePolynomial]]
     nvars: int
+    field: LaurentField
     working_prec: Optional[int] = None
 
     @property
     def leading_coefficients(self) -> List[LaurentSeries]:
         return [g.leading_coefficient() for g in self.polys]
 
-    def pullback(self, ys: Sequence[LaurentSeries], field: LaurentField) -> Tuple[LaurentSeries, ...]:
+    def pullback(self, ys: Sequence[LaurentSeries]) -> Tuple[LaurentSeries, ...]:
         """The f-input realizing sum g_j(ys[j]); exact for exact ys."""
         return tuple(
             sum(
                 (s[i].evaluate([y]) for s, y in zip(self.sections, ys)),
-                field.zero(math.inf),
+                self.field.zero(math.inf),
             )
             for i in range(self.nvars)
         )
 
-    def summed(self, field: LaurentField) -> AdditivePolynomial:
-        """g_1(Y_1) + ... + g_m(Y_m) as one m-variable additive polynomial."""
-        return AdditivePolynomial(
-            field,
-            len(self.polys),
-            {(j, k): c for j, g in enumerate(self.polys) for (_, k), c in g.terms.items()},
-        )
-
-    def sum_evaluate(self, ys: Sequence[LaurentSeries], field: LaurentField) -> LaurentSeries:
-        return sum((g.evaluate([y]) for g, y in zip(self.polys, ys)), field.zero(math.inf))
+    def sum_evaluate(self, ys: Sequence[LaurentSeries]) -> LaurentSeries:
+        return sum((g.evaluate([y]) for g, y in zip(self.polys, ys)), self.field.zero(math.inf))
 
 
 def _expand_to_height(
@@ -321,7 +309,7 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
         section = [ident if j == i else zero for j in range(f.nvars)]
         work.append((g, section))
     if not work:
-        return Decomposition(0, [], [], f.nvars)
+        return Decomposition(0, [], [], f.nvars, field)
     # the working order bounds how far a leading valuation can rise, which
     # ends the loop
     coeffs = [c for g, _ in work for c in g.terms.values()]
@@ -359,7 +347,7 @@ def decompose(f: AdditivePolynomial) -> Decomposition:
     expanded = [gs for g, section in work for gs in _expand_to_height(g, section, nu)]
     expanded.sort(key=lambda gs: gs[0].leading_coefficient().low)
     return Decomposition(
-        nu, [g for g, _ in expanded], [s for _, s in expanded], f.nvars,
+        nu, [g for g, _ in expanded], [s for _, s in expanded], f.nvars, field,
         work_prec if rewritten else None,
     )
 
@@ -382,24 +370,16 @@ def _find_clash(
 # -- alpha bound -----------------------------------------------------------
 
 
-def alpha_bound(h: PPolynomial, d: Decomposition) -> Value:
+def alpha_bound(d: Decomposition, constant: Optional[LaurentSeries] = None) -> Value:
     """Strict ball radius from the coefficient-gap minimum, minus one grain
-    of the value group Z."""
-    gaps = [Fraction(0)]
-    vc = None
-    if h.constant is not None and not h.constant.is_zero_to_prec():
-        vc = Fraction(h.constant.valuation().require_exact().first)
+    of the value group Z.  A stored coefficient has digits, so its
+    valuation is its low; the constant counts only when it has digits."""
+    gaps = [0]
     for g in d.polys:
-        b = g.leading_coefficient()
-        vb = Fraction(b.valuation().require_exact().first)
-        if vc is not None:
-            gaps.append(vc - vb)
-        nu = g.height()
-        for k in range(nu):
-            c = g.coefficient(0, k)
-            if c is not None:
-                vck = Fraction(c.valuation().require_exact().first)
-                gaps.append(vck - vb)
+        lead = g.leading_coefficient().low
+        gaps += [c.low - lead for c in g.terms.values()]
+        if constant is not None and constant.coeffs:
+            gaps.append(constant.low - lead)
     return Value.rank1(min(gaps) - 1)
 
 
@@ -442,6 +422,12 @@ def _digit_horizon(g: AdditivePolynomial, out_prec: int) -> int:
     return h
 
 
+def _levels(g: AdditivePolynomial, out_prec: int, in_low: int, min_width: int) -> range:
+    """The input levels of g's single-digit generators: from in_low up to
+    max(horizon, in_low + min_width), and none for a zero g."""
+    return range(in_low, max(_digit_horizon(g, out_prec), in_low + min_width) if g.terms else in_low)
+
+
 def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
     """Maximize v(z - f(a)) over all field inputs.
 
@@ -464,13 +450,13 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
         val = z.truncate(min(z.prec, prec)).valuation()
         zeros = tuple(field.zero(math.inf) for _ in range(f.nvars))
         return OapResult(zeros, (), val, None)
-    alpha_v = alpha_bound(PPolynomial(f, -z), dec)
+    # v(-z) = v(z), so z stands for the constant of f(X) - z
+    alpha_v = alpha_bound(dec, z)
     alpha = int(alpha_v.first)
-    summed = dec.summed(field)
     top = min(z.prec, prec)
-    rows, cols = _span_size(summed, prec, min(top, z.valuation_floor()), alpha, min_width=1)
+    rows, cols = _span_size(dec.polys, prec, min(top, z.valuation_floor()), alpha, min_width=1)
     check_budget(rows * (cols + rows), DEFAULT_BUDGET)
-    gens = _digit_generators(summed, prec, alpha, min_width=1)
+    gens = _digit_generators(dec.polys, prec, alpha, min_width=1)
     gens.sort(key=lambda gen: -gen[3].prec)
     low = min([top, z.valuation_floor()] + [g.valuation_floor() for *_, g in gens])
     p, k, n = field.base.p, field.base.k, len(gens)
@@ -503,7 +489,7 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
         if a:
             ys[i] = ys[i] + field.from_terms({j: lam * field.base.element(-a % p)}, math.inf)
     value = ValuationResult(exact, Value.rank1(low + col // k if exact else order))
-    best = dec.pullback(ys, field)
+    best = dec.pullback(ys)
     if dec.working_prec is not None:
         # a rewritten summand may have lost a term that vanished below the
         # working order, which the span does not see; an exact residual of
@@ -515,41 +501,36 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
 
 
 def _digit_generators(
-    f: AdditivePolynomial, out_prec: int, in_low: int, min_width: int = 0
+    summands: Sequence[AdditivePolynomial], out_prec: int, in_low: int, min_width: int = 0
 ) -> List[Tuple[int, int, FFElement, LaurentSeries]]:
-    """Single-digit generators (i, j, lambda, f(lambda * t^j * e_i)).
+    """Single-digit generators (i, j, lambda, g_i(lambda * t^j)) of the
+    one-variable summands g_i.
 
-    By additivity, f(sum of digit monomials) = sum of f(digit monomials)
-    and scalars from the prime field pass through f, so the image of the
-    shifted valuation ring modulo t^out_prec is exactly the F_p-span of
-    these over variables i, levels j in [in_low, max(horizon_i, in_low +
-    min_width)) and lambda in an F_p-basis of the coefficient field.  The
-    digit monomials are exact, so each generator is built by
-    ``at_monomial`` with the one shift-and-scale rule of
-    ``_monomial_terms``: sum over k of c_k * lambda^(p^k) * t^(j * p^k),
-    with no series product.  The sums span each level's shifted terms, so
-    that width, times the field degree, is charged to the default budget,
-    summed over all levels, before the level is built.
+    By additivity, g_1(Y_1) + ... + g_m(Y_m) at a sum of digit monomials
+    is the sum of the g_i at the digit monomials, and scalars from the
+    prime field pass through each g_i, so the image of the shifted
+    valuation ring modulo t^out_prec is exactly the F_p-span of these over
+    summands i, levels j of ``_levels`` and lambda in an F_p-basis of the
+    coefficient field; a zero summand has no levels.  The digit monomials
+    are exact, so each generator is built by ``at_monomial`` with the one
+    shift-and-scale rule of ``_monomial_terms``: sum over k of c_k *
+    lambda^(p^k) * t^(j * p^k), with no series product.  The sums span
+    each level's shifted terms, so that width, times the field degree, is
+    charged to the default budget, summed over all levels, before the
+    level is built.
     """
-    desc = f.field.base
-    basis = [FFElement(desc, desc.p**r) for r in range(desc.k)]
     gens = []
     spent = 0
-    for i in range(f.nvars):
-        g = f.restrict(i)
-        if g.is_zero():
-            continue
-        hi = max(_digit_horizon(g, out_prec), in_low + min_width)
-        # (start, end, p^k) of each nonzero term c * X^(p^k): at level j it
-        # spans [start + j * p^k, end + j * p^k)
-        supports = [
-            (c.low, c.low + len(c.coeffs), desc.p**k) for (_, k), c in g.terms.items() if c.coeffs
-        ]
-        for j in range(in_low, hi):
-            if supports:
-                low = min(start + j * q for start, _, q in supports)
-                spent += desc.k * (max(end + j * q for _, end, q in supports) - low)
-                check_budget(spent, DEFAULT_BUDGET)
+    for i, g in enumerate(summands):
+        desc = g.field.base
+        basis = [FFElement(desc, desc.p**r) for r in range(desc.k)]
+        # (start, end, p^k) of each term c * X^(p^k): at level j it spans
+        # [start + j * p^k, end + j * p^k)
+        supports = [(c.low, c.low + len(c.coeffs), desc.p**k) for (_, k), c in g.terms.items()]
+        for j in _levels(g, out_prec, in_low, min_width):
+            low = min(start + j * q for start, _, q in supports)
+            spent += desc.k * (max(end + j * q for _, end, q in supports) - low)
+            check_budget(spent, DEFAULT_BUDGET)
             for lam in basis:
                 gens.append((i, j, lam, g.at_monomial(lam, j)))
     return gens
@@ -593,7 +574,7 @@ def _fp_insert(pivots: Dict[int, List[int]], row: List[int], stop: int, p: int) 
 
 def windowed_image_span(
     gens: Sequence[LaurentSeries],
-    field: LaurentField,
+    desc: FiniteFieldDescriptor,
     out_prec: int,
     out_low: int,
 ) -> Dict[int, List[int]]:
@@ -605,8 +586,7 @@ def windowed_image_span(
     lowest generator valuation up to out_prec.  A pivot row is zero below
     its pivot, and a span element leads at the least pivot among the rows
     it uses, so the rows pivoting at or past out_low span exactly the image
-    elements of valuation at least out_low."""
-    desc = field.base
+    elements of valuation at least out_low; desc is the residue field."""
     floor = min(
         [s.valuation_floor() for s in gens if not s.is_zero_to_prec()]
         + [out_low]
@@ -620,20 +600,21 @@ def windowed_image_span(
 
 
 def _span_size(
-    g: AdditivePolynomial, out_prec: int, out_low: int, level: int, min_width: int = 0
+    summands: Sequence[AdditivePolynomial], out_prec: int, out_low: int, level: int, min_width: int = 0
 ) -> Tuple[int, int]:
-    """(rows, columns) of a span matrix over _digit_generators(g, out_prec,
-    level, min_width), its columns from min(out_low, generator valuations)
-    to out_prec, bounded from g's terms before any generator is built: the
-    rows exactly, the columns since the digit t^j, j >= level, meets the
-    term c * X^(p^k) at valuation >= v(c) + p^k * level."""
-    desc = g.field.base
-    rows = sum(
-        max(_digit_horizon(g.restrict(i), out_prec), level + min_width) - level
-        for i in range(g.nvars)
-        if g.height(i) is not None
+    """(rows, columns) of a span matrix over _digit_generators(summands,
+    out_prec, level, min_width), its columns from min(out_low, generator
+    valuations) to out_prec, bounded from the summands' terms before any
+    generator is built: the rows exactly, the columns since the digit t^j,
+    j >= level, meets the term c * X^(p^k) at valuation >= v(c) + p^k *
+    level.  No summands span an empty matrix."""
+    if not summands:
+        return 0, 0
+    desc = summands[0].field.base
+    rows = sum(len(_levels(g, out_prec, level, min_width)) for g in summands)
+    floor = min(
+        [out_low] + [c.low + desc.p**k * level for g in summands for (_, k), c in g.terms.items()]
     )
-    floor = min([out_low] + [c.low + desc.p**k * level for (_, k), c in g.terms.items()])
     return rows * desc.k, (out_prec - floor) * desc.k
 
 
@@ -643,7 +624,6 @@ MIN_IN_LOW = -24  # the lowest input level of the image comparison
 def decomposition_image_agrees(
     f: AdditivePolynomial,
     dec: Decomposition,
-    field: LaurentField,
     out_prec: int,
     out_low: int = 0,
 ) -> bool:
@@ -660,21 +640,21 @@ def decomposition_image_agrees(
     PrecisionError.  Every span matrix is charged to the default budget,
     summed over both sides and all levels, before its generators are
     built."""
-    p = field.base.p
-    sides = (f, dec.summed(field))
+    desc = f.field.base
+    sides = ([f.restrict(i) for i in range(f.nvars)], dec.polys)
     level = min(0, out_low)
     spent, dims = 0, None
     while level >= MIN_IN_LOW:
         spans = []
-        for g in sides:
-            rows, cols = _span_size(g, out_prec, out_low, level)
+        for summands in sides:
+            rows, cols = _span_size(summands, out_prec, out_low, level)
             spent += rows * cols
             check_budget(spent, DEFAULT_BUDGET)
-            gens = [s for *_, s in _digit_generators(g, out_prec, level)]
-            spans.append(windowed_image_span(gens, field, out_prec, out_low))
+            gens = [s for *_, s in _digit_generators(summands, out_prec, level)]
+            spans.append(windowed_image_span(gens, desc, out_prec, out_low))
         span_f, span_d = spans
         if (len(span_f), len(span_d)) == dims:
-            if any(_fp_insert(span_d, row, len(row), p) is not None for row in span_f.values()):
+            if any(_fp_insert(span_d, row, len(row), desc.p) is not None for row in span_f.values()):
                 return False
             if len(span_f) == len(span_d):
                 return True
@@ -687,7 +667,6 @@ def decomposition_image_agrees(
 
 def valuation_independent(
     leaders: Sequence[LaurentSeries],
-    field: LaurentField,
     nu: int,
     samples: Iterable[Sequence[LaurentSeries]],
 ) -> bool:
@@ -696,22 +675,10 @@ def valuation_independent(
     Each sample is a tuple of raw series x_i; the test uses c_i = x_i^(p^nu).
     """
     for xs in samples:
-        terms = []
-        vals = []
-        for x, b in zip(xs, leaders):
-            c = x.frobenius(nu)
-            prod = c * b
-            terms.append(prod)
-            vr = prod.valuation()
-            if vr.exact:
-                vals.append(vr.value)
-        if not vals:
-            continue
-        total = terms[0]
-        for u in terms[1:]:
-            total = total + u
-        vr = total.valuation()
-        expected = min(vals)
-        if not vr.exact or vr.value != expected:
-            return False
+        terms = [x.frobenius(nu) * b for x, b in zip(xs, leaders)]
+        vals = [vr.value for vr in (u.valuation() for u in terms) if vr.exact]
+        if vals:
+            vr = sum(terms[1:], terms[0]).valuation()
+            if not vr.exact or vr.value != min(vals):
+                return False
     return True

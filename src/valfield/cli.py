@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from .additive import (
     MIN_IN_LOW,
@@ -175,7 +176,7 @@ def cmd_decompose(args) -> int:
         f = pp.additive
         cap = args.prec - field.base.p ** (f.height() or 0) * MIN_IN_LOW
         wide = AdditivePolynomial(LaurentField(field.base, field.var, cap), f.nvars, f.terms)
-        same = decomposition_image_agrees(f, decompose(wide), field, args.prec)
+        same = decomposition_image_agrees(f, decompose(wide), args.prec)
         print(
             f"image check on the window [0, {args.prec}): "
             f"{'identical' if same else 'DIFFERENT'}"
@@ -191,7 +192,7 @@ def cmd_alpha(args) -> int:
     field = _laurent_field(args)
     _, pp = _additive_poly(args.poly, field)
     dec = decompose(pp.additive)
-    alpha = alpha_bound(pp, dec)
+    alpha = alpha_bound(dec, pp.constant)
     print(f"field: {field.to_text()}")
     print(f"p-polynomial: {pp.to_text()}")
     print(f"nu: {dec.nu}   summands: {len(dec.polys)}")
@@ -351,28 +352,22 @@ def cmd_selftest(args) -> int:
 # -- argument plumbing -----------------------------------------------------
 
 
-def _error_order(text: str) -> int:
-    """A --prec value: an integer error order of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"error order must be >= 1, got {n}")
-    return n
+def _bounded_int(what: str, low: float = -math.inf, high: float = math.inf) -> Callable[[str], int]:
+    """An argparse type: an integer in [low, high], named by what when it is not."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {n}")
+        if n > high:
+            raise argparse.ArgumentTypeError(f"{what} must be <= {high}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names a value that int() refuses by it
+    return parse
 
 
-def _sample_count(text: str) -> int:
-    """A --samples value: at least 1, so that every suite checks something."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"sample count must be >= 1, got {n}")
-    return n
-
-
-def _u_floor(text: str) -> int:
-    """A --u-floor value: at most 0, so that the window keeps t*u^0 in O_v."""
-    n = int(text)
-    if n > 0:
-        raise argparse.ArgumentTypeError(f"u-floor must be <= 0, got {n}")
-    return n
+_error_order = _bounded_int("error order", low=1)
+_u_floor = _bounded_int("u-floor", high=0)  # the window keeps t*u^0 in O_v
 
 
 def _add_common(sub, prec_default: Union[int, str, None] = 8, budget=True):
@@ -387,7 +382,7 @@ def _add_common(sub, prec_default: Union[int, str, None] = 8, budget=True):
         )
     if budget:
         sub.add_argument(
-            "--budget", type=int, default=DEFAULT_BUDGET,
+            "--budget", type=_bounded_int("budget", low=1), default=DEFAULT_BUDGET,
             help="search budget: tree digits expanded (by oap --oracle too) "
             "and multiset entries",
         )
@@ -459,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("selftest", help="seeded invariant suites for all layers")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--samples", type=_sample_count, default=300)
+    # at least one sample, so that every suite checks something
+    s.add_argument("--samples", type=_bounded_int("sample count", low=1), default=300)
     s.add_argument("--json", metavar="PATH")
 
     return parser

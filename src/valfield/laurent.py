@@ -504,7 +504,8 @@ def hensel_lift(coeffs: Sequence[LaurentSeries], x0: LaurentSeries, target_prec:
     coeffs = list(coeffs)
     deriv = poly_derivative(coeffs)
     fx, dfx = dense_eval(coeffs, x0), dense_eval(deriv, x0)
-    b = int(dfx.valuation().require_exact().first)
+    dfx.valuation().require_exact()
+    b = dfx.valuation_floor()  # inf when f'(x0) is exactly 0, which fails the condition
     if not fx.valuation_floor() > 2 * b:
         raise ValfieldError(
             f"Hensel condition fails: v(f(x0))={fx.valuation().to_text()} <= 2*v(f'(x0))={2 * b}"
@@ -529,16 +530,13 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
 
     Returns None when no solution exists: at negative valuations not
     divisible by p, or when the residue equation y^p - y = res(a) has no
-    root in F_q.  The input must have an exact valuation (or be zero to
-    its error order); an exact input whose root is an infinite series
-    raises PrecisionError.
+    root in F_q.  An exact input whose root is an infinite series raises
+    PrecisionError.
     """
     field = a.field
     p = field.base.p
     if a.is_zero_to_prec():
         return field.zero(a.prec)
-    if not a.valuation().exact:
-        raise IndeterminateValuationError("cannot solve at indeterminate valuation")
 
     base = field.base
     current, peeled = a, field.zero(a.prec)

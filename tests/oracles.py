@@ -143,7 +143,6 @@ def truncated_image(
 
 def decomposition_image(
     dec: Decomposition,
-    field: LaurentField,
     out_prec: int,
     in_low: int = 0,
     out_low: Optional[int] = None,
@@ -152,6 +151,7 @@ def decomposition_image(
     """Image of g_1(K) + ... + g_m(K) at the same truncation, built by
     summing per-variable image sets.  out_low filters as in
     truncated_image."""
+    field = dec.field
     current: Dict[object, LaurentSeries] = {"0": field.zero(math.inf)}
     for g in dec.polys:
         hi = max(_digit_horizon(g, out_prec), in_low)

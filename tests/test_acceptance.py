@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from valfield.additive import (
     AdditivePolynomial,
-    PPolynomial,
     alpha_bound,
     decompose,
     decomposition_image_agrees,
@@ -101,13 +100,11 @@ def test_criterion_3_decomposition_images_and_independent_leaders(capsys):
     ok = True
     for field, f in instances:
         dec = decompose(f)
-        ok = ok and decomposition_image_agrees(f, dec, field, 4)
+        ok = ok and decomposition_image_agrees(f, dec, 4)
         samples = [
             [s.series(field, -1, 8) for _ in dec.polys] for _ in range(30)
         ]
-        ok = ok and valuation_independent(
-            dec.leading_coefficients, field, dec.nu, samples
-        )
+        ok = ok and valuation_independent(dec.leading_coefficients, dec.nu, samples)
         if not ok:
             break
     elapsed = time.monotonic() - t0
@@ -131,8 +128,7 @@ def test_criterion_4_alpha_bound_inequalities_and_separation(capsys):
         p = field.base.p
         dec = decompose(f)
         c = s.nonzero_series(field, -2, 48)
-        h = PPolynomial(f, c)
-        alpha_v = alpha_bound(h, dec)
+        alpha_v = alpha_bound(dec, c)
         a_int = int(alpha_v.first)
         pnu = p**dec.nu
         vc = c.valuation().require_exact()
@@ -159,7 +155,7 @@ def test_criterion_4_alpha_bound_inequalities_and_separation(capsys):
                     a if jj == j else field.zero(40)
                     for jj in range(len(dec.polys))
                 ]
-                total = (dec.sum_evaluate(args, field) + c).valuation()
+                total = (dec.sum_evaluate(args) + c).valuation()
                 ok = ok and total.exact and total.value == vr.value
                 ok = ok and total.value < vc
             # at or above alpha: never below the inside floor
@@ -171,7 +167,7 @@ def test_criterion_4_alpha_bound_inequalities_and_separation(capsys):
             field.t_power(a_int, 40) + s.series(field, a_int + 1, 40)
             for _ in dec.polys
         ]
-        total_in = (dec.sum_evaluate(inside, field) + c).valuation()
+        total_in = (dec.sum_evaluate(inside) + c).valuation()
         ok = ok and total_in.value >= min_inside
         if not ok:
             break

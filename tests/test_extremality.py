@@ -580,6 +580,18 @@ class TestCompositeCheck:
         with pytest.raises(BudgetExceededError):
             check_vexbarwex(g, C2, budget=10)
 
+    def test_an_exact_composite_maximum_past_prec_u_stays_inconclusive(self):
+        # u*X^3 + u^2*X + u over F(2) at prec_t = prec_u = 2: the composite
+        # search attains (0,4) exactly and its witness pushes down to 4, but
+        # the residue-level search is capped at prec_u = 2 and reads only
+        # ">=2", so the exact maximum cannot be confirmed.  A residue-level
+        # search that reads past prec_u changes this answer to Confirmed.
+        C = CompositeField(prime_field(2), prec_t=2, prec_u=2)
+        report = check_vexbarwex(parse_poly("u*X^3 + u^2*X + u", C.inner), C)
+        assert (report.composite.value.to_text(), report.composite.verdict) == ("(0,4)", "MaxAttained")
+        assert (report.residue_level.value.to_text(), report.residue_level.verdict) == (">=2", "Indeterminate")
+        assert (report.pushdown_value, report.conclusion) == ("4", "Inconclusive")
+
 
 def test_enumerations_build_no_ffelement(C2, K2, monkeypatch):
     """The digit enumerations and the searches over them run on codes."""

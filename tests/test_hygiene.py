@@ -6,6 +6,10 @@ Every module-level ``import`` / ``from ... import`` binding in
 names inside string annotations.  ``__init__.py`` is exempt: its imports
 are the package's public re-exports.
 
+Every ``def``, methods and nested functions too, reads each of its
+parameters somewhere in its body: a parameter that the inputs already
+determine, and that the body never reads, goes.
+
 Every module-level public function and class must be referenced outside
 its own definition and the ``__init__`` re-export: in library code, in
 ``scripts/`` or ``perfbench/``, or among the names that the acceptance
@@ -104,6 +108,48 @@ def test_checker_flags_an_unused_import():
         "    return None\n"
     )
     assert unused_imports(source) == [(1, "List"), (2, "re")]
+
+
+def unread_parameters(source: str):
+    """(line, function, parameter) for each parameter of a ``def`` that its
+    body, nested functions included, never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        read = {
+            sub.id for stmt in node.body for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        found += [(node.lineno, node.name, a.arg) for a in params if a.arg not in read]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_checker_flags_a_parameter_never_read():
+    source = (
+        "def independent(leaders, field, nu, *samples, **opts):\n"
+        "    field = None\n"
+        "    return [b.frobenius(nu) for b in leaders]\n"
+        "class Dec:\n"
+        "    def pullback(self, ys, field):\n"
+        "        def inner(y, k):\n"
+        "            return y + ys[0]\n"
+        "        return self.pack(map(inner, ys))\n"
+        "    def sum_evaluate(self, ys):\n"
+        "        return sum(ys, self.zero)\n"
+        "skip = lambda k: 0\n"
+    )
+    assert unread_parameters(source) == [
+        (1, "independent", "field"), (1, "independent", "opts"), (1, "independent", "samples"),
+        (5, "pullback", "field"), (6, "inner", "k"),
+    ]
 
 
 def _references(tree):

@@ -274,6 +274,25 @@ class TestHensel:
         with pytest.raises((PrecisionError, ValfieldError)):
             hensel_lift(f, K2.zero(10), 8)
 
+    def test_a_residue_nonroot_fails_the_condition(self):
+        # X^2 + X + 1 over F_2 at 0: v(f(0)) = 0 is not above 2 v(f'(0)) = 0
+        one = K2.one(math.inf)
+        with pytest.raises(ValfieldError, match="Hensel condition fails"):
+            hensel_lift([one, one, one], K2.zero(math.inf), 8)
+
+    def test_an_exactly_zero_derivative_fails_the_condition(self):
+        # X^2 - 1 over F_3 at the exact 0: f'(0) = 2 * 0 is exactly 0
+        f = [K3.from_int_terms({0: 2}, 8), K3.zero(math.inf), K3.one(8)]
+        with pytest.raises(ValfieldError, match="Hensel condition fails"):
+            hensel_lift(f, K3.zero(math.inf), 8)
+
+    def test_a_root_known_only_to_the_input_order_cannot_be_lifted(self):
+        # X^2 - 1 known to O(t^2) over F_3 at 1: f(1) is zero to O(t^2), so
+        # no step can reach O(t^8)
+        f = [K3.from_int_terms({0: 2}, 2), K3.zero(math.inf), K3.one(2)]
+        with pytest.raises(PrecisionError, match="input precision insufficient"):
+            hensel_lift(f, K3.one(math.inf), 8)
+
     @given(st.lists(st.integers(0, 2), min_size=9, max_size=9))
     @settings(max_examples=30)
     def test_lifted_root_solves(self, digits):

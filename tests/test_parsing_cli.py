@@ -779,3 +779,14 @@ class TestSamplesOption:
         assert run_cli("selftest", "--samples", samples) == 1
         captured = capsys.readouterr()
         assert "sample count must be >= 1" in captured.err and "ok" not in captured.out
+
+
+class TestBudgetOption:
+    """--budget is at least 1, checked when parsed: a budget below 1 is a
+    usage error, not a budget every search exceeds."""
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_a_budget_below_one_is_a_usage_error(self, budget):
+        proc = run_cli_process("extremal", "--field", "F(2)((t))", "--poly", "X", "--budget", budget)
+        assert proc.returncode == 1
+        assert "budget must be >= 1" in proc.stderr and "Traceback" not in proc.stderr
