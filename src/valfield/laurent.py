@@ -29,9 +29,13 @@ length.  In characteristic 2 a sum is an XOR of packed bytes (every code
 of F_{2^k} is a byte) and negation the identity, and over F_p with
 p < 256 negation is a translate.  Slots wider than 8 bytes (p near 2^31
 and above) are packed and read with one int call each.  An inverse runs
-Newton's iteration with doubling precision on those products, and
-Frobenius re-spaces the exponents and maps each code through the
-descriptor's Frobenius table.
+Newton's iteration with doubling precision on those products, in the one
+loop ``_newton_inverse``, which extends a given prefix of the inverse:
+``inverse`` starts it from one code, and ``hensel_lift`` from the codes
+it carries over from the last step's inverse of f'(x).  Frobenius
+re-spaces the exponents and maps each code through the descriptor's
+Frobenius table, unless the power is a power of q, which fixes every
+code.
 ``coeff_at`` and ``residue`` hand a code out as an ``FFElement``;
 ``from_terms`` and ``scale`` take one (or an int or a coordinate list)
 and keep its code.  Code tuples are built from lists, not generators:
@@ -257,12 +261,15 @@ class LaurentSeries:
     def frobenius(self, times: int = 1) -> "LaurentSeries":
         """p^times-th power; in characteristic p this acts coefficientwise,
         spreading the exponents by p^times."""
-        q = self.field.base.p**times
+        base = self.field.base
+        q = base.p**times
         if not self.coeffs:
             return self.field.zero(self.prec * q)
-        frob = self.field.base.frobenius_code
         codes = [0] * ((len(self.coeffs) - 1) * q + 1)
-        codes[::q] = [frob(c, times) for c in self.coeffs]
+        if times % base.k:
+            codes[::q] = [base.frobenius_code(c, times) for c in self.coeffs]
+        else:  # the p^times-th power fixes every element of F_q
+            codes[::q] = self.coeffs
         return LaurentSeries(self.field, self.low * q, tuple(codes), self.prec * q)
 
     def inverse(self) -> "LaurentSeries":
@@ -274,15 +281,7 @@ class LaurentSeries:
             if len(self.coeffs) > 1:
                 raise PrecisionError("an exact non-monomial has no finite inverse")
             return self.field.make(-v, [base.inverse_code(self.coeffs[0])], math.inf)
-        rel = self.prec - v  # digits of the unit part we know
-        # Newton: inv <- inv * (2 - unit * inv) doubles the known digits
-        unit = self.coeffs
-        inv = [base.inverse_code(unit[0])]
-        while len(inv) < rel:
-            m = len(inv)
-            n = min(2 * m, rel)
-            err = _mul_codes(base, unit[:n], inv, n)[m:]  # unit * inv = 1 + t^m * err
-            inv += _mul_codes(base, inv, _neg_codes(base, err), n - m)
+        inv = _newton_inverse(base, self.coeffs, [base.inverse_code(self.coeffs[0])], self.prec - v)
         return self.field.make(-v, inv, self.prec - 2 * v)
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -479,6 +478,19 @@ def _neg_codes(base: FiniteFieldDescriptor, codes: Sequence[int]) -> Sequence[in
     return _codes(base, (_pack_codes(base, codes, w) * (p - 1)).to_bytes(len(codes) * width * w, "little"), w)
 
 
+def _newton_inverse(base: FiniteFieldDescriptor, unit: Sequence[int], inv: List[int], rel: int) -> List[int]:
+    """The first rel codes of 1/unit(t), extending in place a list inv of
+    its first codes (at least one, at most rel).  Newton's step inv <- inv *
+    (2 - unit * inv) doubles the codes known: when inv holds m of them,
+    unit * inv = 1 + t^m * err, and the next ones are those of -inv * err."""
+    while len(inv) < rel:
+        m = len(inv)
+        n = min(2 * m, rel)
+        err = _mul_codes(base, unit[:n], inv, n)[m:]
+        inv += _mul_codes(base, inv, _neg_codes(base, err), n - m)
+    return inv
+
+
 # -- univariate polynomials over series ------------------------------------
 
 
@@ -500,6 +512,16 @@ def hensel_lift(coeffs: Sequence[LaurentSeries], x0: LaurentSeries, target_prec:
     its digits below n.  By Hensel's lemma the last iterate x agrees with
     the root of f, as far as f is known, modulo t^(v(f(x)) - b), and it is
     returned at that order.
+
+    The inverse of f'(x) is carried from step to step.  The units of two
+    derivatives read at their steps' orders agree in their first
+    v(f'(x_new) - f'(x_old)) - v(f'(x_new)) codes, as the difference of the
+    two reads shows, and so do their inverses: a step keeps that many
+    codes of the last inverse, or starts again from the inverse of the
+    leading code when none remain, and extends them by Newton doublings to
+    its relative order n - m + b.  f'(x) is evaluated only for a step that
+    follows; where it has no digit at the step's order the step raises
+    IndeterminateValuationError.
     """
     coeffs = list(coeffs)
     deriv = poly_derivative(coeffs)
@@ -510,7 +532,8 @@ def hensel_lift(coeffs: Sequence[LaurentSeries], x0: LaurentSeries, target_prec:
         raise ValfieldError(
             f"Hensel condition fails: v(f(x0))={fx.valuation().to_text()} <= 2*v(f'(x0))={2 * b}"
         )
-    field, x = x0.field, x0
+    field, base, x = x0.field, x0.field.base, x0
+    last, inv = field.zero(math.inf), []  # f'(x) as the last step read it, and its unit's inverse codes
     for _ in range(MAX_NEWTON_STEPS):
         m = fx.valuation_floor()
         if m >= target_prec:
@@ -518,10 +541,18 @@ def hensel_lift(coeffs: Sequence[LaurentSeries], x0: LaurentSeries, target_prec:
         if fx.is_zero_to_prec():
             raise PrecisionError("input precision insufficient for the requested lift")
         n = min(target_prec, 2 * m - b)
-        step = fx.truncate(min(fx.prec, n + b)) / dfx.truncate(min(dfx.prec, n - m + 2 * b))
-        y = x - step
-        x = field.make(y.low, y.coeffs, math.inf)
-        fx, dfx = dense_eval(coeffs, x), dense_eval(deriv, x)
+        if dfx is None:
+            dfx = dense_eval(deriv, x)
+        dfx = dfx.truncate(min(dfx.prec, n - m + 2 * b))
+        if not dfx.coeffs:
+            raise IndeterminateValuationError("division by a series of indeterminate valuation")
+        v = dfx.low
+        kept = (dfx - last).valuation_floor() - v  # leading codes the two units, so their inverses, share
+        inv = inv[:kept] if kept > 0 else [base.inverse_code(dfx.coeffs[0])]
+        inv = _newton_inverse(base, dfx.coeffs, inv, dfx.prec - v)
+        y = x - fx.truncate(min(fx.prec, n + b)) * field.make(-v, inv, dfx.prec - 2 * v)
+        x, last = field.make(y.low, y.coeffs, math.inf), dfx
+        fx, dfx = dense_eval(coeffs, x), None
     raise PrecisionError("Newton iteration did not reach the target precision")
 
 

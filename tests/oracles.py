@@ -26,6 +26,9 @@
   two F_{p^k} codes, the reference for ``mul_codes``.
 * ``full_precision_lift`` is Newton's iteration with every step worked at
   the full precision of its operands, the reference for ``hensel_lift``.
+  ``fresh_inverse_lift`` takes ``hensel_lift``'s steps but inverts f'(x)
+  afresh at each, the reference for the inverse that ``hensel_lift``
+  carries from step to step.
 * ``sylvester_det`` is the resultant as the determinant of the Sylvester
   matrix, by exact elimination over Q: the reference for the remainder
   walk behind ``padic.ext_valuation``.
@@ -42,7 +45,7 @@ from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon,
 from valfield.errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget, check_power
 from valfield.composite import CompositeElement, CompositeField
 from valfield.extremality import Ball, SearchResult, search_max
-from valfield.laurent import ErrorOrder, LaurentField, LaurentSeries, ValuationResult, poly_derivative
+from valfield.laurent import MAX_NEWTON_STEPS, ErrorOrder, LaurentField, LaurentSeries, ValuationResult, poly_derivative
 from valfield.polynomials import MultiPoly, dense_eval
 from valfield.value_group import Value
 
@@ -315,6 +318,30 @@ def full_precision_lift(
         if fx.low >= target_prec:
             return x
         x = x - fx / dense_eval(deriv, x)
+    raise PrecisionError("Newton iteration did not reach the target precision")
+
+
+def fresh_inverse_lift(coeffs: Sequence[LaurentSeries], x0: LaurentSeries, target_prec: int) -> LaurentSeries:
+    """``hensel_lift``'s Newton steps, each dividing f(x) read to t^(n + b)
+    by f'(x) read to t^(n - m + 2b) and inverted afresh."""
+    coeffs = list(coeffs)
+    deriv = poly_derivative(coeffs)
+    fx, dfx = dense_eval(coeffs, x0), dense_eval(deriv, x0)
+    dfx.valuation().require_exact()
+    b = dfx.valuation_floor()
+    if not fx.valuation_floor() > 2 * b:
+        raise ValfieldError(f"Hensel condition fails: v(f(x0))={fx.valuation().to_text()} <= 2*v(f'(x0))={2 * b}")
+    field, x = x0.field, x0
+    for _ in range(MAX_NEWTON_STEPS):
+        m = fx.valuation_floor()
+        if m >= target_prec:
+            return field.make(x.low, x.coeffs, m - b)
+        if fx.is_zero_to_prec():
+            raise PrecisionError("input precision insufficient for the requested lift")
+        n = min(target_prec, 2 * m - b)
+        y = x - fx.truncate(min(fx.prec, n + b)) / dfx.truncate(min(dfx.prec, n - m + 2 * b))
+        x = field.make(y.low, y.coeffs, math.inf)
+        fx, dfx = dense_eval(coeffs, x), dense_eval(deriv, x)
     raise PrecisionError("Newton iteration did not reach the target precision")
 
 

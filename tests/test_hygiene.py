@@ -26,7 +26,11 @@ only caller of an adapter's ``child`` step, so no second walk of the tree
 can come back beside it.  In the same way ``padic._remainder_walk`` is the
 one Euclidean loop of the p-adic layer: besides it only the reduction
 ``PAdicExtRing._reduce`` calls ``dense_divmod``, so ``inverse`` and
-``ext_valuation`` share the walk.
+``ext_valuation`` share the walk.  Likewise ``laurent._newton_inverse``
+is the one Newton-inverse loop of the series layer: no other function
+both multiplies packed codes and negates them, the step that turns the
+error term of unit * inv into the next digits, so ``LaurentSeries.inverse``
+and ``hensel_lift`` share it.
 
 The p-adic layer and the Newton polygons, ``padic.py`` and ``polygon.py``,
 import nothing from the series layer ``laurent``: a valuation result is a
@@ -351,6 +355,35 @@ def test_checker_flags_a_second_remainder_loop():
     assert call_sites(source, "dense_divmod") == [
         "PAdicExtRing._reduce", "_remainder_walk", "_second_loop",
     ]
+
+
+def newton_inverse_steps(source: str):
+    """The scopes, as ``call_sites`` names them, that call both ``_mul_codes``
+    and ``_neg_codes``: those that hold a Newton-inverse step."""
+    return sorted(set(call_sites(source, "_mul_codes")) & set(call_sites(source, "_neg_codes")))
+
+
+def test_the_newton_inverse_is_the_one_inverse_loop_in_laurent():
+    assert newton_inverse_steps((PACKAGE / "laurent.py").read_text()) == ["_newton_inverse"]
+
+
+def test_checker_flags_a_second_newton_inverse_loop():
+    source = (
+        "class LaurentSeries:\n"
+        "    def __neg__(self):\n"
+        "        return _neg_codes(self.field.base, self.coeffs)\n"
+        "    def inverse(self):\n"
+        "        while len(inv) < rel:\n"
+        "            err = _mul_codes(base, unit, inv, n)[m:]\n"
+        "            inv += _mul_codes(base, inv, _neg_codes(base, err), n - m)\n"
+        "def _newton_inverse(base, unit, inv, rel):\n"
+        "    err = _mul_codes(base, unit, inv, rel)\n"
+        "    return inv + _mul_codes(base, inv, _neg_codes(base, err), rel)\n"
+        "def hensel_lift(coeffs, x0, target_prec):\n"
+        "    neg = _neg_codes(base, _mul_codes(base, unit, inv, n))\n"
+        "    return laurent._mul_codes(base, inv, neg, n)\n"
+    )
+    assert newton_inverse_steps(source) == ["LaurentSeries.inverse", "_newton_inverse", "hensel_lift"]
 
 
 PRODUCT_CALLS = {"evaluate", "from_terms"}

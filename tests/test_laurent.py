@@ -1,12 +1,14 @@
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valfield import laurent
 from valfield.errors import (
     IndeterminateValuationError,
     ParseError,
@@ -27,7 +29,7 @@ from valfield.laurent import (
 from valfield.polynomials import MultiPoly, dense_eval, parse_sum
 from valfield.value_group import INFINITY, Value
 
-from oracles import full_precision_lift
+from oracles import fresh_inverse_lift, full_precision_lift
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -293,6 +295,14 @@ class TestHensel:
         with pytest.raises(PrecisionError, match="input precision insufficient"):
             hensel_lift(f, K3.one(math.inf), 8)
 
+    def test_a_derivative_with_no_digit_at_a_step_order_is_indeterminate(self):
+        # t^-2 (X^2 - X + t^5) over F_3 from 0: v(f') = -2, and the step
+        # from v(f(x)) = 8 to the target 10 reads f'(x) to t^-2, below
+        # its first digit
+        f = [K3.t_power(3, math.inf), -K3.t_power(-2, math.inf), K3.t_power(-2, math.inf)]
+        with pytest.raises(IndeterminateValuationError, match="indeterminate valuation"):
+            hensel_lift(f, K3.zero(math.inf), 10)
+
     @given(st.lists(st.integers(0, 2), min_size=9, max_size=9))
     @settings(max_examples=30)
     def test_lifted_root_solves(self, digits):
@@ -352,6 +362,107 @@ def test_lift_agrees_with_the_full_precision_route():
         assert y.prec >= target - d
         assert (y - r).valuation_floor() >= y.prec
     assert min(counts.values()) >= 40, counts
+
+
+def _scaled_lift_instances():
+    """Seeded f = t^e (X - r)(X - s) over F_2, F_3, F_5, F_9 and F_16 for e
+    in -3..1, with v(r) in -2..0 and v(s - r) = d in 0..3, so v(f'(r)) =
+    d + e, and x0 the exact point of r's digits below an order that meets
+    the Hensel condition, lifted to about the order f(x0) is known to.
+    Where v(f') < 0 the unit of f'(x) changes from step to step, so a
+    carried inverse keeps only the digits the two derivatives share."""
+    rng = random.Random(35)
+    bases = [prime_field(2), prime_field(3), prime_field(5), FiniteFieldDescriptor(3, 2),
+             FiniteFieldDescriptor(2, 4, (1, 1, 0, 0, 1))]
+    for n in range(300):
+        base = bases[n % 5]
+        e, vr, d = n // 5 % 5 - 3, n // 25 % 3 - 2, n // 75 % 4
+        prec = rng.choice((16, 32, 64))
+        K = LaurentField(base, "t", prec)
+        r = K.make(vr, [rng.randrange(1, base.q)] + [rng.randrange(base.q) for _ in range(prec - vr)], prec)
+        unit = K.make(0, [rng.randrange(1, base.q)] + [rng.randrange(base.q) for _ in range(prec)], prec)
+        s = r + unit.shift(d)
+        k = d + max(e, 0) + 1 + rng.randrange(2)
+        x0 = K.make(r.low, r.coeffs[:k - r.low], math.inf)
+        f = [c.shift(e) for c in (r * s, -(r + s), K.one(prec))]
+        yield f, x0, dense_eval(f, x0).prec - rng.randrange(3 + 2 * abs(d + e)), r, d + e
+
+
+def _outcome(lift, f, x0, target):
+    """The lifted root's text, or the type and text of the error raised."""
+    try:
+        return lift(f, x0, target).to_text()
+    except ValfieldError as error:
+        return type(error), str(error)
+
+
+def test_scaled_lifts_agree_with_the_full_precision_route():
+    """hensel_lift against the full-precision Newton route on scaled f and
+    roots of negative valuation.  Where both lift they agree to the lower
+    of their orders: the full-precision route, dividing by an inexact
+    point, may lose a digit the fast one keeps.  The fast route fails only
+    where the full-precision one does, or, when v(f') < 0, where f'(x) has
+    no digit at a step's order; a root it returns agrees with the true one
+    to its order, at least target - v(f').  Its text, or its error, is
+    that of the route that inverts f'(x) afresh at every step."""
+    counts = {"same": 0, "beyond": 0, "indeterminate": 0}
+    for f, x0, target, r, b in _scaled_lift_instances():
+        assert _outcome(hensel_lift, f, x0, target) == _outcome(fresh_inverse_lift, f, x0, target)
+        try:
+            ref = full_precision_lift(f, x0, target)
+        except PrecisionError:
+            ref = None
+        try:
+            y = hensel_lift(f, x0, target)
+        except PrecisionError:
+            assert ref is None
+            continue
+        except IndeterminateValuationError:
+            assert b < 0
+            counts["indeterminate"] += 1
+            continue
+        if ref is not None:
+            assert (y - ref).valuation_floor() >= min(y.prec, ref.prec)
+            counts["same"] += 1
+        else:
+            counts["beyond"] += 1
+        assert y.prec >= target - b
+        assert (y - r).valuation_floor() >= y.prec
+    assert min(counts.values()) >= 20, counts
+
+
+def test_the_lift_extends_one_inverse_from_step_to_step(monkeypatch):
+    """A prec-256 lift over F_3 with v(f') = 0 inverts f'(x) once to the
+    target and then extends the carried inverse: the Newton-inverse
+    helper makes at most 2 (steps + log2 256) products, where a fresh
+    inverse per step makes about 2 log2 of each step's order."""
+    rng = random.Random(3)
+    K = LaurentField(F3, "t", 256)
+    digits = [rng.randrange(3), 1 + rng.randrange(2)] + [rng.randrange(3) for _ in range(254)]
+    r = K.make(0, digits, 256)
+    s = r + K.make(0, [1 + rng.randrange(2)] + [rng.randrange(3) for _ in range(255)], 256)
+    x0 = K.make(0, digits[:1], 256)
+    inside, counts = [False], Counter()
+    newton_inverse, mul_codes = laurent._newton_inverse, laurent._mul_codes
+
+    def counted_newton_inverse(*args):
+        counts["steps"] += 1
+        inside[0] = True
+        try:
+            return newton_inverse(*args)
+        finally:
+            inside[0] = False
+
+    def counted_mul_codes(*args):
+        counts["products"] += inside[0]
+        return mul_codes(*args)
+
+    monkeypatch.setattr(laurent, "_newton_inverse", counted_newton_inverse)
+    monkeypatch.setattr(laurent, "_mul_codes", counted_mul_codes)
+    y = hensel_lift([r * s, -(r + s), K.one(256)], x0, 256)
+    assert y.prec >= 256 and (y - r).valuation_floor() >= 256
+    assert counts["steps"] >= 6
+    assert counts["products"] <= 2 * (counts["steps"] + 8), counts
 
 
 class TestArtinSchreier:
