@@ -322,7 +322,7 @@ def poly_text_from_coeffs(coeffs: Sequence[Union[int, Fraction]]) -> str:
         for i in reversed(range(len(coeffs))):
             if not coeffs[i]:
                 continue
-            c = Fraction(coeffs[i])
+            c = coeffs[i]
             if i == 0:
                 parts.append(str(c))
             elif c == 1:

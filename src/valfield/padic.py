@@ -2,7 +2,10 @@
 
 Every input to the p-adic layer is rational, so an element of Q_p[X]/(f)
 is stored as its representative polynomial of degree < deg f with exact
-``Fraction`` coefficients, reduced modulo the monic defining polynomial f.
+rational coefficients, reduced modulo the monic defining polynomial f.
+A coefficient whose denominator is 1 is an ``int`` and any other is a
+``Fraction`` (``value_group.rational``), in the modulus and in every
+representative alike, so integral moduli and elements compute on ints.
 Nothing is truncated, so no working precision is chosen, and an answer is
 never "zero to precision": the zero element is exactly zero, with
 valuation infinity.  Valuations come from the valuation of a resultant:
@@ -29,7 +32,7 @@ the remainder walk) runs on the dense helpers of
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, DescriptorMismatchError, ValfieldError
 from .finite_field import _pmod_irreducible, is_prime
@@ -40,7 +43,7 @@ from .polygon import (
     newton_polygon_from_valuations,
 )
 from .polynomials import _ring_pow, dense_divmod, dense_mul, dense_sub, dense_trim
-from .value_group import INFINITY, Value, ValuationResult
+from .value_group import INFINITY, Rational, Value, ValuationResult, rational
 
 
 def vp_int(n: int, p: int) -> Optional[int]:
@@ -54,21 +57,22 @@ def vp_int(n: int, p: int) -> Optional[int]:
     return v
 
 
-def vp_fraction(q: Fraction, p: int) -> Optional[int]:
+def vp_fraction(q: Rational, p: int) -> Optional[int]:
     if q == 0:
         return None
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-def monicize(coeffs: Sequence[Fraction]) -> List[Fraction]:
-    """coeffs over the last nonzero one; the zeros, which a typed degree
-    leaves many of, are one shared Fraction and divide nothing."""
-    zero = Fraction(0)
-    cs = dense_trim([Fraction(c) if c else zero for c in coeffs])
+def monicize(coeffs: Sequence[Rational]) -> List[Rational]:
+    """coeffs over the last nonzero one, each an int where integral; a
+    monic input divides nothing, and neither does a zero."""
+    cs = dense_trim([rational(c) for c in coeffs])
     if not cs:
         raise ValfieldError("cannot monicize the zero polynomial")
     lead = cs[-1]
-    return [c / lead if c else zero for c in cs]
+    if lead == 1:
+        return cs
+    return [rational(Fraction(c) / lead) if c else 0 for c in cs]
 
 
 class PAdicExtRing:
@@ -77,7 +81,7 @@ class PAdicExtRing:
     def __init__(
         self,
         p: int,
-        modulus: Sequence[Union[int, Fraction]],
+        modulus: Sequence[Rational],
         irreducible_asserted: bool = False,
     ):
         if not is_prime(p):
@@ -108,7 +112,7 @@ class PAdicExtRing:
             if rep.ring is not self:
                 raise DescriptorMismatchError("element from a different ring")
             return rep
-        return PAdicExtElement(self, self._reduce([Fraction(c) for c in rep]))
+        return PAdicExtElement(self, self._reduce([rational(c) for c in rep]))
 
     def zero(self) -> "PAdicExtElement":
         return self.element([])
@@ -119,9 +123,9 @@ class PAdicExtRing:
     def gen(self) -> "PAdicExtElement":
         return self.element([0, 1])
 
-    def _reduce(self, coeffs: List[Fraction]) -> Tuple[Fraction, ...]:
+    def _reduce(self, coeffs: List[Rational]) -> Tuple[Rational, ...]:
         _, cs = dense_divmod(coeffs, self.modulus)
-        return tuple(cs) + (Fraction(0),) * (self.degree - len(cs))
+        return tuple(map(rational, cs)) + (0,) * (self.degree - len(cs))
 
 
 class PAdicExtElement:
@@ -129,7 +133,7 @@ class PAdicExtElement:
 
     __slots__ = ("ring", "rep")
 
-    def __init__(self, ring: PAdicExtRing, rep: Tuple[Fraction, ...]):
+    def __init__(self, ring: PAdicExtRing, rep: Tuple[Rational, ...]):
         self.ring = ring
         self.rep = rep
 
@@ -142,7 +146,7 @@ class PAdicExtElement:
     def __add__(self, other: "PAdicExtElement") -> "PAdicExtElement":
         self._check(other)
         return PAdicExtElement(
-            self.ring, tuple(a + b for a, b in zip(self.rep, other.rep))
+            self.ring, tuple(rational(a + b) for a, b in zip(self.rep, other.rep))
         )
 
     def __neg__(self) -> "PAdicExtElement":
@@ -165,12 +169,12 @@ class PAdicExtElement:
         """Extended-gcd inverse against the modulus."""
         # each remainder r_i = s_i * g (mod f); s_0 = [] is zero
         g = dense_trim(self.rep)
-        last, s0, s1 = g, [], [Fraction(1)]
+        last, s0, s1 = g, [], [1]
         for q, _, last in _remainder_walk(self.ring.modulus, g):
             s0, s1 = s1, dense_sub(s0, dense_mul(q, s1))
         if not last:
             raise ValfieldError("element is zero or not invertible modulo f")
-        return self.ring.element([c / last[0] for c in s1])
+        return self.ring.element([Fraction(c) / last[0] for c in s1])
 
     def is_zero(self) -> bool:
         return not any(self.rep)
@@ -198,7 +202,7 @@ class PAdicExtElement:
 # -- resultant-based valuation ---------------------------------------------
 
 
-def _remainder_walk(a: List[Fraction], b: List[Fraction]):
+def _remainder_walk(a: List[Rational], b: List[Rational]):
     """The Euclidean remainder sequence of a and b, b trimmed: each step
     yields (q, b, r) with a = q*b + r and r trimmed, then divides b by r,
     until the remainder is a constant or zero."""

@@ -10,7 +10,9 @@ This module is generic over the coefficient ring: it consumes a list of
 valuation results (or None for an exactly-zero coefficient), so both the
 p-adic and the Laurent-series front ends share it, and so does
 ``certify_extension``, the one set of certification routes for the
-fundamental equality n = e * fRes.
+fundamental equality n = e * fRes.  A hull point's height is an exact
+``int`` where it is integral (``value_group.rational``), so the hull tests
+of integral coefficients run on ints; a slope is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import CertificationError, IndeterminateValuationError, ValfieldError
-from .value_group import ValuationResult
+from .value_group import Rational, ValuationResult, rational
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,8 @@ def newton_polygon_from_valuations(
     n = len(vals) - 1
     if n < 1:
         raise ValfieldError("polygon needs degree >= 1")
-    exact: List[Tuple[int, Fraction]] = []
-    bounded: List[Tuple[int, Fraction]] = []
+    exact: List[Tuple[int, Rational]] = []
+    bounded: List[Tuple[int, Rational]] = []
     for i, vr in enumerate(vals):
         if vr is None:
             continue
@@ -59,9 +61,9 @@ def newton_polygon_from_valuations(
         if vr.value.is_infinity:
             continue
         if vr.exact:
-            exact.append((i, Fraction(q)))
+            exact.append((i, rational(q)))
         else:
-            bounded.append((i, Fraction(q)))
+            bounded.append((i, rational(q)))
     if not exact:
         raise IndeterminateValuationError("no coefficient with exact valuation")
     lead = max(i for i, _ in exact)
@@ -80,7 +82,7 @@ def newton_polygon_from_valuations(
     hull = _lower_hull(sorted(exact))
     # bounds must not be able to dig below the hull
     for i, b in bounded:
-        if b < _hull_height(hull, i):
+        if _below_hull(hull, i, b):
             raise IndeterminateValuationError(
                 f"indeterminate coefficient at index {i} is at a needed vertex"
             )
@@ -91,8 +93,8 @@ def newton_polygon_from_valuations(
     return NewtonPolygon(tuple(segments), start)
 
 
-def _lower_hull(points: List[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]]:
-    hull: List[Tuple[int, Fraction]] = []
+def _lower_hull(points: List[Tuple[int, Rational]]) -> List[Tuple[int, Rational]]:
+    hull: List[Tuple[int, Rational]] = []
     for pt in points:
         while len(hull) >= 2 and _turns_up(hull[-2], hull[-1], pt):
             hull.pop()
@@ -105,13 +107,13 @@ def _turns_up(a, b, c) -> bool:
     return (b[1] - a[1]) * (c[0] - a[0]) >= (c[1] - a[1]) * (b[0] - a[0])
 
 
-def _hull_height(hull: List[Tuple[int, Fraction]], i: int) -> Fraction:
-    if i <= hull[0][0]:
-        return hull[0][1]
+def _below_hull(hull: List[Tuple[int, Rational]], i: int, b: Rational) -> bool:
+    """Whether (i, b) lies strictly below the hull, for i within its span:
+    b < v0 + (v1 - v0) / (i1 - i0) * (i - i0), multiplied out by i1 - i0."""
     for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
-        if i0 <= i <= i1:
-            return v0 + Fraction(v1 - v0, i1 - i0) * (i - i0)
-    return hull[-1][1]
+        if i <= i1:
+            return b * (i1 - i0) < v0 * (i1 - i0) + (v1 - v0) * (i - i0)
+    return False
 
 
 # -- the fundamental equality ----------------------------------------------

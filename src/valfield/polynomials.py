@@ -173,7 +173,11 @@ def _ring_pow(x, e: int):
 
 
 def _coeff_inverse(c):
-    return c.inverse() if hasattr(c, "inverse") else 1 / c
+    """1/c: a ring element inverts itself, and an int's inverse is an exact
+    ``Fraction``, never the float that ``1 / c`` gives."""
+    if hasattr(c, "inverse"):
+        return c.inverse()
+    return Fraction(1, c) if isinstance(c, int) else 1 / c
 
 
 def dense_trim(a: Sequence) -> List:

@@ -17,6 +17,16 @@ from .errors import IndeterminateValuationError, ParseError, RankMismatchError, 
 
 Rational = Union[int, Fraction]
 
+
+def rational(q: Rational) -> Rational:
+    """q as an ``int`` when its denominator is 1, else as a ``Fraction``:
+    exact rationals outside ``Value`` carry a ``Fraction`` only where a
+    real denominator does, so integral arithmetic stays on ints."""
+    if q.denominator == 1:
+        return q.numerator
+    return q if type(q) is Fraction else Fraction(q)
+
+
 _RANK1 = 1
 _RANK2 = 2
 _INF = 0  # rank tag for the top element

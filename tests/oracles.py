@@ -32,6 +32,11 @@
 * ``sylvester_det`` is the resultant as the determinant of the Sylvester
   matrix, by exact elimination over Q: the reference for the remainder
   walk behind ``padic.ext_valuation``.
+* ``fraction_newton_polygon`` is the Newton polygon with every hull point
+  and every bound a ``Fraction`` and each bound tested against the hull's
+  height as a ``Fraction``: the reference for
+  ``polygon.newton_polygon_from_valuations``, whose points are ints where
+  integral and whose bound test cross-multiplies.
 * ``sparse`` turns a seeded family's dense exponent tuple into the
   ``MultiPoly`` monomial, so each instance keeps its draws.
 """
@@ -42,10 +47,13 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon, _fp_insert
-from valfield.errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget, check_power
+from valfield.errors import (
+    DEFAULT_BUDGET, IndeterminateValuationError, PrecisionError, ValfieldError, check_budget, check_power,
+)
 from valfield.composite import CompositeElement, CompositeField
 from valfield.extremality import Ball, SearchResult, search_max
 from valfield.laurent import MAX_NEWTON_STEPS, ErrorOrder, LaurentField, LaurentSeries, ValuationResult, poly_derivative
+from valfield.polygon import NewtonPolygon
 from valfield.polynomials import MultiPoly, dense_eval
 from valfield.value_group import Value
 
@@ -347,11 +355,13 @@ def fresh_inverse_lift(coeffs: Sequence[LaurentSeries], x0: LaurentSeries, targe
 
 def sylvester_det(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fraction:
     """det Sylvester(f, g), up to sign, by exact elimination; f and g are
-    trimmed and nonzero."""
+    trimmed and nonzero, with int or Fraction entries, which the rows read
+    as Fractions so that no elimination step divides two ints."""
     m, n = len(f) - 1, len(g) - 1
     size = m + n
-    rows = [[Fraction(0)] * i + list(f[::-1]) + [Fraction(0)] * (n - 1 - i) for i in range(n)]
-    rows += [[Fraction(0)] * i + list(g[::-1]) + [Fraction(0)] * (m - 1 - i) for i in range(m)]
+    f, g = [Fraction(c) for c in f], [Fraction(c) for c in g]
+    rows = [[Fraction(0)] * i + f[::-1] + [Fraction(0)] * (n - 1 - i) for i in range(n)]
+    rows += [[Fraction(0)] * i + g[::-1] + [Fraction(0)] * (m - 1 - i) for i in range(m)]
     det = Fraction(1)
     for col in range(size):
         pivot = next((r for r in range(col, size) if rows[r][col]), None)
@@ -366,3 +376,45 @@ def sylvester_det(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fraction:
                 for c in range(col, size):
                     row[c] -= factor * top[c]
     return det
+
+
+def fraction_newton_polygon(vals: Sequence[Optional[ValuationResult]]) -> NewtonPolygon:
+    """The lower hull of the points (i, v(a_i)) as Fractions; a bound must
+    not lie below the hull's height at its index, read as a Fraction."""
+    n = len(vals) - 1
+    if n < 1:
+        raise ValfieldError("polygon needs degree >= 1")
+    exact, bounded = [], []
+    for i, vr in enumerate(vals):
+        if vr is None or vr.value.is_infinity:
+            continue
+        (exact if vr.exact else bounded).append((i, Fraction(vr.value.first)))
+    if not exact:
+        raise IndeterminateValuationError("no coefficient with exact valuation")
+    lead = max(i for i, _ in exact)
+    if lead != n:
+        if any(i > lead for i, _ in bounded):
+            raise IndeterminateValuationError("leading coefficient valuation is indeterminate")
+    start = min(i for i, _ in exact)
+    if any(i < start for i, _ in bounded):
+        raise IndeterminateValuationError("low-order coefficient valuation is indeterminate")
+    hull: List[Tuple[int, Fraction]] = []
+    for pt in sorted(exact):
+        while len(hull) >= 2 and (
+            (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])
+            >= (pt[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(pt)
+    for i, b in bounded:
+        height = hull[0][1] if i <= hull[0][0] else hull[-1][1]
+        for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
+            if i0 <= i <= i1:
+                height = v0 + Fraction(v1 - v0, i1 - i0) * (i - i0)
+                break
+        if b < height:
+            raise IndeterminateValuationError(f"indeterminate coefficient at index {i} is at a needed vertex")
+    segments = tuple(
+        (Fraction(v1 - v0, i1 - i0), i1 - i0) for (i0, v0), (i1, v1) in zip(hull, hull[1:])
+    )
+    return NewtonPolygon(segments, start)

@@ -17,7 +17,7 @@ from valfield.certificates import (
     verify_tmcne,
 )
 from valfield.cli import main
-from valfield.errors import CertificationError
+from valfield.errors import BudgetExceededError, CertificationError
 from valfield.laurent import LaurentField
 from valfield.finite_field import prime_field
 from valfield.polygon import FundamentalEqualityData
@@ -27,8 +27,12 @@ DATA = Path(__file__).parent / "data"
 
 class TestArithmeticHelpers:
     def test_poly_text(self):
+        # an int prints as the Fraction equal to it did
         text = poly_text_from_coeffs([Fraction(-1), 0, Fraction(3)])
-        assert "X^2" in text and "-1" in text
+        assert text == poly_text_from_coeffs([-1, 0, 3]) == "3*X^2 + -1"
+        assert poly_text_from_coeffs([Fraction(1, 2), 1]) == "X^1 + 1/2"
+        with pytest.raises(BudgetExceededError):
+            poly_text_from_coeffs([1, 10**5000])
 
 
 class TestTmcne:

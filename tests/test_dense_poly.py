@@ -2,15 +2,16 @@
 
 sub, mul and eval are checked against a direct sum of c_i * x^i at
 integer points, so the oracle shares no code with the helpers; divmod is
-checked through a = q*b + r with deg r < deg b, and over the integers
-for a monic divisor.  rem_mod is checked against that integer remainder
+checked through a = q*b + r with deg r < deg b, over the integers for a
+monic divisor, and against the Fraction computation for an integer divisor
+with another lead.  rem_mod is checked against that integer remainder
 read mod p.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from valfield.errors import ValfieldError
@@ -77,6 +78,19 @@ def test_divmod_by_a_monic_divisor_is_exact_over_the_integers(a, low):
     assert all(type(c) is int for c in q + r)
     assert dense_trim(dense_sub(dense_sub(a, r), dense_mul(q, b))) == []
     assert len(r) == min(len(a), len(b) - 1)
+
+
+@given(
+    st.lists(st.integers(-50, 50), max_size=8), st.lists(st.integers(-9, 9), max_size=4),
+    st.integers(-9, 9).filter(lambda c: c not in (0, 1)),
+)
+@example([1, 0, 1], [1], 2)  # quotient [-1/4, 1/2], remainder [5/4]
+@settings(max_examples=300)
+def test_a_non_monic_int_divisor_gives_the_fraction_quotient(a, low, lead):
+    # the lead's inverse is an exact Fraction, never a float
+    q, r = dense_divmod(a, low + [lead])
+    assert not any(isinstance(c, float) for c in q + r)
+    assert (q, r) == dense_divmod([Fraction(c) for c in a], [Fraction(c) for c in low + [lead]])
 
 
 @given(

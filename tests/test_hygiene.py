@@ -36,6 +36,10 @@ The p-adic layer and the Newton polygons, ``padic.py`` and ``polygon.py``,
 import nothing from the series layer ``laurent``: a valuation result is a
 ``value_group`` type, and Q_p[X]/(f) needs no Laurent series.
 
+The exact layers ``padic.py`` and ``polygon.py`` keep a rational as an
+``int`` where its denominator is 1, so a true division there must not see
+two ints: every ``/`` has a ``Fraction(...)`` call as its left operand.
+
 The span solver's generator loop, ``additive._digit_generators``, builds
 each generator by shift and scale: it calls neither ``evaluate`` nor
 ``from_terms``, so no series product per generator can come back unseen.
@@ -450,6 +454,40 @@ def test_checker_flags_an_import_from_the_series_layer():
     assert series_imports(source) == [
         (1, "ValuationResult"), (2, "laurent"), (4, "valfield.laurent"), (6, "LaurentSeries"),
     ]
+
+
+def bare_divisions(source: str):
+    """(line, left operand) for each true division, ``/`` or ``/=``, whose
+    left operand is not a ``Fraction(...)`` call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            left = node.left
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            left = node.target
+        else:
+            continue
+        called = getattr(left, "func", None)
+        if getattr(called, "id", getattr(called, "attr", None)) != "Fraction":
+            found.append((node.lineno, ast.unparse(left)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["padic.py", "polygon.py"])
+def test_every_true_division_in_the_exact_layers_divides_a_fraction(name):
+    assert bare_divisions((PACKAGE / name).read_text()) == []
+
+
+def test_checker_flags_a_division_of_two_ints():
+    source = (
+        "def monicize(cs, lead):\n"
+        "    out = [Fraction(c) / lead for c in cs] + [fractions.Fraction(1) / lead]\n"
+        "    return out + [a / b, c[0] / lead, 1 / lead, float(a) / b, Fraction(a // b, 2)]\n"
+        "def scale(x):\n"
+        "    x /= 2\n"
+        "    return x\n"
+    )
+    assert bare_divisions(source) == [(3, "1"), (3, "a"), (3, "c[0]"), (3, "float(a)"), (5, "x")]
 
 
 def _zero_tested_tail(node):

@@ -39,6 +39,14 @@ class TestIntegerValuations:
         assert vp_fraction(Fraction(0), 3) is None
 
 
+def _exact(cs):
+    """cs, after checking that each entry is an int or a Fraction with a
+    real denominator: never a float, never a Fraction equal to an int."""
+    for c in cs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (cs, c)
+    return cs
+
+
 def counterexample_ring(p):
     coeffs = [Fraction(0)] * (2 * p + 1)
     coeffs[2 * p] = Fraction(p)
@@ -105,10 +113,8 @@ class TestExtensionRing:
             ext_valuation(ring.element([-1, 1]))
 
     def test_monicize(self):
-        assert monicize([Fraction(2), Fraction(4)]) == [
-            Fraction(1, 2),
-            Fraction(1),
-        ]
+        assert _exact(monicize([Fraction(2), Fraction(4)])) == [Fraction(1, 2), 1]
+        assert _exact(monicize([Fraction(-4), 0, Fraction(2), 0])) == [-2, 0, 1]
 
 
 class TestFundamentalEquality:
@@ -233,7 +239,9 @@ class TestExactOracle:
     def test_inverse_is_exact(self, p, n, eisenstein, seed):
         ring, (x,) = _ring_and_elements(p, n, eisenstein, seed, 1)
         if not x.is_zero():
-            assert x * x.inverse() == ring.one()
+            inv = x.inverse()
+            assert x * inv == ring.one()
+            _exact(inv.rep)
 
     @settings(max_examples=40, deadline=None)
     @exact_cases
@@ -346,6 +354,44 @@ class TestRemainderWalk:
         gen = counterexample_ring(p).gen()
         s = gen**p - gen
         assert ext_valuation(s) == _sylvester_valuation(s) == Value.rank1(Fraction(-1, 2))
+
+
+class TestExactRepresentation:
+    """The int/Fraction rule on the seeded families: integral Eisenstein and
+    unit moduli, monic fractional and several-segment moduli (asserted),
+    and each of them scaled by a rational lead, which monicize divides out."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_no_float_and_integral_values_are_ints(self, p):
+        rng = random.Random(f"exact representation {p}")
+        for n in range(1, 7):
+            families = [
+                (_eisenstein_modulus(rng, p, n), False),
+                (_unit_modulus(rng, p, n), True),
+                (_monic(rng, p, n), True),
+                (_several_segments(rng, p, n), True),
+            ]
+            for modulus, asserted in families:
+                lead = _rational(rng, p)
+                assert _exact(monicize(modulus)) == modulus
+                assert _exact(monicize([c * lead for c in modulus])) == modulus
+                ring = PAdicExtRing(p, [c * lead for c in modulus], irreducible_asserted=asserted)
+                _exact(ring.modulus)
+                x = _element(rng, ring)
+                y = ring.element([rng.randint(-9, 9) * p**rng.randint(0, 2) for _ in range(n)])
+                for z in (x, y, x + y, x - y, x * y, y * y, x**3, y**2, -x):
+                    _exact(z.rep)
+                for z in (x, y):
+                    if z.is_zero():
+                        continue
+                    try:
+                        inv = z.inverse()
+                    except ValfieldError:
+                        # a reducible modulus shares a factor with z
+                        continue
+                    _exact(inv.rep)
+                    _exact((z**-2).rep)
+                    assert z * inv == ring.one()
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 from valfield.errors import IndeterminateValuationError, ValfieldError
 from valfield.laurent import ValuationResult
 from valfield.polygon import newton_polygon_from_valuations
-from valfield.value_group import Value
+from valfield.value_group import INFINITY, Value
+
+from oracles import fraction_newton_polygon
 
 
 def exact(q):
@@ -114,3 +118,37 @@ class TestHullProperties:
                 if x0 <= i <= x1:
                     lower = y0 + (y1 - y0) * Fraction(i - x0, x1 - x0)
                     assert Fraction(h) >= lower
+
+
+def _valuation_draw(rng):
+    """None, an exact or an at-least value, integral or with a small
+    denominator, now and then infinite."""
+    roll = rng.random()
+    if roll < 0.15:
+        return None
+    if roll < 0.2:
+        return ValuationResult.exactly(INFINITY)
+    q = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 1, 2, 3, 4, 6)))
+    return exact(q) if rng.random() < 0.75 else bound(q)
+
+
+class TestAllFractionOracle:
+    def test_agrees_with_the_all_fraction_hull(self):
+        """Same segments and start, or the same error, as the hull built on
+        Fractions throughout; the slopes stay Fractions."""
+        rng = random.Random("all-fraction hull")
+        errors = 0
+        for _ in range(3000):
+            vals = [_valuation_draw(rng) for _ in range(rng.randint(2, 9))]
+            try:
+                expected = fraction_newton_polygon(vals)
+            except ValfieldError as exc:
+                errors += 1
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    newton_polygon_from_valuations(vals)
+                continue
+            poly = newton_polygon_from_valuations(vals)
+            assert poly == expected, vals
+            assert all(type(s) is Fraction for s, _ in poly.segments)
+        # the family reaches both outcomes
+        assert 300 < errors < 2700
