@@ -50,14 +50,13 @@ from .laurent import (
     LaurentSeries,
     artin_schreier_solve,
     hensel_lift,
-    parse_series,
 )
 from .padic import (
     PAdicExtRing,
     ext_valuation,
     fundamental_equality_data,
 )
-from .parsing import parse_any_field, parse_ball, parse_int_poly, parse_poly
+from .parsing import parse_any_field, parse_ball, parse_int_poly, parse_poly, parse_series
 from .polygon import NewtonPolygon, newton_polygon_from_valuations
 from .polynomials import MultiPoly
 from .value_group import INFINITY, Value, ValuationResult

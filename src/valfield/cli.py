@@ -54,13 +54,14 @@ from .extremality import (
     extremal_search,
     valuation_multiset,
 )
-from .laurent import LaurentField, parse_series
+from .laurent import LaurentField
 from .parsing import (
     PAdicFieldRef,
     parse_any_field,
     parse_ball,
     parse_int_poly,
     parse_poly,
+    parse_series,
 )
 from .polynomials import MultiPoly
 from .selftest import run_all
@@ -401,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("oap", help="best approximation by the image of an additive polynomial")
     _add_common(s)
-    s.add_argument("--poly", required=True, help="additive polynomial, e.g. \"X^3 - X\"")
-    s.add_argument("--target", required=True, help="series to approximate, e.g. \"t^-1\"")
+    s.add_argument("--poly", required=True, help="additive polynomial, e.g. \"X^3 - (1 + t + O(t^4))*X\"")
+    s.add_argument("--target", required=True, help="series to approximate, e.g. \"t^-1\" or \"t^-1 + O(t^8)\"")
     s.add_argument(
         "--oracle", action="store_true",
         help="cross-check by the digit tree over the ball of radius min(alpha, v(witness))",
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("alpha", help="alpha bound of a p-polynomial")
     _add_common(s, budget=False)
-    s.add_argument("--poly", required=True, help="additive part plus optional constant")
+    s.add_argument("--poly", required=True, help="additive part plus optional constant, e.g. \"X^2 + t*X + (t^-3 + O(t^8))\"")
 
     s = subs.add_parser("extremal", help="max of v(f) over a truncated ball or valuation ring")
     _add_common(s, prec_default=argparse.SUPPRESS)
@@ -447,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json", metavar="PATH")
 
     s = subs.add_parser("fundeq", help="fundamental equality n = e*fRes for an extension")
-    s.add_argument("--poly", required=True)
+    s.add_argument("--poly", required=True, help="polynomial in X; over Q_p its coefficients may be rational, e.g. \"X^2/2 - 3/2\"")
     s.add_argument("--field", required=True, help="Q_p or F(q)((t))")
     s.add_argument("--asserted", action="store_true", help="assert irreducibility externally")
     s.add_argument("--json", metavar="PATH")

@@ -49,17 +49,12 @@ A truncated series prints with its error term and round-trips bit-exactly:
 with coefficients in finite-field element syntax (plain integers for prime
 fields, bracketed coefficient lists for extensions).  An exact series
 prints as the plain sum of its terms, and the exact zero as ``0``.
-``parse_series`` reads series text through ``polynomials.parse_sum``, the
-one term grammar, so typed text may also use products, parentheses and
-powers, in the series variable alone.  Text means what it says: a sum
-without an O-term is exact, and ``O(t^N)`` sets the error order N, so
-``parse_series`` inverts ``to_text`` on exact and truncated series alike.
+Reading such text back is ``parsing.parse_series``.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import sys
 from array import array
 from itertools import compress, count
@@ -68,12 +63,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .errors import (
     DescriptorMismatchError,
     IndeterminateValuationError,
-    ParseError,
     PrecisionError,
     ValfieldError,
 )
 from .finite_field import FFElement, FiniteFieldDescriptor
-from .polynomials import _integer, dense_eval, parse_sum, square_and_multiply
+from .polynomials import dense_eval, square_and_multiply
 from .value_group import INFINITY, Value, ValuationResult
 
 ErrorOrder = Union[int, float]  # an integer N, or math.inf for an exact series
@@ -596,24 +590,3 @@ def artin_schreier_solve(a: LaurentSeries) -> Optional[LaurentSeries]:
         x = x - term
         term = term.truncate(-(-n // p)).frobenius()
     return x
-
-
-# -- parsing ---------------------------------------------------------------
-
-def parse_series(field: LaurentField, text: str) -> LaurentSeries:
-    """Read a sum in the series variable alone, by ``parse_sum``, with an
-    optional trailing ``O(t^N)``; without one the series is exact.  The
-    bit-exact inverse of ``to_text()``."""
-    m = re.search(r"(?:\+\s*)?O\(\s*" + re.escape(field.var) + r"\^(-?\d+)\s*\)\s*$", text)
-    body, prec = text, math.inf
-    if m:
-        body, prec = text[: m.start()], _integer(m.group(1), m.start(1))
-    terms: Dict[int, FFElement] = {}
-    if m is None or body.strip():  # a bare O-term is the zero series
-        for key, c in parse_sum(body, field.base.element).items():
-            names = dict(key)
-            e = names.pop(field.var, 0)
-            if names:
-                raise ParseError(f"unknown symbol {min(names)!r} in series {text!r}")
-            terms[e] = terms[e] + c if e in terms else c
-    return field.from_terms(terms, prec)

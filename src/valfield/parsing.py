@@ -1,4 +1,4 @@
-"""Text front end: field descriptors, polynomial expressions, balls.
+"""Text front end: field descriptors, series, polynomial expressions, balls.
 
 Accepted field strings::
 
@@ -7,13 +7,21 @@ Accepted field strings::
 
 Series and polynomial text is read by ``polynomials.parse_sum``, the one
 term grammar: sums of signed products of integers, ``[c0,...]`` literals,
-names and parenthesised sums, each optionally raised to ``^e``.  This
+names, error terms ``O(t^N)`` and parenthesised sums, each optionally
+raised to ``^e``, with ``/n`` dividing a product by an integer.  This
 module only says what the names mean.  In a polynomial over a series
 field, uniformizers (``t^-3``, ``u^2``) take any exponent and the
 variables, ``X`` alone or the numbered family ``X1, X2, ...`` (``Y`` is
 accepted as a synonym), take exponents >= 0; an integer polynomial knows
-only ``X`` (or ``x``).  Balls are written ``v>=R around CENTER`` with
-CENTER a series.
+only ``X`` (or ``x``), over Q.  Balls are written ``v>=R around CENTER``
+with CENTER a series.  No series variable may be named ``O``.
+
+Every series coefficient, of a series, a polynomial's monomial or a ball
+centre, is built by one rule, ``_series_by_monomial``: a sum without an
+error term is exact, and ``O(t^N)*t^j`` sets the error order N + j, the
+least one winning.  So ``parse_series`` and ``parse_poly`` invert
+``to_text`` on exact and truncated coefficients alike.  Error terms are
+not read over ``F(q)((u))((t))`` nor in an integer polynomial.
 """
 
 from __future__ import annotations
@@ -22,14 +30,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from .composite import CompositeField
-from .errors import DEFAULT_BUDGET, ParseError, check_budget
+from .errors import DEFAULT_BUDGET, ParseError, PrecisionError, check_budget
 from .extremality import Ball
 from .finite_field import FiniteFieldDescriptor, is_prime, parse_field
-from .laurent import LaurentField, parse_series
-from .polynomials import MultiPoly, _integer, dense_trim, parse_sum
+from .laurent import LaurentField, LaurentSeries
+from .polynomials import MultiPoly, _integer, dense_trim, error_name, parse_sum
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,8 @@ def parse_any_field(
         m = re.fullmatch(r"(.*)\(\((\w+)\)\)", s)
         if not m:
             break
+        if m.group(2) == "O":
+            raise ParseError(f"'O' starts an error term and names no series variable: {text!r}", 0)
         vars_.insert(0, m.group(2))
         s = m.group(1)
     base = parse_field(s)
@@ -72,7 +82,44 @@ def parse_any_field(
     raise ParseError(f"at most two series layers supported: {text!r}", 0)
 
 
-# -- polynomial expressions ------------------------------------------------
+# -- series and polynomial expressions ---------------------------------------
+
+
+def _series_by_monomial(text: str, series: LaurentField, monomial: Callable) -> Dict[object, LaurentSeries]:
+    """``parse_sum``'s terms grouped by ``monomial`` of their names but t =
+    ``series.var`` and its error term, each group one series in t: its
+    terms c*t^j summed by one ``from_terms`` to the least N + j of its
+    O(t^N)*t^j, whose scalars are ignored (O - O stays O), and exact without
+    one.  The dense window below that order is charged to the budget first."""
+    var, err = series.var, error_name(series.var)
+    groups: Dict[object, dict] = {}
+    orders: Dict[object, int] = {}
+    for key, c in parse_sum(text, series.base.element).items():
+        names = dict(key)
+        j, n = names.pop(var, 0), names.pop(err, None)
+        mono = monomial(names)
+        terms = groups.setdefault(mono, {})
+        if n is None:
+            terms[j] = terms[j] + c if j in terms else c
+        else:
+            orders[mono] = min(n + j, orders.get(mono, n + j))
+    out = {}
+    for mono, terms in groups.items():
+        order = orders.get(mono, math.inf)
+        terms = {e: c for e, c in terms.items() if e < order}
+        if terms:
+            check_budget(max(terms) - min(terms) + 1, DEFAULT_BUDGET)
+        out[mono] = series.from_terms(terms, order)
+    return out
+
+
+def parse_series(field: LaurentField, text: str) -> LaurentSeries:
+    """A sum in the series variable alone; the inverse of ``to_text()``."""
+    def constant(names):
+        if names:
+            raise ParseError(f"unknown symbol {min(names)!r} in series {text!r}")
+        return ()
+    return _series_by_monomial(text, field, constant)[()]
 
 
 _VAR = re.compile(r"[XY](\d*)")
@@ -86,18 +133,19 @@ def parse_poly(
     """A polynomial with coefficients in a (possibly composite) series field.
 
     Uniformizers take any exponent; ``X``/``Y`` (variable 1) and ``X<n>``/
-    ``Y<n>`` (variable n) take exponents >= 0.  A coefficient c*t^j is
-    exact, and so over a composite field is c*u^i*t^j, which is
-    ``make({j: c*u^i})``."""
+    ``Y<n>`` (variable n) take exponents >= 0.  A coefficient that is zero
+    to its own order, which ``MultiPoly`` would drop as exact, is a
+    ``PrecisionError``.  Over a composite field a coefficient is exact,
+    ``make({j: c})`` with c the series in u at t^j."""
     composite = isinstance(field, CompositeField)
     series = field.inner if composite else field
-    uniformizers = (series.var, field.outer_var) if composite else (series.var,)
-    rows, n = [], 0
-    for key, c in parse_sum(text, series.base.element).items():
-        powers = dict(key)
-        unif = [powers.pop(name, 0) for name in uniformizers]
+    n = 0
+
+    def monomial(names):
+        nonlocal n
+        outer = names.pop(field.outer_var, 0) if composite else None
         var_exps: Dict[int, int] = {}
-        for name, e in powers.items():
+        for name, e in names.items():
             m = _VAR.fullmatch(name)
             if not m:
                 raise ParseError(f"unknown symbol {name!r}")
@@ -109,26 +157,34 @@ def parse_poly(
             n = max(n, var + 1)
             if e:
                 var_exps[var] = var_exps.get(var, 0) + e
-        coeff = series.from_terms({unif[0]: c}, math.inf)
-        if composite:
-            coeff = field.make({unif[1]: coeff})
-        rows.append((tuple(sorted(var_exps.items())), coeff))
+        mono = tuple(sorted(var_exps.items()))
+        return (mono, outer) if composite else mono
+
+    coeffs = _series_by_monomial(text, series, monomial)
+    for mono, c in coeffs.items():
+        if c.prec < math.inf and composite:
+            raise ParseError("error terms are not read over F(q)((u))((t))")
+        if c.prec < math.inf and not c.coeffs:
+            term = "*".join(f"X{i + 1}^{e}" for i, e in mono) or "1"
+            raise PrecisionError(f"the coefficient of {term} is zero to its order O({series.var}^{c.prec})")
+    if composite:
+        levels: Dict[tuple, dict] = {}
+        for (mono, j), c in coeffs.items():
+            levels.setdefault(mono, {})[j] = c
+        coeffs = {mono: field.make(cs) for mono, cs in levels.items()}
     if nvars is not None:
         if n > nvars:
             raise ParseError(f"expression uses {n} variables, expected {nvars}")
         n = nvars
     n = max(n, 1)
     check_budget(n, DEFAULT_BUDGET)  # every point and witness holds n entries
-    check_budget(sum(len(mono) for mono, _ in rows), DEFAULT_BUDGET)  # the monomials' pairs
-    out: Dict[tuple, object] = {}
-    for mono, coeff in rows:
-        out[mono] = out[mono] + coeff if mono in out else coeff
-    return MultiPoly(n, out)
+    check_budget(sum(map(len, coeffs)), DEFAULT_BUDGET)  # the monomials' pairs
+    return MultiPoly(n, coeffs)
 
 
 def parse_int_poly(text: str) -> List[Fraction]:
     """Univariate polynomial in ``X`` (or ``x``) over Q as a dense list,
-    e.g. ``3*(X^3 - X)^2 - 1``; trailing zeros are trimmed.  The list's
+    e.g. ``3*(X^3 - X)^2 - 1/2``; trailing zeros are trimmed.  The list's
     length, degree + 1, is charged to the default budget before it is built."""
     terms = []
     for key, c in parse_sum(text, Fraction).items():

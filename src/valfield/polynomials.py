@@ -14,8 +14,8 @@ element of the ring, so a coefficient that is zero only to some precision
 keeps its own error order instead of borrowing one from a made-up zero.
 
 ``parse_sum`` is the one reader of term text (series, polynomials over
-series fields, integer polynomials); the front ends in ``laurent`` and
-``parsing`` only decide what the names in its monomials mean.
+series fields, integer polynomials), error terms ``O(t^N)`` included; the
+front ends in ``parsing`` only decide what the names in its monomials mean.
 """
 
 from __future__ import annotations
@@ -264,9 +264,15 @@ def dense_eval(a: Sequence, x):
 # -- the term grammar ----------------------------------------------------------
 
 # an integer, a [c0,...] literal, a name (letters, then digits), an operator
-_TOKEN = re.compile(r"\s*(\d+|\[\s*[+-]?\d+(?:\s*,\s*[+-]?\d+)*\s*\]|[A-Za-z]+\d*|[-+*^()])")
+_TOKEN = re.compile(r"\s*(\d+|\[\s*[+-]?\d+(?:\s*,\s*[+-]?\d+)*\s*\]|[A-Za-z]+\d*|[-+*/^()])")
 
 NameKey = Tuple[Tuple[str, int], ...]
+
+
+def error_name(var: str) -> str:
+    """The reserved name under which ``parse_sum`` keys the error term
+    ``O(var^N)``, to the power N; no token spells it."""
+    return f"O({var})"
 
 
 def parse_sum(text: str, scalar: Callable) -> Dict[NameKey, object]:
@@ -279,10 +285,15 @@ def parse_sum(text: str, scalar: Callable) -> Dict[NameKey, object]:
     Grammar: a sum is products joined by signs; a leading run of signs,
     and a run of signs between products, multiplies into one sign.  A
     product is factors joined by an optional ``*``; a sign right after
-    ``*`` belongs to the next factor.  A factor is an integer, a
-    ``[c0,...]`` literal, a name or a parenthesised sum, optionally raised
-    to ``^e`` or ``^(e)`` with e a signed integer; only names take negative
-    exponents, and a literal or group is raised by ``_power_sum``.
+    ``*`` belongs to the next factor, and ``/n`` (n an unsigned integer,
+    not zero among the scalars) multiplies the product so far by 1/n.  A
+    factor is an integer, a ``[c0,...]`` literal, a name, an error term or
+    a parenthesised sum, optionally raised to ``^e`` or ``^(e)`` with e a
+    signed integer; only names take negative exponents, and a literal or
+    group is raised by ``_power_sum``.  An error term ``O(t^N)`` (``O(t)``
+    is N = 1) takes no exponent and is the name ``error_name(t)`` to the
+    power N: the merges key t^j*O(t^N) by both names, and O(t^a)*O(t^b) as
+    O(t^(a+b)).
     A syntax error is a ``ParseError`` at the offset of the offending token.
     """
     reader = _Reader(text, scalar)
@@ -342,6 +353,10 @@ class _Reader:
     def product(self, sign: int) -> Dict[NameKey, object]:
         out = self.factor()
         while self.peek() not in (None, "+", "-", ")"):
+            if self.peek() == "/":
+                inv = self.reciprocal()
+                out = {k: c * inv for k, c in out.items()}
+                continue
             if self.peek() == "*":
                 self.take()
                 sign *= self.signs()
@@ -362,6 +377,8 @@ class _Reader:
                 base = {(): self.scalar(value)}
             except (ValfieldError, TypeError) as exc:
                 raise ParseError(f"bad coefficient {tok!r}: {exc}", pos) from None
+        elif tok == "O" and self.peek() == "(":
+            return self.error_term()
         elif tok[0].isalpha():
             return {((tok, self.exponent()),): self.one}
         else:
@@ -370,6 +387,30 @@ class _Reader:
         if e < 0:
             raise ParseError("only names take negative exponents", pos)
         return _power_sum(base, e, self.one)
+
+    def error_term(self) -> Dict[NameKey, object]:
+        """``(name^N)`` after an ``O``: the reserved name to the power N."""
+        self.take()
+        pos, name = self.position(), self.take()
+        if not name[0].isalpha():
+            raise ParseError(f"expected a name in an error term, got {name!r}", pos)
+        key = ((error_name(name), self.exponent()),)
+        self.close()
+        if self.peek() == "^":
+            raise ParseError("an error term takes no exponent", self.position())
+        return {key: self.one}
+
+    def reciprocal(self):
+        """1/n for the ``/n`` at the current token."""
+        pos = self.position()
+        self.take()
+        tok = self.take()
+        if not tok.isdigit():
+            raise ParseError(f"expected an integer after '/', got {tok!r}", pos)
+        try:
+            return self.one / self.scalar(_integer(tok, pos))
+        except (ZeroDivisionError, ValfieldError):
+            raise ParseError(f"division by {tok}, which is zero among the coefficients", pos) from None
 
     def exponent(self) -> int:
         """The exponent after a factor: 1 unless a ``^`` follows."""

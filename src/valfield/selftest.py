@@ -20,8 +20,9 @@ from typing import Callable, Dict, List
 
 from .composite import CompositeField
 from .finite_field import FiniteFieldDescriptor, prime_field
-from .laurent import LaurentField, parse_series
+from .laurent import LaurentField
 from .padic import PAdicExtRing
+from .parsing import parse_series
 from .polynomials import _coeff_is_zero
 from .sampling import Sampler
 from .value_group import INFINITY, Value

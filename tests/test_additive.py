@@ -32,7 +32,8 @@ from valfield.errors import BudgetExceededError, PrecisionError, ValfieldError
 from valfield.extremality import Ball, extremal_search
 from valfield.finite_field import FiniteFieldDescriptor, prime_field
 from valfield import cli
-from valfield.laurent import LaurentField, parse_series
+from valfield.laurent import LaurentField
+from valfield.parsing import parse_series
 from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
 from valfield.value_group import Value
@@ -702,6 +703,34 @@ def test_cli_oracle_never_disagrees_on_sampler7():
                     assert "(agrees)\n" in out.getvalue()
                 codes[code] += 1
     assert sum(codes.values()) == 435 and codes[0] >= 398, codes
+
+
+def test_cli_alpha_reads_back_the_target_oap_prints_on_sampler7():
+    """The same 435 instances: ``alpha --poly "f + (target)"`` at the same
+    --prec reads the target that ``oap`` prints, error term included, as
+    f's constant, and prints the same ``alpha:`` line."""
+    checked = 0
+    for lo in (-2, -1, -3):
+        s = Sampler(7)
+        for K in _SWEEP_FIELDS:
+            for _ in range(50):
+                f = s.additive(K, 2, max_k=2, prec=math.inf)
+                z = s.series(K, lo, 16)
+                if f.is_zero():
+                    continue
+                base = ["--field", K.to_text(), "--prec", "4"]
+                printed = []
+                for argv in (["oap", "--poly", f.to_text(), "--target", z.to_text()],
+                             ["alpha", "--poly", f"{f.to_text()} + ({z.to_text()})"]):
+                    out = io.StringIO()
+                    with redirect_stdout(out):
+                        assert cli.main([*argv, *base]) == 0
+                    printed.append(out.getvalue())
+                assert f"target: {z.to_text()}\n" in printed[0] and " + O(t^16)" in z.to_text()
+                alpha = next(line for line in printed[0].splitlines() if line.startswith("alpha: "))
+                assert f"\n{alpha}\n" in printed[1]
+                checked += 1
+    assert checked == 435
 
 
 def _per_bound_value(f, z, prec) -> str:

@@ -1,12 +1,13 @@
 """Derandomized fuzz of the CLI argument strings.
 
 Each case runs `valfield oap|decompose|alpha|fundeq` in a child process
-with a hard timeout, on well-formed fields, polynomials, targets and
-precisions mixed with junk, and requires a documented exit code (0 ok,
+with a hard timeout, on well-formed fields, polynomials (error terms and
+``/n`` among them), targets and precisions mixed with junk, and requires a documented exit code (0 ok,
 1 usage/parse, 2 check failed, 3 inconclusive, 4 budget) and no traceback.
 """
 
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-junk = st.text(alphabet="Xt^*+-()[]0123456789,;_O ", max_size=12) | st.just("(" * 2000 + "X")
+junk = st.text(alphabet="Xt^*/+-()[]0123456789,;_O ", max_size=12) | st.just("(" * 2000 + "X")
 
 # field -> exponents that are powers of its characteristic; 2^40 and 3^25
 # give mixed heights whose expansion to a common height the budget refuses
@@ -36,11 +37,14 @@ def poly(draw, field):
     # ^99999999 is a typed degree whose dense list the budget refuses
     exps = LAURENT.get(field, ["", "^2", "^3", "^4", "^99999999"])
     if field in LAURENT:
-        coeffs = ["", "t*", "t^-1*", "t^-2*", "2*", "t^2*", "[1,1]*t*"]
+        # error terms: a coefficient known to an order, one zero to its
+        # order, one whose error term is scaled, and a division by 2 or 3
+        coeffs = ["", "t*", "t^-1*", "t^-2*", "2*", "t^2*", "[1,1]*t*", "(1 + O(t^3))*",
+                  "(t^-1 + t - O(t^2))*", "O(t^4)*", "(t + O(t^2)*t)*", "t/2*", "1/3*"]
         if field in F4:
-            coeffs += ["[0,1]*", "[1,1]*t^-1*"]
+            coeffs += ["[0,1]*", "[1,1]*t^-1*", "([0,1] + O(t))*"]
     else:
-        coeffs = ["", "2*", "3*", "9*"]
+        coeffs = ["", "2*", "3*", "9*", "1/2*", "5/3*", "2/0*", "O(t^2)*"]
     terms = draw(st.lists(
         st.tuples(
             st.sampled_from([" + ", " - "]),
@@ -52,13 +56,16 @@ def poly(draw, field):
     ))
     text = "".join("".join(t) for t in terms)[3:]
     if draw(st.booleans()):
-        text += draw(st.sampled_from([" + t^-3", " + 1", " + 3", " + (X1 + t*X2)^2"]))
+        text += draw(st.sampled_from([" + t^-3", " + 1", " + 3", " + (X1 + t*X2)^2", " + O(t^4)",
+                                      " + (t^-3 + t + O(t^8))", " + (O(t) + 1)^3", " + X^2/2"]))
     return text
 
 
 targets = st.lists(
-    st.sampled_from(["t^-3", "t^-1", "1", "2*t", "t^2", "[0,1]*t^-2"]), min_size=1, max_size=3
-).map(" + ".join) | st.sampled_from(["t^-1 + O(t^5)", "O(t^2)", "0"])
+    st.sampled_from(["t^-3", "t^-1", "1", "2*t", "t^2", "[0,1]*t^-2", "O(t^5)", "O(t^2)*t^-1", "t/3"]),
+    min_size=1, max_size=3,
+).map(" + ".join) | st.sampled_from(["t^-1 + O(t^5)", "O(t^2)", "0", "O(t^8) + t^-2", "t^2 - O(t^3)",
+                                     "O(t^3)^2", "O(t^-999999999) + t^-999999999 + t^999999999"])
 
 
 @st.composite
@@ -82,12 +89,12 @@ def argv(draw, command):
     return [command, *flags]
 
 
-def run(args, timeout=30):
+def run(args, timeout=30, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "valfield", *args],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env, preexec_fn=preexec_fn,
     )
     assert "Traceback" not in proc.stderr, (args, proc.stderr)
     return proc
@@ -137,6 +144,19 @@ def test_cli_exits_with_a_documented_code(command, data):
 )
 def test_a_budget_reached_through_a_valid_field_exits_4(args):
     assert run(args).returncode == 4
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_a_typed_series_window_is_charged_before_it_is_built():
+    # the target's dense window spans 2*10^9 + 1 codes: charged, it exits 4;
+    # built, it is a MemoryError under the child's 2 GB address space
+    args = ["oap", "--field", "F(2)((t))", "--poly", "X^2 + t*X",
+            "--target", "t^-999999999 + t^999999999", "--prec", "4"]
+    proc = run(args, preexec_fn=_limit_address_space)
+    assert proc.returncode == 4 and "budget" in proc.stderr, proc.stderr
 
 
 # the scale is checked before either multiset is walked: another exact
@@ -283,13 +303,14 @@ def test_one_term_in_a_high_numbered_variable_answers_quickly():
 
 
 # the descriptor's own checks (a prime p, 1 <= k <= 8, a monic irreducible
-# modulus of degree k) are parse errors of the field text
+# modulus of degree k) and a series variable other than O, which starts an
+# error term, are parse errors of the field text
 @pytest.mark.parametrize(
     "field",
     ["F(4^1)((t))", "F(2^9)((t))", "F(2^0)((t))", "F(0^2)((t))",
-     "F(3^2; modulus=[1,1,1])((t))", "F(3^2; modulus=[1,0,1,0])((t))"],
+     "F(3^2; modulus=[1,1,1])((t))", "F(3^2; modulus=[1,0,1,0])((t))", "F(2)((O))"],
     ids=["composite-p", "k-past-desk-scale", "k-zero", "p-zero", "reducible-modulus",
-         "modulus-of-the-wrong-degree"],
+         "modulus-of-the-wrong-degree", "reserved-variable-O"],
 )
 def test_a_malformed_field_descriptor_is_a_parse_error(field):
     proc = run(["extremal", "--field", field, "--poly", "X", "--prec", "1"])

@@ -44,6 +44,12 @@ The span solver's generator loop, ``additive._digit_generators``, builds
 each generator by shift and scale: it calls neither ``evaluate`` nor
 ``from_terms``, so no series product per generator can come back unseen.
 
+Typed term text has one reader: only ``polynomials._Reader.factor``, the
+term grammar behind ``parse_sum``, reads an error term ``O(t^N)``, by its
+token ``O`` and the ``(`` after it; no other scope tests for the two, or
+holds a regular expression for them, so no second reader of series text
+can come back.
+
 Dense polynomials have one core, the ``dense_*`` helpers of
 ``polynomials.py``: no other module holds a loop that pops a list after
 testing its last element for zero, the hand-written trailing-zero trim
@@ -303,19 +309,23 @@ def test_checker_flags_a_table_built_in_prepare():
     assert self_stores(source) == [(3, "table"), (4, "spent"), (7, "cache")]
 
 
+def _scopes(source: str):
+    """(name, node) for each module-level function or statement and each
+    method, named ``function``, ``Class.method`` or ``<module>``."""
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            yield from ((f"{stmt.name}.{f.name}", f) for f in stmt.body if isinstance(f, ast.FunctionDef))
+        else:
+            yield getattr(stmt, "name", "<module>"), stmt
+
+
 def call_sites(source: str, callee: str):
     """Each call of a function or method named callee, named by the
     module-level function or the class and method whose body holds it."""
-    sites = []
-    for stmt in ast.parse(source).body:
-        if isinstance(stmt, ast.ClassDef):
-            scopes = [(f"{stmt.name}.{f.name}", f) for f in stmt.body if isinstance(f, ast.FunctionDef)]
-        else:
-            scopes = [(getattr(stmt, "name", "<module>"), stmt)]
-        for name, scope in scopes:
-            sites += [name for node in ast.walk(scope) if isinstance(node, ast.Call)
-                      and getattr(node.func, "attr", getattr(node.func, "id", None)) == callee]
-    return sorted(sites)
+    return sorted(
+        name for name, scope in _scopes(source) for node in ast.walk(scope)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == callee
+    )
 
 
 def test_the_leaf_walk_is_the_one_caller_of_the_child_step():
@@ -555,3 +565,44 @@ def test_checker_flags_a_hand_written_trim():
         "            stack.pop()\n"
     )
     assert hand_trims(source) == [(2, "c"), (5, "a"), (11, "self.cs")]
+
+
+def _reads_error_term(node) -> bool:
+    """A test for the token ``O`` and a ``(`` in one boolean expression, or
+    a regular expression with ``O\\(``."""
+    if isinstance(node, ast.BoolOp):
+        compared = {c.value for cmp in node.values if isinstance(cmp, ast.Compare)
+                    for c in [cmp.left, *cmp.comparators] if isinstance(c, ast.Constant)}
+        return {"O", "("} <= compared
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and "O\\(" in node.value
+
+
+def error_term_reads(source: str):
+    """The scopes, as ``call_sites`` names them, that read an error term
+    ``O(t^N)`` from text."""
+    return sorted({name for name, scope in _scopes(source) for node in ast.walk(scope) if _reads_error_term(node)})
+
+
+def test_an_error_term_is_read_only_by_the_term_grammar():
+    reads = {path.name: error_term_reads(path.read_text()) for path in MODULES}
+    assert {name: r for name, r in reads.items() if r} == {"polynomials.py": ["_Reader.factor"]}
+
+
+def test_checker_flags_a_second_error_term_reader():
+    source = (
+        "class _Reader:\n"
+        "    def factor(self):\n"
+        "        if tok == 'O' and self.peek() == '(':\n"
+        "            return self.error_term()\n"
+        "def parse_series(field, text):\n"
+        "    m = re.search(r'O\\(\\s*' + re.escape(field.var) + r'\\^(-?\\d+)\\s*\\)\\s*$', text)\n"
+        "def to_text(self):\n"
+        "    return f'{body} + O({self.field.var}^{self.prec})'\n"
+        "def error_name(var):\n"
+        "    return f'O({var})'\n"
+        "def parse_any_field(text):\n"
+        "    if var == 'O':\n"
+        "        raise ParseError(text)\n"
+        "bare = text[i] == 'O' and text[i + 1] == '('\n"
+    )
+    assert error_term_reads(source) == ["<module>", "_Reader.factor", "parse_series"]

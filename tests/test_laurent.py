@@ -23,9 +23,9 @@ from valfield.laurent import (
     _slot_bytes,
     artin_schreier_solve,
     hensel_lift,
-    parse_series,
     poly_derivative,
 )
+from valfield.parsing import parse_series
 from valfield.polynomials import MultiPoly, dense_eval, parse_sum
 from valfield.value_group import INFINITY, Value
 

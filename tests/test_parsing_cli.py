@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -15,22 +17,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valfield import cli
+from valfield.additive import additive_from_multipoly, oap_solve
+from valfield.certificates import poly_text_from_coeffs
 from valfield.cli import main
 from valfield.composite import CompositeField
 from valfield.errors import BudgetExceededError, ParseError, PrecisionError, ValfieldError
-from valfield.finite_field import FiniteFieldDescriptor
-from valfield.laurent import LaurentField, ValuationResult, parse_series
+from valfield.extremality import Ball, extremal_search
+from valfield.finite_field import FFElement, FiniteFieldDescriptor
+from valfield.laurent import LaurentField, ValuationResult
 from valfield.parsing import (
     PAdicFieldRef,
     parse_any_field,
     parse_ball,
     parse_int_poly,
     parse_poly,
+    parse_series,
 )
-from valfield.polynomials import MultiPoly
+from valfield.polynomials import MultiPoly, dense_trim
 from valfield.value_group import Value
 
-from oracles import sparse
+from oracles import brute_force_max, sparse
 
 
 class TestFieldParsing:
@@ -790,3 +796,216 @@ class TestBudgetOption:
         proc = run_cli_process("extremal", "--field", "F(2)((t))", "--poly", "X", "--budget", budget)
         assert proc.returncode == 1
         assert "budget must be >= 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
+class TestErrorTerms:
+    """``O(t^N)`` is a factor of the one term grammar: its order composes
+    with the powers of t it is multiplied by, and the least order of a
+    monomial's error terms wins."""
+
+    K = LaurentField(FiniteFieldDescriptor(3, 1), "t", default_prec=4)
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("t^2 - O(t^3)", "t^2 + O(t^3)"),
+            ("O(t^8) + t^-2", "t^-2 + O(t^8)"),
+            ("t^2 + O(t^3)*t", "t^2 + O(t^4)"),
+            ("(t + O(t^3))^2", "t^2 + O(t^4)"),
+            ("O(t^2)*O(t^3) + 1", "t^0 + O(t^5)"),
+            ("O(t^3) - O(t^3)", "O(t^3)"),
+            ("t^-1 + O(t^(-1)) + O(t)", "O(t^-1)"),
+            ("O(t^9) + t + O(t^2)*t^-1", "O(t^1)"),
+        ],
+    )
+    def test_orders_compose_as_the_mathematics_does(self, text, printed):
+        assert parse_series(self.K, text).to_text() == printed
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("O(t^3)^2", "takes no exponent"),
+            ("(t + O(t))^-1", "only names take negative exponents"),
+            ("O(3)", "expected a name in an error term"),
+            ("O(t^2", "unbalanced parenthesis"),
+            ("O(u^2)", "unknown symbol 'O(u)'"),
+        ],
+    )
+    def test_a_malformed_error_term_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_series(self.K, text)
+
+    def test_a_polynomial_coefficient_carries_its_own_order(self):
+        mp = parse_poly("(1 + t + O(t^4))*X^2 + O(t^3)*X^2 + t^-1*X + t^2 - O(t^5)", self.K)
+        assert mp == MultiPoly(1, {
+            ((0, 2),): self.K.from_terms({0: 1, 1: 1}, 3),
+            ((0, 1),): self.K.from_terms({-1: 1}, math.inf),
+            (): self.K.from_terms({2: 1}, 5),
+        })
+
+    @pytest.mark.parametrize(
+        "poly, monomial",
+        [("X^2 + O(t^4)*X", "X1^1"), ("X1*X2 + (t^5 + O(t^3))*X2^3", "X2^3"), ("X + O(t^2)", "1")],
+    )
+    def test_a_coefficient_zero_to_its_order_exits_3(self, capsys, poly, monomial):
+        assert run_cli("extremal", "--field", "F(3)((t))", "--poly", poly) == 3
+        assert f"the coefficient of {monomial} is zero to its order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extremal", "--field", "F(2)((u))((t))", "--poly", "X^2 + O(u^2)"],
+            ["extremal", "--field", "F(2)((u))((t))", "--poly", "X^2 + O(t^2)*X"],
+            ["fundeq", "--field", "Q_3", "--poly", "X^2 + O(X^3)"],
+        ],
+        ids=["composite-inner", "composite-outer", "Q_p"],
+    )
+    def test_an_error_term_where_none_is_read_is_a_parse_error(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        assert "parse error" in capsys.readouterr().err
+
+    def test_the_dense_window_below_the_order_is_charged(self):
+        with pytest.raises(BudgetExceededError):
+            parse_series(self.K, "t^-999999999 + t^999999999")
+        assert parse_series(self.K, "t^-999999999 + t^999999999 + O(t^-999999990)").to_text() == (
+            "t^-999999999 + O(t^-999999990)"
+        )
+
+    def test_alpha_reads_back_the_target_that_oap_prints(self, capsys):
+        field, f = "F(2)((t))", "X^2 + t*X"
+        assert run_cli("oap", "--field", field, "--poly", f, "--target", "t^-3 + t + O(t^8)", "--prec", "4") == 0
+        out = capsys.readouterr().out
+        target = out.split("target: ")[1].split("\n")[0]
+        assert target == "t^-3 + t^1 + O(t^8)"
+        assert run_cli("alpha", "--field", field, "--poly", f"{f} + ({target})", "--prec", "4") == 0
+        alpha = capsys.readouterr().out
+        assert "(t^-3 + t^1 + O(t^8))\n" in alpha
+        assert "alpha: -4\n" in out and "alpha: -4\n" in alpha
+
+
+class TestDivision:
+    """``/n`` divides a product by an integer, in Q or in F_q."""
+
+    def test_rational_coefficients_over_q(self):
+        assert parse_int_poly("X^2/2 + X + 3") == [3, 1, Fraction(1, 2)]
+        assert parse_int_poly("1/2*X^2 + -3/2") == [Fraction(-3, 2), 0, Fraction(1, 2)]
+        assert parse_int_poly("(X + 1)/3/2*X") == [0, Fraction(1, 6), Fraction(1, 6)]
+
+    def test_over_a_finite_field_it_is_the_inverse_mod_p(self):
+        K = parse_any_field("F(5)((t))")
+        assert parse_series(K, "t/2 + 1/3").to_text() == "2*t^0 + 3*t^1"
+
+    @pytest.mark.parametrize(
+        "read, text, position",
+        [
+            (parse_int_poly, "X/0", 1),
+            (parse_int_poly, "X^2 + X/(2)", 7),
+            (parse_int_poly, "X/-2", 1),
+            (lambda text: parse_series(parse_any_field("F(3)((t))"), text), "t + 1/3", 5),
+        ],
+        ids=["zero", "group", "signed", "zero-mod-p"],
+    )
+    def test_a_division_by_no_unit_is_a_parse_error_at_the_slash(self, read, text, position):
+        with pytest.raises(ParseError, match=rf"\(at position {position}\)"):
+            read(text)
+
+    def test_fundeq_over_q_p_takes_rational_coefficients(self, capsys):
+        assert run_cli("fundeq", "--field", "Q_3", "--poly", "X^2/2 - 3/2") == 0
+        out = capsys.readouterr().out
+        assert "n = 2, e = 2" in out and "certified by: slope-denominator" in out
+
+    @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=6))
+    def test_printed_rational_coefficients_read_back(self, coeffs):
+        assert parse_int_poly(poly_text_from_coeffs(coeffs)) == (dense_trim(coeffs) or [0])
+
+
+@st.composite
+def typed_polys(draw):
+    """A polynomial over F_2, F_3 or F_4 in one or two variables whose
+    coefficients are exact or known to an order with a digit below it."""
+    F = FiniteFieldDescriptor(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2)])))
+    K = LaurentField(F, "t", default_prec=6)
+    nvars = draw(st.integers(1, 2))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=4, unique=True))
+    terms = {}
+    for dense in monos:
+        digits = draw(st.dictionaries(st.integers(-3, 6), st.integers(1, F.q - 1), min_size=1, max_size=4))
+        order = draw(st.just(math.inf) | st.integers(min(digits) + 1, 9))
+        terms[sparse(dense)] = K.from_terms({e: FFElement(F, c) for e, c in digits.items()}, order)
+    return K, MultiPoly(nvars, terms)
+
+
+class TestPolyTextRoundTrip:
+    @given(typed_polys())
+    def test_print_parse_identity(self, case):
+        K, mp = case
+        assert parse_poly(mp.to_text(), K, nvars=mp.nvars) == mp
+
+
+TYPED_FIELDS = [LaurentField(FiniteFieldDescriptor(p, k), "t", default_prec=3) for p, k in ((2, 1), (3, 1), (2, 2))]
+
+
+def _typed_coefficient(rng, K, low, high):
+    """(text, series): c*t^j + O(t^N) as typed, and as ``from_terms`` builds
+    it, with N drawn above j."""
+    F = K.base
+    code, j = rng.randrange(1, F.q), rng.randint(low, high)
+    n = rng.randint(j + 1, j + 3)
+    text = f"([{','.join(map(str, F.digits(code)))}]*t^{j} + O(t^{n}))"
+    return text, K.from_terms({j: FFElement(F, code)}, n)
+
+
+def _typed_poly(rng, K, monos, low, high):
+    """A polynomial in one variable or two with typed coefficients over
+    the dense monomials monos: its text and the ``MultiPoly`` built
+    directly, in as many variables as the text names."""
+    names = ["X"] if len(monos[0]) == 1 else ["X1", "X2"]
+    parts, terms = [], {}
+    for dense in monos:
+        text, c = _typed_coefficient(rng, K, low, high)
+        parts.append("*".join([text] + [f"{x}^{e}" for x, e in zip(names, dense) if e]))
+        terms[sparse(dense)] = c
+    return " + ".join(parts), MultiPoly(max(i for mono in terms for i, _ in mono) + 1, terms)
+
+
+def _cli_json(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main([*argv, "--json", "-"])
+    text = out.getvalue()
+    return code, json.loads(text[text.index("{"):]) if "{" in text else None
+
+
+class TestTypedErrorTermsAreHonest:
+    """Seeded families over F_2, F_3 and F_4 whose typed coefficients are
+    c*t^j + O(t^N): the CLI answers as the library does on the polynomial
+    built with ``from_terms(..., N)``, and the brute-force maximum never
+    contradicts ``extremal``."""
+
+    def test_extremal(self):
+        rng, codes = random.Random(37), []
+        for n in range(60):
+            K = TYPED_FIELDS[n % 3]
+            monos = rng.sample([(0,), (1,), (2,), (3,)], rng.randint(2, 4))
+            text, mp = _typed_poly(rng, K, monos, -1, 2)
+            assert parse_poly(text, K) == mp
+            code, report = _cli_json("extremal", "--field", K.to_text(), "--poly", text, "--prec", "3")
+            result = extremal_search(mp, K, None, 3)
+            assert (code, report) == ({"MaxAttained": 0}.get(result.verdict, 3), result.to_dict()), text
+            _, oracle = brute_force_max(mp, K, Ball(K.zero(3), 0), 3)
+            assert not cli._contradicts(oracle, result.value), text
+            codes.append(code)
+        assert 0 < codes.count(0) < len(codes)
+
+    def test_oap(self):
+        rng = random.Random(37)
+        for n in range(45):
+            K = TYPED_FIELDS[n % 3]
+            p = K.base.p
+            monos = rng.sample([(1, 0), (p, 0), (0, 1), (0, p)], rng.randint(2, 4))
+            text, mp = _typed_poly(rng, K, monos, -2, 1)
+            target = K.from_terms({e: FFElement(K.base, rng.randrange(K.base.q)) for e in range(-3, 4)}, 8)
+            code, report = _cli_json("oap", "--field", K.to_text(), "--poly", text,
+                                     "--target", target.to_text(), "--prec", "3")
+            expected = oap_solve(additive_from_multipoly(mp, K).additive, target, 3).to_dict()
+            assert (code, report) == (0, expected), text
