@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget, check_power
-from .finite_field import FFElement, FiniteFieldDescriptor
+from .finite_field import FFElement, FiniteFieldDescriptor, _fp_insert
 from .laurent import LaurentField, LaurentSeries
 from .polynomials import MultiPoly
 from .value_group import Value, ValuationResult
@@ -495,7 +495,7 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
         # working order, which the span does not see; an exact residual of
         # the witness that contradicts the claim leaves only ">=" it
         shown = (z - f.evaluate(best)).valuation()
-        if shown.exact and (shown.value != value.value if exact else shown.value < value.value):
+        if shown.exact and shown.contradicts(value):
             value = ValuationResult.at_least(min(shown.value, Value.rank1(top)))
     return OapResult(best, tuple(ys), value, alpha_v)
 
@@ -550,26 +550,6 @@ def _fp_coordinates(s: LaurentSeries, low: int, high: int) -> List[int]:
         if s.coeffs[e - s.low]:
             out[(e - low) * k:(e - low + 1) * k] = desc.digits(s.coeffs[e - s.low])
     return out
-
-
-def _fp_insert(pivots: Dict[int, List[int]], row: List[int], stop: int, p: int) -> Optional[int]:
-    """Insert a row into an F_p echelon {pivot column: row}.  The row is
-    reduced in place by the pivot rows at its leading columns below stop;
-    the first column below stop that survives without a pivot gets the
-    row, scaled to 1 there, and is returned (None when nothing survives).
-    Entries past stop are carried along but never read."""
-    for col in range(stop):
-        x = row[col]
-        if not x:
-            continue
-        piv = pivots.get(col)
-        if piv is None:
-            inv = pow(x, -1, p)
-            row[col:] = [(y * inv) % p for y in row[col:]]
-            pivots[col] = row
-            return col
-        row[col:] = [(y - x * w) % p for y, w in zip(row[col:], piv[col:])]
-    return None
 
 
 def windowed_image_span(

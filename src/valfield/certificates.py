@@ -31,12 +31,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceededError, CertificationError
-from .finite_field import (
-    _pmod_irreducible,
-    artin_schreier_irreducible,
-    is_prime,
-    prime_field,
-)
+from .finite_field import _pmod_irreducible, is_prime, prime_field
 from .laurent import LaurentField, LaurentSeries
 from .padic import (
     PAdicExtRing,
@@ -150,7 +145,7 @@ def verify_tmcne(p: int) -> TmcneCertificate:
     """Run all five steps of the non-equivalence check for an odd prime p;
     the range is checked before primality, which trial-divides."""
     if p > 7:
-        raise CertificationError("p <= 7 keeps the resultant degree 2p tractable")
+        raise CertificationError(f"tmcne covers the odd primes p <= 7; got {p}")
     if not is_prime(p) or p == 2:
         raise CertificationError(
             f"p must be an odd prime (the sign trick a -> -a needs p odd); got {p}"
@@ -257,12 +252,11 @@ def verify_tmcne(p: int) -> TmcneCertificate:
     )
 
     # S5: X^p - X - 1 has no root in F_p
-    base = prime_field(p)
     steps.append(
         StepRecord(
             "S5-residue-rootless",
             {"polynomial": f"X^{p} - X - 1 over F({p})"},
-            {"irreducibleOverPrimeField": artin_schreier_irreducible(base.one())},
+            {"irreducibleOverPrimeField": prime_field(p).artin_schreier_root(1) is None},
             {"irreducibleOverPrimeField": True},
         )
     )

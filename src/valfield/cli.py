@@ -65,7 +65,7 @@ from .parsing import (
 )
 from .polynomials import MultiPoly
 from .selftest import run_all
-from .value_group import Value, ValuationResult
+from .value_group import Value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,14 +104,6 @@ def _additive_poly(text: str, field: LaurentField) -> Tuple[MultiPoly, PPolynomi
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _contradicts(a: ValuationResult, b: ValuationResult) -> bool:
-    """Whether two answers for one maximum cannot both hold: two different
-    exact values, or an exact value below the other's bound."""
-    if a.exact and b.exact:
-        return a.value != b.value
-    return (a.exact and a.value < b.value) or (b.exact and b.value < a.value)
-
-
 def cmd_oap(args) -> int:
     field = _laurent_field(args)
     mp, pp = _additive_poly(args.poly, field)
@@ -138,7 +130,7 @@ def cmd_oap(args) -> int:
         agree = oracle_val.to_text() == result.value.to_text()
         if agree:
             verdict = "agrees"
-        elif _contradicts(oracle_val, result.value):
+        elif oracle_val.contradicts(result.value):
             verdict, code = "DISAGREES", EXIT_FAILED
         else:
             verdict, code = "inconclusive", EXIT_INCONCLUSIVE
@@ -207,7 +199,7 @@ def cmd_extremal(args) -> int:
     # field that never reads it is refused
     given = vars(args)
     opts = {"prec": 4, "ball": None, "prec_t": 3, "prec_u": 2, "u_floor": 0, **given}
-    field = parse_any_field(args.field, prec=opts["prec"], prec_t=opts["prec_t"], prec_u=opts["prec_u"])
+    field = parse_any_field(args.field, prec_t=opts["prec_t"], prec_u=opts["prec_u"])
     composite = isinstance(field, CompositeField)
     if not composite and not isinstance(field, LaurentField):
         raise ParseError(f"unsupported field for extremal search: {args.field!r}")

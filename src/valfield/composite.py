@@ -30,7 +30,7 @@ class CompositeField:
         prec_u: int = 4,
     ):
         self.base = base
-        self.inner = LaurentField(base, inner_var, default_prec=prec_u)
+        self.inner = LaurentField(base, inner_var)
         self.outer_var = outer_var
         self.prec_t = prec_t
         self.prec_u = prec_u

@@ -1,11 +1,13 @@
-"""Arithmetic in F_p and F_{p^k}, with one exhaustive root scan.
+"""Arithmetic in F_p and F_{p^k}, and the one F_p echelon step.
 
 Extensions are carried by explicit monic irreducible modulus polynomials.
 When no modulus is supplied, one is found by trial search over monic
 polynomials in lexicographic coefficient order, so the choice is
-deterministic.  The one root scan, ``artin_schreier_root``, solves
-y^p - y = c over all q codes; there is no factorization machinery beyond
-trial division at desk scale, on the dense core of ``polynomials``.
+deterministic.  There is no factorization machinery beyond trial division
+at desk scale, on the dense core of ``polynomials``.  F_p-linear questions
+are answered by one echelon step, ``_fp_insert``, which ``additive`` shares:
+``artin_schreier_root`` solves y^p - y = c over any F_q as the F_p-linear
+system it is, with no scan and no charge.
 
 An element is an int code, sum c_j p^j over its reduced coefficient vector
 (the residue itself for k = 1).  The descriptor's ``*_code(s)`` methods and
@@ -63,6 +65,26 @@ def _pmod_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
+def _fp_insert(pivots: Dict[int, List[int]], row: List[int], stop: int, p: int) -> Optional[int]:
+    """Insert a row into an F_p echelon {pivot column: row}.  The row is
+    reduced in place by the pivot rows at its leading columns below stop;
+    the first column below stop that survives without a pivot gets the
+    row, scaled to 1 there, and is returned (None when nothing survives).
+    Entries past stop are carried along but never read."""
+    for col in range(stop):
+        x = row[col]
+        if not x:
+            continue
+        piv = pivots.get(col)
+        if piv is None:
+            inv = pow(x, -1, p)
+            row[col:] = [(y * inv) % p for y in row[col:]]
+            pivots[col] = row
+            return col
+        row[col:] = [(y - x * w) % p for y, w in zip(row[col:], piv[col:])]
+    return None
+
+
 @lru_cache(maxsize=None)
 def _byte_tables(p: int) -> Tuple[bytes, Optional[bytes]]:
     """Each byte reduced mod p, and minus each byte mod p while that is a byte."""
@@ -96,6 +118,8 @@ class FiniteFieldDescriptor:
         self._frobenius: Dict[int, int] = {}  # code -> code of its p-th power, filled on use
         self._inverse: Dict[int, int] = {}  # code -> code of its inverse over F_{p^k}, filled on use
         self._slots: Dict[int, Dict[int, bytes]] = {}  # slot width -> code -> its Kronecker slots, filled on use
+        # the echelon of y^p - y at x^1 .. x^(k-1), filled on first use
+        self._artin_schreier_rows: Optional[Dict[int, List[int]]] = None
         # translate tables for packed codes: a byte reduced mod p, and over
         # F_p with p < 256 the negative of a code
         self.mod_bytes, neg_bytes = _byte_tables(p)
@@ -214,11 +238,24 @@ class FiniteFieldDescriptor:
         return a
 
     def artin_schreier_root(self, c: int) -> Optional[int]:
-        """The least code y with y^p - y = c, or None: the one root scan,
-        over all q codes, charged to the default budget first."""
-        check_budget(self.q, DEFAULT_BUDGET)
-        roots = (y for y in range(self.q) if self.add_codes(self.frobenius_code(y), self.neg_code(y)) == c)
-        return next(roots, None)
+        """The least code y with y^p - y = c, or None.  y -> y^p - y is
+        F_p-linear with kernel F_p, the codes 0 .. p - 1, so c has the p
+        roots y + F_p or none, and the least has constant coordinate 0.  On
+        the span of x^1 .. x^(k-1) the map is injective: its rows, each with
+        an identity block, fill an echelon, and c is reduced against a copy.
+        A surviving coordinate means c is not in the image; otherwise the
+        root is minus the identity block."""
+        p, k = self.p, self.k
+        if self._artin_schreier_rows is None:
+            self._artin_schreier_rows = {}
+            for i in range(1, k):
+                row = self.digits(self.add_codes(self.frobenius_code(p**i), self.neg_code(p**i))) + [0] * k
+                row[k + i] = 1
+                _fp_insert(self._artin_schreier_rows, row, k, p)
+        vec = self.digits(c) + [0] * k
+        if _fp_insert(dict(self._artin_schreier_rows), vec, k, p) is not None:
+            return None
+        return self.fold([-a for a in vec[k:]])
 
     # -- identity ----------------------------------------------------------
 
@@ -313,17 +350,6 @@ class FFElement:
 
     def __repr__(self) -> str:
         return f"FF({self.to_text()} in {self.desc.to_text()})"
-
-
-def artin_schreier_irreducible(c: FFElement) -> bool:
-    """Whether X^p - X - c is irreducible over the prime field F_p.
-
-    For prime fields the polynomial either splits completely or is
-    irreducible, so a root scan decides.
-    """
-    if c.desc.k != 1:
-        raise ValfieldError("criterion only stated for prime fields (k = 1)")
-    return c.desc.artin_schreier_root(c.code) is None
 
 
 @lru_cache(maxsize=None)

@@ -163,6 +163,13 @@ class ValuationResult:
             raise IndeterminateValuationError(f"valuation only known to be >= {self.value.to_text()}")
         return self.value
 
+    def contradicts(self, other: "ValuationResult") -> bool:
+        """Whether two answers for one valuation cannot both hold: two
+        different exact values, or an exact value below the other's bound."""
+        if self.exact and other.exact:
+            return self.value != other.value
+        return (self.exact and self.value < other.value) or (other.exact and other.value < self.value)
+
     def to_text(self) -> str:
         return self.value.to_text() if self.exact else f">={self.value.to_text()}"
 

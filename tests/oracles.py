@@ -24,6 +24,9 @@
   the reference for ``_pmod_irreducible``, which divides by
   ``polynomials.dense_rem_mod``.  ``schoolbook_mul_code`` is the schoolbook product of
   two F_{p^k} codes, the reference for ``mul_codes``.
+* ``artin_schreier_root_by_scan`` tries every code of F_q for the least
+  root of y^p - y = c: the reference for ``artin_schreier_root``, which
+  solves the F_p-linear system.
 * ``full_precision_lift`` is Newton's iteration with every step worked at
   the full precision of its operands, the reference for ``hensel_lift``.
   ``fresh_inverse_lift`` takes ``hensel_lift``'s steps but inverts f'(x)
@@ -299,6 +302,13 @@ def schoolbook_mul_code(desc, a: int, b: int) -> int:
             for j, y in enumerate(db):
                 prod[i + j] += x * y
     return desc.fold(prod)
+
+
+def artin_schreier_root_by_scan(desc, c: int) -> Optional[int]:
+    """The least code y with y^p - y = c, or None, by trying every code of
+    F_q in order."""
+    roots = (y for y in range(desc.q) if desc.add_codes(desc.frobenius_code(y), desc.neg_code(y)) == c)
+    return next(roots, None)
 
 
 def full_precision_lift(

@@ -3,6 +3,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,11 @@ from valfield.finite_field import (
     FFElement,
     FiniteFieldDescriptor,
     _pmod_irreducible,
-    artin_schreier_irreducible,
     parse_field,
     prime_field,
 )
 
-from oracles import schoolbook_mul_code, trial_division_irreducible
+from oracles import artin_schreier_root_by_scan, schoolbook_mul_code, trial_division_irreducible
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,6 +36,12 @@ FIELDS = [
     FiniteFieldDescriptor(3, 2),
     FiniteFieldDescriptor(2, 3),
 ]
+
+# the fields whose every code is checked against the root scan: F_16 under
+# its default modulus x^4 + x + 1 and under x^4 + x^3 + 1
+AS_FIELDS = [prime_field(p) for p in (2, 3, 5, 7)] + [
+    FiniteFieldDescriptor(p, k) for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)]
+] + [FiniteFieldDescriptor(2, 4, (1, 0, 0, 1, 1))]
 
 
 @st.composite
@@ -279,11 +285,11 @@ class TestRootScans:
     def test_artin_schreier_xp_minus_x_minus_one_irreducible(self, p):
         # X^p - X - 1 never has a root in F_p (its roots generate a
         # degree-p extension)
-        assert artin_schreier_irreducible(prime_field(p).one())
+        assert prime_field(p).artin_schreier_root(1) is None
 
     def test_artin_schreier_zero_splits(self):
-        # X^p - X factors completely over F_p
-        assert not artin_schreier_irreducible(prime_field(3).zero())
+        # X^p - X factors completely over F_p: 0 is its least root
+        assert prime_field(3).artin_schreier_root(0) == 0
 
     @pytest.mark.parametrize("desc", FIELDS, ids=lambda d: d.to_text())
     def test_artin_schreier_root_is_the_least_root(self, desc):
@@ -294,7 +300,23 @@ class TestRootScans:
             assert found == (roots[0].code if roots else None), c
             assert len(roots) in (0, desc.p)
 
-    def test_artin_schreier_root_charges_the_whole_scan_first(self):
-        # F_p for a prime p past the default budget: refused before any code is tried
-        with pytest.raises(BudgetExceededError):
-            FiniteFieldDescriptor(10**7 + 19).artin_schreier_root(1)
+    @pytest.mark.parametrize("desc", AS_FIELDS, ids=lambda d: d.to_text())
+    def test_artin_schreier_root_matches_the_scan(self, desc):
+        answers = [desc.artin_schreier_root(c) for c in range(desc.q)]
+        assert answers == [artin_schreier_root_by_scan(desc, c) for c in range(desc.q)]
+        # the image of y^p - y is a hyperplane over F_p, or 0 over F_p itself
+        assert answers.count(None) == desc.q - desc.q // desc.p
+
+    def test_artin_schreier_root_over_f_101_cubed_answers_at_once(self):
+        # x^p - x has the roots x + F_p, of which x (code 101) is the least;
+        # 5 has trace 15 over F_101^3, and every y^p - y has trace 0
+        desc = FiniteFieldDescriptor(101, 3)
+        t0 = time.monotonic()
+        c = desc.add_codes(desc.frobenius_code(101), desc.neg_code(101))
+        assert (desc.artin_schreier_root(c), desc.artin_schreier_root(5)) == (101, None)
+        assert time.monotonic() - t0 < 1.0
+
+    def test_artin_schreier_root_over_a_large_prime_field_answers_at_once(self):
+        # over F_p, y^p - y is zero: no scan of the p codes, and no charge
+        desc = FiniteFieldDescriptor(10**7 + 19)
+        assert (desc.artin_schreier_root(1), desc.artin_schreier_root(0)) == (None, 0)

@@ -54,6 +54,13 @@ Dense polynomials have one core, the ``dense_*`` helpers of
 ``polynomials.py``: no other module holds a loop that pops a list after
 testing its last element for zero, the hand-written trailing-zero trim
 that ``dense_trim`` owns.
+
+A residue field is enumerated only at named sites: a loop over every code
+of F_q, ``range(q)`` or ``range(<x>.q)``, appears only in
+``FiniteFieldDescriptor.elements``, the tests' enumeration, and in the
+digit tree's power table ``extremality._powers`` and its undecided nodes
+``_DigitTree.digits``.  An F_p-linear question, such as the roots of
+y^p - y = c, is answered by the echelon step, not by a scan.
 """
 
 import ast
@@ -606,3 +613,45 @@ def test_checker_flags_a_second_error_term_reader():
         "bare = text[i] == 'O' and text[i + 1] == '('\n"
     )
     assert error_term_reads(source) == ["<module>", "_Reader.factor", "parse_series"]
+
+
+def _is_field_size(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "q" or isinstance(node, ast.Attribute) and node.attr == "q"
+
+
+def residue_scans(source: str):
+    """The scope, as ``call_sites`` names it, of each ``range`` call that
+    reads a field size ``q`` or ``<x>.q``: once per loop over every code of
+    a residue field."""
+    return sorted(
+        name for name, scope in _scopes(source) for node in ast.walk(scope)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+        and any(map(_is_field_size, node.args))
+    )
+
+
+def test_a_residue_field_is_enumerated_only_at_named_sites():
+    scans = {path.name: residue_scans(path.read_text()) for path in MODULES}
+    assert {name: s for name, s in scans.items() if s} == {
+        "extremality.py": ["_DigitTree.digits", "_powers"],
+        "finite_field.py": ["FiniteFieldDescriptor.elements"],
+    }
+
+
+def test_checker_flags_a_second_scan_of_the_residue_field():
+    source = (
+        "class FiniteFieldDescriptor:\n"
+        "    def elements(self):\n"
+        "        for code in range(self.q):\n"
+        "            yield FFElement(self, code)\n"
+        "    def artin_schreier_root(self, c):\n"
+        "        roots = (y for y in range(self.q) if self.wp(y) == c)\n"
+        "        return next(roots, None)\n"
+        "    def digits(self, code):\n"
+        "        return [divmod(code, self.p) for _ in range(self.k)]\n"
+        "def table(residue, q):\n"
+        "    return [[y] * q for y in range(0, residue.q)] + list(range(q))\n"
+    )
+    assert residue_scans(source) == [
+        "FiniteFieldDescriptor.artin_schreier_root", "FiniteFieldDescriptor.elements", "table", "table",
+    ]

@@ -993,7 +993,7 @@ class TestTypedErrorTermsAreHonest:
             result = extremal_search(mp, K, None, 3)
             assert (code, report) == ({"MaxAttained": 0}.get(result.verdict, 3), result.to_dict()), text
             _, oracle = brute_force_max(mp, K, Ball(K.zero(3), 0), 3)
-            assert not cli._contradicts(oracle, result.value), text
+            assert not oracle.contradicts(result.value), text
             codes.append(code)
         assert 0 < codes.count(0) < len(codes)
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valfield.errors import ParseError, RankMismatchError, ValfieldError
-from valfield.value_group import INFINITY, Value
+from valfield.value_group import INFINITY, Value, ValuationResult
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=12
@@ -80,3 +80,17 @@ class TestTextForm:
     def test_bad_text_rejected(self):
         with pytest.raises(ParseError):
             Value.from_text("three")
+
+
+class TestContradiction:
+    def test_the_four_cases(self):
+        exact, bound = ValuationResult.exactly, ValuationResult.at_least
+        v2, v3 = Value.rank1(2), Value.rank1(3)
+        # two equal exact values agree, two different ones cannot both hold
+        assert not exact(v2).contradicts(exact(v2))
+        assert exact(v2).contradicts(exact(v3))
+        # an exact value below a bound contradicts it, from either side
+        assert exact(v2).contradicts(bound(v3)) and bound(v3).contradicts(exact(v2))
+        assert not exact(v3).contradicts(bound(v2))
+        # two bounds never contradict each other
+        assert not bound(v2).contradicts(bound(v3)) and not bound(v3).contradicts(bound(v2))
