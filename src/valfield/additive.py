@@ -556,26 +556,22 @@ def windowed_image_span(
     gens: Sequence[LaurentSeries],
     desc: FiniteFieldDescriptor,
     out_prec: int,
-    out_low: int,
 ) -> Dict[int, List[int]]:
     """The part of the generated image falling in the output window
-    [out_low, out_prec): the echelon's pivot rows at or past the cut, as
+    [0, out_prec): the echelon's pivot rows at or past the cut, as
     {pivot column: row} over the window's coordinates.
 
     The generators are inserted into one echelon over coordinates from the
     lowest generator valuation up to out_prec.  A pivot row is zero below
     its pivot, and a span element leads at the least pivot among the rows
-    it uses, so the rows pivoting at or past out_low span exactly the image
-    elements of valuation at least out_low; desc is the residue field."""
-    floor = min(
-        [s.valuation_floor() for s in gens if not s.is_zero_to_prec()]
-        + [out_low]
-    )
+    it uses, so the rows pivoting at or past 0 span exactly the image
+    elements of valuation at least 0; desc is the residue field."""
+    floor = min([s.valuation_floor() for s in gens if not s.is_zero_to_prec()] + [0])
     pivots: Dict[int, List[int]] = {}
     for s in gens:
         row = _fp_coordinates(s, floor, out_prec)
         _fp_insert(pivots, row, len(row), desc.p)
-    cut = (out_low - floor) * desc.k
+    cut = -floor * desc.k
     return {col - cut: row[cut:] for col, row in pivots.items() if col >= cut}
 
 
@@ -601,14 +597,9 @@ def _span_size(
 MIN_IN_LOW = -24  # the lowest input level of the image comparison
 
 
-def decomposition_image_agrees(
-    f: AdditivePolynomial,
-    dec: Decomposition,
-    out_prec: int,
-    out_low: int = 0,
-) -> bool:
+def decomposition_image_agrees(f: AdditivePolynomial, dec: Decomposition, out_prec: int) -> bool:
     """Whether f and its decomposition have the same image in the output
-    window [out_low, out_prec).
+    window [0, out_prec).
 
     Both images are spans of single-digit generators, and the input window
     is lowered one level at a time, so the windowed spans W_f and W_d only
@@ -622,16 +613,15 @@ def decomposition_image_agrees(
     built."""
     desc = f.field.base
     sides = ([f.restrict(i) for i in range(f.nvars)], dec.polys)
-    level = min(0, out_low)
-    spent, dims = 0, None
+    level, spent, dims = 0, 0, None
     while level >= MIN_IN_LOW:
         spans = []
         for summands in sides:
-            rows, cols = _span_size(summands, out_prec, out_low, level)
+            rows, cols = _span_size(summands, out_prec, 0, level)
             spent += rows * cols
             check_budget(spent, DEFAULT_BUDGET)
             gens = [s for *_, s in _digit_generators(summands, out_prec, level)]
-            spans.append(windowed_image_span(gens, desc, out_prec, out_low))
+            spans.append(windowed_image_span(gens, desc, out_prec))
         span_f, span_d = spans
         if (len(span_f), len(span_d)) == dims:
             if any(_fp_insert(span_d, row, len(row), desc.p) is not None for row in span_f.values()):

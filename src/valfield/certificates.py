@@ -287,7 +287,9 @@ def fundeq_laurent(
 ) -> FundEqCertificate:
     """Extension of F_q((t)) presented by a defining polynomial (None for
     an absent coefficient), by the routes of ``certify_extension``; the
-    residue route needs a prime base field."""
+    residue route needs a prime base field, and reads the residues of
+    t^(-v) f, v the height of the single slope-0 segment, which is the
+    valuation of the constant coefficient."""
     polygon = newton_polygon_from_valuations(
         [None if c is None else c.valuation() for c in coeffs]
     )
@@ -295,7 +297,7 @@ def fundeq_laurent(
         len(coeffs) - 1,
         polygon,
         lambda: field.base.k == 1 and _pmod_irreducible(
-            tuple(0 if c is None else c.residue().code for c in coeffs),
+            tuple(0 if c is None else c.shift(-coeffs[0].valuation_floor()).residue().code for c in coeffs),
             field.base.p,
         ),
         irreducible_asserted,

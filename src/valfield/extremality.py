@@ -124,37 +124,23 @@ def _chain_count(e: int, p: int) -> int:
     return count
 
 
-def _reduced(monomial: Iterable[Tuple[int, int]], q: int) -> tuple:
-    """A sparse monomial, (variable, exponent) pairs, with the zero
-    exponents left out and the others reduced to 1..q-1: y^e is
-    y^(reduced e) for every digit y of F_q, since y^(q-1) is 1 for y != 0."""
-    return tuple((i, (e - 1) % (q - 1) + 1) for i, e in monomial if e)
-
-
-def _times_monomial(code: int, y: tuple, monomial: tuple, powers, mul) -> int:
-    """code * y^monomial, for a reduced monomial and powers[y][e] = y^e."""
+def _times_monomial(code: int, y: tuple, monomial: tuple, residue) -> int:
+    """code * y^monomial in the residue field, for a sparse monomial."""
     for i, e in monomial:
-        code = mul(code, powers[y[i]][e])
+        code = residue.mul_codes(code, residue.pow_code(y[i], e))
     return code
 
 
 @lru_cache(maxsize=None)
-def _powers(residue, top: int) -> List[list]:
-    """powers[y][e] = y^e in F_q for e <= top, charged its q * (top + 1) entries first."""
-    check_budget(residue.q * (top + 1), DEFAULT_BUDGET)
-    return [list(itertools.accumulate([y] * top, residue.mul_codes, initial=1)) for y in range(residue.q)]
-
-
-@lru_cache(maxsize=None)
-def _expansion(nu: tuple, p: int, q: int) -> tuple:
+def _expansion(nu: tuple, p: int) -> tuple:
     """The terms of (y + s*Y)^nu that survive in characteristic p: (mu,
-    C(nu, mu) mod p, nu - mu reduced) for every mu <= nu digitwise in base
-    p, the only mu with C(nu, mu) prime to p by Lucas's theorem.  Monomials
-    are sparse, as in ``_reduced``."""
+    C(nu, mu) mod p, nu - mu) for every mu <= nu digitwise in base p, the
+    only mu with C(nu, mu) prime to p by Lucas's theorem.  Monomials are
+    sparse, (variable, exponent) pairs with the zero exponents left out."""
     out = []
     for pairs in itertools.product(*(_lucas(e, p) for _, e in nu)):
         mu = tuple((i, m) for (i, _), (m, _) in zip(nu, pairs) if m)
-        diff = _reduced([(i, e - m) for (i, e), (m, _) in zip(nu, pairs)], q)
+        diff = tuple((i, e - m) for (i, e), (m, _) in zip(nu, pairs) if e - m)
         out.append((mu, math.prod(c for _, c in pairs) % p, diff))
     return tuple(out)
 
@@ -163,8 +149,7 @@ class _LucasShift:
     """The shift step of a ring of characteristic p, shared by the adapters
     below: each monomial expands by its cached ``_expansion``, and digit
     powers are F_q codes, multiplied into a coefficient by the adapter's
-    ``scale``.  The digit powers are the tree's table, which the tree sets
-    as ``powers`` after ``prepare``."""
+    ``scale``."""
 
     def prepare(self, monomials: Iterable[tuple], budget: int) -> int:
         """The charge of the shift Y -> y + s*Y: the (nu, mu) pairs of every
@@ -177,10 +162,10 @@ class _LucasShift:
     def child(self, g: dict, y: tuple, k: int) -> dict:
         """The coefficients of g(y + (s_k / s_(k-1)) Y) at depth k, every one
         kept, also when zero to its error order; one no term reaches is 0."""
-        powers, residue, sums = self.powers, self.residue, {}
+        residue, sums = self.residue, {}
         for nu, c in g.items():
-            for mu, code, diff in _expansion(nu, residue.p, residue.q):
-                code = _times_monomial(code, y, diff, powers, residue.mul_codes)
+            for mu, code, diff in _expansion(nu, residue.p):
+                code = _times_monomial(code, y, diff, residue)
                 if code:
                     term = self.scale(c, code)
                     sums[mu] = sums[mu] + term if mu in sums else term
@@ -276,10 +261,6 @@ class _DigitTree:
     def __init__(self, f: MultiPoly, ring, budget: int):
         self.n, self.q, self.ring, self.budget = f.nvars, ring.residue.q, ring, budget
         self.spent = ring.prepare(f.terms, budget)
-        # one table of digit powers, for the residue forms and for a Lucas shift's child
-        # step: no reduced exponent of either exceeds min(q - 1, f's top exponent)
-        top = min(self.q - 1, max((e for nu in f.terms for _, e in nu), default=0))
-        self.powers = ring.powers = _powers(ring.residue, top)
         self.root = ring.root(f.terms)
         self.all_digits = None
 
@@ -302,7 +283,7 @@ class _DigitTree:
         m = min((r[0] for _, r in reads), default=self.ring.cap)
         if m >= min((r[1] for _, r in reads), default=self.ring.cap):
             return m, None
-        return m, [(_reduced(nu, self.q), code) for nu, (v, _, code) in reads if v == m]
+        return m, [(nu, code) for nu, (v, _, code) in reads if v == m]
 
     def split(self, lead: Optional[list], digits: list) -> Tuple[list, list]:
         """(decided, children): g's terms of value m sum to R(y) times a unit
@@ -310,11 +291,10 @@ class _DigitTree:
         if lead is None:
             return [], digits
         residue, decided, children = self.ring.residue, [], []
-        powers, add, mul = self.powers, residue.add_codes, residue.mul_codes
         for y in digits:
             r = 0
             for nu, code in lead:
-                r = add(r, _times_monomial(code, y, nu, powers, mul))
+                r = residue.add_codes(r, _times_monomial(code, y, nu, residue))
             (decided if r else children).append(y)
         return decided, children
 

@@ -11,13 +11,13 @@ system it is, with no scan and no charge.
 
 An element is an int code, sum c_j p^j over its reduced coefficient vector
 (the residue itself for k = 1).  The descriptor's ``*_code(s)`` methods and
-``fold`` are the only scalar arithmetic, and ``FFElement``, the public
-scalar type, is a descriptor and a code whose operators each call into
-them.  Laurent series call them for a leading inverse and in ``scale``;
-their kernels run on the descriptor's tables instead: ``mod_bytes`` and
-``neg_bytes`` for ``bytes.translate``, ``slot_bytes`` for the Kronecker
-slots of F_{p^k}, and ``_fold_rows``, which the kernels apply to whole
-packed columns of coordinates.
+``fold`` are the only scalar arithmetic, ``pow_code`` the one power rule,
+and ``FFElement``, the public scalar type, is a descriptor and a code
+whose operators each call into them.  Laurent series call them for a
+leading inverse and in ``scale``; their kernels run on the descriptor's
+tables instead: ``mod_bytes`` and ``neg_bytes`` for ``bytes.translate``,
+``slot_bytes`` for the Kronecker slots of F_{p^k}, and ``_fold_rows``,
+which the kernels apply to whole packed columns of coordinates.
 """
 
 from __future__ import annotations
@@ -212,7 +212,14 @@ class FiniteFieldDescriptor:
         return self.fold(dense_mul(self.digits(a), self.digits(b)))
 
     def pow_code(self, a: int, e: int) -> int:
-        return square_and_multiply(a, e, self.mul_codes, 1)
+        """a^e for e >= 0, the one power rule: ``pow`` over F_p, and over
+        F_{p^k} square-and-multiply after e >= q folds to (e - 1) mod (q - 1)
+        + 1, since y^(q-1) is 1 for y != 0 and 0^e stays 0."""
+        if self.k == 1:
+            return pow(a, e, self.p)
+        if not e:
+            return 1
+        return square_and_multiply(a, (e - 1) % (self.q - 1) + 1, self.mul_codes)
 
     def inverse_code(self, a: int) -> int:
         """The inverse of a code: by ``pow`` over F_p, and over F_{p^k} as

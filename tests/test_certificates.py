@@ -218,6 +218,18 @@ class TestFundamentalEquality:
         with pytest.raises(CertificationError):
             fundeq_laurent(K, [-K.one(8), K.zero(8), K.one(8)])
 
+    @pytest.mark.parametrize(
+        "poly, code",
+        [("t^-2*X^2 + t^-2", 0), ("t^2*X^2 + t^2", 0), ("t*X^2 + t^3*X + t", 0), ("t*X^2 + 2*t", 3)],
+    )
+    def test_laurent_residue_route_scales_a_unit_multiple(self, capsys, poly, code):
+        # each is t^v times a polynomial with unit coefficients, whose residue
+        # is X^2 + 1 (irreducible over F_3) or X^2 - 1 (reducible)
+        assert main(["fundeq", "--field", "F(3)((t))", "--poly", poly]) == code
+        if code == 0:
+            out = capsys.readouterr().out
+            assert "n = 2, e = 1, fRes = 2" in out and "certified by: residue-irreducible" in out
+
     def test_asserted_route_when_e_does_not_divide_n(self, capsys):
         # X^3 + X^2 + 2 over Q_2: slopes 1/2 and 0 give e = 2, which does not
         # divide n = 3, so the asserted route leaves fRes and the equality

@@ -262,9 +262,8 @@ def test_a_huge_prime_ends_within_the_timeout(args, code):
 
 
 # unbounded, trial division by every monic polynomial of degree <= 12 (or
-# 14) over F_3 and a table of y^e for every y in F_q and e <= q - 1 take
-# seconds to minutes; each divisor degree is charged to the budget before its
-# divisors are tried, and the table holds only the exponents that f reaches
+# 14) over F_3 takes minutes; each divisor degree is charged to the budget
+# before its divisors are tried
 @pytest.mark.parametrize(
     "args, codes",
     [
@@ -278,6 +277,19 @@ def test_a_huge_prime_ends_within_the_timeout(args, code):
 )
 def test_a_large_residue_scan_ends_within_seconds(args, codes):
     assert run(args, timeout=10).returncode in codes
+
+
+@pytest.mark.parametrize(
+    "poly, ball, value",
+    [("X", "v>=3 around t", "1"), ("X^2 + t", "v>=2 around 1", "0")],
+    ids=["fixed-digits", "decided-root"],
+)
+def test_a_large_prime_field_ball_is_charged_by_the_tree_alone(poly, ball, value):
+    # no node of these trees enumerates the 10^7 digits of F_q, and digit
+    # powers come from the residue field: no table of q entries is charged
+    args = ["extremal", "--field", "F(10000019)((t))", "--poly", poly, "--ball", ball, "--prec", "2"]
+    proc = run(args, timeout=10)
+    assert proc.returncode == 0 and f"max value: {value}\n" in proc.stdout
 
 
 @pytest.mark.parametrize("asserted, code", [([], 3), (["--asserted"], 0)])

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import resource
@@ -197,6 +198,21 @@ class TestCodeLayerAgainstReference:
                     a**e
                 return
         assert (a**e).code == _ref_code(desc, _ref_pow(desc, ra, abs(e)))
+
+
+POW_FIELDS = [prime_field(p) for p in (2, 3, 5)] + [
+    FiniteFieldDescriptor(p, k) for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)]
+]
+
+
+@pytest.mark.parametrize("desc", POW_FIELDS, ids=lambda d: d.to_text())
+def test_pow_code_is_repeated_multiplication(desc):
+    # e up to 3q crosses the fold y^(q-1) = 1 twice; over F_256, where a
+    # power costs about a dozen products, every e is checked on ten codes
+    codes = range(desc.q) if desc.q < 256 else [0, 1, *random.Random(256).sample(range(2, 256), 8)]
+    for a in codes:
+        products = list(itertools.accumulate([a] * (3 * desc.q), desc.mul_codes, initial=1))
+        assert [desc.pow_code(a, e) for e in range(3 * desc.q + 1)] == products, a
 
 
 class TestModulusSelection:

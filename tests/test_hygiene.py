@@ -58,9 +58,10 @@ that ``dense_trim`` owns.
 A residue field is enumerated only at named sites: a loop over every code
 of F_q, ``range(q)`` or ``range(<x>.q)``, appears only in
 ``FiniteFieldDescriptor.elements``, the tests' enumeration, and in the
-digit tree's power table ``extremality._powers`` and its undecided nodes
-``_DigitTree.digits``.  An F_p-linear question, such as the roots of
-y^p - y = c, is answered by the echelon step, not by a scan.
+digit tree's undecided nodes ``_DigitTree.digits``.  Digit powers come
+from ``pow_code``, not from a table over every code, and an F_p-linear
+question, such as the roots of y^p - y = c, is answered by the echelon
+step, not by a scan.
 """
 
 import ast
@@ -633,7 +634,7 @@ def residue_scans(source: str):
 def test_a_residue_field_is_enumerated_only_at_named_sites():
     scans = {path.name: residue_scans(path.read_text()) for path in MODULES}
     assert {name: s for name, s in scans.items() if s} == {
-        "extremality.py": ["_DigitTree.digits", "_powers"],
+        "extremality.py": ["_DigitTree.digits"],
         "finite_field.py": ["FiniteFieldDescriptor.elements"],
     }
 
