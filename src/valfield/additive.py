@@ -28,17 +28,20 @@ coefficient; a p-polynomial adds a constant.  The central operations:
 * ``oap_solve`` finds a best approximation of a target z by the image of
   f.  Additive polynomials are F_p-linear, so inside the alpha ball the
   image modulo the requested precision is the F_p-span of single-digit
-  generators g_i(lambda * t^j); the solver inserts them into one echelon,
-  most precise first, reduces z against it in one walk whose known order
-  drops to the precision of each row used, and pulls the combination back
-  through the sections.  Nothing here enumerates a ball: ``oap --oracle``
+  generators g_i(lambda * t^j).  Each generator is one packed F_p row of
+  ``finite_field``, the sum of its terms' scaled coefficients, packed
+  once and shifted per level, with no series built.  The solver inserts
+  the rows into one echelon, most precise first, reduces z, packed at the
+  same origin, against it in one walk whose known order drops to the
+  precision of each row used, and pulls the combination back through the
+  sections.  Nothing here enumerates a ball: ``oap --oracle``
   and the demo script compare against the digit tree, and the exhaustive
   oracle is left to the tests.
 
 * ``decomposition_image_agrees`` checks that f and its decomposition have
   the same image in an output window by the ranks of the windowed F_p
-  spans of their single-digit generators, built with the solver's
-  insertion step.
+  spans of their single-digit generators, the same packed rows, built
+  with the solver's insertion step.
 
 Everything this module builds from integers is exact (error order
 ``math.inf``): the digit monomials lambda * t^j, the zero accumulators, the
@@ -54,8 +57,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, PrecisionError, ValfieldError, check_budget, check_power
-from .finite_field import FFElement, FiniteFieldDescriptor, _fp_insert
-from .laurent import LaurentField, LaurentSeries
+from .finite_field import FFElement, FiniteFieldDescriptor, _fp_insert, _fp_reduce, _fp_row, _fp_slots, _fp_sum, _row_slot
+from .laurent import ErrorOrder, LaurentField, LaurentSeries
 from .polynomials import MultiPoly
 from .value_group import Value, ValuationResult
 
@@ -136,15 +139,6 @@ class AdditivePolynomial:
         p = self.field.base.p
         for (_, k), c in self.terms.items():
             yield k, c.scale(mu.frobenius(k)).shift(shift * p**k)
-
-    def at_monomial(self, mu: FFElement, shift: int) -> LaurentSeries:
-        """self(mu * t^shift), the sum of the shifted and rescaled
-        coefficients of ``_monomial_terms``: ``evaluate`` at the exact
-        monomial without its series products and Frobenius."""
-        acc: Optional[LaurentSeries] = None
-        for _, term in self._monomial_terms(mu, shift):
-            acc = term if acc is None else acc + term
-        return self.field.zero(math.inf) if acc is None else acc
 
     def compose_monomial(self, mu: FFElement, shift: int, delta: int) -> "AdditivePolynomial":
         """self(mu * t^shift * X^(p^delta)) for a one-variable polynomial,
@@ -454,41 +448,30 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
     alpha_v = alpha_bound(dec, z)
     alpha = int(alpha_v.first)
     top = min(z.prec, prec)
-    rows, cols = _span_size(dec.polys, prec, min(top, z.valuation_floor()), alpha, min_width=1)
+    rows, cols, origin = _span_size(dec.polys, prec, min(top, z.valuation_floor()), alpha, min_width=1)
     check_budget(rows * (cols + rows), DEFAULT_BUDGET)
-    gens = _digit_generators(dec.polys, prec, alpha, min_width=1)
-    gens.sort(key=lambda gen: -gen[3].prec)
-    low = min([top, z.valuation_floor()] + [g.valuation_floor() for *_, g in gens])
+    gens = _digit_generators(dec.polys, prec, alpha, origin, min_width=1)
+    gens.sort(key=lambda gen: -gen[4])
     p, k, n = field.base.p, field.base.k, len(gens)
-    width = (top - low) * k
-    pivots: Dict[int, List[int]] = {}
-    known: Dict[int, int] = {}  # pivot column -> precision of its row
+    bits = 8 * _row_slot(p)
+    width = (top - origin) * k
+    pivots: Dict[int, int] = {}
+    known: Dict[int, int] = {}  # pivot column -> the column its row is known below
     # an identity block after the coordinates carries each row's combination
-    for r, (*_, g) in enumerate(gens):
-        stop = min(g.prec, top)
-        coords = _fp_coordinates(g, low, stop)
-        row = coords + [0] * (width - len(coords) + n)
-        row[width + r] = 1
-        col = _fp_insert(pivots, row, len(coords), p)
+    for r, (*_, row, row_prec) in enumerate(gens):
+        stop = (min(row_prec, top) - origin) * k
+        col = _fp_insert(pivots, row & ((1 << bits * stop) - 1) | 1 << bits * (width + r), stop, p)
         if col is not None:
             known[col] = stop
-    vec = _fp_coordinates(z, low, top) + [0] * n
-    order, col, exact = top, 0, False
-    while col < (order - low) * k:
-        x = vec[col]
-        if x:
-            if col not in pivots:
-                exact = True
-                break
-            vec[col:] = [(y - x * w) % p for y, w in zip(vec[col:], pivots[col][col:])]
-            order = min(order, known[col])
-        col += 1
+    # one walk reduces z; each row used lowers the stop to its known column
+    vec, col, stop = _fp_reduce(pivots, _coordinate_row(z, origin) & ((1 << bits * width) - 1), width, p, known)
+    exact = col is not None
     # the identity block of vec holds minus each generator's digit
     ys = [field.zero(math.inf) for _ in dec.polys]
-    for (i, j, lam, _), a in zip(gens, vec[width:]):
+    for (i, j, lam, *_), a in zip(gens, _fp_slots(vec >> bits * width, n, p)):
         if a:
             ys[i] = ys[i] + field.from_terms({j: lam * field.base.element(-a % p)}, math.inf)
-    value = ValuationResult(exact, Value.rank1(low + col // k if exact else order))
+    value = ValuationResult(exact, Value.rank1(origin + (col if exact else stop) // k))
     best = dec.pullback(ys)
     if dec.working_prec is not None:
         # a rewritten summand may have lost a term that vanished below the
@@ -501,10 +484,12 @@ def oap_solve(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> OapResult:
 
 
 def _digit_generators(
-    summands: Sequence[AdditivePolynomial], out_prec: int, in_low: int, min_width: int = 0
-) -> List[Tuple[int, int, FFElement, LaurentSeries]]:
-    """Single-digit generators (i, j, lambda, g_i(lambda * t^j)) of the
-    one-variable summands g_i.
+    summands: Sequence[AdditivePolynomial], out_prec: int, in_low: int, origin: int, min_width: int = 0
+) -> List[Tuple[int, int, FFElement, int, ErrorOrder]]:
+    """Single-digit generators (i, j, lambda, row, prec) of the
+    one-variable summands g_i: row holds the F_p coordinates of
+    g_i(lambda * t^j) below its error order prec as one packed row from
+    t^origin (``_coordinate_row``), and origin lies below every term.
 
     By additivity, g_1(Y_1) + ... + g_m(Y_m) at a sum of digit monomials
     is the sum of the g_i at the digit monomials, and scalars from the
@@ -512,86 +497,107 @@ def _digit_generators(
     valuation ring modulo t^out_prec is exactly the F_p-span of these over
     summands i, levels j of ``_levels`` and lambda in an F_p-basis of the
     coefficient field; a zero summand has no levels.  The digit monomials
-    are exact, so each generator is built by ``at_monomial`` with the one
-    shift-and-scale rule of ``_monomial_terms``: sum over k of c_k *
-    lambda^(p^k) * t^(j * p^k), with no series product.  The sums span
-    each level's shifted terms, so that width, times the field degree, is
-    charged to the default budget, summed over all levels, before the
-    level is built.
+    are exact, so g_i(lambda * t^j) is the sum over k of c_k * lambda^(p^k)
+    * t^(j * p^k), known to min_k(prec(c_k) + j * p^k), with no series
+    product: each scaled coefficient c_k * lambda^(p^k) does not depend on
+    the level, so it is packed once per (term, lambda), and the row at
+    level j is the sum of those packed rows, each shifted by j * p^k -
+    origin exponents.  The sums span each level's shifted terms, so that
+    width, times the field degree, is charged to the default budget,
+    summed over all levels, before the level is built.
     """
     gens = []
     spent = 0
     for i, g in enumerate(summands):
         desc = g.field.base
-        basis = [FFElement(desc, desc.p**r) for r in range(desc.k)]
-        # (start, end, p^k) of each term c * X^(p^k): at level j it spans
-        # [start + j * p^k, end + j * p^k)
-        supports = [(c.low, c.low + len(c.coeffs), desc.p**k) for (_, k), c in g.terms.items()]
+        p, k = desc.p, desc.k
+        bits = 8 * _row_slot(p) * k  # the bits of one exponent's coordinates
+        basis = [FFElement(desc, p**r) for r in range(k)]
+        # (start, end, prec, p^k) of each term c * X^(p^k): at level j it
+        # spans [start + j * p^k, end + j * p^k) and is known to prec + j * p^k
+        terms = [(c.low, c.low + len(c.coeffs), c.prec, p**e) for (_, e), c in g.terms.items()]
+        packed = None  # per lambda, each term's c * lambda^(p^k) packed from t^start
         for j in _levels(g, out_prec, in_low, min_width):
-            low = min(start + j * q for start, _, q in supports)
-            spent += desc.k * (max(end + j * q for _, end, q in supports) - low)
+            # the level's span [low, high), error order and each term's shift
+            low, high, prec, shifts = math.inf, -math.inf, math.inf, []
+            for start, end, c_prec, q in terms:
+                start, end, c_prec = start + j * q, end + j * q, c_prec + j * q
+                if start < low:
+                    low = start
+                if end > high:
+                    high = end
+                if c_prec < prec:
+                    prec = c_prec
+                shifts.append(bits * (start - origin))
+            spent += k * (high - low)
             check_budget(spent, DEFAULT_BUDGET)
-            for lam in basis:
-                gens.append((i, j, lam, g.at_monomial(lam, j)))
+            if packed is None:
+                packed = [
+                    [_coordinate_row(c.times_code(lam.frobenius(e).code), c.low) for (_, e), c in g.terms.items()]
+                    for lam in basis
+                ]
+            known = -1 if prec == math.inf else (1 << bits * (prec - origin)) - 1
+            for lam, rows in zip(basis, packed):
+                gens.append((i, j, lam, _fp_sum([r << shift for r, shift in zip(rows, shifts)], p) & known, prec))
     return gens
 
 
-def _fp_coordinates(s: LaurentSeries, low: int, high: int) -> List[int]:
-    """F_p-coordinates of the coefficients of t^low .. t^(high - 1) of s,
-    ordered by (exponent, coordinate); terms below t^low are not read."""
-    if s.prec < high:
-        raise PrecisionError(f"series known to O(t^{s.prec}) read up to t^{high}")
-    desc = s.field.base
-    k = desc.k
-    out = [0] * (max(0, high - low) * k)
+def _coordinate_row(s: LaurentSeries, origin: int) -> int:
+    """The F_p coordinates of the stored terms of s as one packed row: the
+    coefficient of t^e in the k slots from (e - origin) * k, for an s with
+    no term below t^origin."""
     if not s.coeffs:  # an exact zero has low = inf
-        return out
-    for e in range(max(low, s.low), min(high, s.low + len(s.coeffs))):
-        if s.coeffs[e - s.low]:
-            out[(e - low) * k:(e - low + 1) * k] = desc.digits(s.coeffs[e - s.low])
-    return out
+        return 0
+    desc = s.field.base
+    digits = s.coeffs if desc.k == 1 else [d for c in s.coeffs for d in desc.digits(c)]
+    return _fp_row(digits, desc.p) << 8 * _row_slot(desc.p) * desc.k * (s.low - origin)
 
 
 def windowed_image_span(
-    gens: Sequence[LaurentSeries],
+    gens: Sequence[Tuple[int, int, FFElement, int, ErrorOrder]],
     desc: FiniteFieldDescriptor,
+    origin: int,
     out_prec: int,
-) -> Dict[int, List[int]]:
+) -> Dict[int, int]:
     """The part of the generated image falling in the output window
     [0, out_prec): the echelon's pivot rows at or past the cut, as
-    {pivot column: row} over the window's coordinates.
+    {pivot column: packed row} over the window's coordinates.
 
-    The generators are inserted into one echelon over coordinates from the
-    lowest generator valuation up to out_prec.  A pivot row is zero below
-    its pivot, and a span element leads at the least pivot among the rows
-    it uses, so the rows pivoting at or past 0 span exactly the image
-    elements of valuation at least 0; desc is the residue field."""
-    floor = min([s.valuation_floor() for s in gens if not s.is_zero_to_prec()] + [0])
-    pivots: Dict[int, List[int]] = {}
-    for s in gens:
-        row = _fp_coordinates(s, floor, out_prec)
-        _fp_insert(pivots, row, len(row), desc.p)
-    cut = -floor * desc.k
-    return {col - cut: row[cut:] for col, row in pivots.items() if col >= cut}
+    The generators of ``_digit_generators``, packed from t^origin <= 0,
+    are inserted into one echelon over coordinates up to out_prec; each
+    must be known that far.  A pivot row is zero below its pivot, and a
+    span element leads at the least pivot among the rows it uses, so the
+    rows pivoting at or past 0 span exactly the image elements of
+    valuation at least 0; desc is the residue field."""
+    stop = (out_prec - origin) * desc.k
+    bits = 8 * _row_slot(desc.p)
+    pivots: Dict[int, int] = {}
+    for *_, row, prec in gens:
+        if prec < out_prec:
+            raise PrecisionError(f"generator known to O(t^{prec}) read up to t^{out_prec}")
+        _fp_insert(pivots, row & ((1 << bits * stop) - 1), stop, desc.p)
+    cut = -origin * desc.k
+    return {col - cut: row >> bits * cut for col, row in pivots.items() if col >= cut}
 
 
 def _span_size(
     summands: Sequence[AdditivePolynomial], out_prec: int, out_low: int, level: int, min_width: int = 0
-) -> Tuple[int, int]:
-    """(rows, columns) of a span matrix over _digit_generators(summands,
-    out_prec, level, min_width), its columns from min(out_low, generator
-    valuations) to out_prec, bounded from the summands' terms before any
-    generator is built: the rows exactly, the columns since the digit t^j,
-    j >= level, meets the term c * X^(p^k) at valuation >= v(c) + p^k *
-    level.  No summands span an empty matrix."""
+) -> Tuple[int, int, int]:
+    """(rows, columns, origin) of a span matrix over
+    _digit_generators(summands, out_prec, level, origin, min_width), its
+    columns from the origin, min(out_low, generator valuations), to
+    out_prec, bounded from the summands' terms before any generator is
+    built: the rows exactly, the columns since the digit t^j, j >= level,
+    meets the term c * X^(p^k) at valuation >= v(c) + p^k * level.  No
+    summands span an empty matrix."""
     if not summands:
-        return 0, 0
+        return 0, 0, out_low
     desc = summands[0].field.base
     rows = sum(len(_levels(g, out_prec, level, min_width)) for g in summands)
     floor = min(
         [out_low] + [c.low + desc.p**k * level for g in summands for (_, k), c in g.terms.items()]
     )
-    return rows * desc.k, (out_prec - floor) * desc.k
+    return rows * desc.k, (out_prec - floor) * desc.k, floor
 
 
 MIN_IN_LOW = -24  # the lowest input level of the image comparison
@@ -617,14 +623,14 @@ def decomposition_image_agrees(f: AdditivePolynomial, dec: Decomposition, out_pr
     while level >= MIN_IN_LOW:
         spans = []
         for summands in sides:
-            rows, cols = _span_size(summands, out_prec, 0, level)
+            rows, cols, origin = _span_size(summands, out_prec, 0, level)
             spent += rows * cols
             check_budget(spent, DEFAULT_BUDGET)
-            gens = [s for *_, s in _digit_generators(summands, out_prec, level)]
-            spans.append(windowed_image_span(gens, desc, out_prec))
+            gens = _digit_generators(summands, out_prec, level, origin)
+            spans.append(windowed_image_span(gens, desc, origin, out_prec))
         span_f, span_d = spans
         if (len(span_f), len(span_d)) == dims:
-            if any(_fp_insert(span_d, row, len(row), desc.p) is not None for row in span_f.values()):
+            if any(_fp_insert(span_d, row, out_prec * desc.k, desc.p) is not None for row in span_f.values()):
                 return False
             if len(span_f) == len(span_d):
                 return True

@@ -1,31 +1,46 @@
-"""Arithmetic in F_p and F_{p^k}, and the one F_p echelon step.
+"""Arithmetic in F_p and F_{p^k}, the packing of small ints into one int,
+and the one F_p echelon step.
 
 Extensions are carried by explicit monic irreducible modulus polynomials.
 When no modulus is supplied, one is found by trial search over monic
 polynomials in lexicographic coefficient order, so the choice is
 deterministic.  There is no factorization machinery beyond trial division
-at desk scale, on the dense core of ``polynomials``.  F_p-linear questions
-are answered by one echelon step, ``_fp_insert``, which ``additive`` shares:
-``artin_schreier_root`` solves y^p - y = c over any F_q as the F_p-linear
-system it is, with no scan and no charge.
+at desk scale, on the dense core of ``polynomials``.
 
 An element is an int code, sum c_j p^j over its reduced coefficient vector
 (the residue itself for k = 1).  The descriptor's ``*_code(s)`` methods and
 ``fold`` are the only scalar arithmetic, ``pow_code`` the one power rule,
 and ``FFElement``, the public scalar type, is a descriptor and a code
-whose operators each call into them.  Laurent series call them for a
-leading inverse and in ``scale``; their kernels run on the descriptor's
-tables instead: ``mod_bytes`` and ``neg_bytes`` for ``bytes.translate``,
-``slot_bytes`` for the Kronecker slots of F_{p^k}, and ``_fold_rows``,
-which the kernels apply to whole packed columns of coordinates.
+whose operators each call into them.  Over F_{2^k} a code is the bitmask
+of its coefficients, and a product is carry-less: shift and XOR, then the
+bits past x^(k-1) cleared by the modulus's bitmask.
+
+Runs of small ints are packed into one Python int, a slot of ``_slot_bytes``
+bytes each (``_pack``, ``_unpack``), and reduced mod p all at once
+(``_reduce``: one ``bytes.translate`` at 1-byte slots).  The Laurent series
+kernels of ``laurent`` pack codes this way, and read the descriptor's
+``neg_bytes`` table, its ``slot_bytes`` for the Kronecker slots of F_{p^k},
+and ``_fold_rows``, which they apply to whole packed columns of
+coordinates.
+
+F_p-linear questions are answered by one echelon step on packed rows:
+a row is one int, coordinate column c in slot c of ``_row_slot(p)`` bytes
+(1 byte for p <= 16).  ``_fp_insert`` reduces a row by ``_fp_reduce``, which
+finds its leading column by its lowest set bit and clears it by one XOR
+over F_2, or by row + (p - x) * pivot and one reduction of every slot
+otherwise, and stores what survives as a pivot row.  ``additive`` builds
+its span rows this way, and ``artin_schreier_root`` solves y^p - y = c
+over any F_q as the F_p-linear system it is, with no scan and no charge.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     DEFAULT_BUDGET, BudgetExceededError, DescriptorMismatchError, ParseError, ValfieldError, check_budget,
@@ -65,24 +80,147 @@ def _pmod_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
-def _fp_insert(pivots: Dict[int, List[int]], row: List[int], stop: int, p: int) -> Optional[int]:
-    """Insert a row into an F_p echelon {pivot column: row}.  The row is
-    reduced in place by the pivot rows at its leading columns below stop;
-    the first column below stop that survives without a pivot gets the
-    row, scaled to 1 there, and is returned (None when nothing survives).
-    Entries past stop are carried along but never read."""
-    for col in range(stop):
-        x = row[col]
-        if not x:
-            continue
+# -- packed slots -----------------------------------------------------------
+#
+# A run of small ints is packed into one Python int, slot i at byte offset
+# i * w, so that one int operation acts on every slot at once.  Slots of 1,
+# 2, 4 or 8 bytes are converted by ``bytes`` and ``array`` in C (swapped on
+# a big-endian machine, whose arrays hold their items big-endian); a wider
+# slot, met only for p near 2^31 and above, takes one int call each.  The
+# series kernels of ``laurent`` and the echelon below share this packing.
+
+_FORMATS = {array(f).itemsize: f for f in "QLIHB"}  # slot bytes -> array typecode
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for ints up to bound: 1, 2, 4 or 8, or the exact
+    byte count when that is wider."""
+    size = bound.bit_length() + 7 >> 3
+    return size if size > 8 else 1 << (size - 1).bit_length()
+
+
+def _pack(slots: Iterable[int], w: int) -> int:
+    """One int with the i-th slot at byte offset i * w."""
+    if w == 1:
+        data = bytes(slots)
+    elif w in _FORMATS:
+        packed = array(_FORMATS[w], slots)
+        if _BIG_ENDIAN:
+            packed.byteswap()
+        data = packed.tobytes()
+    else:
+        data = b"".join([s.to_bytes(w, "little") for s in slots])
+    return int.from_bytes(data, "little")
+
+
+def _unpack(data: bytes, w: int) -> List[int]:
+    """The slots of little-endian data, w bytes each."""
+    if w in _FORMATS:
+        slots = array(_FORMATS[w])
+        slots.frombytes(data)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return slots.tolist()
+    return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
+
+
+def _reduce(p: int, data: bytes, w: int) -> Sequence[int]:
+    """Slots of w bytes reduced mod p: bytes by one translate through the
+    byte table of p at w = 1, and in characteristic 2 on the low byte of
+    each slot (a slot is even when its low byte is); a list of remainders
+    per slot otherwise."""
+    if w == 1 or p == 2:
+        return data[::w].translate(_byte_tables(p)[0])
+    return [s % p for s in _unpack(data, w)]
+
+
+# -- the F_p echelon on packed rows ------------------------------------------
+#
+# A row over F_p is one int, coordinate column c in slot c of
+# ``_row_slot(p)`` bytes, wide enough for x + (p - x) * y with x, y < p.
+# The leading column of a row is its lowest set bit's slot.  Over F_2 a row
+# operation is one XOR; over odd p it is row + (p - x) * pivot, which turns
+# the leading slot x into p, followed by one reduction of every slot mod p.
+
+
+@lru_cache(maxsize=None)
+def _row_slot(p: int) -> int:
+    """Bytes per slot of a packed F_p row: room for p (p - 1)."""
+    return _slot_bytes(p * (p - 1))
+
+
+def _fp_row(digits: Iterable[int], p: int) -> int:
+    """The packed F_p row with the i-th digit in slot i."""
+    return _pack(digits, _row_slot(p))
+
+
+def _fp_slots(row: int, n: int, p: int) -> List[int]:
+    """Slots 0 .. n - 1 of a packed F_p row."""
+    w = _row_slot(p)
+    return _unpack((row & ((1 << 8 * w * n) - 1)).to_bytes(n * w, "little"), w)
+
+
+def _fp_mod(row: int, p: int) -> int:
+    """A packed row of nonnegative slots with every slot reduced mod p."""
+    w = _row_slot(p)
+    return _pack(_reduce(p, row.to_bytes(-(-row.bit_length() // (8 * w)) * w, "little"), w), w)
+
+
+def _fp_sum(rows: Sequence[int], p: int) -> int:
+    """The sum of reduced packed F_p rows, reduced: one XOR over F_2, and
+    otherwise p rows, then p - 1 at a time added to the reduced sum so far,
+    so that no slot passes p (p - 1) before it is reduced."""
+    if p == 2:
+        acc = 0
+        for row in rows:
+            acc ^= row
+        return acc
+    acc = sum(rows[:p])
+    for i in range(p, len(rows), p - 1):
+        acc = _fp_mod(acc, p) + sum(rows[i:i + p - 1])
+    return _fp_mod(acc, p)
+
+
+def _fp_reduce(
+    pivots: Dict[int, int], row: int, stop: int, p: int, bounds: Optional[Dict[int, int]] = None
+) -> Tuple[int, Optional[int], int]:
+    """Reduce a packed row by the pivot rows of an F_p echelon {pivot
+    column: row} at its leading columns below stop, and return (the reduced
+    row, the first column below stop that survives without a pivot or None
+    when none does, the stop).  A pivot row used lowers the stop to its
+    entry in bounds, when bounds are given; pivots is not changed."""
+    bits = 8 * _row_slot(p)
+    mask = (1 << bits) - 1
+    while row:
+        col = ((row & -row).bit_length() - 1) // bits
+        if col >= stop:
+            break
         piv = pivots.get(col)
         if piv is None:
-            inv = pow(x, -1, p)
-            row[col:] = [(y * inv) % p for y in row[col:]]
-            pivots[col] = row
-            return col
-        row[col:] = [(y - x * w) % p for y, w in zip(row[col:], piv[col:])]
-    return None
+            return row, col, stop
+        row = row ^ piv if p == 2 else _fp_mod(row + (p - (row >> col * bits & mask)) * piv, p)
+        if bounds is not None:
+            stop = min(stop, bounds[col])
+    return row, None, stop
+
+
+def _fp_insert(pivots: Dict[int, int], row: int, stop: int, p: int) -> Optional[int]:
+    """Insert a packed row into an F_p echelon {pivot column: row}, the one
+    echelon step.  The row is reduced by the pivot rows at its leading
+    columns below stop (``_fp_reduce``); the first column below stop that
+    survives without a pivot gets the row, scaled to 1 there, and is
+    returned (None when nothing survives).  Columns past stop are carried
+    along but never read.  A pivot row is zero below its pivot."""
+    row, col, _ = _fp_reduce(pivots, row, stop, p)
+    if col is not None:
+        if p != 2:
+            bits = 8 * _row_slot(p)
+            x = row >> col * bits & ((1 << bits) - 1)
+            if x != 1:
+                row = _fp_mod(row * pow(x, -1, p), p)
+        pivots[col] = row
+    return col
 
 
 @lru_cache(maxsize=None)
@@ -118,12 +256,13 @@ class FiniteFieldDescriptor:
         self._frobenius: Dict[int, int] = {}  # code -> code of its p-th power, filled on use
         self._inverse: Dict[int, int] = {}  # code -> code of its inverse over F_{p^k}, filled on use
         self._slots: Dict[int, Dict[int, bytes]] = {}  # slot width -> code -> its Kronecker slots, filled on use
-        # the echelon of y^p - y at x^1 .. x^(k-1), filled on first use
-        self._artin_schreier_rows: Optional[Dict[int, List[int]]] = None
-        # translate tables for packed codes: a byte reduced mod p, and over
-        # F_p with p < 256 the negative of a code
-        self.mod_bytes, neg_bytes = _byte_tables(p)
-        self.neg_bytes = neg_bytes if k == 1 else None
+        # the packed echelon of y^p - y at x^1 .. x^(k-1), filled on first use
+        self._artin_schreier_rows: Optional[Dict[int, int]] = None
+        # over F_{2^k} a code is the bitmask of its coefficients, and so is
+        # the modulus
+        self._modulus_bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
+        # the translate table of a negated code over F_p with p < 256
+        self.neg_bytes = _byte_tables(p)[1] if k == 1 else None
 
     @staticmethod
     def _find_modulus(p: int, k: int) -> Tuple[int, ...]:
@@ -207,8 +346,21 @@ class FiniteFieldDescriptor:
         return self.fold([-x for x in self.digits(a)])
 
     def mul_codes(self, a: int, b: int) -> int:
+        """a * b: over F_{2^k} a carry-less product of the bitmasks, whose
+        bits past x^(k-1) are cleared from the top by the modulus's bitmask;
+        over odd p with k > 1 ``dense_mul`` then ``fold``."""
         if self.k == 1:
             return a * b % self.p
+        if self.p == 2:
+            prod = 0
+            while b:
+                if b & 1:
+                    prod ^= a
+                a, b = a << 1, b >> 1
+            k, m = self.k, self._modulus_bits
+            while prod >> k:
+                prod ^= m << (prod.bit_length() - k - 1)
+            return prod
         return self.fold(dense_mul(self.digits(a), self.digits(b)))
 
     def pow_code(self, a: int, e: int) -> int:
@@ -248,21 +400,20 @@ class FiniteFieldDescriptor:
         """The least code y with y^p - y = c, or None.  y -> y^p - y is
         F_p-linear with kernel F_p, the codes 0 .. p - 1, so c has the p
         roots y + F_p or none, and the least has constant coordinate 0.  On
-        the span of x^1 .. x^(k-1) the map is injective: its rows, each with
-        an identity block, fill an echelon, and c is reduced against a copy.
-        A surviving coordinate means c is not in the image; otherwise the
-        root is minus the identity block."""
+        the span of x^1 .. x^(k-1) the map is injective: its packed rows,
+        each with an identity block in slots k .. 2k - 1, fill an echelon,
+        and c is reduced against it.  A surviving coordinate means c is not
+        in the image; otherwise the root is minus the identity block."""
         p, k = self.p, self.k
         if self._artin_schreier_rows is None:
             self._artin_schreier_rows = {}
             for i in range(1, k):
-                row = self.digits(self.add_codes(self.frobenius_code(p**i), self.neg_code(p**i))) + [0] * k
-                row[k + i] = 1
-                _fp_insert(self._artin_schreier_rows, row, k, p)
-        vec = self.digits(c) + [0] * k
-        if _fp_insert(dict(self._artin_schreier_rows), vec, k, p) is not None:
+                image = self.add_codes(self.frobenius_code(p**i), self.neg_code(p**i))
+                _fp_insert(self._artin_schreier_rows, _fp_row(self.digits(image) + [0] * i + [1], p), k, p)
+        vec, col, _ = _fp_reduce(self._artin_schreier_rows, _fp_row(self.digits(c), p), k, p)
+        if col is not None:
             return None
-        return self.fold([-a for a in vec[k:]])
+        return self.fold([-a for a in _fp_slots(vec >> 8 * _row_slot(p) * k, k, p)])
 
     # -- identity ----------------------------------------------------------
 

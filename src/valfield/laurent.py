@@ -55,10 +55,8 @@ Reading such text back is ``parsing.parse_series``.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from itertools import compress, count
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DescriptorMismatchError,
@@ -66,7 +64,7 @@ from .errors import (
     PrecisionError,
     ValfieldError,
 )
-from .finite_field import FFElement, FiniteFieldDescriptor
+from .finite_field import FFElement, FiniteFieldDescriptor, _pack, _reduce, _slot_bytes, _unpack
 from .polynomials import dense_eval, square_and_multiply
 from .value_group import INFINITY, Value, ValuationResult
 
@@ -325,46 +323,8 @@ class LaurentSeries:
 
 # -- packed code kernels ---------------------------------------------------
 #
-# A run of small ints is packed into one Python int, slot i at byte offset
-# i * w, so that one int operation acts on every slot at once.  Slots of 1,
-# 2, 4 or 8 bytes are converted by ``bytes`` and ``array`` in C (swapped on
-# a big-endian machine, whose arrays hold their items big-endian); a wider
-# slot, met only for p near 2^31 and above, takes one int call each.
-
-_FORMATS = {array(f).itemsize: f for f in "QLIHB"}  # slot bytes -> array typecode
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _slot_bytes(bound: int) -> int:
-    """Bytes per slot for ints up to bound: 1, 2, 4 or 8, or the exact
-    byte count when that is wider."""
-    size = bound.bit_length() + 7 >> 3
-    return size if size > 8 else 1 << (size - 1).bit_length()
-
-
-def _pack(slots: Iterable[int], w: int) -> int:
-    """One int with the i-th slot at byte offset i * w."""
-    if w == 1:
-        data = bytes(slots)
-    elif w in _FORMATS:
-        packed = array(_FORMATS[w], slots)
-        if _BIG_ENDIAN:
-            packed.byteswap()
-        data = packed.tobytes()
-    else:
-        data = b"".join([s.to_bytes(w, "little") for s in slots])
-    return int.from_bytes(data, "little")
-
-
-def _unpack(data: bytes, w: int) -> List[int]:
-    """The slots of little-endian data, w bytes each."""
-    if w in _FORMATS:
-        slots = array(_FORMATS[w])
-        slots.frombytes(data)
-        if _BIG_ENDIAN:
-            slots.byteswap()
-        return slots.tolist()
-    return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
+# The packing, ``_slot_bytes``, ``_pack``, ``_unpack`` and the reduction
+# ``_reduce``, is ``finite_field``'s, which its F_p echelon shares.
 
 
 def _pack_codes(base: FiniteFieldDescriptor, codes: Sequence[int], w: int) -> int:
@@ -374,17 +334,6 @@ def _pack_codes(base: FiniteFieldDescriptor, codes: Sequence[int], w: int) -> in
     if base.k == 1:
         return _pack(codes, w)
     return int.from_bytes(base.slot_bytes(codes, w), "little")
-
-
-def _reduce(base: FiniteFieldDescriptor, data: bytes, w: int) -> Sequence[int]:
-    """Slots of w bytes reduced mod p: bytes by one translate through the
-    descriptor's byte table at w = 1, and in characteristic 2 on the low
-    byte of each slot (a slot is even when its low byte is); a list of
-    remainders per slot otherwise."""
-    if w == 1 or base.p == 2:
-        return data[::w].translate(base.mod_bytes)
-    p = base.p
-    return [s % p for s in _unpack(data, w)]
 
 
 def _codes(base: FiniteFieldDescriptor, data: bytes, w: int) -> List[int]:
@@ -399,7 +348,7 @@ def _codes(base: FiniteFieldDescriptor, data: bytes, w: int) -> List[int]:
     characteristic 2, a multiply-add and one more reduction mod p
     otherwise, whose sums stay below q); and the codes sum col_i * p^i
     in one int."""
-    digits = _reduce(base, data, w)
+    digits = _reduce(base.p, data, w)
     k, p = base.k, base.p
     if k == 1:
         return list(digits)
@@ -413,7 +362,7 @@ def _codes(base: FiniteFieldDescriptor, data: bytes, w: int) -> List[int]:
             if r:
                 cols[i] = cols[i] ^ c if p == 2 else cols[i] + r * c
     if p != 2:
-        digits = _reduce(base, b"".join([c.to_bytes(m * w, "little") for c in cols[:k]]), w)
+        digits = _reduce(p, b"".join([c.to_bytes(m * w, "little") for c in cols[:k]]), w)
         cols = [_pack(digits[i * m:i * m + m], w) for i in range(k)]
     code = 0
     for c in reversed(cols[:k]):

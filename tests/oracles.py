@@ -17,8 +17,13 @@
   additive polynomial, and of its decomposition, at a truncation: every
   input digit combination is evaluated, so they share no span code with
   ``decomposition_image_agrees``.
-* ``_fp_echelon`` is the canonical reduced row-echelon form over F_p, for
-  the per-bound reference of ``oap_solve`` in ``test_additive``.
+* ``list_fp_insert`` is the F_p echelon step on rows as int lists, the
+  reference for the packed ``finite_field._fp_insert``.  ``_fp_echelon``
+  is the canonical reduced row-echelon form over F_p built on it, and
+  ``fp_coordinates`` reads a series' F_p coordinates as a list, for
+  ``per_bound_value``: the per-bound span solver, the reference for
+  ``oap_solve``'s one pass, whose generators are g_i evaluated at the
+  digit monomials by series products.
 * ``trial_division_irreducible`` divides by every monic polynomial of
   degree <= half over F_p, reducing mod p at each step (``fp_remainder``):
   the reference for ``_pmod_irreducible``, which divides by
@@ -49,7 +54,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon, _fp_insert
+from valfield.additive import AdditivePolynomial, Decomposition, _digit_horizon, _levels, alpha_bound, decompose
 from valfield.errors import (
     DEFAULT_BUDGET, IndeterminateValuationError, PrecisionError, ValfieldError, check_budget, check_power,
 )
@@ -234,13 +239,33 @@ def enumerated_composite_max(
     return search_max(capped_walk(f, integral_composite_representatives(field, u_floor), capped))
 
 
+def list_fp_insert(pivots: Dict[int, List[int]], row: List[int], stop: int, p: int) -> Optional[int]:
+    """Insert a row into an F_p echelon {pivot column: row}.  The row is
+    reduced in place by the pivot rows at its leading columns below stop;
+    the first column below stop that survives without a pivot gets the
+    row, scaled to 1 there, and is returned (None when nothing survives).
+    Entries past stop are carried along but never read."""
+    for col in range(stop):
+        x = row[col]
+        if not x:
+            continue
+        piv = pivots.get(col)
+        if piv is None:
+            inv = pow(x, -1, p)
+            row[col:] = [(y * inv) % p for y in row[col:]]
+            pivots[col] = row
+            return col
+        row[col:] = [(y - x * w) % p for y, w in zip(row[col:], piv[col:])]
+    return None
+
+
 def _fp_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[Tuple[int, ...], ...]:
     """Canonical reduced row-echelon form over F_p (rows as int lists):
     every row inserted, then each pivot column cleared from the rows above
     it, last pivot first."""
     pivots: Dict[int, List[int]] = {}
     for row in rows:
-        _fp_insert(pivots, list(row), len(row), p)
+        list_fp_insert(pivots, list(row), len(row), p)
     cols = sorted(pivots)
     for i in reversed(range(len(cols))):
         c, piv = cols[i], pivots[cols[i]]
@@ -249,6 +274,54 @@ def _fp_echelon(rows: Sequence[Sequence[int]], p: int) -> Tuple[Tuple[int, ...],
             if x:
                 row[c:] = [(y - x * w) % p for y, w in zip(row[c:], piv[c:])]
     return tuple(tuple(pivots[c]) for c in cols)
+
+
+def fp_coordinates(s: LaurentSeries, low: int, high: int) -> List[int]:
+    """F_p-coordinates of the coefficients of t^low .. t^(high - 1) of s,
+    ordered by (exponent, coordinate); terms below t^low are not read."""
+    if s.prec < high:
+        raise PrecisionError(f"series known to O(t^{s.prec}) read up to t^{high}")
+    desc = s.field.base
+    k = desc.k
+    out = [0] * (max(0, high - low) * k)
+    if not s.coeffs:  # an exact zero has low = inf
+        return out
+    for e in range(max(low, s.low), min(high, s.low + len(s.coeffs))):
+        if s.coeffs[e - s.low]:
+            out[(e - low) * k:(e - low + 1) * k] = desc.digits(s.coeffs[e - s.low])
+    return out
+
+
+def per_bound_value(f: AdditivePolynomial, z: LaurentSeries, prec: int) -> str:
+    """The per-bound span solver, kept as a reference for oap_solve's one
+    pass.  The generators are g_i(lambda * t^j) over the decomposition's
+    summands, the solver's levels and an F_p-basis lambda of F_q, each
+    evaluated at the exact digit monomial.  For each bound B =
+    min(generator precision, z.prec, prec), z is read below B and reduced
+    against the RREF of the generators known to at least B; the best pass
+    wins, an exact answer beating ">= B" on a tie."""
+    K = f.field
+    dec = decompose(f)
+    alpha = int(alpha_bound(dec, z).first)
+    p, k = K.base.p, K.base.k
+    basis = [K.base.element([0] * r + [1]) for r in range(k)]
+    gens = [
+        g.evaluate([K.from_terms({j: lam}, math.inf)])
+        for g in dec.polys for j in _levels(g, prec, alpha, 1) for lam in basis
+    ]
+    top = min(z.prec, prec)
+    low = min([top, z.valuation_floor()] + [g.valuation_floor() for g in gens])
+    best = None
+    for bound in {min(g.prec, top) for g in gens} | {top}:
+        vec = fp_coordinates(z, low, bound)
+        used = [fp_coordinates(g, low, bound) for g in gens if g.prec >= bound]
+        for row in _fp_echelon(used, p):
+            c = vec[next(i for i, x in enumerate(row) if x)]
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        key = (bound, False) if lead is None else (low + lead // k, True)
+        best = key if best is None else max(best, key)
+    return Value.rank1(best[0]).to_text() if best[1] else f">={best[0]}"
 
 
 def _fp_trim(c: Sequence[int]) -> Tuple[int, ...]:

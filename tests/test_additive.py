@@ -17,8 +17,7 @@ from valfield.additive import (
     AdditivePolynomial,
     _digit_generators,
     _find_clash,
-    _fp_coordinates,
-    _fp_insert,
+    _span_size,
     additive_from_multipoly,
     alpha_bound,
     Decomposition,
@@ -30,7 +29,7 @@ from valfield.additive import (
 )
 from valfield.errors import BudgetExceededError, PrecisionError, ValfieldError
 from valfield.extremality import Ball, extremal_search
-from valfield.finite_field import FiniteFieldDescriptor, prime_field
+from valfield.finite_field import FiniteFieldDescriptor, _fp_insert, _fp_row, prime_field
 from valfield import cli
 from valfield.laurent import LaurentField
 from valfield.parsing import parse_series
@@ -38,7 +37,7 @@ from valfield.polynomials import MultiPoly
 from valfield.sampling import Sampler
 from valfield.value_group import Value
 
-from oracles import _fp_echelon, brute_force_max, decomposition_image, truncated_image
+from oracles import brute_force_max, decomposition_image, fp_coordinates, per_bound_value, truncated_image
 
 
 class TestConversion:
@@ -198,14 +197,13 @@ class TestImages:
                     img_f = truncated_image(f, 4, in_low=in_low, out_low=0)
                     img_d = decomposition_image(dec, 4, in_low=in_low, out_low=0)
                     span_f, span_d = (
-                        windowed_image_span(
-                            [g for *_, g in _digit_generators(h, 4, in_low)], K.base, 4
-                        )
+                        windowed_image_span(_digit_generators(h, 4, in_low, origin), K.base, origin, 4)
                         for h in ([f.restrict(i) for i in range(f.nvars)], dec.polys)
+                        for origin in [_span_size(h, 4, 0, in_low)[2]]
                     )
                     assert (len(img_f), len(img_d)) == (p ** len(span_f), p ** len(span_d))
                     inside = all(
-                        _fp_insert(span_d, row, len(row), p) is None
+                        _fp_insert(span_d, row, 4 * K.base.k, p) is None
                         for row in span_f.values()
                     )
                     assert (img_f == img_d) == (inside and len(span_f) == len(span_d))
@@ -381,7 +379,7 @@ class TestOapSolve:
         # ">=4" only at the bound 4, below top = 5
         f = AdditivePolynomial(K2, 1, {(0, 1): K2.one(4)})
         z = parse_series(K2, "1 + t^2 + O(t^12)")
-        assert _per_bound_value(f, z, 5) == ">=4"
+        assert per_bound_value(f, z, 5) == ">=4"
         assert oap_solve(f, z, prec=5).value.to_text() == ">=4"
 
     def test_no_enumeration_budget(self):
@@ -417,6 +415,38 @@ def test_digit_tree_is_a_third_route_to_the_optimal_approximation():
         tree = extremal_search(residual, K, ball, prec=4)
         assert _clamped(tree.value, 4) == _clamped(res.value, 4), (f, z)
         done += 1
+
+
+@pytest.mark.parametrize("p, max_k, nvars", [(2, 2, 1), (3, 1, 1), (2, 1, 2)], ids=["F4", "F9", "F4 two variables"])
+def test_extension_field_oap_matches_the_digit_tree(p, max_k, nvars):
+    """Seeded instances over F_4 and F_9, where the basis element lambda
+    != 1 scales each coefficient of a single-digit generator by
+    lambda^(p^k): coefficients are monomials c * t^j, j in -1..1, with c
+    drawn from all of F_q^*, and the target is f at a seeded input plus one
+    monomial from valuation -3..3.  oap_solve's value, clamped at 4, is the
+    digit tree's maximum of v(z - f(a)) over the alpha ball."""
+    K = LaurentField(FiniteFieldDescriptor(p, 2), "t", 16)
+    rng = random.Random(f"extension-oap:{p}:{nvars}")
+    nonzero = [c for c in K.base.elements() if not c.is_zero()]
+    values = Counter()
+    while sum(values.values()) < 30:
+        terms = {
+            (i, k): K.t_power(rng.randint(-1, 1), math.inf).scale(rng.choice(nonzero))
+            for i in range(nvars) for k in range(max_k + 1) if rng.random() < 0.7
+        }
+        f = AdditivePolynomial(K, nvars, terms)
+        if f.is_zero():
+            continue
+        inputs = [K.from_terms({e: rng.choice(nonzero) for e in range(-1, 16) if rng.random() < 0.6}, 16)
+                  for _ in range(nvars)]
+        z = f.evaluate(inputs) + K.from_terms({rng.randint(-3, 3): rng.choice(nonzero)}, 16)
+        res = oap_solve(f, z, prec=4)
+        residual = MultiPoly.constant(nvars, z) - f.to_multipoly()
+        tree = extremal_search(residual, K, Ball(K.zero(16), int(res.alpha.first)), prec=4)
+        assert _clamped(tree.value, 4) == _clamped(res.value, 4), (f, z)
+        values[_clamped(res.value, 4)] += 1
+    # the values spread: not every target is hit to t^4
+    assert 2 <= len(values) and values[">=4"] < 30
 
 
 def _shows(residual, claimed, cap: int) -> bool:
@@ -732,31 +762,6 @@ def test_cli_alpha_reads_back_the_target_oap_prints_on_sampler7():
     assert checked == 435
 
 
-def _per_bound_value(f, z, prec) -> str:
-    """The per-bound span solver, kept as a reference for oap_solve's one
-    pass.  For each bound B = min(generator precision, z.prec, prec), z is
-    read below B and reduced against the RREF of the generators known to at
-    least B; the best pass wins, an exact answer beating ">= B" on a tie."""
-    K = f.field
-    dec = decompose(f)
-    alpha = int(alpha_bound(dec, z).first)
-    gens = [g for *_, g in _digit_generators(dec.polys, prec, alpha, min_width=1)]
-    top = min(z.prec, prec)
-    low = min([top, z.valuation_floor()] + [g.valuation_floor() for g in gens])
-    p, k = K.base.p, K.base.k
-    best = None
-    for bound in {min(g.prec, top) for g in gens} | {top}:
-        vec = _fp_coordinates(z, low, bound)
-        used = [_fp_coordinates(g, low, bound) for g in gens if g.prec >= bound]
-        for row in _fp_echelon(used, p):
-            c = vec[next(i for i, x in enumerate(row) if x)]
-            vec = [(x - c * y) % p for x, y in zip(vec, row)]
-        lead = next((i for i, x in enumerate(vec) if x), None)
-        key = (bound, False) if lead is None else (low + lead // k, True)
-        best = key if best is None else max(best, key)
-    return Value.rank1(best[0]).to_text() if best[1] else f">={best[0]}"
-
-
 def test_decompose_without_a_clash_claims_no_working_order():
     """Seeded exact two- and three-variable inputs over F_2, F_3 and F_4
     whose summands' leaders lie in distinct classes, so the clash loop
@@ -795,7 +800,7 @@ def test_one_pass_matches_per_bound_reference_on_sampler7():
                     z = s.series(K, lo, 16)
                     if f.is_zero():
                         continue
-                    assert oap_solve(f, z, prec=4).value.to_text() == _per_bound_value(f, z, 4)
+                    assert oap_solve(f, z, prec=4).value.to_text() == per_bound_value(f, z, 4)
                     checked += 1
     assert checked == 870
 
@@ -823,15 +828,16 @@ def test_one_pass_matches_per_bound_reference_on_mixed_precisions():
         z = exact.evaluate([s.series(K, 0, 16) for _ in range(nvars)])
         z = z + s.series(K, rng.randint(-3, 12), 16)
         prec = rng.randint(2, 10)
-        assert oap_solve(f, z, prec=prec).value.to_text() == _per_bound_value(f, z, prec)
+        assert oap_solve(f, z, prec=prec).value.to_text() == per_bound_value(f, z, prec)
         checked += 1
     assert checked == 282
 
 
 def test_digit_generators_match_evaluation_at_the_monomial():
-    """Each single-digit generator, built by shift and scale, has the same
-    (low, coeffs, prec) as g_i evaluated at the exact monomial lambda * t^j
-    by series products.  Seeded one- and two-variable inputs of height <= 2
+    """Each single-digit generator, a packed row built by shift and scale,
+    has the precision of g_i evaluated at the exact monomial lambda * t^j
+    by series products, and its row is the packed coordinates of that
+    value from the origin that ``_span_size`` gives.  Seeded one- and two-variable inputs of height <= 2
     over F_2, F_3, F_4 and F_9; coefficients of up to four terms from
     valuation -3, exact or at O(t^6), O(t^10) or O(t^16); input levels
     from -4 and min_width 0 and 1.  Over F_4 and F_9 the basis element
@@ -854,9 +860,11 @@ def test_digit_generators_match_evaluation_at_the_monomial():
         f = AdditivePolynomial(K, nvars, terms)
         for min_width in (0, 1):
             summands = [f.restrict(i) for i in range(nvars)]
-            gens = _digit_generators(summands, rng.randint(1, 8), rng.randint(-4, 1), min_width)
-            for i, j, lam, gen in gens:
+            out_prec, in_low = rng.randint(1, 8), rng.randint(-4, 1)
+            origin = _span_size(summands, out_prec, 0, in_low, min_width)[2]
+            for i, j, lam, row, prec in _digit_generators(summands, out_prec, in_low, origin, min_width):
                 want = summands[i].evaluate([K.from_terms({j: lam}, math.inf)])
-                assert (gen.low, gen.coeffs, gen.prec) == (want.low, want.coeffs, want.prec)
+                end = want.low + len(want.coeffs) if want.coeffs else origin
+                assert (row, prec) == (_fp_row(fp_coordinates(want, origin, end), K.base.p), want.prec)
                 checked[K.base.q] += 1
     assert all(count >= 200 for count in checked.values()), checked

@@ -15,12 +15,18 @@ from valfield.errors import BudgetExceededError, ParseError, ValfieldError
 from valfield.finite_field import (
     FFElement,
     FiniteFieldDescriptor,
+    _fp_insert,
+    _fp_row,
+    _fp_slots,
     _pmod_irreducible,
+    _row_slot,
     parse_field,
     prime_field,
 )
 
-from oracles import artin_schreier_root_by_scan, schoolbook_mul_code, trial_division_irreducible
+from valfield.polynomials import dense_mul
+
+from oracles import artin_schreier_root_by_scan, list_fp_insert, schoolbook_mul_code, trial_division_irreducible
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -283,6 +289,57 @@ class TestDenseCoreAgainstReference:
         for a in range(desc.q):
             for b in range(desc.q):
                 assert desc.mul_codes(a, b) == schoolbook_mul_code(desc, a, b), (a, b)
+
+
+    @pytest.mark.parametrize("k", [2, 4, 8], ids=["F4", "F16", "F256"])
+    def test_carry_less_product_matches_fold_of_dense_mul(self, k):
+        # over F_{2^k} mul_codes multiplies bitmasks without carries and
+        # clears the high bits by the modulus; every pair of codes against
+        # the digit product folded by the descriptor
+        desc = FiniteFieldDescriptor(2, k)
+        digits = [desc.digits(a) for a in range(desc.q)]
+        for a in range(desc.q):
+            assert [desc.mul_codes(a, b) for b in range(desc.q)] == [
+                desc.fold(dense_mul(digits[a], db)) for db in digits
+            ], a
+
+
+class TestPackedEchelon:
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 257])
+    def test_packed_insert_matches_the_list_reference(self, p):
+        """Seeded rows, each with an identity block after its coordinates
+        as the span solver builds them, inserted in one order into the list
+        echelon of ``oracles`` and into the packed one, with random stops:
+        the returned columns and the pivot rows agree.  p = 2 runs on XOR,
+        and the slots are 1 byte for p <= 13, 2 for p = 17 and 4 for
+        p = 257.  Each matrix has more rows than columns, and some rows
+        repeat an earlier one times a scalar, so that rows also reduce to
+        nothing."""
+        assert _row_slot(p) == {2: 1, 3: 1, 5: 1, 13: 1, 17: 2, 257: 4}[p]
+        rng = random.Random(f"echelon:{p}")
+        inserted = pivoted = 0
+        for _ in range(40):
+            width = rng.randint(1, 12)
+            n = rng.randint(1, width + 4)
+            rows = []
+            for r in range(n):
+                if rows and rng.random() < 0.2:
+                    scalar = rng.randrange(1, p)
+                    coords = [c * scalar % p for c in rng.choice(rows)[:width]]
+                else:
+                    coords = [rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(width)]
+                rows.append(coords + [int(i == r) for i in range(n)])
+            listed, packed = {}, {}
+            for row in rows:
+                stop = rng.randint(0, width)
+                col = list_fp_insert(listed, list(row), stop, p)
+                assert _fp_insert(packed, _fp_row(row, p), stop, p) == col
+                inserted += 1
+                pivoted += col is not None
+            assert sorted(packed) == sorted(listed)
+            for col, row in listed.items():
+                assert _fp_slots(packed[col], width + n, p) == row, (col, row)
+        assert 0 < pivoted < inserted
 
 
 class TestTextForms:

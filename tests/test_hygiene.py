@@ -41,8 +41,17 @@ The exact layers ``padic.py`` and ``polygon.py`` keep a rational as an
 two ints: every ``/`` has a ``Fraction(...)`` call as its left operand.
 
 The span solver's generator loop, ``additive._digit_generators``, builds
-each generator by shift and scale: it calls neither ``evaluate`` nor
+each generator as packed rows by shift: it calls neither ``evaluate`` nor
 ``from_terms``, so no series product per generator can come back unseen.
+
+F_p slots and rows are reduced only in ``finite_field``: no other module
+reads a translate table that reduces bytes mod p (``_byte_tables``, or a
+``mod_bytes`` attribute) or holds a comprehension that takes remainders
+over ``zip(...)`` or ``_unpack(...)``, the list row operation ``(y - x *
+w) % p`` and the per-slot remainder.  So ``laurent`` and the echelon share one
+packing and one echelon step, ``finite_field._fp_insert``.  Among the tests
+the list row operation appears only in ``tests/oracles.py``, whose list
+echelon is the reference for the packed one.
 
 Typed term text has one reader: only ``polynomials._Reader.factor``, the
 term grammar behind ``parse_sum``, reads an error term ``O(t^N)``, by its
@@ -655,4 +664,64 @@ def test_checker_flags_a_second_scan_of_the_residue_field():
     )
     assert residue_scans(source) == [
         "FiniteFieldDescriptor.artin_schreier_root", "FiniteFieldDescriptor.elements", "table", "table",
+    ]
+
+
+ROW_TABLES = {"mod_bytes", "_byte_tables"}
+ROW_SOURCES = {"zip", "_unpack"}
+
+
+def _is_row_operation(elt) -> bool:
+    """Whether a comprehension element reads (y - x * w) % p."""
+    left = elt.left
+    return isinstance(left, ast.BinOp) and isinstance(left.op, ast.Sub) and (
+        isinstance(left.right, ast.BinOp) and isinstance(left.right.op, ast.Mult)
+    )
+
+
+def row_reductions(source: str):
+    """(line, what) for each reduction of F_p slots or rows: a read of a
+    table in ROW_TABLES, and a comprehension whose element takes a
+    remainder and which iterates over a call in ROW_SOURCES, named "row
+    operation" when the element reads (y - x * w) % p and "remainders"
+    otherwise."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if isinstance(node, (ast.Attribute, ast.Name)) and name in ROW_TABLES:
+            found.append((node.lineno, name))
+        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+            takes_remainder = isinstance(node.elt, ast.BinOp) and isinstance(node.elt.op, ast.Mod)
+            sources = {getattr(gen.iter.func, "id", None) for gen in node.generators if isinstance(gen.iter, ast.Call)}
+            if takes_remainder and sources & ROW_SOURCES:
+                found.append((node.lineno, "row operation" if _is_row_operation(node.elt) else "remainders"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "finite_field.py"], ids=lambda p: p.name)
+def test_only_finite_field_reduces_slots_or_rows(path):
+    assert row_reductions(path.read_text()) == []
+
+
+def _row_operations(path):
+    return [line for line, what in row_reductions(path.read_text()) if what == "row operation"]
+
+
+def test_the_list_row_operation_is_only_the_reference():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert {p.name for p in tests if _row_operations(p)} == {"oracles.py"}
+
+
+def test_checker_flags_a_slot_or_row_reduction():
+    source = (
+        "def walk(vec, piv, x, p):\n"
+        "    vec[col:] = [(y - x * w) % p for y, w in zip(vec[col:], piv[col:])]\n"
+        "    return [s % p for s in _unpack(data, w)]\n"
+        "def reduce(base, data):\n"
+        "    return data.translate(base.mod_bytes), _byte_tables(base.p)\n"
+        "def fine(codes, p, n):\n"
+        "    return [c % p for c in codes], [(a + b) for a, b in zip(codes, codes)], -n % p\n"
+    )
+    assert row_reductions(source) == [
+        (2, "row operation"), (3, "remainders"), (5, "_byte_tables"), (5, "mod_bytes"),
     ]

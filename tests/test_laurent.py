@@ -15,12 +15,11 @@ from valfield.errors import (
     PrecisionError,
     ValfieldError,
 )
-from valfield.finite_field import FFElement, FiniteFieldDescriptor, prime_field
+from valfield.finite_field import FFElement, FiniteFieldDescriptor, _slot_bytes, prime_field
 from valfield.laurent import (
     LaurentField,
     ValuationResult,
     _mul_codes,
-    _slot_bytes,
     artin_schreier_solve,
     hensel_lift,
     poly_derivative,
@@ -29,7 +28,7 @@ from valfield.parsing import parse_series
 from valfield.polynomials import MultiPoly, dense_eval, parse_sum
 from valfield.value_group import INFINITY, Value
 
-from oracles import fresh_inverse_lift, full_precision_lift
+from oracles import artin_schreier_root_by_scan, fresh_inverse_lift, full_precision_lift
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -694,6 +693,29 @@ def kernel_series(draw, max_len=300, field=None):
 
 
 KERNEL_IDS = ["F2", "F3", "F5", "F4", "F9", "F16", "F131", "F65537", "F2147483647", "F256", "F729"]
+
+
+@pytest.mark.parametrize("base", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_artin_schreier_root_matches_the_scan_over_every_kernel_field(base):
+    """The packed echelon's least root of y^p - y = c against the scan of
+    every code in order: every c over fields of at most 256 elements, and
+    otherwise the images of 24 seeded y, whose least root the scan meets
+    within q codes, and 8 seeded codes.  A code outside the image makes
+    the scan run through all q codes, so over F_{2^31 - 1}, where only 0
+    is an image, the seeded codes are left out."""
+    q, p = base.q, base.p
+    if q <= 256:
+        codes = list(range(q))
+    else:
+        rng = random.Random(f"artin-schreier:{q}")
+        ys = [rng.randrange(q) for _ in range(24)]
+        codes = [base.add_codes(base.frobenius_code(y), base.neg_code(y)) for y in ys]
+        if q <= 65537:
+            codes += [rng.randrange(q) for _ in range(8)]
+    answers = [base.artin_schreier_root(c) for c in codes]
+    assert answers == [artin_schreier_root_by_scan(base, c) for c in codes]
+    # the least root has constant coordinate 0
+    assert all(y is None or y % p == 0 for y in answers)
 
 
 @pytest.mark.parametrize("base", KERNEL_FIELDS, ids=KERNEL_IDS)
